@@ -275,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tip-beta", type=float, default=5.5)
     p.add_argument("--no-normalize-prototypes", action="store_true")
     p.add_argument("--normalize", action="store_true", help="re-normalize rows at load")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument(
+        "--threads", type=int, default=None, help="accepted and ignored; cells run serially"
+    )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)

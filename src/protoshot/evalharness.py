@@ -3,10 +3,11 @@ and the full (method x fold x seed x shots x top-K) grid with aggregation.
 
 Determinism rules. All randomness flows through numpy's PCG64, seeded by
 :func:`derive_seed`, a splitmix64 chain over a base seed and purpose tags.
-Grid cells are independent and may run on a thread pool; results are sorted
-by a canonical key before serialization, so reports are byte-identical
-regardless of thread count. Reports echo the generator identity, the
-mixing rule, and every seed so a run can be reproduced from the report
+Grid cells run one after another and share a lazily filled table of
+per-slide pooled vectors (:class:`SlidePools`), so each slide is scored and
+pooled at most once per run. Results are sorted by a canonical key before
+serialization. Reports echo the generator identity,
+the mixing rule, and every seed so a run can be reproduced from the report
 alone.
 """
 
@@ -14,23 +15,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .adapters import (
-    SlidePrediction,
-    build_cache,
-    build_prototypes,
-    mizero_predict,
-    predict_prototype,
-    simpleshot_prototypes,
-    tip_adapter_predict,
-    visionshot_slide_embedding,
+from .adapters import CacheModel, SlidePrediction, _finalize_prototypes, _unit
+from .embedstore import (
+    DatasetManifest,
+    SlideBag,
+    TextClassifier,
+    group_ids_by_class,
+    labels_in_order,
 )
-from .embedstore import DatasetManifest, SlideBag, TextClassifier
 from .errors import (
     ClassAbsent,
     ClassTooSmall,
@@ -40,7 +37,7 @@ from .errors import (
     SingleCluster,
     TooFewPoints,
 )
-from .simsel import bgap
+from .simsel import bgap, score_against, top_k
 
 METHODS = ("visionshot", "simpleshot", "mizero", "tipadapter")
 
@@ -478,6 +475,61 @@ class GridConfig:
         )
 
 
+class SlidePools:
+    """Per-slide pooled vectors, each computed on first use and then kept.
+
+    ``bags`` maps any key (a slide id in the grid) to its bag. Two kinds of
+    vector per slide cover every method:
+
+    * ``full(key)``: the full-bag mean;
+    * ``guided(key, k)`` for k in ``top_ks``: the mean of the k patches most
+      similar to the slide's own class text vector. The slide is scored and
+      argsorted once, and every k is pooled from that one order, exactly as
+      :func:`~protoshot.adapters.visionshot_slide_embedding` pools it.
+    """
+
+    def __init__(
+        self,
+        bags: Mapping[Hashable, SlideBag],
+        classifier: TextClassifier | None = None,
+        top_ks: Sequence[int] = (),
+    ):
+        self._bags = bags
+        self._classifier = classifier
+        self._top_ks = tuple(top_ks)
+        self._canonical: np.ndarray | None = None
+        self._full: dict[Hashable, np.ndarray] = {}
+        self._guided: dict[Hashable, dict[int, np.ndarray]] = {}
+
+    def canonical(self) -> np.ndarray:
+        """The classifier's canonical class vectors, computed once."""
+        if self._canonical is None:
+            self._canonical = self._classifier.canonical_vectors()
+        return self._canonical
+
+    def full(self, key: Hashable) -> np.ndarray:
+        if key not in self._full:
+            self._full[key] = bgap(self._bags[key].patches)
+        return self._full[key]
+
+    def guided(self, key: Hashable, k: int) -> np.ndarray:
+        """Top-k text-guided pool; `k` must be one of ``top_ks``. A k above
+        the bag size clamps to the whole bag."""
+        patches = self._bags[key].patches
+        if key not in self._guided:
+            scores = score_against(patches, self.canonical()[self._bags[key].label])
+            order = top_k(scores, patches.rows).indices
+            pools: dict[int, np.ndarray] = {}
+            for kt in self._top_ks:
+                if kt < 1:
+                    raise ValueError(f"k must be >= 1, got {kt}")
+                n = min(kt, patches.rows)
+                if n not in pools:
+                    pools[n] = bgap(patches, order[:n])
+            self._guided[key] = pools
+        return self._guided[key][min(k, patches.rows)]
+
+
 def run_grid(
     manifest: DatasetManifest,
     bags: Sequence[SlideBag],
@@ -495,9 +547,11 @@ def run_grid(
 
     The fold assignment comes from derive_seed(base_seed, "folds"); each
     support draw from derive_seed(seed, "support", fold, k). Cells run
-    independently (optionally on `threads` workers) and are sorted
+    serially over one shared :class:`SlidePools` table and give the same
+    numbers as the per-bag functions in ``adapters``. Records are sorted
     canonically before aggregation, so the report is a pure function of the
-    data and the config.
+    data and the config. `threads` is accepted for compatibility and
+    ignored.
 
     Raises:
         GridCellError: a cell failed; the message names it.
@@ -512,7 +566,7 @@ def run_grid(
     if missing:
         raise ValueError(f"bags missing for manifest slides: {missing[:5]}")
     num_classes = len(manifest.classes)
-    labels = {rec.slide_id: manifest.class_index(rec.class_name) for rec in manifest.slides}
+    labels = labels_in_order(manifest)
     for sid, label in labels.items():
         if bags_by_id[sid].label != label:
             raise ValueError(
@@ -523,54 +577,64 @@ def run_grid(
     assignment = stratified_kfold(labels, config.num_folds, fold_seed)
     seeds = config.resolved_seeds()
     fewshot_methods = [m for m in config.methods if m != "mizero"]
+    pools = SlidePools(bags_by_id, classifier, config.top_k_grid)
 
-    test_bags = {
-        f: [bags_by_id[sid] for sid in assignment.fold_ids(f)]
-        for f in range(config.num_folds)
+    test_ids = {f: assignment.fold_ids(f) for f in range(config.num_folds)}
+    train_groups = {
+        f: group_ids_by_class(manifest, exclude=test_ids[f]) for f in range(config.num_folds)
     }
-    train_groups = {}
-    for f in range(config.num_folds):
-        test_set = set(assignment.fold_ids(f))
-        groups: list[list[str]] = [[] for _ in range(num_classes)]
-        for rec in manifest.slides:
-            if rec.slide_id not in test_set:
-                groups[labels[rec.slide_id]].append(rec.slide_id)
-        train_groups[f] = groups
 
-    def evaluate(predictions, fold) -> tuple[float, tuple[float, ...]]:
-        y = [b.label for b in test_bags[fold]]
+    def evaluate(predictions: list[int], fold: int) -> tuple[float, tuple[float, ...]]:
+        y = [labels[sid] for sid in test_ids[fold]]
         score, recalls = balanced_accuracy(predictions, y, num_classes)
         return score, tuple(recalls)
 
+    def nearest_prototype(per_class: list[list[np.ndarray]], ids, top_k_used, fold):
+        protos = _finalize_prototypes(
+            per_class, manifest.classes, ids, top_k_used, config.normalize_prototypes
+        )
+        return [int(np.argmax(protos.prototypes @ pools.full(sid))) for sid in test_ids[fold]]
+
+    def tip_adapter(support_ids: Sequence[str], fold: int) -> list[int]:
+        # unit vectors are taken here, not in the table, so that a zero-mean
+        # slide fails only in the cells that need its direction
+        keys = np.stack([_unit(pools.full(sid)) for sid in support_ids])
+        values = np.zeros((len(support_ids), num_classes))
+        for m, sid in enumerate(support_ids):
+            values[m, labels[sid]] = 1.0
+        cache = CacheModel(keys, values, config.tip_alpha, config.tip_beta)
+        canonical = pools.canonical()
+        preds = []
+        for sid in test_ids[fold]:
+            query = _unit(pools.full(sid))
+            affinity = np.exp(-cache.beta * (1.0 - cache.keys @ query))
+            scores = cache.alpha * (affinity @ cache.values) + canonical @ query
+            preds.append(int(np.argmax(scores)))
+        return preds
+
     def fewshot_cell(fold: int, seed: int, k: int) -> list[EvalRecord]:
         draw = sample_few_shot(train_groups[fold], k, derive_seed(seed, "support", fold, k))
-        support = [bags_by_id[sid] for sid in draw.support_ids]
+        by_class: list[list[str]] = [[] for _ in range(num_classes)]
+        for sid in draw.support_ids:
+            by_class[labels[sid]].append(sid)
         records = []
         if "visionshot" in fewshot_methods:
             for kt in config.top_k_grid:
-                protos = build_prototypes(
-                    support, classifier, kt, config.normalize_prototypes
-                )
-                preds = [predict_prototype(b, protos, "visionshot") for b in test_bags[fold]]
+                per_class = [[pools.guided(sid, kt) for sid in ids] for ids in by_class]
+                preds = nearest_prototype(per_class, by_class, kt, fold)
                 score, recalls = evaluate(preds, fold)
                 records.append(
                     EvalRecord("visionshot", fold, seed, k, kt, None, score, recalls)
                 )
         if "simpleshot" in fewshot_methods:
-            protos = simpleshot_prototypes(
-                support,
-                config.normalize_prototypes,
-                num_classes=num_classes,
-                class_names=manifest.classes,
-            )
-            preds = [predict_prototype(b, protos, "simpleshot") for b in test_bags[fold]]
+            per_class = [[pools.full(sid) for sid in ids] for ids in by_class]
+            preds = nearest_prototype(per_class, by_class, None, fold)
             score, recalls = evaluate(preds, fold)
             records.append(
                 EvalRecord("simpleshot", fold, seed, k, None, None, score, recalls)
             )
         if "tipadapter" in fewshot_methods:
-            cache = build_cache(support, num_classes, config.tip_alpha, config.tip_beta)
-            preds = [tip_adapter_predict(b, cache, classifier) for b in test_bags[fold]]
+            preds = tip_adapter(draw.support_ids, fold)
             score, recalls = evaluate(preds, fold)
             records.append(
                 EvalRecord("tipadapter", fold, seed, k, None, None, score, recalls)
@@ -580,7 +644,8 @@ def run_grid(
     def mizero_cell(fold: int) -> list[EvalRecord]:
         records = []
         for prompt in range(classifier.num_prompts):
-            preds = [mizero_predict(b, classifier, prompt) for b in test_bags[fold]]
+            weights = classifier.weights[prompt].astype(np.float64)
+            preds = [int(np.argmax(weights @ pools.full(sid))) for sid in test_ids[fold]]
             score, recalls = evaluate(preds, fold)
             records.append(
                 EvalRecord("mizero", fold, None, None, None, prompt, score, recalls)
@@ -602,20 +667,11 @@ def run_grid(
                     )
 
     records: list[EvalRecord] = []
-    if threads <= 1:
-        for cell, fn in tasks:
-            try:
-                records.extend(fn())
-            except Exception as exc:
-                raise GridCellError(cell, exc) from exc
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(cell, pool.submit(fn)) for cell, fn in tasks]
-            for cell, fut in futures:
-                try:
-                    records.extend(fut.result())
-                except Exception as exc:
-                    raise GridCellError(cell, exc) from exc
+    for cell, fn in tasks:
+        try:
+            records.extend(fn())
+        except Exception as exc:
+            raise GridCellError(cell, exc) from exc
 
     records.sort(key=_record_key)
     aggregates = aggregate_records(records)
@@ -663,23 +719,18 @@ def slide_embedding_table(
     """
     if mode not in ("bgap", "visionshot"):
         raise ValueError(f"unknown mode {mode!r}")
-    rows = []
-    labels = []
-    ids = []
-    if mode == "visionshot":
-        if classifier is None or k is None:
-            raise ValueError("visionshot mode needs a classifier and k")
-        canonical = classifier.canonical_vectors()
+    if mode == "visionshot" and (classifier is None or k is None):
+        raise ValueError("visionshot mode needs a classifier and k")
     for bag in bags:
         if bag.label is None:
             raise ValueError(f"slide {bag.slide_id!r} has no label")
-        if mode == "bgap":
-            rows.append(bgap(bag.patches))
-        else:
-            rows.append(visionshot_slide_embedding(bag, canonical[bag.label], k))
-        labels.append(bag.label)
-        ids.append(bag.slide_id)
-    return np.stack(rows), labels, ids
+    # keyed by position: a list may hold the same slide id more than once
+    pools = SlidePools(dict(enumerate(bags)), classifier, () if k is None else (k,))
+    if mode == "bgap":
+        rows = [pools.full(i) for i in range(len(bags))]
+    else:
+        rows = [pools.guided(i, k) for i in range(len(bags))]
+    return np.stack(rows), [bag.label for bag in bags], [bag.slide_id for bag in bags]
 
 
 def pca_2d(points: np.ndarray) -> np.ndarray:

@@ -1,8 +1,19 @@
 import json
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import protoshot.evalharness as evalharness
+from protoshot.adapters import (
+    build_cache,
+    build_prototypes,
+    mizero_predict,
+    predict_prototype,
+    simpleshot_prototypes,
+    tip_adapter_predict,
+)
 from protoshot.errors import (
     ClassAbsent,
     ClassTooSmall,
@@ -11,8 +22,10 @@ from protoshot.errors import (
     LengthMismatch,
     SingleCluster,
     TooFewPoints,
+    ZeroVectorRow,
 )
 from protoshot.evalharness import (
+    EvalRecord,
     EvalReport,
     GridConfig,
     aggregate_records,
@@ -28,7 +41,7 @@ from protoshot.evalharness import (
     slide_embedding_table,
     stratified_kfold,
 )
-from protoshot.embedstore import TextClassifier
+from protoshot.embedstore import PatchMatrix, SlideBag, TextClassifier
 from protoshot.synthgen import SynthConfig, generate
 
 
@@ -348,6 +361,128 @@ class TestRunGrid:
                 for k in (2, 4):
                     draw = sample_few_shot(groups, k, derive_seed(seed, "support", f, k))
                     assert not set(draw.support_ids) & test_ids
+
+
+@pytest.fixture(scope="module")
+def noisy_dataset():
+    config = SynthConfig(
+        num_classes=3,
+        dim=16,
+        slides_per_class=8,
+        patches_min=10,
+        patches_max=24,
+        informative_fraction=0.3,
+        noise_scale=1.5,
+        seed=5,
+    )
+    return generate(config)
+
+
+def reference_records(manifest, bags, clf, config):
+    """Every record of the grid, recomputed bag by bag with the public
+    per-bag adapters, keyed by (method, fold, seed, k, top_k, prompt)."""
+    bags_by_id = {bag.slide_id: bag for bag in bags}
+    labels = {rec.slide_id: manifest.class_index(rec.class_name) for rec in manifest.slides}
+    num_classes = len(manifest.classes)
+    folds = stratified_kfold(labels, config.num_folds, derive_seed(config.base_seed, "folds"))
+    out = {}
+
+    def add(method, fold, seed, k, top_k, prompt, preds, y):
+        score, recalls = balanced_accuracy(preds, y, num_classes)
+        out[(method, fold, seed, k, top_k, prompt)] = EvalRecord(
+            method, fold, seed, k, top_k, prompt, score, tuple(recalls)
+        )
+
+    for f in range(config.num_folds):
+        test = [bags_by_id[sid] for sid in folds.fold_ids(f)]
+        y = [bag.label for bag in test]
+        for prompt in range(clf.num_prompts):
+            preds = [mizero_predict(bag, clf, prompt) for bag in test]
+            add("mizero", f, None, None, None, prompt, preds, y)
+        groups = [[] for _ in manifest.classes]
+        for rec in manifest.slides:
+            if folds.fold_of[rec.slide_id] != f:
+                groups[labels[rec.slide_id]].append(rec.slide_id)
+        for seed in config.resolved_seeds():
+            for k in config.k_grid:
+                draw = sample_few_shot(groups, k, derive_seed(seed, "support", f, k))
+                support = [bags_by_id[sid] for sid in draw.support_ids]
+                for kt in config.top_k_grid:
+                    protos = build_prototypes(support, clf, kt)
+                    preds = [predict_prototype(bag, protos) for bag in test]
+                    add("visionshot", f, seed, k, kt, None, preds, y)
+                protos = simpleshot_prototypes(
+                    support, num_classes=num_classes, class_names=manifest.classes
+                )
+                preds = [predict_prototype(bag, protos) for bag in test]
+                add("simpleshot", f, seed, k, None, None, preds, y)
+                cache = build_cache(support, num_classes, config.tip_alpha, config.tip_beta)
+                preds = [tip_adapter_predict(bag, cache, clf) for bag in test]
+                add("tipadapter", f, seed, k, None, None, preds, y)
+    return out
+
+
+class TestPooledGrid:
+    """The grid reads every pooled vector from one per-slide table; it must
+    match the per-bag adapters exactly and compute each pool once."""
+
+    config = GridConfig(num_folds=4, k_grid=(2, 4), top_k_grid=(3, 8, 50), seeds=(7, 8))
+
+    def test_matches_per_bag_adapters(self, noisy_dataset):
+        manifest, bags, clf = noisy_dataset
+        assert max(bag.patches.rows for bag in bags) < 50  # one top-K clamps
+        report = run_grid(manifest, bags, clf, self.config)
+        got = {(r.method, r.fold, r.seed, r.k, r.top_k, r.prompt): r for r in report.records}
+        expected = reference_records(manifest, bags, clf, self.config)
+        assert got == expected
+        assert len({r.balanced_accuracy for r in report.records}) > 1  # not trivial
+
+    def test_each_slide_scored_and_pooled_once(self, noisy_dataset, monkeypatch):
+        manifest, bags, clf = noisy_dataset
+        slide_of = {id(bag.patches): bag.slide_id for bag in bags}
+        scores, pools = Counter(), Counter()
+
+        def counting(counter, fn):
+            def wrapped(patches, *args, **kwargs):
+                counter[slide_of[id(patches)]] += 1
+                return fn(patches, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            evalharness, "score_against", counting(scores, evalharness.score_against)
+        )
+        monkeypatch.setattr(evalharness, "bgap", counting(pools, evalharness.bgap))
+        run_grid(manifest, bags, clf, self.config)
+        assert scores and max(scores.values()) == 1
+        assert pools and max(pools.values()) <= 1 + len(self.config.top_k_grid)
+
+    @staticmethod
+    def with_zero_mean_slide(dataset):
+        manifest, bags, clf = dataset
+        v = bags[0].patches.values[0]
+        zero = SlideBag(bags[0].slide_id, PatchMatrix(np.stack([v, -v])), bags[0].label)
+        return manifest, [zero] + list(bags[1:]), clf
+
+    def test_zero_mean_slide_runs_without_tipadapter(self, noisy_dataset):
+        manifest, bags, clf = self.with_zero_mean_slide(noisy_dataset)
+        config = GridConfig(
+            methods=("visionshot", "simpleshot", "mizero"),
+            num_folds=4,
+            k_grid=(2,),
+            top_k_grid=(1, 8),
+            seeds=(7,),
+        )
+        report = run_grid(manifest, bags, clf, config)
+        assert len(report.records) == 4 * (2 + 1 + 1)
+
+    def test_zero_mean_slide_fails_inside_tipadapter_cell(self, noisy_dataset):
+        manifest, bags, clf = self.with_zero_mean_slide(noisy_dataset)
+        config = GridConfig(num_folds=4, k_grid=(2,), top_k_grid=(1, 8), seeds=(7,))
+        with pytest.raises(GridCellError) as err:
+            run_grid(manifest, bags, clf, config)
+        assert isinstance(err.value.cause, ZeroVectorRow)
+        assert re.search(r"\[fold=\d+ seed=7 k=2\]", str(err.value))
 
 
 class TestReportSerialization:
