@@ -140,7 +140,7 @@ class CacheModel:
         return self.keys.shape[0]
 
 
-def _argmax_lowest(scores: np.ndarray) -> int:
+def argmax_lowest(scores: np.ndarray) -> int:
     # np.argmax returns the first maximum, which is the lowest-index tie rule
     return int(np.argmax(scores))
 
@@ -182,13 +182,18 @@ def _group_by_label(
     return groups
 
 
-def _finalize_prototypes(
+def prototypes_from_pooled(
     per_class: list[list[np.ndarray]],
     class_names: Sequence[str],
     support_ids: list[list[str]],
     top_k_used: int | None,
     normalize_prototypes: bool,
 ) -> PrototypeSet:
+    """Average each class's pooled support embeddings into its prototype.
+
+    ``per_class[c]`` holds the pooled embeddings of class c's support
+    slides, in the order of ``support_ids[c]``.
+    """
     # one shared reduction so the k >= bag-size case is bit-identical to
     # full-bag pooling
     rows = np.stack([np.mean(np.stack(embs), axis=0) for embs in per_class])
@@ -230,7 +235,7 @@ def build_prototypes(
         for c, group in enumerate(groups)
     ]
     ids = [[bag.slide_id for bag in group] for group in groups]
-    return _finalize_prototypes(
+    return prototypes_from_pooled(
         per_class, classifier.class_names, ids, k, normalize_prototypes
     )
 
@@ -255,7 +260,18 @@ def simpleshot_prototypes(
     groups = _group_by_label(support, num_classes, class_names)
     per_class = [[bgap(bag.patches) for bag in group] for group in groups]
     ids = [[bag.slide_id for bag in group] for group in groups]
-    return _finalize_prototypes(per_class, class_names, ids, None, normalize_prototypes)
+    return prototypes_from_pooled(per_class, class_names, ids, None, normalize_prototypes)
+
+
+def prototype_scores(pooled: np.ndarray, prototypes: PrototypeSet) -> np.ndarray:
+    """Prototype-row dot products with one pooled slide embedding.
+
+    No re-normalization of the pooled embedding is needed because positive
+    scaling cannot change the argmax.
+    """
+    if pooled.shape[0] != prototypes.dim:
+        raise DimensionMismatch(prototypes.dim, pooled.shape[0])
+    return prototypes.prototypes @ pooled
 
 
 def predict_prototype(
@@ -263,21 +279,16 @@ def predict_prototype(
 ) -> SlidePrediction:
     """Nearest-prototype prediction from the full-bag pooled embedding.
 
-    The bag's label is never consulted. Scores are prototype-row dot
-    products with the pooled embedding; no re-normalization of the pooled
-    embedding is needed because positive scaling cannot change the argmax.
+    The bag's label is never consulted.
     """
-    if bag.patches.dim != prototypes.dim:
-        raise DimensionMismatch(prototypes.dim, bag.patches.dim)
-    pooled = bgap(bag.patches)
-    scores = prototypes.prototypes @ pooled
-    return SlidePrediction(bag.slide_id, scores, _argmax_lowest(scores), method)
+    scores = prototype_scores(bgap(bag.patches), prototypes)
+    return SlidePrediction(bag.slide_id, scores, argmax_lowest(scores), method)
 
 
-def mizero_predict(
-    bag: SlideBag, classifier: TextClassifier, prompt_index: int = 0
-) -> SlidePrediction:
-    """Zero-shot prediction with one prompt's classifier.
+def mizero_scores(
+    pooled: np.ndarray, classifier: TextClassifier, prompt_index: int = 0
+) -> np.ndarray:
+    """Zero-shot class scores of one pooled slide embedding under one prompt.
 
     The per-class score is the mean over patches of the patch-text dot
     product, computed as the pooled embedding dotted with the class vector
@@ -285,11 +296,35 @@ def mizero_predict(
     """
     if not 0 <= prompt_index < classifier.num_prompts:
         raise PromptIndexOutOfRange(prompt_index, classifier.num_prompts)
-    if bag.patches.dim != classifier.dim:
-        raise DimensionMismatch(classifier.dim, bag.patches.dim)
-    pooled = bgap(bag.patches)
-    scores = classifier.weights[prompt_index].astype(np.float64) @ pooled
-    return SlidePrediction(bag.slide_id, scores, _argmax_lowest(scores), "mizero")
+    if pooled.shape[0] != classifier.dim:
+        raise DimensionMismatch(classifier.dim, pooled.shape[0])
+    return classifier.weights[prompt_index].astype(np.float64) @ pooled
+
+
+def mizero_predict(
+    bag: SlideBag, classifier: TextClassifier, prompt_index: int = 0
+) -> SlidePrediction:
+    """Zero-shot prediction with one prompt's classifier."""
+    scores = mizero_scores(bgap(bag.patches), classifier, prompt_index)
+    return SlidePrediction(bag.slide_id, scores, argmax_lowest(scores), "mizero")
+
+
+def cache_from_pooled(
+    pooled: Sequence[np.ndarray],
+    labels: Sequence[int],
+    num_classes: int,
+    alpha: float = 1.0,
+    beta: float = 5.5,
+) -> CacheModel:
+    """Cache keys are the unit-normalized pooled support embeddings; values
+    are their one-hot labels."""
+    if not pooled:
+        raise EmptyCache()
+    keys = np.stack([_unit(vector) for vector in pooled])
+    values = np.zeros((len(pooled), num_classes))
+    for m, label in enumerate(labels):
+        values[m, label] = 1.0
+    return CacheModel(keys=keys, values=values, alpha=alpha, beta=beta)
 
 
 def build_cache(
@@ -299,37 +334,48 @@ def build_cache(
     beta: float = 5.5,
 ) -> CacheModel:
     """Cache keys are unit-normalized full-bag embeddings of the support slides."""
-    if not support:
-        raise EmptyCache()
-    keys = np.stack([_unit(bgap(bag.patches)) for bag in support])
-    values = np.zeros((len(support), num_classes))
-    for m, bag in enumerate(support):
+    for bag in support:
         if bag.label is None:
             raise ValueError(f"support slide {bag.slide_id!r} has no label")
-        values[m, bag.label] = 1.0
-    return CacheModel(keys=keys, values=values, alpha=alpha, beta=beta)
+    return cache_from_pooled(
+        [bgap(bag.patches) for bag in support],
+        [bag.label for bag in support],
+        num_classes,
+        alpha,
+        beta,
+    )
+
+
+def tip_adapter_scores(
+    pooled: np.ndarray, cache: CacheModel, canonical: np.ndarray
+) -> np.ndarray:
+    """Blend cache affinities with zero-shot text scores.
+
+    `canonical` holds the classifier's canonical class vectors. With query q
+    (the unit-normalized pooled embedding), the score of class c is
+
+        alpha * sum_m exp(-beta * (1 - q . key_m)) * values[m, c]
+        + q . canonical[c]
+
+    With alpha = 0 this reduces exactly to the zero-shot text argmax.
+    """
+    dim = cache.keys.shape[1]
+    if pooled.shape[0] != dim:
+        raise DimensionMismatch(dim, pooled.shape[0])
+    if canonical.shape[1] != dim:
+        raise DimensionMismatch(dim, canonical.shape[1])
+    query = _unit(pooled)
+    affinity = np.exp(-cache.beta * (1.0 - cache.keys @ query))
+    return cache.alpha * (affinity @ cache.values) + canonical @ query
 
 
 def tip_adapter_predict(
     bag: SlideBag, cache: CacheModel, classifier: TextClassifier
 ) -> SlidePrediction:
-    """Blend cache affinities with zero-shot text scores.
-
-    With query q (unit-normalized pooled embedding), the score of class c is
-
-        alpha * sum_m exp(-beta * (1 - q . key_m)) * values[m, c]
-        + q . canonical_text_vector_c
-
-    With alpha = 0 this reduces exactly to the zero-shot text argmax.
-    """
-    if bag.patches.dim != cache.keys.shape[1]:
-        raise DimensionMismatch(cache.keys.shape[1], bag.patches.dim)
-    if classifier.dim != cache.keys.shape[1]:
-        raise DimensionMismatch(cache.keys.shape[1], classifier.dim)
-    query = _unit(bgap(bag.patches))
-    affinity = np.exp(-cache.beta * (1.0 - cache.keys @ query))
-    scores = cache.alpha * (affinity @ cache.values) + classifier.canonical_vectors() @ query
-    return SlidePrediction(bag.slide_id, scores, _argmax_lowest(scores), "tipadapter")
+    """Tip-Adapter prediction from the full-bag pooled embedding; see
+    :func:`tip_adapter_scores`."""
+    scores = tip_adapter_scores(bgap(bag.patches), cache, classifier.canonical_vectors())
+    return SlidePrediction(bag.slide_id, scores, argmax_lowest(scores), "tipadapter")
 
 
 # --- persistence ------------------------------------------------------------------

@@ -39,18 +39,6 @@ def _patch_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected MIN:MAX or a count, got {text!r}") from exc
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("PROTOSHOT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _dataset_paths(dataset: str) -> tuple[Path, Path]:
     """Accept a manifest file or a directory holding manifest.jsonl."""
     path = Path(dataset)
@@ -120,9 +108,7 @@ def cmd_evaluate(args) -> int:
         tip_beta=args.tip_beta,
         normalize_prototypes=not args.no_normalize_prototypes,
     )
-    report = evalharness.run_grid(
-        manifest, bags, classifier, config, threads=_resolve_threads(args.threads)
-    )
+    report = evalharness.run_grid(manifest, bags, classifier, config)
     out = Path(args.out)
     payload = report.to_csv() if args.format == "csv" else report.to_json()
     out.write_text(payload, encoding="utf-8")

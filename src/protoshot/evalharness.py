@@ -16,11 +16,19 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .adapters import CacheModel, SlidePrediction, _finalize_prototypes, _unit
+from .adapters import (
+    SlidePrediction,
+    argmax_lowest,
+    cache_from_pooled,
+    mizero_scores,
+    prototype_scores,
+    prototypes_from_pooled,
+    tip_adapter_scores,
+)
 from .embedstore import (
     DatasetManifest,
     SlideBag,
@@ -475,31 +483,48 @@ class GridConfig:
         )
 
 
+def guided_pools(
+    bag: SlideBag, class_vector: np.ndarray, top_ks: Sequence[int]
+) -> dict[int, np.ndarray]:
+    """Top-k text-guided pools of one slide, one per k in `top_ks`.
+
+    The bag is scored against `class_vector` and argsorted once; each k
+    pools the first min(k, rows) patches of that order, exactly as
+    :func:`~protoshot.adapters.visionshot_slide_embedding` pools a single k.
+    Ks that clamp to the same count share one pool.
+    """
+    patches = bag.patches
+    order = top_k(score_against(patches, class_vector), patches.rows).indices
+    by_count: dict[int, np.ndarray] = {}
+    pools = {}
+    for k in top_ks:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        n = min(k, patches.rows)
+        if n not in by_count:
+            by_count[n] = bgap(patches, order[:n])
+        pools[k] = by_count[n]
+    return pools
+
+
 class SlidePools:
-    """Per-slide pooled vectors, each computed on first use and then kept.
+    """Per-slide pooled vectors of a grid, each computed on first use and
+    then kept.
 
-    ``bags`` maps any key (a slide id in the grid) to its bag. Two kinds of
-    vector per slide cover every method:
-
-    * ``full(key)``: the full-bag mean;
-    * ``guided(key, k)`` for k in ``top_ks``: the mean of the k patches most
-      similar to the slide's own class text vector. The slide is scored and
-      argsorted once, and every k is pooled from that one order, exactly as
-      :func:`~protoshot.adapters.visionshot_slide_embedding` pools it.
+    * ``full(sid)``: the full-bag mean;
+    * ``guided(sid, k)`` for k in ``top_ks``: the :func:`guided_pools` of the
+      slide against its own class's canonical text vector.
     """
 
     def __init__(
-        self,
-        bags: Mapping[Hashable, SlideBag],
-        classifier: TextClassifier | None = None,
-        top_ks: Sequence[int] = (),
+        self, bags: Mapping[str, SlideBag], classifier: TextClassifier, top_ks: Sequence[int]
     ):
         self._bags = bags
         self._classifier = classifier
         self._top_ks = tuple(top_ks)
         self._canonical: np.ndarray | None = None
-        self._full: dict[Hashable, np.ndarray] = {}
-        self._guided: dict[Hashable, dict[int, np.ndarray]] = {}
+        self._full: dict[str, np.ndarray] = {}
+        self._guided: dict[str, dict[int, np.ndarray]] = {}
 
     def canonical(self) -> np.ndarray:
         """The classifier's canonical class vectors, computed once."""
@@ -507,27 +532,16 @@ class SlidePools:
             self._canonical = self._classifier.canonical_vectors()
         return self._canonical
 
-    def full(self, key: Hashable) -> np.ndarray:
-        if key not in self._full:
-            self._full[key] = bgap(self._bags[key].patches)
-        return self._full[key]
+    def full(self, sid: str) -> np.ndarray:
+        if sid not in self._full:
+            self._full[sid] = bgap(self._bags[sid].patches)
+        return self._full[sid]
 
-    def guided(self, key: Hashable, k: int) -> np.ndarray:
-        """Top-k text-guided pool; `k` must be one of ``top_ks``. A k above
-        the bag size clamps to the whole bag."""
-        patches = self._bags[key].patches
-        if key not in self._guided:
-            scores = score_against(patches, self.canonical()[self._bags[key].label])
-            order = top_k(scores, patches.rows).indices
-            pools: dict[int, np.ndarray] = {}
-            for kt in self._top_ks:
-                if kt < 1:
-                    raise ValueError(f"k must be >= 1, got {kt}")
-                n = min(kt, patches.rows)
-                if n not in pools:
-                    pools[n] = bgap(patches, order[:n])
-            self._guided[key] = pools
-        return self._guided[key][min(k, patches.rows)]
+    def guided(self, sid: str, k: int) -> np.ndarray:
+        if sid not in self._guided:
+            bag = self._bags[sid]
+            self._guided[sid] = guided_pools(bag, self.canonical()[bag.label], self._top_ks)
+        return self._guided[sid][k]
 
 
 def run_grid(
@@ -547,8 +561,9 @@ def run_grid(
 
     The fold assignment comes from derive_seed(base_seed, "folds"); each
     support draw from derive_seed(seed, "support", fold, k). Cells run
-    serially over one shared :class:`SlidePools` table and give the same
-    numbers as the per-bag functions in ``adapters``. Records are sorted
+    serially over one shared :class:`SlidePools` table and score its vectors
+    with the same cores as the per-bag functions in ``adapters``, so they
+    give the same numbers. Records are sorted
     canonically before aggregation, so the report is a pure function of the
     data and the config. `threads` is accepted for compatibility and
     ignored.
@@ -589,52 +604,49 @@ def run_grid(
         score, recalls = balanced_accuracy(predictions, y, num_classes)
         return score, tuple(recalls)
 
-    def nearest_prototype(per_class: list[list[np.ndarray]], ids, top_k_used, fold):
-        protos = _finalize_prototypes(
-            per_class, manifest.classes, ids, top_k_used, config.normalize_prototypes
-        )
-        return [int(np.argmax(protos.prototypes @ pools.full(sid))) for sid in test_ids[fold]]
-
-    def tip_adapter(support_ids: Sequence[str], fold: int) -> list[int]:
-        # unit vectors are taken here, not in the table, so that a zero-mean
-        # slide fails only in the cells that need its direction
-        keys = np.stack([_unit(pools.full(sid)) for sid in support_ids])
-        values = np.zeros((len(support_ids), num_classes))
-        for m, sid in enumerate(support_ids):
-            values[m, labels[sid]] = 1.0
-        cache = CacheModel(keys, values, config.tip_alpha, config.tip_beta)
-        canonical = pools.canonical()
-        preds = []
-        for sid in test_ids[fold]:
-            query = _unit(pools.full(sid))
-            affinity = np.exp(-cache.beta * (1.0 - cache.keys @ query))
-            scores = cache.alpha * (affinity @ cache.values) + canonical @ query
-            preds.append(int(np.argmax(scores)))
-        return preds
+    def predict(scores_of: Callable[[np.ndarray], np.ndarray], fold: int) -> list[int]:
+        return [argmax_lowest(scores_of(pools.full(sid))) for sid in test_ids[fold]]
 
     def fewshot_cell(fold: int, seed: int, k: int) -> list[EvalRecord]:
         draw = sample_few_shot(train_groups[fold], k, derive_seed(seed, "support", fold, k))
         by_class: list[list[str]] = [[] for _ in range(num_classes)]
         for sid in draw.support_ids:
             by_class[labels[sid]].append(sid)
+
+        def prototypes(pooled_of: Callable[[str], np.ndarray], top_k_used: int | None):
+            per_class = [[pooled_of(sid) for sid in ids] for ids in by_class]
+            return prototypes_from_pooled(
+                per_class, manifest.classes, by_class, top_k_used, config.normalize_prototypes
+            )
+
         records = []
         if "visionshot" in fewshot_methods:
             for kt in config.top_k_grid:
-                per_class = [[pools.guided(sid, kt) for sid in ids] for ids in by_class]
-                preds = nearest_prototype(per_class, by_class, kt, fold)
+                protos = prototypes(lambda sid: pools.guided(sid, kt), kt)
+                preds = predict(lambda q: prototype_scores(q, protos), fold)
                 score, recalls = evaluate(preds, fold)
                 records.append(
                     EvalRecord("visionshot", fold, seed, k, kt, None, score, recalls)
                 )
         if "simpleshot" in fewshot_methods:
-            per_class = [[pools.full(sid) for sid in ids] for ids in by_class]
-            preds = nearest_prototype(per_class, by_class, None, fold)
+            protos = prototypes(pools.full, None)
+            preds = predict(lambda q: prototype_scores(q, protos), fold)
             score, recalls = evaluate(preds, fold)
             records.append(
                 EvalRecord("simpleshot", fold, seed, k, None, None, score, recalls)
             )
         if "tipadapter" in fewshot_methods:
-            preds = tip_adapter(draw.support_ids, fold)
+            # the cache and the queries take unit vectors inside this cell, so
+            # a zero-mean slide fails only in the cells that need its direction
+            cache = cache_from_pooled(
+                [pools.full(sid) for sid in draw.support_ids],
+                [labels[sid] for sid in draw.support_ids],
+                num_classes,
+                config.tip_alpha,
+                config.tip_beta,
+            )
+            canonical = pools.canonical()
+            preds = predict(lambda q: tip_adapter_scores(q, cache, canonical), fold)
             score, recalls = evaluate(preds, fold)
             records.append(
                 EvalRecord("tipadapter", fold, seed, k, None, None, score, recalls)
@@ -644,8 +656,7 @@ def run_grid(
     def mizero_cell(fold: int) -> list[EvalRecord]:
         records = []
         for prompt in range(classifier.num_prompts):
-            weights = classifier.weights[prompt].astype(np.float64)
-            preds = [int(np.argmax(weights @ pools.full(sid))) for sid in test_ids[fold]]
+            preds = predict(lambda q: mizero_scores(q, classifier, prompt), fold)
             score, recalls = evaluate(preds, fold)
             records.append(
                 EvalRecord("mizero", fold, None, None, None, prompt, score, recalls)
@@ -724,12 +735,11 @@ def slide_embedding_table(
     for bag in bags:
         if bag.label is None:
             raise ValueError(f"slide {bag.slide_id!r} has no label")
-    # keyed by position: a list may hold the same slide id more than once
-    pools = SlidePools(dict(enumerate(bags)), classifier, () if k is None else (k,))
     if mode == "bgap":
-        rows = [pools.full(i) for i in range(len(bags))]
+        rows = [bgap(bag.patches) for bag in bags]
     else:
-        rows = [pools.guided(i, k) for i in range(len(bags))]
+        canonical = classifier.canonical_vectors()
+        rows = [guided_pools(bag, canonical[bag.label], (k,))[k] for bag in bags]
     return np.stack(rows), [bag.label for bag in bags], [bag.slide_id for bag in bags]
 
 

@@ -17,6 +17,7 @@ from protoshot.adapters import (
 from protoshot.errors import (
     ClassAbsent,
     ClassTooSmall,
+    DimensionMismatch,
     GridCellError,
     InsufficientSupport,
     LengthMismatch,
@@ -483,6 +484,19 @@ class TestPooledGrid:
             run_grid(manifest, bags, clf, config)
         assert isinstance(err.value.cause, ZeroVectorRow)
         assert re.search(r"\[fold=\d+ seed=7 k=2\]", str(err.value))
+
+    @pytest.mark.parametrize("method", ["visionshot", "mizero", "tipadapter"])
+    def test_classifier_dimension_mismatch_is_typed(self, noisy_dataset, method):
+        manifest, bags, clf = noisy_dataset
+        narrow = clf.weights[:, :, : clf.dim // 2].astype(np.float64)
+        narrow /= np.linalg.norm(narrow, axis=-1, keepdims=True)
+        narrow_clf = TextClassifier(clf.class_names, narrow)
+        config = GridConfig(
+            methods=(method,), num_folds=4, k_grid=(2,), top_k_grid=(3,), seeds=(7,)
+        )
+        with pytest.raises(GridCellError) as err:
+            run_grid(manifest, bags, narrow_clf, config)
+        assert isinstance(err.value.cause, DimensionMismatch)
 
 
 class TestReportSerialization:
