@@ -4,15 +4,15 @@ and the full (method x fold x seed x shots x top-K) grid with aggregation.
 Determinism rules. All randomness flows through numpy's PCG64, seeded by
 :func:`derive_seed`, a splitmix64 chain over a base seed and purpose tags.
 Grid cells run one after another and share a lazily filled table of
-per-slide pooled vectors (:class:`SlidePools`), so each slide is scored and
-pooled at most once per run. Results are sorted by a canonical key before
-serialization. Reports echo the generator identity,
-the mixing rule, and every seed so a run can be reproduced from the report
-alone.
+per-slide pooled vectors, so each slide is scored and pooled at most once
+per run. Results are sorted by a canonical key before serialization.
+Reports echo the generator identity, the mixing rule, and every seed so a
+run can be reproduced from the report alone.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -507,43 +507,6 @@ def guided_pools(
     return pools
 
 
-class SlidePools:
-    """Per-slide pooled vectors of a grid, each computed on first use and
-    then kept.
-
-    * ``full(sid)``: the full-bag mean;
-    * ``guided(sid, k)`` for k in ``top_ks``: the :func:`guided_pools` of the
-      slide against its own class's canonical text vector.
-    """
-
-    def __init__(
-        self, bags: Mapping[str, SlideBag], classifier: TextClassifier, top_ks: Sequence[int]
-    ):
-        self._bags = bags
-        self._classifier = classifier
-        self._top_ks = tuple(top_ks)
-        self._canonical: np.ndarray | None = None
-        self._full: dict[str, np.ndarray] = {}
-        self._guided: dict[str, dict[int, np.ndarray]] = {}
-
-    def canonical(self) -> np.ndarray:
-        """The classifier's canonical class vectors, computed once."""
-        if self._canonical is None:
-            self._canonical = self._classifier.canonical_vectors()
-        return self._canonical
-
-    def full(self, sid: str) -> np.ndarray:
-        if sid not in self._full:
-            self._full[sid] = bgap(self._bags[sid].patches)
-        return self._full[sid]
-
-    def guided(self, sid: str, k: int) -> np.ndarray:
-        if sid not in self._guided:
-            bag = self._bags[sid]
-            self._guided[sid] = guided_pools(bag, self.canonical()[bag.label], self._top_ks)
-        return self._guided[sid][k]
-
-
 def run_grid(
     manifest: DatasetManifest,
     bags: Sequence[SlideBag],
@@ -561,11 +524,12 @@ def run_grid(
 
     The fold assignment comes from derive_seed(base_seed, "folds"); each
     support draw from derive_seed(seed, "support", fold, k). Cells run
-    serially over one shared :class:`SlidePools` table and score its vectors
-    with the same cores as the per-bag functions in ``adapters``, so they
-    give the same numbers. Records are sorted
-    canonically before aggregation, so the report is a pure function of the
-    data and the config. `threads` is accepted for compatibility and
+    serially. Each slide's full-bag mean and its :func:`guided_pools` are
+    computed on first use and kept for the whole run, and the cells score
+    them with the same cores as the per-bag functions in ``adapters``, so
+    they give the same numbers. Records are sorted canonically before
+    aggregation, so the report is a pure function of the data and the
+    config. `threads` is accepted for compatibility and
     ignored.
 
     Raises:
@@ -592,7 +556,18 @@ def run_grid(
     assignment = stratified_kfold(labels, config.num_folds, fold_seed)
     seeds = config.resolved_seeds()
     fewshot_methods = [m for m in config.methods if m != "mizero"]
-    pools = SlidePools(bags_by_id, classifier, config.top_k_grid)
+    # per-slide pools, each computed on first use; the canonical vectors too,
+    # so a degenerate classifier fails inside the first cell that needs it
+    canonical = functools.cache(classifier.canonical_vectors)
+
+    @functools.cache
+    def full_pool(sid: str) -> np.ndarray:
+        return bgap(bags_by_id[sid].patches)
+
+    @functools.cache
+    def guided_pools_of(sid: str) -> dict[int, np.ndarray]:
+        bag = bags_by_id[sid]
+        return guided_pools(bag, canonical()[bag.label], config.top_k_grid)
 
     test_ids = {f: assignment.fold_ids(f) for f in range(config.num_folds)}
     train_groups = {
@@ -605,7 +580,7 @@ def run_grid(
         return score, tuple(recalls)
 
     def predict(scores_of: Callable[[np.ndarray], np.ndarray], fold: int) -> list[int]:
-        return [argmax_lowest(scores_of(pools.full(sid))) for sid in test_ids[fold]]
+        return [argmax_lowest(scores_of(full_pool(sid))) for sid in test_ids[fold]]
 
     def fewshot_cell(fold: int, seed: int, k: int) -> list[EvalRecord]:
         draw = sample_few_shot(train_groups[fold], k, derive_seed(seed, "support", fold, k))
@@ -622,14 +597,14 @@ def run_grid(
         records = []
         if "visionshot" in fewshot_methods:
             for kt in config.top_k_grid:
-                protos = prototypes(lambda sid: pools.guided(sid, kt), kt)
+                protos = prototypes(lambda sid: guided_pools_of(sid)[kt], kt)
                 preds = predict(lambda q: prototype_scores(q, protos), fold)
                 score, recalls = evaluate(preds, fold)
                 records.append(
                     EvalRecord("visionshot", fold, seed, k, kt, None, score, recalls)
                 )
         if "simpleshot" in fewshot_methods:
-            protos = prototypes(pools.full, None)
+            protos = prototypes(full_pool, None)
             preds = predict(lambda q: prototype_scores(q, protos), fold)
             score, recalls = evaluate(preds, fold)
             records.append(
@@ -639,14 +614,14 @@ def run_grid(
             # the cache and the queries take unit vectors inside this cell, so
             # a zero-mean slide fails only in the cells that need its direction
             cache = cache_from_pooled(
-                [pools.full(sid) for sid in draw.support_ids],
+                [full_pool(sid) for sid in draw.support_ids],
                 [labels[sid] for sid in draw.support_ids],
                 num_classes,
                 config.tip_alpha,
                 config.tip_beta,
             )
-            canonical = pools.canonical()
-            preds = predict(lambda q: tip_adapter_scores(q, cache, canonical), fold)
+            class_vectors = canonical()
+            preds = predict(lambda q: tip_adapter_scores(q, cache, class_vectors), fold)
             score, recalls = evaluate(preds, fold)
             records.append(
                 EvalRecord("tipadapter", fold, seed, k, None, None, score, recalls)
