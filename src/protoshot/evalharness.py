@@ -529,8 +529,7 @@ def run_grid(
     them with the same cores as the per-bag functions in ``adapters``, so
     they give the same numbers. Records are sorted canonically before
     aggregation, so the report is a pure function of the data and the
-    config. `threads` is accepted for compatibility and
-    ignored.
+    config. `threads` is accepted for compatibility and ignored.
 
     Raises:
         GridCellError: a cell failed; the message names it.
