@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -163,10 +163,16 @@ def visionshot_slide_embedding(bag: SlideBag, class_vector: np.ndarray, k: int) 
     return bgap(bag.patches, selection.indices)
 
 
-def _group_by_label(
-    support: Sequence[SlideBag], num_classes: int, class_names: Sequence[str]
-) -> list[list[SlideBag]]:
-    groups: list[list[SlideBag]] = [[] for _ in range(num_classes)]
+def _pool_by_label(
+    support: Iterable[SlideBag],
+    num_classes: int,
+    class_names: Sequence[str],
+    pool: Callable[[SlideBag], np.ndarray],
+) -> tuple[list[list[np.ndarray]], list[list[str]]]:
+    """Pool each support slide as it arrives, grouped by label in arrival
+    order; returns the per-class pooled embeddings and slide ids."""
+    per_class: list[list[np.ndarray]] = [[] for _ in range(num_classes)]
+    ids: list[list[str]] = [[] for _ in range(num_classes)]
     for bag in support:
         if bag.label is None:
             raise ValueError(f"support slide {bag.slide_id!r} has no label")
@@ -175,11 +181,12 @@ def _group_by_label(
                 f"support slide {bag.slide_id!r} has label {bag.label}, "
                 f"but there are {num_classes} classes"
             )
-        groups[bag.label].append(bag)
-    for c, group in enumerate(groups):
+        per_class[bag.label].append(pool(bag))
+        ids[bag.label].append(bag.slide_id)
+    for c, group in enumerate(ids):
         if not group:
             raise EmptyClassSupport(str(class_names[c]))
-    return groups
+    return per_class, ids
 
 
 def prototypes_from_pooled(
@@ -214,7 +221,7 @@ def prototypes_from_pooled(
 
 
 def build_prototypes(
-    support: Sequence[SlideBag],
+    support: Iterable[SlideBag],
     classifier: TextClassifier,
     k: int,
     normalize_prototypes: bool = True,
@@ -223,25 +230,30 @@ def build_prototypes(
 
     Each support slide is pooled over the k patches most similar to its own
     class's canonical text vector, and each class prototype is the mean of
-    its slides' pooled embeddings (re-normalized by default).
+    its slides' pooled embeddings (re-normalized by default). `support` is
+    iterated once and each slide is pooled as it arrives, so it may be a
+    stream such as :func:`~protoshot.embedstore.iter_bags`.
 
     Raises:
+        ValueError: k < 1, before any slide is consumed.
         EmptyClassSupport: some class has no support slide.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     canonical = classifier.canonical_vectors()
-    groups = _group_by_label(support, classifier.num_classes, classifier.class_names)
-    per_class = [
-        [visionshot_slide_embedding(bag, canonical[c], k) for bag in group]
-        for c, group in enumerate(groups)
-    ]
-    ids = [[bag.slide_id for bag in group] for group in groups]
+    per_class, ids = _pool_by_label(
+        support,
+        classifier.num_classes,
+        classifier.class_names,
+        lambda bag: visionshot_slide_embedding(bag, canonical[bag.label], k),
+    )
     return prototypes_from_pooled(
         per_class, classifier.class_names, ids, k, normalize_prototypes
     )
 
 
 def simpleshot_prototypes(
-    support: Sequence[SlideBag],
+    support: Iterable[SlideBag],
     normalize_prototypes: bool = True,
     *,
     num_classes: int | None = None,
@@ -250,16 +262,19 @@ def simpleshot_prototypes(
     """Build plain class prototypes: full-bag pooling, no text guidance.
 
     `num_classes` defaults to max(label)+1 and `class_names` to generated
-    names; pass both when the corpus knows better.
+    names; pass both when the corpus knows better. `support` is iterated
+    once, pooling each slide as it arrives, unless `num_classes` must be
+    inferred from the labels first.
     """
-    labels = [bag.label for bag in support if bag.label is not None]
     if num_classes is None:
+        support = list(support)
+        labels = [bag.label for bag in support if bag.label is not None]
         num_classes = (max(labels) + 1) if labels else 0
     if class_names is None:
         class_names = [f"class_{c}" for c in range(num_classes)]
-    groups = _group_by_label(support, num_classes, class_names)
-    per_class = [[bgap(bag.patches) for bag in group] for group in groups]
-    ids = [[bag.slide_id for bag in group] for group in groups]
+    per_class, ids = _pool_by_label(
+        support, num_classes, class_names, lambda bag: bgap(bag.patches)
+    )
     return prototypes_from_pooled(per_class, class_names, ids, None, normalize_prototypes)
 
 

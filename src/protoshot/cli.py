@@ -4,6 +4,11 @@ Subcommands: synth, evaluate, build-prototypes, predict, zero-shot, report.
 Exit status 0 means every requested output was written; argparse reports
 bad flags with status 2; runtime failures exit 1 with the cause (for grid
 runs, the failing cell) on stderr.
+
+build-prototypes, predict and zero-shot stream the corpus: each loads its
+classifier or prototypes and checks its options first, then reads, pools
+and releases one bag at a time, and writes its output only after the last
+bag, so a failure leaves no partial file. evaluate loads the whole corpus.
 """
 
 from __future__ import annotations
@@ -13,9 +18,10 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import adapters, embedstore, evalharness, synthgen
-from .errors import ProtoshotError
+from .errors import PromptIndexOutOfRange, ProtoshotError
 
 DEFAULT_K_GRID = "2,4,8,16"
 DEFAULT_TOPK_GRID = "2,20,200,2000"
@@ -46,11 +52,13 @@ def _dataset_paths(dataset: str) -> tuple[Path, Path]:
     return manifest, manifest.parent
 
 
-def _load_dataset(args) -> tuple[embedstore.DatasetManifest, list[embedstore.SlideBag]]:
+def _stream_dataset(args) -> tuple[embedstore.DatasetManifest, Iterator[embedstore.SlideBag]]:
+    """Parse the manifest now; the bags are read one at a time as the
+    returned iterator is consumed."""
     manifest_path, root = _dataset_paths(args.dataset)
-    return embedstore.load_manifest(
-        manifest_path, root, renormalize=getattr(args, "normalize", False)
-    )
+    manifest = embedstore.parse_manifest(manifest_path)
+    bags = embedstore.iter_bags(manifest, manifest_path, root, renormalize=args.normalize)
+    return manifest, bags
 
 
 def _load_classifier(args, dataset_dir: Path) -> embedstore.TextClassifier:
@@ -118,7 +126,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_build_prototypes(args) -> int:
-    manifest, bags = _load_dataset(args)
+    manifest, bags = _stream_dataset(args)
     _, root = _dataset_paths(args.dataset)
     if args.method == "visionshot":
         classifier = _load_classifier(args, root)
@@ -149,8 +157,8 @@ def _write_predictions(path: str, predictions, class_names) -> None:
 
 
 def cmd_predict(args) -> int:
-    _, bags = _load_dataset(args)
     protos = adapters.read_prototypes(args.prototypes)
+    _, bags = _stream_dataset(args)
     predictions = [adapters.predict_prototype(bag, protos) for bag in bags]
     _write_predictions(args.out, predictions, protos.class_names)
     print(f"wrote {len(predictions)} predictions to {args.out}")
@@ -158,9 +166,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_zero_shot(args) -> int:
-    _, bags = _load_dataset(args)
     _, root = _dataset_paths(args.dataset)
     classifier = _load_classifier(args, root)
+    if not 0 <= args.prompt < classifier.num_prompts:
+        raise PromptIndexOutOfRange(args.prompt, classifier.num_prompts)
+    _, bags = _stream_dataset(args)
     predictions = [adapters.mizero_predict(bag, classifier, args.prompt) for bag in bags]
     _write_predictions(args.out, predictions, classifier.class_names)
     print(f"wrote {len(predictions)} predictions to {args.out}")

@@ -27,10 +27,11 @@ means, dot products) accumulate in 64-bit.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,9 +39,12 @@ from .errors import (
     BadMagic,
     DimensionZero,
     IoFailure,
+    ManifestError,
     MissingFile,
     NonFiniteValue,
     PatchCountMismatch,
+    ReservedHeaderBytes,
+    TrailingBytes,
     TruncatedPayload,
     UnknownClass,
     UnnormalizedRow,
@@ -54,6 +58,7 @@ HEADER_SIZE = 16
 # freshly normalized output (1e-6) and idempotence (1e-7 per element).
 LOAD_NORM_ATOL = 1e-4
 _MIN_ROW_NORM = 1e-8
+_READ_CHUNK = 1 << 26
 
 
 def _adopt_float32(values) -> np.ndarray:
@@ -255,29 +260,52 @@ def write_embeddings(matrix: PatchMatrix, sink: BinaryIO) -> int:
     return HEADER_SIZE + len(payload)
 
 
+def _read_header(source: BinaryIO, path: str | None) -> tuple[int, int]:
+    """Read and validate a header; returns the declared (rows, dim)."""
+    header = source.read(HEADER_SIZE)
+    if len(header) >= 4 and header[:4] != MAGIC:
+        raise BadMagic(header[:4], path)
+    if len(header) < HEADER_SIZE:
+        raise TruncatedPayload(HEADER_SIZE, len(header), path)
+    _, n, d, reserved = struct.unpack("<4sIII", header)
+    if reserved:
+        raise ReservedHeaderBytes(reserved, path)
+    if n == 0 or d < 2:
+        raise DimensionZero(n, d, path)
+    return n, d
+
+
+def _read_payload(source: BinaryIO, n: int, d: int, path: str | None) -> PatchMatrix:
+    # chunked so that memory follows the bytes present, not the header's claim
+    expected = 4 * n * d
+    chunks = []
+    remaining = expected
+    while remaining:
+        chunk = source.read(min(remaining, _READ_CHUNK))
+        if not chunk:
+            raise TruncatedPayload(expected, expected - remaining, path)
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    payload = chunks[0] if len(chunks) == 1 else b"".join(chunks)
+    arr = np.frombuffer(payload, dtype="<f4").reshape(n, d)
+    try:
+        return PatchMatrix(arr)
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(exc.row, path) from None
+
+
 def read_embeddings(source: BinaryIO) -> PatchMatrix:
     """Read one matrix from a binary source positioned at its header.
 
     Raises:
         BadMagic: the first four bytes are not the format magic.
         TruncatedPayload: header or payload shorter than declared.
-        DimensionZero: header declares zero rows or zero dimension.
+        ReservedHeaderBytes: the reserved header field is not zero.
+        DimensionZero: header declares zero rows or a dimension below 2.
         NonFiniteValue: payload holds NaN or infinity.
     """
-    header = source.read(HEADER_SIZE)
-    if len(header) >= 4 and header[:4] != MAGIC:
-        raise BadMagic(header[:4])
-    if len(header) < HEADER_SIZE:
-        raise TruncatedPayload(HEADER_SIZE, len(header))
-    _, n, d, _reserved = struct.unpack("<4sIII", header)
-    if n == 0 or d == 0:
-        raise DimensionZero(n, d)
-    expected = 4 * n * d
-    payload = source.read(expected)
-    if len(payload) != expected:
-        raise TruncatedPayload(expected, len(payload))
-    arr = np.frombuffer(payload, dtype="<f4").reshape(n, d)
-    return PatchMatrix(arr)
+    n, d = _read_header(source, None)
+    return _read_payload(source, n, d, None)
 
 
 def write_embeddings_file(matrix: PatchMatrix, path: str | Path) -> int:
@@ -290,11 +318,29 @@ def write_embeddings_file(matrix: PatchMatrix, path: str | Path) -> int:
 
 
 def read_embeddings_file(path: str | Path) -> PatchMatrix:
+    """Read a file holding exactly one matrix.
+
+    The size the header declares is checked against the file's size before
+    the payload is read, so a hostile header allocates nothing. Format
+    errors name the file.
+
+    Raises:
+        MissingFile, plus everything :func:`read_embeddings` raises, and
+        TrailingBytes: the file is longer than its header declares.
+    """
     path = Path(path)
     if not path.is_file():
         raise MissingFile(str(path))
+    where = str(path)
     with path.open("rb") as fh:
-        return read_embeddings(fh)
+        n, d = _read_header(fh, where)
+        expected = 4 * n * d
+        available = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+        if available < expected:
+            raise TruncatedPayload(expected, available, where)
+        if available > expected:
+            raise TrailingBytes(expected, available - expected, where)
+        return _read_payload(fh, n, d, where)
 
 
 # --- text classifier persistence ---------------------------------------------
@@ -358,44 +404,78 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 
 
 def parse_manifest(path: str | Path) -> DatasetManifest:
-    """Parse the JSON-lines manifest without touching embedding files."""
+    """Parse the JSON-lines manifest without touching embedding files.
+
+    Raises:
+        MissingFile: no manifest at `path`.
+        ManifestError: a line is not a JSON object or lacks a required key;
+            names the file and the 1-based line number (blank lines count).
+    """
     path = Path(path)
     if not path.is_file():
         raise MissingFile(str(path))
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [
+        (number, text)
+        for number, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if text.strip()
+    ]
     if not lines:
         raise ValueError(f"manifest {path} is empty")
-    head = json.loads(lines[0])
-    if "classes" not in head:
-        raise ValueError(f"manifest {path} first line must carry a 'classes' list")
+
+    def fields(number: int, text: str, keys: tuple[str, ...]) -> dict:
+        try:
+            row = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(
+                str(path), number, f"malformed JSON: {exc.msg} at column {exc.colno}"
+            ) from None
+        if not isinstance(row, dict):
+            raise ManifestError(str(path), number, "expected a JSON object")
+        missing = [key for key in keys if key not in row]
+        if missing:
+            raise ManifestError(str(path), number, f"missing key {missing[0]!r}")
+        return row
+
+    head = fields(*lines[0], ("classes",))
     records = []
-    for ln in lines[1:]:
-        row = json.loads(ln)
+    for number, text in lines[1:]:
+        row = fields(number, text, ("slide_id", "class", "path", "num_patches"))
+        try:
+            num_patches = int(row["num_patches"])
+        except (TypeError, ValueError):
+            raise ManifestError(
+                str(path), number, f"num_patches {row['num_patches']!r} is not an integer"
+            ) from None
         records.append(
             SlideRecord(
                 slide_id=str(row["slide_id"]),
                 class_name=str(row["class"]),
                 path=str(row["path"]),
-                num_patches=int(row["num_patches"]),
+                num_patches=num_patches,
             )
         )
     return DatasetManifest(tuple(str(c) for c in head["classes"]), tuple(records))
 
 
-def load_manifest(
+def iter_bags(
+    manifest: DatasetManifest,
     path: str | Path,
     root: str | Path | None = None,
     *,
     renormalize: bool = False,
-) -> tuple[DatasetManifest, list[SlideBag]]:
-    """Load a manifest and every embedding file it references.
+) -> Iterator[SlideBag]:
+    """Read and validate the manifest's bags one at a time, in manifest order.
 
-    Bags come back in manifest order with labels resolved positionally
-    against the manifest's class list. Each file's header patch count is
+    Nothing is read until the first bag is requested, and the generator
+    keeps only the bag it yielded last, so a caller that reduces each bag
+    before asking for the next holds about one bag at a time, whatever the
+    corpus size. Labels resolve positionally against
+    the manifest's class list. Each file's header patch count is
     cross-checked against the manifest, and each row's unit norm is checked
     to within 1e-4 unless `renormalize` asks for re-normalization instead.
 
     Args:
+        manifest: the parsed manifest at `path`.
         path: manifest file.
         root: directory that slide paths are relative to; defaults to the
             manifest's own directory.
@@ -403,12 +483,11 @@ def load_manifest(
             than rejecting them.
 
     Raises:
-        UnknownClass, PatchCountMismatch, MissingFile, UnnormalizedRow.
+        PatchCountMismatch, MissingFile, UnnormalizedRow, and the format
+        errors of :func:`read_embeddings_file`, each when the offending bag
+        is reached.
     """
-    path = Path(path)
-    manifest = parse_manifest(path)
-    base = Path(root) if root is not None else path.parent
-    bags: list[SlideBag] = []
+    base = Path(root) if root is not None else Path(path).parent
     for rec in manifest.slides:
         matrix = read_embeddings_file(base / rec.path)
         if matrix.rows != rec.num_patches:
@@ -421,14 +500,29 @@ def load_manifest(
             if off.size:
                 row = int(off[0])
                 raise UnnormalizedRow(rec.slide_id, row, float(norms[row]))
-        bags.append(
-            SlideBag(
-                slide_id=rec.slide_id,
-                patches=matrix,
-                label=manifest.class_index(rec.class_name),
-            )
+        yield SlideBag(
+            slide_id=rec.slide_id,
+            patches=matrix,
+            label=manifest.class_index(rec.class_name),
         )
-    return manifest, bags
+
+
+def load_manifest(
+    path: str | Path,
+    root: str | Path | None = None,
+    *,
+    renormalize: bool = False,
+) -> tuple[DatasetManifest, list[SlideBag]]:
+    """Load a manifest and every embedding file it references.
+
+    The bags are those of :func:`iter_bags`, all held in memory at once.
+
+    Raises:
+        UnknownClass, ManifestError, PatchCountMismatch, MissingFile,
+        UnnormalizedRow.
+    """
+    manifest = parse_manifest(path)
+    return manifest, list(iter_bags(manifest, path, root, renormalize=renormalize))
 
 
 def write_dataset(

@@ -14,6 +14,10 @@ class ProtoshotError(Exception):
 # --- embedding matrices and stores ---------------------------------------
 
 
+def _in_file(path: str | None, message: str) -> str:
+    return message if path is None else f"{path}: {message}"
+
+
 class ZeroVectorRow(ProtoshotError):
     def __init__(self, row: int):
         super().__init__(f"row {row} has near-zero L2 norm and cannot be normalized")
@@ -21,9 +25,10 @@ class ZeroVectorRow(ProtoshotError):
 
 
 class NonFiniteValue(ProtoshotError):
-    def __init__(self, row: int):
-        super().__init__(f"row {row} contains NaN or infinity")
+    def __init__(self, row: int, path: str | None = None):
+        super().__init__(_in_file(path, f"row {row} contains NaN or infinity"))
         self.row = row
+        self.path = path
 
 
 class UnnormalizedRow(ProtoshotError):
@@ -42,23 +47,52 @@ class IoFailure(ProtoshotError):
 
 
 class BadMagic(ProtoshotError):
-    def __init__(self, found: bytes):
-        super().__init__(f"bad magic bytes {found!r}, not an embedding file")
+    def __init__(self, found: bytes, path: str | None = None):
+        super().__init__(_in_file(path, f"bad magic bytes {found!r}, not an embedding file"))
         self.found = found
+        self.path = path
 
 
 class TruncatedPayload(ProtoshotError):
-    def __init__(self, expected: int, actual: int):
-        super().__init__(f"payload truncated: expected {expected} bytes, got {actual}")
+    def __init__(self, expected: int, actual: int, path: str | None = None):
+        super().__init__(
+            _in_file(path, f"payload truncated: expected {expected} bytes, got {actual}")
+        )
         self.expected = expected
         self.actual = actual
+        self.path = path
+
+
+class TrailingBytes(ProtoshotError):
+    def __init__(self, expected: int, extra: int, path: str | None = None):
+        super().__init__(
+            _in_file(path, f"{extra} bytes follow the declared {expected}-byte payload")
+        )
+        self.expected = expected
+        self.extra = extra
+        self.path = path
+
+
+class ReservedHeaderBytes(ProtoshotError):
+    def __init__(self, value: int, path: str | None = None):
+        super().__init__(
+            _in_file(path, f"reserved header field holds {value:#010x}, expected zero")
+        )
+        self.value = value
+        self.path = path
 
 
 class DimensionZero(ProtoshotError):
-    def __init__(self, rows: int, dim: int):
-        super().__init__(f"header declares zero extent (rows={rows}, dim={dim})")
+    def __init__(self, rows: int, dim: int, path: str | None = None):
+        super().__init__(
+            _in_file(
+                path,
+                f"header declares rows={rows}, dim={dim}; need rows >= 1 and dim >= 2",
+            )
+        )
         self.rows = rows
         self.dim = dim
+        self.path = path
 
 
 class UnknownClass(ProtoshotError):
@@ -82,6 +116,20 @@ class MissingFile(ProtoshotError):
     def __init__(self, path: str):
         super().__init__(f"embedding file not found: {path}")
         self.path = path
+
+
+class ManifestError(ProtoshotError, ValueError):
+    """A manifest line that is not valid JSON or lacks a required key.
+
+    Also a ValueError, like the other malformed-manifest errors of
+    :func:`~protoshot.embedstore.parse_manifest`.
+    """
+
+    def __init__(self, path: str, line: int, reason: str):
+        super().__init__(f"{path} line {line}: {reason}")
+        self.path = path
+        self.line = line
+        self.reason = reason
 
 
 # --- similarity kernels ----------------------------------------------------

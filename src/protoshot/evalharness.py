@@ -41,6 +41,7 @@ from .errors import (
     ClassTooSmall,
     GridCellError,
     InsufficientSupport,
+    InvalidConfig,
     LengthMismatch,
     SingleCluster,
     TooFewPoints,
@@ -474,6 +475,16 @@ class GridConfig:
             raise ValueError(f"unknown methods {unknown}; choose from {list(METHODS)}")
         if not self.k_grid or not self.top_k_grid:
             raise ValueError("k_grid and top_k_grid must be nonempty")
+        for name in ("k_grid", "top_k_grid"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise InvalidConfig(f"{name} {list(values)} repeats a value")
+            if min(values) < 1:
+                raise InvalidConfig(f"{name} {list(values)} holds a value below 1")
+        if not self.tip_beta > 0:
+            raise InvalidConfig(f"tip_beta must be > 0, got {self.tip_beta}")
+        if not self.tip_alpha >= 0:
+            raise InvalidConfig(f"tip_alpha must be >= 0, got {self.tip_alpha}")
 
     def resolved_seeds(self) -> tuple[int, ...]:
         if self.seeds is not None:

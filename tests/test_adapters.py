@@ -194,6 +194,59 @@ class TestBuildPrototypes:
         assert not protos.normalized
 
 
+def same_prototypes(a, b) -> bool:
+    return (
+        a.class_names == b.class_names
+        and a.prototypes.tobytes() == b.prototypes.tobytes()
+        and (a.normalized, a.top_k, a.support) == (b.normalized, b.top_k, b.support)
+    )
+
+
+class TestStreamedSupport:
+    """A one-shot generator of support slides builds the same prototypes as a list."""
+
+    def test_build_prototypes(self):
+        rng = np.random.default_rng(40)
+        clf = random_classifier(rng, 3, 8, prompts=2)
+        support = random_support(rng, 3, 8, slides_per_class=3)
+        rng.shuffle(support)
+        for normalize in (True, False):
+            listed = build_prototypes(support, clf, 5, normalize)
+            streamed = build_prototypes((bag for bag in support), clf, 5, normalize)
+            assert same_prototypes(listed, streamed)
+
+    def test_simpleshot_prototypes(self):
+        rng = np.random.default_rng(41)
+        support = random_support(rng, 3, 8, slides_per_class=3)
+        rng.shuffle(support)
+        names = ("x", "y", "z")
+        listed = simpleshot_prototypes(support, num_classes=3, class_names=names)
+        streamed = simpleshot_prototypes(
+            (bag for bag in support), num_classes=3, class_names=names
+        )
+        assert same_prototypes(listed, streamed)
+        # num_classes inferred from the labels
+        assert same_prototypes(
+            simpleshot_prototypes(support), simpleshot_prototypes(iter(support))
+        )
+
+    def test_bad_k_consumes_nothing(self):
+        rng = np.random.default_rng(43)
+        clf = random_classifier(rng, 3, 8)
+        stream = iter(random_support(rng, 3, 8, 2))
+        with pytest.raises(ValueError):
+            build_prototypes(stream, clf, 0)
+        assert len(list(stream)) == 6
+
+    def test_empty_class_in_stream(self):
+        rng = np.random.default_rng(42)
+        clf = random_classifier(rng, 3, 8)
+        support = [b for b in random_support(rng, 3, 8, 2) if b.label != 1]
+        with pytest.raises(EmptyClassSupport) as err:
+            build_prototypes(iter(support), clf, 4)
+        assert err.value.class_name == "c1"
+
+
 class TestSimpleshotPrototypes:
     def test_single_identical_slide(self):
         v = random_unit_rows(np.random.default_rng(10), 1, 5)[0]

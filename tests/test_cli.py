@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,81 @@ class TestPrototypeCommands:
         manifest, _ = embedstore.load_manifest(dataset / "manifest.jsonl")
         for line, rec in zip(out.read_text().splitlines()[1:], manifest.slides):
             assert line.split(",")[1] == rec.class_name
+
+
+def workflow_outputs(dataset, tmp_path):
+    """(argv, output files) of the three streaming commands on `dataset`."""
+    proto = tmp_path / "proto.pse"
+    assert run("build-prototypes", "--dataset", str(dataset), "--top-k", "4",
+               "--out", str(proto)) == 0
+    built = tmp_path / "built.pse"
+    return [
+        (["build-prototypes", "--dataset", str(dataset), "--top-k", "4", "--out", str(built)],
+         [built, built.with_name("built.pse.json")]),
+        (["predict", "--dataset", str(dataset), "--prototypes", str(proto),
+          "--out", str(tmp_path / "p.csv")], [tmp_path / "p.csv"]),
+        (["zero-shot", "--dataset", str(dataset), "--out", str(tmp_path / "z.csv")],
+         [tmp_path / "z.csv"]),
+    ]
+
+
+class TestStreamingCommands:
+    def test_bad_last_bag_writes_nothing(self, dataset, tmp_path, capsys):
+        commands = workflow_outputs(dataset, tmp_path)
+        manifest = embedstore.parse_manifest(dataset / "manifest.jsonl")
+        last = manifest.slides[-1]
+        values = embedstore.read_embeddings_file(dataset / last.path).values
+        embedstore.write_embeddings_file(embedstore.PatchMatrix(values * 2), dataset / last.path)
+        capsys.readouterr()
+        for argv, outputs in commands:
+            assert run(*argv) == 1, argv[0]
+            assert last.slide_id in capsys.readouterr().err
+            assert not any(path.exists() for path in outputs), argv[0]
+
+    def test_fails_before_first_bag(self, dataset, tmp_path, capsys):
+        # with every slide file gone, an error about anything else shows that
+        # no bag was read first
+        manifest = embedstore.parse_manifest(dataset / "manifest.jsonl")
+        for rec in manifest.slides:
+            (dataset / rec.path).unlink()
+        out = str(tmp_path / "out.csv")
+        cases = [
+            (["zero-shot", "--dataset", str(dataset), "--prompt", "3", "--out", out],
+             "prompt index 3 out of range"),
+            (["predict", "--dataset", str(dataset), "--prototypes",
+              str(tmp_path / "none.pse"), "--out", out], "none.pse.json"),
+            (["build-prototypes", "--dataset", str(dataset), "--classifier",
+              str(tmp_path / "none.pse"), "--out", out], "none.pse.json"),
+        ]
+        capsys.readouterr()
+        for argv, message in cases:
+            assert run(*argv) == 1
+            assert message in capsys.readouterr().err, argv[0]
+
+    def test_manifest_error_names_line(self, dataset, tmp_path, capsys):
+        path = dataset / "manifest.jsonl"
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace('"slide_id"', '"slide"')
+        path.write_text("\n".join(lines) + "\n")
+        assert run("zero-shot", "--dataset", str(dataset), "--out",
+                   str(tmp_path / "z.csv")) == 1
+        assert f"{path} line 3: missing key 'slide_id'" in capsys.readouterr().err
+
+    def test_predict_holds_one_bag(self, tmp_path):
+        data = tmp_path / "ds"
+        assert run(*synth_args(data, dim=64, slides=20, patches="300:400")) == 0
+        manifest = embedstore.parse_manifest(data / "manifest.jsonl")
+        payload = sum(4 * rec.num_patches * 64 for rec in manifest.slides)
+        proto = tmp_path / "proto.pse"
+        assert run("build-prototypes", "--dataset", str(data), "--out", str(proto)) == 0
+        tracemalloc.start()
+        try:
+            assert run("predict", "--dataset", str(data), "--prototypes", str(proto),
+                       "--out", str(tmp_path / "p.csv")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < payload / 4, (peak, payload)
 
 
 class TestReportCommand:

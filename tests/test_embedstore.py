@@ -1,9 +1,14 @@
 import io
 import json
 import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protoshot.embedstore import (
     HEADER_SIZE,
@@ -14,6 +19,7 @@ from protoshot.embedstore import (
     SlideRecord,
     TextClassifier,
     is_normalized,
+    iter_bags,
     load_manifest,
     normalize,
     parse_manifest,
@@ -29,9 +35,13 @@ from protoshot.embedstore import (
 from protoshot.errors import (
     BadMagic,
     DimensionZero,
+    ManifestError,
     MissingFile,
     NonFiniteValue,
     PatchCountMismatch,
+    ProtoshotError,
+    ReservedHeaderBytes,
+    TrailingBytes,
     TruncatedPayload,
     UnknownClass,
     UnnormalizedRow,
@@ -174,6 +184,132 @@ class TestBinaryFormat:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
             read_embeddings_file(tmp_path / "nope.pse")
+
+
+def _pse(n, d, reserved=0, payload=b"", magic=MAGIC) -> bytes:
+    return struct.pack("<4sIII", magic, n, d, reserved) + payload
+
+
+class TestBoundedReader:
+    def test_hostile_header_allocates_nothing(self, tmp_path):
+        # 24 bytes on disk, 40 GB declared
+        path = tmp_path / "huge.pse"
+        path.write_bytes(_pse(100_000, 100_000, payload=b"\0" * 8))
+        with pytest.raises(TruncatedPayload) as err:
+            read_embeddings_file(path)
+        assert err.value.expected == 4 * 100_000 * 100_000 and err.value.actual == 8
+        assert err.value.path == str(path) and str(path) in str(err.value)
+
+    def test_false_size_allocates_nothing(self, tmp_path):
+        # 24 bytes on disk, 100 MB declared: small enough to be allocated
+        path = tmp_path / "big.pse"
+        path.write_bytes(_pse(5_000, 5_000, payload=b"\0" * 8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedPayload):
+                read_embeddings_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_hostile_stream_header(self):
+        # the declared size does not even fit an index-sized integer
+        with pytest.raises(TruncatedPayload) as err:
+            read_embeddings(io.BytesIO(_pse(2**32 - 1, 2**32 - 1, payload=b"\0" * 8)))
+        assert err.value.actual == 8
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.pse"
+        path.write_bytes(_pse(1, 2, payload=struct.pack("<2f", 1.0, 0.0) + b"junk"))
+        with pytest.raises(TrailingBytes) as err:
+            read_embeddings_file(path)
+        assert (err.value.expected, err.value.extra) == (8, 4)
+        assert str(path) in str(err.value)
+
+    def test_reserved_bytes_rejected(self, tmp_path):
+        data = _pse(1, 2, reserved=7, payload=struct.pack("<2f", 1.0, 0.0))
+        with pytest.raises(ReservedHeaderBytes) as err:
+            read_embeddings(io.BytesIO(data))
+        assert err.value.value == 7 and err.value.path is None
+        path = tmp_path / "reserved.pse"
+        path.write_bytes(data)
+        with pytest.raises(ReservedHeaderBytes) as err:
+            read_embeddings_file(path)
+        assert str(path) in str(err.value)
+
+    def test_non_finite_names_file(self, tmp_path):
+        path = tmp_path / "nan.pse"
+        path.write_bytes(_pse(2, 2, payload=struct.pack("<4f", 1, 0, float("nan"), 0)))
+        with pytest.raises(NonFiniteValue) as err:
+            read_embeddings_file(path)
+        assert err.value.row == 1 and str(path) in str(err.value)
+
+    def test_dimension_one_rejected(self):
+        with pytest.raises(DimensionZero):
+            read_embeddings(io.BytesIO(_pse(3, 1, payload=b"\0" * 12)))
+
+
+@st.composite
+def pse_files(draw):
+    """Embedding files with fuzzed headers, payload lengths and reserved bytes.
+
+    Returns (bytes, well_formed) where well_formed says whether a strict
+    reader must accept the file.
+    """
+    small = st.integers(0, 5)
+    n = draw(st.one_of(small, st.integers(0, 2**32 - 1)))
+    d = draw(st.one_of(small, st.integers(0, 2**32 - 1)))
+    reserved = draw(st.one_of(st.just(0), st.integers(0, 2**32 - 1)))
+    magic = draw(st.one_of(st.just(MAGIC), st.binary(min_size=4, max_size=4)))
+    declared = 4 * n * d
+    count = min(declared // 4, 40)
+    values = draw(
+        st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                 min_size=count, max_size=count)
+    )
+    payload = np.asarray(values, dtype="<f4").tobytes()
+    payload += draw(st.binary(max_size=8))  # appended bytes
+    payload = payload[: len(payload) - draw(st.integers(0, 8))]  # missing bytes
+    data = struct.pack("<4sIII", magic, n, d, reserved) + payload
+    data = data[: len(data) - draw(st.sampled_from([0, 0, 0, 3, 15, len(data)]))]
+    well_formed = (
+        magic == MAGIC and reserved == 0 and n >= 1 and d >= 2
+        and len(data) == HEADER_SIZE + declared
+    )
+    return data, well_formed
+
+
+class TestFuzzedFiles:
+    @settings(max_examples=150, deadline=None)
+    @given(case=pse_files())
+    def test_file_round_trips_or_fails_typed(self, case):
+        data, well_formed = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.pse"
+            path.write_bytes(data)
+            try:
+                back = read_embeddings_file(path)
+            except ProtoshotError:
+                assert not well_formed
+                return
+        assert well_formed
+        buf = io.BytesIO()
+        write_embeddings(back, buf)
+        assert buf.getvalue() == data
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=pse_files())
+    def test_stream_round_trips_or_fails_typed(self, case):
+        # a stream may continue past the matrix, so only the prefix counts
+        data, _ = case
+        try:
+            back = read_embeddings(io.BytesIO(data))
+        except ProtoshotError:
+            return
+        buf = io.BytesIO()
+        write_embeddings(back, buf)
+        assert data.startswith(buf.getvalue())
 
 
 class TestTextClassifier:
@@ -321,3 +457,71 @@ class TestManifest:
         path.write_text('{"slide_id": "s0", "class": "a", "path": "x", "num_patches": 1}\n')
         with pytest.raises(ValueError):
             parse_manifest(path)
+
+    def test_malformed_json_names_line(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text('{"classes": ["a"]}\n\n{"slide_id": "s0", "class": \n')
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(path)
+        assert err.value.line == 3  # the blank line counts
+        assert f"{path} line 3: malformed JSON" in str(err.value)
+
+    def test_missing_key_names_line(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(
+            '{"classes": ["a"]}\n'
+            '{"slide_id": "s0", "class": "a", "path": "s0.pse", "num_patches": 2}\n'
+            '\n'
+            '{"class": "a", "path": "s1.pse", "num_patches": 2}\n'
+        )
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(path)
+        assert err.value.line == 4
+        assert str(err.value) == f"{path} line 4: missing key 'slide_id'"
+
+    def test_non_integer_patch_count_names_line(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(
+            '{"classes": ["a"]}\n{"slide_id": "s0", "class": "a", "path": "x", "num_patches": "2x"}\n'
+        )
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(path)
+        assert err.value.line == 2
+
+
+def _bag_bytes(bags):
+    return [(b.slide_id, b.label, b.patches.values.dtype.str, b.patches.values.tobytes())
+            for b in bags]
+
+
+class TestIterBags:
+    def test_load_manifest_is_the_stream(self, tmp_path):
+        rng = np.random.default_rng(25)
+        _toy_dataset(tmp_path, rng)
+        path = tmp_path / "manifest.jsonl"
+        manifest, loaded = load_manifest(path)
+        streamed = list(iter_bags(manifest, path))
+        assert _bag_bytes(streamed) == _bag_bytes(loaded)
+
+    def test_renormalized_stream_matches_load(self, tmp_path):
+        rng = np.random.default_rng(26)
+        records, bags = [], []
+        for i in range(3):
+            rows = (rng.standard_normal((4 + i, 5)) * 3.0).astype(np.float32)
+            records.append(SlideRecord(f"s{i}", "a", f"s{i}.pse", rows.shape[0]))
+            bags.append(SlideBag(f"s{i}", PatchMatrix(rows), label=0))
+        manifest = DatasetManifest(("a",), tuple(records))
+        path = write_dataset(manifest, bags, tmp_path)
+        _, loaded = load_manifest(path, renormalize=True)
+        streamed = list(iter_bags(manifest, path, tmp_path, renormalize=True))
+        assert _bag_bytes(streamed) == _bag_bytes(loaded)
+        assert all(is_normalized(b.patches) for b in streamed)
+
+    def test_lazy(self, tmp_path):
+        rng = np.random.default_rng(27)
+        manifest, _ = _toy_dataset(tmp_path, rng)
+        (tmp_path / "s1.pse").unlink()
+        stream = iter_bags(manifest, tmp_path / "manifest.jsonl")
+        assert next(stream).slide_id == "s0"
+        with pytest.raises(MissingFile):
+            next(stream)

@@ -20,6 +20,7 @@ from protoshot.errors import (
     DimensionMismatch,
     GridCellError,
     InsufficientSupport,
+    InvalidConfig,
     LengthMismatch,
     SingleCluster,
     TooFewPoints,
@@ -272,6 +273,29 @@ def small_dataset():
         seed=31,
     )
     return generate(config)
+
+
+class TestGridConfigValidation:
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("k_grid", {"k_grid": (2, 4, 2)}),
+            ("top_k_grid", {"top_k_grid": (20, 20)}),
+            ("k_grid", {"k_grid": (0, 2)}),
+            ("top_k_grid", {"top_k_grid": (2, -1)}),
+            ("tip_beta", {"tip_beta": 0.0}),
+            ("tip_beta", {"tip_beta": -1.0}),
+            ("tip_beta", {"tip_beta": float("nan")}),
+            ("tip_alpha", {"tip_alpha": -0.5}),
+        ],
+    )
+    def test_rejected_before_any_cell(self, field, kwargs):
+        with pytest.raises(InvalidConfig) as err:
+            GridConfig(**kwargs)
+        assert str(err.value).startswith(field)
+
+    def test_boundary_values_accepted(self):
+        GridConfig(k_grid=(1,), top_k_grid=(1,), tip_alpha=0.0, tip_beta=1e-9)
 
 
 class TestRunGrid:
