@@ -30,13 +30,14 @@ from .embedstore import (
     SlideBag,
     TextClassifier,
     read_embeddings_file,
+    read_sidecar,
+    sidecar_path,
     write_embeddings_file,
 )
 from .errors import (
     DimensionMismatch,
     EmptyCache,
     EmptyClassSupport,
-    MissingFile,
     PromptIndexOutOfRange,
     ZeroVectorRow,
 )
@@ -406,16 +407,18 @@ def write_prototypes(prototypes: PrototypeSet, path: str | Path) -> None:
         "normalized": prototypes.normalized,
         "support": {name: list(ids) for name, ids in prototypes.support.items()},
     }
-    sidecar_path = path.with_name(path.name + ".json")
-    sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
 
 
 def read_prototypes(path: str | Path) -> PrototypeSet:
-    path = Path(path)
-    sidecar_path = path.with_name(path.name + ".json")
-    if not sidecar_path.is_file():
-        raise MissingFile(str(sidecar_path))
-    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    """Read a prototype set written by :func:`write_prototypes`.
+
+    Raises:
+        MissingFile, SidecarError: from
+            :func:`~protoshot.embedstore.read_sidecar`;
+        everything :func:`~protoshot.embedstore.read_embeddings_file` raises.
+    """
+    sidecar = read_sidecar(path, ("class_names",))
     matrix = read_embeddings_file(path)
     names = tuple(str(n) for n in sidecar["class_names"])
     if matrix.rows != len(names):

@@ -5,10 +5,10 @@ Exit status 0 means every requested output was written; argparse reports
 bad flags with status 2; runtime failures exit 1 with the cause (for grid
 runs, the failing cell) on stderr.
 
-build-prototypes, predict and zero-shot stream the corpus: each loads its
-classifier or prototypes and checks its options first, then reads, pools
-and releases one bag at a time, and writes its output only after the last
-bag, so a failure leaves no partial file. evaluate loads the whole corpus.
+Every command that reads a corpus streams it: each loads its classifier or
+prototypes and checks its options first (evaluate also makes every support
+draw), then reads, pools and releases one bag at a time, and writes its
+output only after the last bag, so a failure leaves no partial file.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    manifest_path, root = _dataset_paths(args.dataset)
-    manifest, bags = embedstore.load_manifest(manifest_path, root, renormalize=args.normalize)
+    manifest, bags = _stream_dataset(args)
+    _, root = _dataset_paths(args.dataset)
     classifier = _load_classifier(args, root)
     config = evalharness.GridConfig(
         methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),

@@ -44,6 +44,7 @@ from .errors import (
     NonFiniteValue,
     PatchCountMismatch,
     ReservedHeaderBytes,
+    SidecarError,
     TrailingBytes,
     TruncatedPayload,
     UnknownClass,
@@ -346,8 +347,35 @@ def read_embeddings_file(path: str | Path) -> PatchMatrix:
 # --- text classifier persistence ---------------------------------------------
 
 
-def _sidecar_path(path: Path) -> Path:
+def sidecar_path(path: str | Path) -> Path:
+    """The JSON sidecar of the binary file at `path`: ``<path>.json``."""
+    path = Path(path)
     return path.with_name(path.name + ".json")
+
+
+def read_sidecar(path: str | Path, required: Sequence[str]) -> dict:
+    """Read the JSON sidecar of the binary file at `path`.
+
+    Raises:
+        MissingFile: there is no sidecar.
+        SidecarError: the sidecar is not a JSON object or lacks one of the
+            `required` keys; names the sidecar file (and the key).
+    """
+    where = sidecar_path(path)
+    if not where.is_file():
+        raise MissingFile(str(where))
+    try:
+        sidecar = json.loads(where.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SidecarError(
+            str(where), f"malformed JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
+        ) from None
+    if not isinstance(sidecar, dict):
+        raise SidecarError(str(where), "expected a JSON object")
+    for key in required:
+        if key not in sidecar:
+            raise SidecarError(str(where), f"missing key {key!r}", key)
+    return sidecar
 
 
 def write_text_classifier(classifier: TextClassifier, path: str | Path) -> None:
@@ -361,17 +389,27 @@ def write_text_classifier(classifier: TextClassifier, path: str | Path) -> None:
         "num_prompts": p,
         "class_names": list(classifier.class_names),
     }
-    _sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
 
 
 def read_text_classifier(path: str | Path) -> TextClassifier:
-    path = Path(path)
-    sidecar_file = _sidecar_path(path)
-    if not sidecar_file.is_file():
-        raise MissingFile(str(sidecar_file))
-    sidecar = json.loads(sidecar_file.read_text(encoding="utf-8"))
-    num_classes = int(sidecar["num_classes"])
-    num_prompts = int(sidecar["num_prompts"])
+    """Read a classifier written by :func:`write_text_classifier`.
+
+    Raises:
+        MissingFile, SidecarError: from :func:`read_sidecar`, also when a
+            count in the sidecar is not an integer;
+        everything :func:`read_embeddings_file` raises.
+    """
+    sidecar = read_sidecar(path, ("num_classes", "num_prompts", "class_names"))
+
+    def count(key: str) -> int:
+        try:
+            return int(sidecar[key])
+        except (TypeError, ValueError):
+            reason = f"key {key!r} holds {sidecar[key]!r}, not an integer"
+            raise SidecarError(str(sidecar_path(path)), reason, key) from None
+
+    num_classes, num_prompts = count("num_classes"), count("num_prompts")
     names = tuple(str(n) for n in sidecar["class_names"])
     flat = read_embeddings_file(path)
     if flat.rows != num_prompts * num_classes:
@@ -408,8 +446,11 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
 
     Raises:
         MissingFile: no manifest at `path`.
-        ManifestError: a line is not a JSON object or lacks a required key;
-            names the file and the 1-based line number (blank lines count).
+        ManifestError: a line is not a JSON object, lacks a required key,
+            repeats a slide_id or names an undeclared class; names the file
+            and the 1-based line number (blank lines count).
+        ValueError: the manifest is empty, declares no classes or repeats
+            one, or holds an empty slide_id.
     """
     path = Path(path)
     if not path.is_file():
@@ -437,9 +478,19 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
         return row
 
     head = fields(*lines[0], ("classes",))
+    classes = tuple(str(c) for c in head["classes"])
     records = []
+    seen: set[str] = set()
     for number, text in lines[1:]:
         row = fields(number, text, ("slide_id", "class", "path", "num_patches"))
+        slide_id, class_name = str(row["slide_id"]), str(row["class"])
+        if slide_id in seen:
+            raise ManifestError(str(path), number, f"duplicate slide_id {slide_id!r}")
+        seen.add(slide_id)
+        if class_name not in classes:
+            raise ManifestError(
+                str(path), number, f"class {class_name!r} is not in the manifest classes"
+            )
         try:
             num_patches = int(row["num_patches"])
         except (TypeError, ValueError):
@@ -448,13 +499,13 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
             ) from None
         records.append(
             SlideRecord(
-                slide_id=str(row["slide_id"]),
-                class_name=str(row["class"]),
+                slide_id=slide_id,
+                class_name=class_name,
                 path=str(row["path"]),
                 num_patches=num_patches,
             )
         )
-    return DatasetManifest(tuple(str(c) for c in head["classes"]), tuple(records))
+    return DatasetManifest(classes, tuple(records))
 
 
 def iter_bags(
@@ -518,8 +569,7 @@ def load_manifest(
     The bags are those of :func:`iter_bags`, all held in memory at once.
 
     Raises:
-        UnknownClass, ManifestError, PatchCountMismatch, MissingFile,
-        UnnormalizedRow.
+        ManifestError, PatchCountMismatch, MissingFile, UnnormalizedRow.
     """
     manifest = parse_manifest(path)
     return manifest, list(iter_bags(manifest, path, root, renormalize=renormalize))

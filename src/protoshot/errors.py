@@ -114,12 +114,13 @@ class PatchCountMismatch(ProtoshotError):
 
 class MissingFile(ProtoshotError):
     def __init__(self, path: str):
-        super().__init__(f"embedding file not found: {path}")
+        super().__init__(f"file not found: {path}")
         self.path = path
 
 
 class ManifestError(ProtoshotError, ValueError):
-    """A manifest line that is not valid JSON or lacks a required key.
+    """A manifest line that is not valid JSON, lacks a required key, repeats
+    a slide_id or names a class the manifest does not declare.
 
     Also a ValueError, like the other malformed-manifest errors of
     :func:`~protoshot.embedstore.parse_manifest`.
@@ -130,6 +131,21 @@ class ManifestError(ProtoshotError, ValueError):
         self.path = path
         self.line = line
         self.reason = reason
+
+
+class SidecarError(ProtoshotError, ValueError):
+    """A JSON sidecar that is not a valid JSON object, lacks a required key
+    or holds a count that is not an integer.
+
+    `key` names the offending key, or is None when the file as a whole is
+    malformed. Also a ValueError, like :class:`ManifestError`.
+    """
+
+    def __init__(self, path: str, reason: str, key: str | None = None):
+        super().__init__(f"{path}: {reason}")
+        self.path = path
+        self.reason = reason
+        self.key = key
 
 
 # --- similarity kernels ----------------------------------------------------

@@ -3,20 +3,21 @@ and the full (method x fold x seed x shots x top-K) grid with aggregation.
 
 Determinism rules. All randomness flows through numpy's PCG64, seeded by
 :func:`derive_seed`, a splitmix64 chain over a base seed and purpose tags.
-Grid cells run one after another and share a lazily filled table of
-per-slide pooled vectors, so each slide is scored and pooled at most once
-per run. Results are sorted by a canonical key before serialization.
+The grid streams the corpus: every support draw is made before any bag is
+read, then one pass reduces each bag to a table of per-slide pooled vectors
+and releases it, so each slide is read, scored and pooled at most once per
+run. Grid cells run one after another on that table alone. Results are
+sorted by a canonical key before serialization.
 Reports echo the generator identity, the mixing rule, and every seed so a
 run can be reproduced from the report alone.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -43,8 +44,10 @@ from .errors import (
     InsufficientSupport,
     InvalidConfig,
     LengthMismatch,
+    ProtoshotError,
     SingleCluster,
     TooFewPoints,
+    ZeroVectorRow,
 )
 from .simsel import bgap, score_against, top_k
 
@@ -60,6 +63,8 @@ PRNG_SPEC = {
 }
 
 _MASK64 = (1 << 64) - 1
+
+_T = TypeVar("_T")
 
 
 def _splitmix64(x: int) -> int:
@@ -518,9 +523,24 @@ def guided_pools(
     return pools
 
 
+def _in_cell(cell: str, fn: Callable[..., _T], *args) -> _T:
+    """Call ``fn(*args)``; a failure is raised as a GridCellError naming `cell`."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise GridCellError(cell, exc) from exc
+
+
+def _stored(entry):
+    """Return a table entry, or raise the failure stored in its place."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
 def run_grid(
     manifest: DatasetManifest,
-    bags: Sequence[SlideBag],
+    bags: Iterable[SlideBag],
     classifier: TextClassifier,
     config: GridConfig = GridConfig(),
     threads: int = 1,
@@ -534,55 +554,88 @@ def run_grid(
     consumes no support and is scored once per (fold, prompt).
 
     The fold assignment comes from derive_seed(base_seed, "folds"); each
-    support draw from derive_seed(seed, "support", fold, k). Cells run
-    serially. Each slide's full-bag mean and its :func:`guided_pools` are
-    computed on first use and kept for the whole run, and the cells score
-    them with the same cores as the per-bag functions in ``adapters``, so
-    they give the same numbers. Records are sorted canonically before
+    support draw from derive_seed(seed, "support", fold, k). Folds and draws
+    depend only on the manifest and the config, so all of them are made
+    before any bag is read. `bags` is then consumed in one pass, so it may
+    be any one-shot iterable such as
+    :func:`~protoshot.embedstore.iter_bags`: each bag is reduced to its row
+    of a per-slide table and released. A row holds the full-bag mean and,
+    for slides some draw picks as visionshot support, the slide's
+    :func:`guided_pools`. Cells run serially on that table alone and score
+    it with the same cores as the per-bag functions in ``adapters``, so they
+    give the same numbers. Records are sorted canonically before
     aggregation, so the report is a pure function of the data and the
     config. `threads` is accepted for compatibility and ignored.
 
     Raises:
-        GridCellError: a cell failed; the message names it.
+        GridCellError: a cell failed; the message names it. A draw fails
+            before the first bag is read; a guided pool that fails during
+            the pass fails the first cell that needs it.
+        ValueError: the classifier and the manifest disagree on the class
+            count, a bag's label disagrees with the manifest, or a manifest
+            slide has no bag.
     """
-    if classifier.num_classes != len(manifest.classes):
-        raise ValueError(
-            f"classifier has {classifier.num_classes} classes, manifest "
-            f"{len(manifest.classes)}"
-        )
-    bags_by_id = {bag.slide_id: bag for bag in bags}
-    missing = [rec.slide_id for rec in manifest.slides if rec.slide_id not in bags_by_id]
-    if missing:
-        raise ValueError(f"bags missing for manifest slides: {missing[:5]}")
     num_classes = len(manifest.classes)
+    if classifier.num_classes != num_classes:
+        raise ValueError(
+            f"classifier has {classifier.num_classes} classes, manifest {num_classes}"
+        )
     labels = labels_in_order(manifest)
-    for sid, label in labels.items():
-        if bags_by_id[sid].label != label:
-            raise ValueError(
-                f"slide {sid!r} label {bags_by_id[sid].label} disagrees with manifest ({label})"
-            )
-
     fold_seed = derive_seed(config.base_seed, "folds")
     assignment = stratified_kfold(labels, config.num_folds, fold_seed)
     seeds = config.resolved_seeds()
     fewshot_methods = [m for m in config.methods if m != "mizero"]
-    # per-slide pools, each computed on first use; the canonical vectors too,
-    # so a degenerate classifier fails inside the first cell that needs it
-    canonical = functools.cache(classifier.canonical_vectors)
-
-    @functools.cache
-    def full_pool(sid: str) -> np.ndarray:
-        return bgap(bags_by_id[sid].patches)
-
-    @functools.cache
-    def guided_pools_of(sid: str) -> dict[int, np.ndarray]:
-        bag = bags_by_id[sid]
-        return guided_pools(bag, canonical()[bag.label], config.top_k_grid)
-
     test_ids = {f: assignment.fold_ids(f) for f in range(config.num_folds)}
-    train_groups = {
-        f: group_ids_by_class(manifest, exclude=test_ids[f]) for f in range(config.num_folds)
-    }
+
+    def fewshot_name(fold: int, seed: int, k: int) -> str:
+        return f"fold={fold} seed={seed} k={k}"
+
+    draws: dict[tuple[int, int, int], FewShotDraw] = {}
+    if fewshot_methods:
+        for f in range(config.num_folds):
+            train = group_ids_by_class(manifest, exclude=test_ids[f])
+            for seed in seeds:
+                for k in config.k_grid:
+                    draws[f, seed, k] = _in_cell(
+                        fewshot_name(f, seed, k),
+                        sample_few_shot,
+                        train,
+                        k,
+                        derive_seed(seed, "support", f, k),
+                    )
+    guided_ids = (
+        {sid for draw in draws.values() for sid in draw.support_ids}
+        if "visionshot" in fewshot_methods
+        else set()
+    )
+    try:
+        class_vectors = classifier.canonical_vectors()
+    except ZeroVectorRow as exc:
+        class_vectors = exc  # mizero and simpleshot need no canonical vectors
+
+    # the one pass over the bags; a failed pool is kept in place of the pool,
+    # without the traceback frames that hold the bag
+    full_pool: dict[str, np.ndarray] = {}
+    guided: dict[str, dict[int, np.ndarray] | ProtoshotError] = {}
+    for bag in bags:
+        sid = bag.slide_id
+        if sid not in labels:
+            continue
+        if bag.label != labels[sid]:
+            raise ValueError(
+                f"slide {sid!r} label {bag.label} disagrees with manifest ({labels[sid]})"
+            )
+        full_pool[sid] = bgap(bag.patches)
+        if sid in guided_ids:
+            try:
+                guided[sid] = guided_pools(
+                    bag, _stored(class_vectors)[bag.label], config.top_k_grid
+                )
+            except ProtoshotError as exc:
+                guided[sid] = exc.with_traceback(None)
+    missing = [sid for sid in labels if sid not in full_pool]
+    if missing:
+        raise ValueError(f"bags missing for manifest slides: {missing[:5]}")
 
     def evaluate(predictions: list[int], fold: int) -> tuple[float, tuple[float, ...]]:
         y = [labels[sid] for sid in test_ids[fold]]
@@ -590,10 +643,10 @@ def run_grid(
         return score, tuple(recalls)
 
     def predict(scores_of: Callable[[np.ndarray], np.ndarray], fold: int) -> list[int]:
-        return [argmax_lowest(scores_of(full_pool(sid))) for sid in test_ids[fold]]
+        return [argmax_lowest(scores_of(full_pool[sid])) for sid in test_ids[fold]]
 
     def fewshot_cell(fold: int, seed: int, k: int) -> list[EvalRecord]:
-        draw = sample_few_shot(train_groups[fold], k, derive_seed(seed, "support", fold, k))
+        draw = draws[fold, seed, k]
         by_class: list[list[str]] = [[] for _ in range(num_classes)]
         for sid in draw.support_ids:
             by_class[labels[sid]].append(sid)
@@ -607,14 +660,14 @@ def run_grid(
         records = []
         if "visionshot" in fewshot_methods:
             for kt in config.top_k_grid:
-                protos = prototypes(lambda sid: guided_pools_of(sid)[kt], kt)
+                protos = prototypes(lambda sid: _stored(guided[sid])[kt], kt)
                 preds = predict(lambda q: prototype_scores(q, protos), fold)
                 score, recalls = evaluate(preds, fold)
                 records.append(
                     EvalRecord("visionshot", fold, seed, k, kt, None, score, recalls)
                 )
         if "simpleshot" in fewshot_methods:
-            protos = prototypes(full_pool, None)
+            protos = prototypes(full_pool.__getitem__, None)
             preds = predict(lambda q: prototype_scores(q, protos), fold)
             score, recalls = evaluate(preds, fold)
             records.append(
@@ -624,14 +677,14 @@ def run_grid(
             # the cache and the queries take unit vectors inside this cell, so
             # a zero-mean slide fails only in the cells that need its direction
             cache = cache_from_pooled(
-                [full_pool(sid) for sid in draw.support_ids],
+                [full_pool[sid] for sid in draw.support_ids],
                 [labels[sid] for sid in draw.support_ids],
                 num_classes,
                 config.tip_alpha,
                 config.tip_beta,
             )
-            class_vectors = canonical()
-            preds = predict(lambda q: tip_adapter_scores(q, cache, class_vectors), fold)
+            vectors = _stored(class_vectors)
+            preds = predict(lambda q: tip_adapter_scores(q, cache, vectors), fold)
             score, recalls = evaluate(preds, fold)
             records.append(
                 EvalRecord("tipadapter", fold, seed, k, None, None, score, recalls)
@@ -648,26 +701,14 @@ def run_grid(
             )
         return records
 
-    tasks: list[tuple[str, Callable[[], list[EvalRecord]]]] = []
+    records: list[EvalRecord] = []
     for f in range(config.num_folds):
         if "mizero" in config.methods:
-            tasks.append((f"method=mizero fold={f}", lambda f=f: mizero_cell(f)))
+            records.extend(_in_cell(f"method=mizero fold={f}", mizero_cell, f))
         if fewshot_methods:
             for seed in seeds:
                 for k in config.k_grid:
-                    tasks.append(
-                        (
-                            f"fold={f} seed={seed} k={k}",
-                            lambda f=f, s=seed, k=k: fewshot_cell(f, s, k),
-                        )
-                    )
-
-    records: list[EvalRecord] = []
-    for cell, fn in tasks:
-        try:
-            records.extend(fn())
-        except Exception as exc:
-            raise GridCellError(cell, exc) from exc
+                    records.extend(_in_cell(fewshot_name(f, seed, k), fewshot_cell, f, seed, k))
 
     records.sort(key=_record_key)
     aggregates = aggregate_records(records)

@@ -21,6 +21,7 @@ from protoshot.errors import (
     EmptyCache,
     EmptyClassSupport,
     PromptIndexOutOfRange,
+    SidecarError,
 )
 from protoshot.simsel import bgap
 
@@ -483,3 +484,20 @@ class TestPrototypePersistence:
         back = read_prototypes(tmp_path / "proto.pse")
         assert back.top_k is None and not back.normalized
         np.testing.assert_allclose(back.prototypes, protos.prototypes, rtol=1e-6, atol=1e-7)
+
+    @pytest.mark.parametrize(
+        "sidecar, key, reason",
+        [
+            ('{"top_k": 5, "normalized": true}', "class_names", "missing key 'class_names'"),
+            ('{"class_names": ["a", "b"],', None, "malformed JSON"),
+        ],
+    )
+    def test_bad_sidecar_named(self, tmp_path, sidecar, key, reason):
+        rng = np.random.default_rng(28)
+        path = tmp_path / "proto.pse"
+        write_prototypes(simpleshot_prototypes(random_support(rng, 2, 6, 2)), path)
+        (tmp_path / "proto.pse.json").write_text(sidecar)
+        with pytest.raises(SidecarError) as err:
+            read_prototypes(path)
+        assert err.value.key == key
+        assert str(err.value).startswith(f"{tmp_path / 'proto.pse.json'}: {reason}")

@@ -257,6 +257,35 @@ class TestStreamingCommands:
             assert run(*argv) == 1
             assert message in capsys.readouterr().err, argv[0]
 
+    def test_evaluate_fails_before_first_bag(self, dataset, tmp_path, capsys):
+        manifest = embedstore.parse_manifest(dataset / "manifest.jsonl")
+        for rec in manifest.slides:
+            (dataset / rec.path).unlink()
+        bad_sidecar = tmp_path / "bad.pse"
+        (tmp_path / "bad.pse.json").write_text('{"num_classes": 3, "class_names": []}')
+        evaluate = ["evaluate", "--dataset", str(dataset), "--out", str(tmp_path / "r.json"),
+                    "--folds", "3", "--seeds", "11"]
+        cases = [
+            (["--k-grid", "99"], ["[fold=0 seed=11 k=99]", "cannot draw 99"]),
+            (["--topk-grid", "2,2"], ["top_k_grid [2, 2] repeats a value"]),
+            (["--classifier", str(tmp_path / "none.pse")],
+             [f"file not found: {tmp_path / 'none.pse.json'}"]),
+            (["--classifier", str(bad_sidecar)],
+             [f"{tmp_path / 'bad.pse.json'}: missing key 'num_prompts'"]),
+        ]
+        capsys.readouterr()
+        for extra, messages in cases:
+            assert run(*evaluate, *extra) == 1, extra
+            err = capsys.readouterr().err
+            assert all(message in err for message in messages), (extra, err)
+            assert not (tmp_path / "r.json").exists()
+
+    def test_missing_file_message(self, dataset, tmp_path, capsys):
+        missing = tmp_path / "nothere"
+        assert run("predict", "--dataset", str(dataset), "--prototypes", str(missing),
+                   "--out", str(tmp_path / "p.csv")) == 1
+        assert capsys.readouterr().err == f"error: file not found: {missing}.json\n"
+
     def test_manifest_error_names_line(self, dataset, tmp_path, capsys):
         path = dataset / "manifest.jsonl"
         lines = path.read_text().splitlines()
@@ -277,6 +306,21 @@ class TestStreamingCommands:
         try:
             assert run("predict", "--dataset", str(data), "--prototypes", str(proto),
                        "--out", str(tmp_path / "p.csv")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < payload / 4, (peak, payload)
+
+    def test_evaluate_holds_one_bag(self, tmp_path):
+        data = tmp_path / "ds"
+        assert run(*synth_args(data, dim=64, slides=20, patches="300:400")) == 0
+        manifest = embedstore.parse_manifest(data / "manifest.jsonl")
+        payload = sum(4 * rec.num_patches * 64 for rec in manifest.slides)
+        tracemalloc.start()
+        try:
+            assert run("evaluate", "--dataset", str(data), "--out", str(tmp_path / "r.json"),
+                       "--folds", "3", "--k-grid", "2,4", "--topk-grid", "4,400",
+                       "--seeds", "11") == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -41,6 +41,7 @@ from protoshot.errors import (
     PatchCountMismatch,
     ProtoshotError,
     ReservedHeaderBytes,
+    SidecarError,
     TrailingBytes,
     TruncatedPayload,
     UnknownClass,
@@ -362,6 +363,27 @@ class TestTextClassifier:
         with pytest.raises(MissingFile):
             read_text_classifier(tmp_path / "clf.pse")
 
+    @pytest.mark.parametrize(
+        "sidecar, key, reason",
+        [
+            ('{"num_classes": 2, "class_names": ["a", "b"]}', "num_prompts",
+             "missing key 'num_prompts'"),
+            ('{"num_classes": 2, "num_prompts": 1', None, "malformed JSON"),
+            ('["a", "b"]', None, "expected a JSON object"),
+            ('{"num_classes": "two", "num_prompts": 1, "class_names": ["a", "b"]}',
+             "num_classes", "key 'num_classes' holds 'two', not an integer"),
+        ],
+    )
+    def test_bad_sidecar_named(self, tmp_path, sidecar, key, reason):
+        path = tmp_path / "clf.pse"
+        write_text_classifier(TextClassifier(("a", "b"), np.eye(2)[None]), path)
+        (tmp_path / "clf.pse.json").write_text(sidecar)
+        with pytest.raises(SidecarError) as err:
+            read_text_classifier(path)
+        assert isinstance(err.value, ValueError)
+        assert err.value.key == key
+        assert str(err.value).startswith(f"{tmp_path / 'clf.pse.json'}: {reason}")
+
 
 def _toy_dataset(tmp_path, rng, classes=("chRCC", "ccRCC", "pRCC")):
     records = []
@@ -478,6 +500,26 @@ class TestManifest:
             parse_manifest(path)
         assert err.value.line == 4
         assert str(err.value) == f"{path} line 4: missing key 'slide_id'"
+
+    @pytest.mark.parametrize(
+        "second, reason",
+        [
+            ('{"slide_id": "s0", "class": "a", "path": "y", "num_patches": 2}',
+             "duplicate slide_id 's0'"),
+            ('{"slide_id": "s1", "class": "b", "path": "y", "num_patches": 2}',
+             "class 'b' is not in the manifest classes"),
+        ],
+    )
+    def test_bad_record_names_line(self, tmp_path, second, reason):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(
+            '{"classes": ["a"]}\n'
+            '{"slide_id": "s0", "class": "a", "path": "x", "num_patches": 2}\n'
+            f"\n{second}\n"
+        )
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(path)
+        assert str(err.value) == f"{path} line 4: {reason}"
 
     def test_non_integer_patch_count_names_line(self, tmp_path):
         path = tmp_path / "manifest.jsonl"

@@ -43,7 +43,14 @@ from protoshot.evalharness import (
     slide_embedding_table,
     stratified_kfold,
 )
-from protoshot.embedstore import PatchMatrix, SlideBag, TextClassifier
+from protoshot.embedstore import (
+    PatchMatrix,
+    SlideBag,
+    TextClassifier,
+    iter_bags,
+    load_manifest,
+    write_dataset,
+)
 from protoshot.synthgen import SynthConfig, generate
 
 
@@ -521,6 +528,101 @@ class TestPooledGrid:
         with pytest.raises(GridCellError) as err:
             run_grid(manifest, bags, narrow_clf, config)
         assert isinstance(err.value.cause, DimensionMismatch)
+
+
+def support_slides(manifest, config):
+    """Every slide that some support draw of the grid picks."""
+    labels = {rec.slide_id: manifest.class_index(rec.class_name) for rec in manifest.slides}
+    folds = stratified_kfold(labels, config.num_folds, derive_seed(config.base_seed, "folds"))
+    picked = set()
+    for f in range(config.num_folds):
+        groups = [[] for _ in manifest.classes]
+        for rec in manifest.slides:
+            if folds.fold_of[rec.slide_id] != f:
+                groups[labels[rec.slide_id]].append(rec.slide_id)
+        for seed in config.resolved_seeds():
+            for k in config.k_grid:
+                draw = sample_few_shot(groups, k, derive_seed(seed, "support", f, k))
+                picked.update(draw.support_ids)
+    return picked
+
+
+def unreadable_bags():
+    raise AssertionError("a bag was read")
+    yield
+
+
+class TestStreamedGrid:
+    """run_grid consumes its bags in one pass; a one-shot stream gives the
+    report a list gives, and only support slides are scored."""
+
+    config = GridConfig(num_folds=4, k_grid=(2, 4), top_k_grid=(3, 8, 50), seeds=(7, 8))
+
+    def test_stream_matches_list_and_load(self, noisy_dataset, tmp_path):
+        manifest, bags, clf = noisy_dataset
+        listed = run_grid(manifest, bags, clf, self.config).to_json()
+        assert run_grid(manifest, (bag for bag in bags), clf, self.config).to_json() == listed
+        path = write_dataset(manifest, bags, tmp_path)
+        loaded_manifest, loaded = load_manifest(path)
+        assert run_grid(loaded_manifest, loaded, clf, self.config).to_json() == listed
+        streamed = iter_bags(loaded_manifest, path)
+        assert run_grid(loaded_manifest, streamed, clf, self.config).to_json() == listed
+
+    def test_scores_each_support_slide_once(self, noisy_dataset, monkeypatch):
+        manifest, bags, clf = noisy_dataset
+        slide_of = {id(bag.patches): bag.slide_id for bag in bags}
+        scores = Counter()
+        original = evalharness.score_against
+
+        def counting(patches, *args, **kwargs):
+            scores[slide_of[id(patches)]] += 1
+            return original(patches, *args, **kwargs)
+
+        monkeypatch.setattr(evalharness, "score_against", counting)
+        config = GridConfig(num_folds=4, k_grid=(1,), top_k_grid=(3, 8), seeds=(7,))
+        support = support_slides(manifest, config)
+        assert 0 < len(support) < len(bags)
+        run_grid(manifest, iter(bags), clf, config)
+        assert scores == Counter(dict.fromkeys(support, 1))
+        scores.clear()
+        unguided = GridConfig(
+            methods=("simpleshot", "tipadapter", "mizero"),
+            num_folds=4,
+            k_grid=(1,),
+            top_k_grid=(3,),
+            seeds=(7,),
+        )
+        run_grid(manifest, iter(bags), clf, unguided)
+        assert not scores
+
+    def test_failed_draw_reads_no_bag(self, noisy_dataset):
+        manifest, _, clf = noisy_dataset
+        config = GridConfig(num_folds=4, k_grid=(2, 9), top_k_grid=(3,), seeds=(7,))
+        with pytest.raises(GridCellError) as err:
+            run_grid(manifest, unreadable_bags(), clf, config)
+        assert err.value.cell == "fold=0 seed=7 k=9"
+        assert isinstance(err.value.cause, InsufficientSupport)
+
+    def test_missing_bag_named_after_the_pass(self, noisy_dataset):
+        manifest, bags, clf = noisy_dataset
+        with pytest.raises(ValueError, match=repr(bags[-1].slide_id)):
+            run_grid(manifest, iter(bags[:-1]), clf, self.config)
+
+    def test_degenerate_classifier_fails_only_guided_cells(self, noisy_dataset):
+        manifest, bags, clf = noisy_dataset
+        cancelling = TextClassifier(clf.class_names, np.stack([clf.weights[0], -clf.weights[0]]))
+        config = GridConfig(
+            methods=("simpleshot", "mizero"), num_folds=4, k_grid=(2,), top_k_grid=(3,), seeds=(7,)
+        )
+        assert len(run_grid(manifest, iter(bags), cancelling, config).records) == 4 * (1 + 2)
+        for method in ("visionshot", "tipadapter"):
+            guided = GridConfig(
+                methods=(method,), num_folds=4, k_grid=(2,), top_k_grid=(3,), seeds=(7,)
+            )
+            with pytest.raises(GridCellError) as err:
+                run_grid(manifest, iter(bags), cancelling, guided)
+            assert err.value.cell == "fold=0 seed=7 k=2"
+            assert isinstance(err.value.cause, ZeroVectorRow)
 
 
 class TestReportSerialization:
