@@ -41,7 +41,7 @@ from .errors import (
     PromptIndexOutOfRange,
     ZeroVectorRow,
 )
-from .simsel import bgap, score_against, top_k
+from .simsel import as_class_vector, bgap, clamp_k, score_against, top_k
 
 _NORM_ATOL = 1e-6
 
@@ -157,11 +157,15 @@ def visionshot_slide_embedding(bag: SlideBag, class_vector: np.ndarray, k: int) 
     """Pool the k patches most similar to `class_vector` into one embedding.
 
     Meant for support slides, with `class_vector` the text embedding of the
-    slide's own class; k above the bag size clamps to pooling everything.
+    slide's own class. A k of at least the bag size pools every row in row
+    order, which is the full-bag :func:`~protoshot.simsel.bgap`; that pool
+    skips scoring, but still checks the class vector's dimension and k >= 1.
     """
-    scores = score_against(bag.patches, class_vector)
-    selection = top_k(scores, k)
-    return bgap(bag.patches, selection.indices)
+    patches = bag.patches
+    vector = as_class_vector(patches, class_vector)
+    if clamp_k(k, patches.rows) == patches.rows:
+        return bgap(patches)
+    return bgap(patches, top_k(score_against(patches, vector), k).indices)
 
 
 def _pool_by_label(
@@ -420,18 +424,14 @@ def read_prototypes(path: str | Path) -> PrototypeSet:
     """
     sidecar = read_sidecar(path, ("class_names",))
     matrix = read_embeddings_file(path)
-    names = tuple(str(n) for n in sidecar["class_names"])
+    names = tuple(sidecar["class_names"])
     if matrix.rows != len(names):
         raise ValueError(
             f"prototype file holds {matrix.rows} rows for {len(names)} classes"
         )
-    top_k_used = sidecar.get("top_k")
-    support = {
-        str(name): tuple(str(s) for s in ids)
-        for name, ids in sidecar.get("support", {}).items()
-    }
+    support = {name: tuple(ids) for name, ids in sidecar.get("support", {}).items()}
     rows = matrix.values.astype(np.float64)
-    normalized = bool(sidecar.get("normalized", False))
+    normalized = sidecar.get("normalized", False)
     if normalized:
         # float32 storage loosens unit norms; restore them exactly
         norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
@@ -440,6 +440,6 @@ def read_prototypes(path: str | Path) -> PrototypeSet:
         class_names=names,
         prototypes=rows,
         normalized=normalized,
-        top_k=None if top_k_used is None else int(top_k_used),
+        top_k=sidecar.get("top_k"),
         support=support,
     )

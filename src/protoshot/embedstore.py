@@ -21,7 +21,10 @@ Text classifiers reuse the embedding binary with N = prompts * classes rows
 ``{"num_classes", "num_prompts", "class_names"}``.
 
 Values are stored at 32-bit precision; all reductions over them (norms,
-means, dot products) accumulate in 64-bit.
+means, dot products) accumulate in 64-bit. A :class:`PatchMatrix` widens
+its values to 64-bit once, on first use of its row norms or row mean, and
+keeps both, so the load-time unit-norm check and full-bag pooling share
+one pass.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -75,6 +79,17 @@ def _adopt_float32(values) -> np.ndarray:
     return arr
 
 
+def _float64_pass(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row norms (N) and row mean (D) of `values`, both taken from
+    one float64 copy of it, which is dropped on return."""
+    v = values.astype(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+    mean = v.mean(axis=0)
+    norms.flags.writeable = False
+    mean.flags.writeable = False
+    return norms, mean
+
+
 @dataclass(frozen=True)
 class PatchMatrix:
     """N x D matrix of 32-bit patch feature vectors, one row per patch.
@@ -82,6 +97,10 @@ class PatchMatrix:
     Rows are expected to be unit-norm in regular use (stores check this at
     load time), but the type itself only rejects non-finite values and
     degenerate shapes so that :func:`normalize` can accept raw input.
+
+    The row norms and the row mean come from one float64 pass over the
+    values, made on the first call to :meth:`row_norms` or the first read of
+    :attr:`mean` and then kept; a matrix that needs neither never widens.
     """
 
     values: np.ndarray
@@ -108,10 +127,19 @@ class PatchMatrix:
     def dim(self) -> int:
         return self.values.shape[1]
 
+    @cached_property
+    def _float64_stats(self) -> tuple[np.ndarray, np.ndarray]:
+        return _float64_pass(self.values)
+
     def row_norms(self) -> np.ndarray:
-        """Per-row L2 norms, accumulated in float64."""
-        v = self.values.astype(np.float64)
-        return np.sqrt(np.einsum("ij,ij->i", v, v))
+        """Per-row L2 norms, accumulated in float64; read-only."""
+        return self._float64_stats[0]
+
+    @property
+    def mean(self) -> np.ndarray:
+        """Element-wise mean of all rows, accumulated in float64 in row
+        order; read-only."""
+        return self._float64_stats[1]
 
 
 @dataclass(frozen=True)
@@ -353,13 +381,41 @@ def sidecar_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".json")
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the type every known sidecar key must hold when present: (description, test)
+_SIDECAR_TYPES = {
+    "num_classes": ("an integer", _is_int),
+    "num_prompts": ("an integer", _is_int),
+    "class_names": ("a list of strings", _is_str_list),
+    "support": (
+        "an object of string lists",
+        lambda v: isinstance(v, dict) and all(_is_str_list(ids) for ids in v.values()),
+    ),
+    "top_k": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "normalized": ("a boolean", lambda v: isinstance(v, bool)),
+}
+
+
 def read_sidecar(path: str | Path, required: Sequence[str]) -> dict:
     """Read the JSON sidecar of the binary file at `path`.
 
+    Every known key that is present must hold its type: ``num_classes`` and
+    ``num_prompts`` an integer, ``class_names`` a list of strings,
+    ``support`` an object of string lists, ``top_k`` an integer or null and
+    ``normalized`` a boolean.
+
     Raises:
         MissingFile: there is no sidecar.
-        SidecarError: the sidecar is not a JSON object or lacks one of the
-            `required` keys; names the sidecar file (and the key).
+        SidecarError: the sidecar is not a JSON object, lacks one of the
+            `required` keys or holds a value of the wrong type; names the
+            sidecar file (and the key).
     """
     where = sidecar_path(path)
     if not where.is_file():
@@ -375,6 +431,10 @@ def read_sidecar(path: str | Path, required: Sequence[str]) -> dict:
     for key in required:
         if key not in sidecar:
             raise SidecarError(str(where), f"missing key {key!r}", key)
+    for key, (expected, holds) in _SIDECAR_TYPES.items():
+        if key in sidecar and not holds(sidecar[key]):
+            reason = f"key {key!r} holds {sidecar[key]!r}, not {expected}"
+            raise SidecarError(str(where), reason, key)
     return sidecar
 
 
@@ -396,21 +456,12 @@ def read_text_classifier(path: str | Path) -> TextClassifier:
     """Read a classifier written by :func:`write_text_classifier`.
 
     Raises:
-        MissingFile, SidecarError: from :func:`read_sidecar`, also when a
-            count in the sidecar is not an integer;
+        MissingFile, SidecarError: from :func:`read_sidecar`;
         everything :func:`read_embeddings_file` raises.
     """
     sidecar = read_sidecar(path, ("num_classes", "num_prompts", "class_names"))
-
-    def count(key: str) -> int:
-        try:
-            return int(sidecar[key])
-        except (TypeError, ValueError):
-            reason = f"key {key!r} holds {sidecar[key]!r}, not an integer"
-            raise SidecarError(str(sidecar_path(path)), reason, key) from None
-
-    num_classes, num_prompts = count("num_classes"), count("num_prompts")
-    names = tuple(str(n) for n in sidecar["class_names"])
+    num_classes, num_prompts = sidecar["num_classes"], sidecar["num_prompts"]
+    names = tuple(sidecar["class_names"])
     flat = read_embeddings_file(path)
     if flat.rows != num_prompts * num_classes:
         raise ValueError(
@@ -524,6 +575,8 @@ def iter_bags(
     the manifest's class list. Each file's header patch count is
     cross-checked against the manifest, and each row's unit norm is checked
     to within 1e-4 unless `renormalize` asks for re-normalization instead.
+    The check makes the bag's one float64 pass, which also leaves its
+    full-bag mean in :attr:`PatchMatrix.mean` for pooling.
 
     Args:
         manifest: the parsed manifest at `path`.

@@ -135,7 +135,7 @@ class ManifestError(ProtoshotError, ValueError):
 
 class SidecarError(ProtoshotError, ValueError):
     """A JSON sidecar that is not a valid JSON object, lacks a required key
-    or holds a count that is not an integer.
+    or holds a value of the wrong type.
 
     `key` names the offending key, or is None when the file as a whole is
     malformed. Also a ValueError, like :class:`ManifestError`.

@@ -49,7 +49,7 @@ from .errors import (
     TooFewPoints,
     ZeroVectorRow,
 )
-from .simsel import bgap, score_against, top_k
+from .simsel import as_class_vector, bgap, clamp_k, score_against, top_k
 
 METHODS = ("visionshot", "simpleshot", "mizero", "tipadapter")
 
@@ -504,21 +504,25 @@ def guided_pools(
 ) -> dict[int, np.ndarray]:
     """Top-k text-guided pools of one slide, one per k in `top_ks`.
 
-    The bag is scored against `class_vector` and argsorted once; each k
-    pools the first min(k, rows) patches of that order, exactly as
-    :func:`~protoshot.adapters.visionshot_slide_embedding` pools a single k.
-    Ks that clamp to the same count share one pool.
+    Each k pools the first min(k, rows) patches of the bag's score order,
+    exactly as :func:`~protoshot.adapters.visionshot_slide_embedding` pools a
+    single k. A k that covers the bag pools every row, which is the full-bag
+    :func:`~protoshot.simsel.bgap`; the bag is scored against `class_vector`
+    and argsorted once, and only when some k is smaller than the bag. The
+    class vector's dimension and k >= 1 are checked either way. Ks that
+    clamp to the same count share one pool.
     """
     patches = bag.patches
-    order = top_k(score_against(patches, class_vector), patches.rows).indices
+    vector = as_class_vector(patches, class_vector)
+    counts = {k: clamp_k(k, patches.rows) for k in top_ks}
+    order = None
+    if any(n < patches.rows for n in counts.values()):
+        order = top_k(score_against(patches, vector), patches.rows).indices
     by_count: dict[int, np.ndarray] = {}
     pools = {}
-    for k in top_ks:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        n = min(k, patches.rows)
+    for k, n in counts.items():
         if n not in by_count:
-            by_count[n] = bgap(patches, order[:n])
+            by_count[n] = bgap(patches) if n == patches.rows else bgap(patches, order[:n])
         pools[k] = by_count[n]
     return pools
 

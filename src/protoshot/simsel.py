@@ -31,16 +31,36 @@ class SelectionResult:
         object.__setattr__(self, "indices", idx)
 
 
+def as_class_vector(bag: PatchMatrix, class_vector: np.ndarray) -> np.ndarray:
+    """`class_vector` as a flat float64 vector to score `bag` against.
+
+    Raises:
+        DimensionMismatch: its length is not the bag's dimension.
+    """
+    w = np.asarray(class_vector, dtype=np.float64).reshape(-1)
+    if w.shape[0] != bag.dim:
+        raise DimensionMismatch(bag.dim, w.shape[0])
+    return w
+
+
 def score_against(bag: PatchMatrix, class_vector: np.ndarray) -> np.ndarray:
     """Dot product of every patch row with `class_vector`, in float64.
 
     For unit-norm inputs this is cosine similarity. The class vector is not
     re-normalized, so the result is linear in it.
     """
-    w = np.asarray(class_vector, dtype=np.float64).reshape(-1)
-    if w.shape[0] != bag.dim:
-        raise DimensionMismatch(bag.dim, w.shape[0])
-    return bag.values.astype(np.float64) @ w
+    return bag.values.astype(np.float64) @ as_class_vector(bag, class_vector)
+
+
+def clamp_k(k: int, count: int) -> int:
+    """How many of `count` items a top-k keeps: min(k, count).
+
+    Raises:
+        ValueError: k is below 1.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return min(k, count)
 
 
 def top_k(scores: np.ndarray, k: int) -> SelectionResult:
@@ -49,10 +69,8 @@ def top_k(scores: np.ndarray, k: int) -> SelectionResult:
     Ordering is deterministic: score descending, then original index
     ascending. The clamp is reported through ``effective_k``.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    effective = min(k, s.shape[0])
+    effective = clamp_k(k, s.shape[0])
     order = np.argsort(-s, kind="stable")
     return SelectionResult(order[:effective], effective)
 
@@ -63,15 +81,15 @@ def bgap(bag: PatchMatrix, subset: np.ndarray | None = None) -> np.ndarray:
     The pooled vector is returned at float64 precision and is NOT
     re-normalized; normalization is the caller's policy. Subset rows are
     pooled in row order, so the result is independent of the order the
-    indices arrive in.
+    indices arrive in, and a subset of every row equals the full-bag mean
+    bit for bit. The full-bag mean is a copy of :attr:`PatchMatrix.mean`,
+    so it reuses the float64 pass the load-time norm check already made.
     """
     if subset is None:
-        rows = bag.values
-    else:
-        idx = np.asarray(subset, dtype=np.int64).reshape(-1)
-        if idx.size == 0:
-            raise EmptySubset()
-        if ((idx < 0) | (idx >= bag.rows)).any():
-            raise IndexError(f"subset indices out of range for {bag.rows} rows")
-        rows = bag.values[np.sort(idx)]
-    return rows.astype(np.float64).mean(axis=0)
+        return bag.mean.copy()
+    idx = np.asarray(subset, dtype=np.int64).reshape(-1)
+    if idx.size == 0:
+        raise EmptySubset()
+    if ((idx < 0) | (idx >= bag.rows)).any():
+        raise IndexError(f"subset indices out of range for {bag.rows} rows")
+    return bag.values[np.sort(idx)].astype(np.float64).mean(axis=0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from protoshot import adapters
 from protoshot.adapters import (
     CacheModel,
     build_cache,
@@ -23,7 +24,7 @@ from protoshot.errors import (
     PromptIndexOutOfRange,
     SidecarError,
 )
-from protoshot.simsel import bgap
+from protoshot.simsel import bgap, score_against, top_k
 
 from conftest import random_unit_rows
 
@@ -121,6 +122,23 @@ class TestVisionshotEmbedding:
         assert np.array_equal(
             visionshot_slide_embedding(bag, w, 500), bgap(bag.patches)
         )
+
+    def test_covering_k_skips_scoring_but_checks(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        bag = bag_of(random_unit_rows(rng, 9, 5))
+        w = random_unit_rows(rng, 1, 5)[0]
+        expected = bgap(bag.patches, top_k(score_against(bag.patches, w), 9).indices)
+
+        def no_scoring(*args):
+            raise AssertionError("a covering k scored the bag")
+
+        monkeypatch.setattr(adapters, "score_against", no_scoring)
+        for k in (9, 10, 1000):
+            assert visionshot_slide_embedding(bag, w, k).tobytes() == expected.tobytes()
+        with pytest.raises(DimensionMismatch):
+            visionshot_slide_embedding(bag, np.ones(4), 10)
+        with pytest.raises(ValueError):
+            visionshot_slide_embedding(bag_of(random_unit_rows(rng, 1, 5)), w, 0)
 
 
 class TestBuildPrototypes:

@@ -208,6 +208,59 @@ class TestPrototypeCommands:
             assert line.split(",")[1] == rec.class_name
 
 
+class TestSidecarTypes:
+    """A sidecar value of the wrong type fails the command with a message
+    naming the sidecar and the key, and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("support", [], "an object of string lists"),
+            ("support", {"a": "s0"}, "an object of string lists"),
+            ("class_names", "abc", "a list of strings"),
+            ("class_names", ["a", 2, "c"], "a list of strings"),
+            ("top_k", "4", "an integer or null"),
+            ("top_k", True, "an integer or null"),
+            ("normalized", "yes", "a boolean"),
+        ],
+    )
+    def test_prototype_sidecar(self, dataset, tmp_path, capsys, key, value, expected):
+        proto = tmp_path / "proto.pse"
+        assert run("build-prototypes", "--dataset", str(dataset), "--top-k", "4",
+                   "--out", str(proto)) == 0
+        sidecar = tmp_path / "proto.pse.json"
+        fields = json.loads(sidecar.read_text())
+        fields[key] = value
+        sidecar.write_text(json.dumps(fields))
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        assert run("predict", "--dataset", str(dataset), "--prototypes", str(proto),
+                   "--out", str(out)) == 1
+        message = f"{sidecar}: key {key!r} holds {value!r}, not {expected}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("class_names", "abc", "a list of strings"),
+            ("num_prompts", 1.0, "an integer"),
+            ("num_classes", "3", "an integer"),
+        ],
+    )
+    def test_classifier_sidecar(self, dataset, tmp_path, capsys, key, value, expected):
+        sidecar = dataset / "classifier.pse.json"
+        fields = json.loads(sidecar.read_text())
+        fields[key] = value
+        sidecar.write_text(json.dumps(fields))
+        out = tmp_path / "z.csv"
+        capsys.readouterr()
+        assert run("zero-shot", "--dataset", str(dataset), "--out", str(out)) == 1
+        message = f"{sidecar}: key {key!r} holds {value!r}, not {expected}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 def workflow_outputs(dataset, tmp_path):
     """(argv, output files) of the three streaming commands on `dataset`."""
     proto = tmp_path / "proto.pse"

@@ -3,13 +3,16 @@ import json
 import struct
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import protoshot.embedstore as embedstore
 from protoshot.embedstore import (
     HEADER_SIZE,
     MAGIC,
@@ -49,6 +52,10 @@ from protoshot.errors import (
     ZeroVectorRow,
 )
 
+from protoshot.evalharness import guided_pools
+from protoshot.simsel import bgap
+from protoshot.synthgen import SynthConfig, generate
+
 from conftest import random_unit_rows
 
 
@@ -82,6 +89,109 @@ class TestPatchMatrix:
         m = matrix([[1, 0]])
         with pytest.raises(ValueError):
             m.values[0, 0] = 2.0
+
+
+finite_matrices = hnp.arrays(
+    np.float32,
+    st.tuples(st.integers(1, 40), st.integers(2, 12)),
+    elements=st.floats(allow_nan=False, allow_infinity=False, width=32),
+)
+
+
+def counting_pass(monkeypatch) -> list:
+    """Count the float64 passes; returns the list of matrices they ran on."""
+    seen = []
+    original = embedstore._float64_pass
+
+    def counted(values):
+        seen.append(values)
+        return original(values)
+
+    monkeypatch.setattr(embedstore, "_float64_pass", counted)
+    return seen
+
+
+class TestFloat64Pass:
+    @settings(max_examples=200, deadline=None)
+    @given(values=finite_matrices)
+    def test_norms_and_mean_are_the_plain_expressions(self, values):
+        m = PatchMatrix(values)
+        v = values.astype(np.float64)
+        assert m.row_norms().tobytes() == np.sqrt(np.einsum("ij,ij->i", v, v)).tobytes()
+        assert m.mean.tobytes() == v.mean(axis=0).tobytes()
+        assert m.row_norms().dtype == m.mean.dtype == np.float64
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=finite_matrices,
+        poison=st.lists(
+            st.tuples(st.integers(0, 39), st.integers(0, 11),
+                      st.sampled_from([np.nan, np.inf, -np.inf])),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_non_finite_names_first_bad_row(self, values, poison):
+        values = values.copy()
+        for row, col, bad in poison:
+            values[row % values.shape[0], col % values.shape[1]] = bad
+        expected = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
+        with pytest.raises(NonFiniteValue) as err:
+            PatchMatrix(values)
+        assert err.value.row == expected
+
+    @pytest.mark.parametrize(
+        "bad", [[np.nan, 0.0], [np.inf, 0.0], [-np.inf, 0.0], [np.inf, -np.inf]]
+    )
+    def test_non_finite_row_named(self, bad):
+        with pytest.raises(NonFiniteValue) as err:
+            matrix([[1.0, 0.0], [0.0, 1.0], bad, [np.nan, np.nan]])
+        assert err.value.row == 2
+
+    def test_large_finite_rows_accepted(self):
+        big = np.float32(3e38)
+        rows = [[big, big], [-big, -big], [big, -big], [big, big]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = matrix(rows)
+        assert np.isfinite(m.row_norms()).all()
+
+    def test_results_read_only_and_bgap_copies(self):
+        m = matrix([[1, 0], [0, 1]])
+        assert not m.row_norms().flags.writeable and not m.mean.flags.writeable
+        pooled = bgap(m)
+        pooled[0] = 7.0
+        assert m.mean.tolist() == [0.5, 0.5]
+
+    def test_runs_once_per_matrix(self, monkeypatch):
+        seen = counting_pass(monkeypatch)
+        m = matrix([[1, 0], [0, 1], [0.6, 0.8]])
+        assert not seen  # lazy: construction widens nothing
+        m.row_norms()
+        m.mean
+        bgap(m)
+        bgap(m)
+        m.row_norms()
+        assert len(seen) == 1
+
+    def test_synth_never_widens(self, monkeypatch):
+        seen = counting_pass(monkeypatch)
+        generate(SynthConfig(num_classes=2, dim=8, slides_per_class=3, patches_min=5,
+                             patches_max=9, informative_fraction=0.3, noise_scale=1.0,
+                             seed=3))
+        assert not seen
+
+    def test_load_check_serves_every_full_bag_pool(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(29)
+        manifest, _ = _toy_dataset(tmp_path, rng)
+        seen = counting_pass(monkeypatch)
+        class_vector = random_unit_rows(rng, 1, 6)[0]
+        bags = []
+        for bag in iter_bags(manifest, tmp_path / "manifest.jsonl"):
+            bags.append(bag)
+            bgap(bag.patches)
+            guided_pools(bag, class_vector, (2, 100))  # one scored pool, one covering
+        assert [id(values) for values in seen] == [id(bag.patches.values) for bag in bags]
 
 
 class TestNormalize:

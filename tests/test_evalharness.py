@@ -35,6 +35,7 @@ from protoshot.evalharness import (
     canonical_json,
     derive_seed,
     export_embedding_table,
+    guided_pools,
     pca_2d,
     projection_csv,
     run_grid,
@@ -51,7 +52,10 @@ from protoshot.embedstore import (
     load_manifest,
     write_dataset,
 )
+from protoshot.simsel import bgap, score_against, top_k
 from protoshot.synthgen import SynthConfig, generate
+
+from conftest import random_unit_rows
 
 
 def silhouette_oracle(points, labels):
@@ -528,6 +532,39 @@ class TestPooledGrid:
         with pytest.raises(GridCellError) as err:
             run_grid(manifest, bags, narrow_clf, config)
         assert isinstance(err.value.cause, DimensionMismatch)
+
+
+class TestGuidedPools:
+    """A top-K that covers the bag pools the full bag without scoring it."""
+
+    @staticmethod
+    def bag_and_vector(rows=12, dim=6, seed=30):
+        rng = np.random.default_rng(seed)
+        bag = SlideBag("s", PatchMatrix(random_unit_rows(rng, rows, dim)), 0)
+        return bag, random_unit_rows(rng, 1, dim)[0]
+
+    def test_covering_pool_is_full_bag_mean(self):
+        bag, w = self.bag_and_vector()
+        p = bag.patches
+        scored = bgap(p, top_k(score_against(p, w), p.rows).indices)
+        pools = guided_pools(bag, w, (3, 12, 40))
+        assert pools[12].tobytes() == pools[40].tobytes() == scored.tobytes()
+        assert pools[40].tobytes() == bgap(p).tobytes()
+        assert pools[3].tobytes() == bgap(p, top_k(score_against(p, w), 3).indices).tobytes()
+
+    def test_covering_ks_never_score(self, monkeypatch):
+        bag, w = self.bag_and_vector()
+
+        def no_scoring(*args):
+            raise AssertionError("a covering top-K scored the bag")
+
+        monkeypatch.setattr(evalharness, "score_against", no_scoring)
+        pools = guided_pools(bag, w, (12, 50))
+        assert pools[12].tobytes() == pools[50].tobytes() == bgap(bag.patches).tobytes()
+        with pytest.raises(DimensionMismatch):
+            guided_pools(bag, np.ones(4), (12, 50))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            guided_pools(bag, w, (50, 0))
 
 
 def support_slides(manifest, config):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from protoshot.embedstore import PatchMatrix
 from protoshot.errors import DimensionMismatch, EmptySubset
-from protoshot.simsel import bgap, score_against, top_k
+from protoshot.simsel import as_class_vector, bgap, clamp_k, score_against, top_k
 
 from conftest import random_unit_rows
 
@@ -162,3 +165,45 @@ class TestBgap:
 
     def test_float64_output(self):
         assert bgap(matrix([[1, 0]])).dtype == np.float64
+
+
+class TestFullBagPool:
+    """The full-bag pool is the matrix's cached float64 mean, and a top-K that
+    covers the bag pools to the same bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=hnp.arrays(
+            np.float32,
+            st.tuples(st.integers(1, 40), st.integers(2, 12)),
+            elements=st.floats(allow_nan=False, allow_infinity=False, width=32),
+        )
+    )
+    def test_equals_plain_float64_mean(self, values):
+        bag = PatchMatrix(values)
+        expected = values.astype(np.float64).mean(axis=0).tobytes()
+        assert bgap(bag).tobytes() == expected
+        assert bgap(bag, np.arange(bag.rows)[::-1]).tobytes() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30), extra=st.integers(0, 5))
+    def test_covering_top_k_equals_scored_pool(self, seed, rows, extra):
+        rng = np.random.default_rng(seed)
+        bag = PatchMatrix(random_unit_rows(rng, rows, 6))
+        w = random_unit_rows(rng, 1, 6)[0]
+        k = rows + extra
+        scored = bgap(bag, top_k(score_against(bag, w), k).indices)
+        assert scored.tobytes() == bgap(bag).tobytes()
+
+
+class TestChecks:
+    def test_clamp_k(self):
+        assert clamp_k(3, 10) == 3 and clamp_k(10, 10) == 10 and clamp_k(11, 10) == 10
+        with pytest.raises(ValueError):
+            clamp_k(0, 10)
+
+    def test_as_class_vector(self):
+        w = as_class_vector(matrix([[1, 0]]), np.array([[0.5], [0.5]], dtype=np.float32))
+        assert w.dtype == np.float64 and w.tolist() == [0.5, 0.5]
+        with pytest.raises(DimensionMismatch):
+            as_class_vector(matrix([[1, 0]]), np.array([1.0, 0.0, 0.0]))
