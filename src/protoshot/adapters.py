@@ -12,8 +12,9 @@ All of them are training-free and operate purely on precomputed embeddings:
   embeddings with the zero-shot text scores.
 
 Prediction always pools the full bag: at inference time the class is
-unknown, so no text-guided patch selection is possible. Argmax ties resolve
-to the lowest class index everywhere.
+unknown, so no text-guided patch selection is possible. Every score goes
+through the one kernel :func:`row_scores`, for one bag or a whole fold.
+Argmax ties resolve to the lowest class index everywhere.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .embedstore import (
     read_embeddings_file,
     read_sidecar,
     sidecar_path,
+    unit_rows,
     write_embeddings_file,
 )
 from .errors import (
@@ -39,11 +41,11 @@ from .errors import (
     EmptyCache,
     EmptyClassSupport,
     PromptIndexOutOfRange,
-    ZeroVectorRow,
 )
 from .simsel import as_class_vector, bgap, clamp_k, score_against, top_k
 
 _NORM_ATOL = 1e-6
+_MIN_POOLED_NORM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -141,16 +143,16 @@ class CacheModel:
         return self.keys.shape[0]
 
 
-def argmax_lowest(scores: np.ndarray) -> int:
-    # np.argmax returns the first maximum, which is the lowest-index tie rule
-    return int(np.argmax(scores))
+def row_scores(queries: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Dot product of every query row with every weight row: ``n x C``.
 
-
-def _unit(vector: np.ndarray) -> np.ndarray:
-    norm = float(np.sqrt(vector @ vector))
-    if norm < 1e-12:
-        raise ZeroVectorRow(0)
-    return vector / norm
+    The one scoring kernel, in float64. Row i of the result does not depend
+    on the other rows, so a one-row call gives the same bytes as that row of
+    an n-row call, provided both pass operands of the same memory layout
+    (C-order rows, or the same transposed view): einsum's summation order
+    follows the strides, and a different layout can change the last bit.
+    """
+    return np.einsum("nd,cd->nc", queries, weights)
 
 
 def visionshot_slide_embedding(bag: SlideBag, class_vector: np.ndarray, k: int) -> np.ndarray:
@@ -210,11 +212,7 @@ def prototypes_from_pooled(
     # full-bag pooling
     rows = np.stack([np.mean(np.stack(embs), axis=0) for embs in per_class])
     if normalize_prototypes:
-        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-        small = np.flatnonzero(norms < 1e-12)
-        if small.size:
-            raise ZeroVectorRow(int(small[0]))
-        rows = rows / norms[:, None]
+        rows = unit_rows(rows, _MIN_POOLED_NORM)
     support = {str(class_names[c]): tuple(ids) for c, ids in enumerate(support_ids)}
     return PrototypeSet(
         class_names=tuple(str(n) for n in class_names),
@@ -283,15 +281,15 @@ def simpleshot_prototypes(
     return prototypes_from_pooled(per_class, class_names, ids, None, normalize_prototypes)
 
 
-def prototype_scores(pooled: np.ndarray, prototypes: PrototypeSet) -> np.ndarray:
-    """Prototype-row dot products with one pooled slide embedding.
+def prototype_scores(queries: np.ndarray, prototypes: PrototypeSet) -> np.ndarray:
+    """Prototype dot products of each row of the ``n x d`` pooled `queries`.
 
-    No re-normalization of the pooled embedding is needed because positive
+    No re-normalization of the pooled embeddings is needed because positive
     scaling cannot change the argmax.
     """
-    if pooled.shape[0] != prototypes.dim:
-        raise DimensionMismatch(prototypes.dim, pooled.shape[0])
-    return prototypes.prototypes @ pooled
+    if queries.shape[1] != prototypes.dim:
+        raise DimensionMismatch(prototypes.dim, queries.shape[1])
+    return row_scores(queries, prototypes.prototypes)
 
 
 def predict_prototype(
@@ -301,14 +299,14 @@ def predict_prototype(
 
     The bag's label is never consulted.
     """
-    scores = prototype_scores(bgap(bag.patches), prototypes)
-    return SlidePrediction(bag.slide_id, scores, argmax_lowest(scores), method)
+    scores = prototype_scores(bgap(bag.patches)[None], prototypes)[0]
+    return SlidePrediction(bag.slide_id, scores, int(np.argmax(scores)), method)
 
 
 def mizero_scores(
-    pooled: np.ndarray, classifier: TextClassifier, prompt_index: int = 0
+    queries: np.ndarray, classifier: TextClassifier, prompt_index: int = 0
 ) -> np.ndarray:
-    """Zero-shot class scores of one pooled slide embedding under one prompt.
+    """Zero-shot class scores of the ``n x d`` pooled `queries` under one prompt.
 
     The per-class score is the mean over patches of the patch-text dot
     product, computed as the pooled embedding dotted with the class vector
@@ -316,34 +314,34 @@ def mizero_scores(
     """
     if not 0 <= prompt_index < classifier.num_prompts:
         raise PromptIndexOutOfRange(prompt_index, classifier.num_prompts)
-    if pooled.shape[0] != classifier.dim:
-        raise DimensionMismatch(classifier.dim, pooled.shape[0])
-    return classifier.weights[prompt_index].astype(np.float64) @ pooled
+    if queries.shape[1] != classifier.dim:
+        raise DimensionMismatch(classifier.dim, queries.shape[1])
+    return row_scores(queries, classifier.weights[prompt_index].astype(np.float64))
 
 
 def mizero_predict(
     bag: SlideBag, classifier: TextClassifier, prompt_index: int = 0
 ) -> SlidePrediction:
     """Zero-shot prediction with one prompt's classifier."""
-    scores = mizero_scores(bgap(bag.patches), classifier, prompt_index)
-    return SlidePrediction(bag.slide_id, scores, argmax_lowest(scores), "mizero")
+    scores = mizero_scores(bgap(bag.patches)[None], classifier, prompt_index)[0]
+    return SlidePrediction(bag.slide_id, scores, int(np.argmax(scores)), "mizero")
 
 
 def cache_from_pooled(
-    pooled: Sequence[np.ndarray],
+    pooled: np.ndarray | Sequence[np.ndarray],
     labels: Sequence[int],
     num_classes: int,
     alpha: float = 1.0,
     beta: float = 5.5,
 ) -> CacheModel:
-    """Cache keys are the unit-normalized pooled support embeddings; values
-    are their one-hot labels."""
-    if not pooled:
+    """Cache keys are the unit-normalized rows of `pooled`, the pooled
+    support embeddings; values are their one-hot labels."""
+    pooled = np.asarray(pooled, dtype=np.float64)
+    if pooled.ndim != 2 or pooled.shape[0] == 0:
         raise EmptyCache()
-    keys = np.stack([_unit(vector) for vector in pooled])
-    values = np.zeros((len(pooled), num_classes))
-    for m, label in enumerate(labels):
-        values[m, label] = 1.0
+    keys = unit_rows(pooled, _MIN_POOLED_NORM)
+    values = np.zeros((pooled.shape[0], num_classes))
+    values[np.arange(pooled.shape[0]), labels] = 1.0
     return CacheModel(keys=keys, values=values, alpha=alpha, beta=beta)
 
 
@@ -367,26 +365,27 @@ def build_cache(
 
 
 def tip_adapter_scores(
-    pooled: np.ndarray, cache: CacheModel, canonical: np.ndarray
+    queries: np.ndarray, cache: CacheModel, canonical: np.ndarray
 ) -> np.ndarray:
-    """Blend cache affinities with zero-shot text scores.
+    """Blend cache affinities with zero-shot text scores, for each row of the
+    ``n x d`` pooled `queries`.
 
     `canonical` holds the classifier's canonical class vectors. With query q
-    (the unit-normalized pooled embedding), the score of class c is
+    (a unit-normalized pooled embedding), the score of class c is
 
         alpha * sum_m exp(-beta * (1 - q . key_m)) * values[m, c]
         + q . canonical[c]
 
-    With alpha = 0 this reduces exactly to the zero-shot text argmax.
+    With alpha = 0 this reduces exactly to the zero-shot text argmax. A
+    (nearly) zero query raises ZeroVectorRow naming its row.
     """
     dim = cache.keys.shape[1]
-    if pooled.shape[0] != dim:
-        raise DimensionMismatch(dim, pooled.shape[0])
-    if canonical.shape[1] != dim:
-        raise DimensionMismatch(dim, canonical.shape[1])
-    query = _unit(pooled)
-    affinity = np.exp(-cache.beta * (1.0 - cache.keys @ query))
-    return cache.alpha * (affinity @ cache.values) + canonical @ query
+    for other in (queries, canonical):
+        if other.shape[1] != dim:
+            raise DimensionMismatch(dim, other.shape[1])
+    unit = unit_rows(queries, _MIN_POOLED_NORM)
+    affinity = np.exp(-cache.beta * (1.0 - row_scores(unit, cache.keys)))
+    return cache.alpha * row_scores(affinity, cache.values.T) + row_scores(unit, canonical)
 
 
 def tip_adapter_predict(
@@ -394,8 +393,9 @@ def tip_adapter_predict(
 ) -> SlidePrediction:
     """Tip-Adapter prediction from the full-bag pooled embedding; see
     :func:`tip_adapter_scores`."""
-    scores = tip_adapter_scores(bgap(bag.patches), cache, classifier.canonical_vectors())
-    return SlidePrediction(bag.slide_id, scores, argmax_lowest(scores), "tipadapter")
+    canonical = classifier.canonical_vectors()
+    scores = tip_adapter_scores(bgap(bag.patches)[None], cache, canonical)[0]
+    return SlidePrediction(bag.slide_id, scores, int(np.argmax(scores)), "tipadapter")
 
 
 # --- persistence ------------------------------------------------------------------
@@ -433,9 +433,7 @@ def read_prototypes(path: str | Path) -> PrototypeSet:
     rows = matrix.values.astype(np.float64)
     normalized = sidecar.get("normalized", False)
     if normalized:
-        # float32 storage loosens unit norms; restore them exactly
-        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-        rows = rows / norms[:, None]
+        rows = unit_rows(rows)  # float32 storage loosens unit norms; restore them
     return PrototypeSet(
         class_names=names,
         prototypes=rows,

@@ -206,12 +206,7 @@ class TextClassifier:
         Returns a float64 (classes, dim) matrix. For a single-prompt
         classifier this is just that prompt's weights.
         """
-        mean = self.weights.astype(np.float64).mean(axis=0)
-        norms = np.sqrt(np.einsum("ij,ij->i", mean, mean))
-        small = np.flatnonzero(norms < _MIN_ROW_NORM)
-        if small.size:
-            raise ZeroVectorRow(int(small[0]))
-        return mean / norms[:, None]
+        return unit_rows(self.weights.astype(np.float64).mean(axis=0))
 
 
 @dataclass(frozen=True)
@@ -250,6 +245,19 @@ class DatasetManifest:
 
     def class_index(self, name: str) -> int:
         return self.classes.index(name)
+
+
+def unit_rows(rows: np.ndarray, min_norm: float = _MIN_ROW_NORM) -> np.ndarray:
+    """The float64 matrix `rows` scaled to unit L2 norm, row by row.
+
+    Raises:
+        ZeroVectorRow: naming the first row whose norm is below `min_norm`.
+    """
+    norms = np.sqrt(np.einsum("nd,nd->n", rows, rows))
+    small = np.flatnonzero(norms < min_norm)
+    if small.size:
+        raise ZeroVectorRow(int(small[0]))
+    return rows / norms[:, None]
 
 
 def normalize(matrix: PatchMatrix) -> PatchMatrix:
@@ -492,14 +500,23 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# the keys and types of a manifest's first line and of its slide lines
+_MANIFEST_HEAD_TYPES = {"classes": ("a list of strings", _is_str_list)}
+_MANIFEST_SLIDE_TYPES = {
+    **{key: ("a string", lambda v: isinstance(v, str)) for key in ("slide_id", "class", "path")},
+    "num_patches": ("an integer", _is_int),
+}
+
+
 def parse_manifest(path: str | Path) -> DatasetManifest:
     """Parse the JSON-lines manifest without touching embedding files.
 
     Raises:
         MissingFile: no manifest at `path`.
-        ManifestError: a line is not a JSON object, lacks a required key,
-            repeats a slide_id or names an undeclared class; names the file
-            and the 1-based line number (blank lines count).
+        ManifestError: a line is not a JSON object, lacks a required key or
+            holds it with the wrong type (see the module docstring), repeats
+            a slide_id or names an undeclared class; names the file and the
+            1-based line number (blank lines count).
         ValueError: the manifest is empty, declares no classes or repeats
             one, or holds an empty slide_id.
     """
@@ -514,7 +531,7 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
     if not lines:
         raise ValueError(f"manifest {path} is empty")
 
-    def fields(number: int, text: str, keys: tuple[str, ...]) -> dict:
+    def fields(number: int, text: str, types: dict) -> dict:
         try:
             row = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -523,18 +540,21 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
             ) from None
         if not isinstance(row, dict):
             raise ManifestError(str(path), number, "expected a JSON object")
-        missing = [key for key in keys if key not in row]
-        if missing:
-            raise ManifestError(str(path), number, f"missing key {missing[0]!r}")
+        for key, (expected, holds) in types.items():
+            if key not in row:
+                raise ManifestError(str(path), number, f"missing key {key!r}", key)
+            if not holds(row[key]):
+                reason = f"key {key!r} holds {row[key]!r}, not {expected}"
+                raise ManifestError(str(path), number, reason, key)
         return row
 
-    head = fields(*lines[0], ("classes",))
-    classes = tuple(str(c) for c in head["classes"])
+    head = fields(*lines[0], _MANIFEST_HEAD_TYPES)
+    classes = tuple(head["classes"])
     records = []
     seen: set[str] = set()
     for number, text in lines[1:]:
-        row = fields(number, text, ("slide_id", "class", "path", "num_patches"))
-        slide_id, class_name = str(row["slide_id"]), str(row["class"])
+        row = fields(number, text, _MANIFEST_SLIDE_TYPES)
+        slide_id, class_name = row["slide_id"], row["class"]
         if slide_id in seen:
             raise ManifestError(str(path), number, f"duplicate slide_id {slide_id!r}")
         seen.add(slide_id)
@@ -542,18 +562,12 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
             raise ManifestError(
                 str(path), number, f"class {class_name!r} is not in the manifest classes"
             )
-        try:
-            num_patches = int(row["num_patches"])
-        except (TypeError, ValueError):
-            raise ManifestError(
-                str(path), number, f"num_patches {row['num_patches']!r} is not an integer"
-            ) from None
         records.append(
             SlideRecord(
                 slide_id=slide_id,
                 class_name=class_name,
-                path=str(row["path"]),
-                num_patches=num_patches,
+                path=row["path"],
+                num_patches=row["num_patches"],
             )
         )
     return DatasetManifest(classes, tuple(records))

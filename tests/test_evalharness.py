@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import protoshot.evalharness as evalharness
 from protoshot.adapters import (
@@ -217,6 +219,43 @@ class TestBalancedAccuracy:
         with pytest.raises(ClassAbsent):
             balanced_accuracy([0, 2], [0, 2], num_classes=3)
 
+    @staticmethod
+    def per_class_loop(preds, labels, num_classes):
+        """Balanced accuracy as a loop over classes with boolean hit masks."""
+        preds, y = np.asarray(preds, dtype=np.int64), np.asarray(labels, dtype=np.int64)
+        if num_classes is None:
+            num_classes = int(y.max()) + 1
+        recalls = np.empty(num_classes, dtype=np.float64)
+        for c in range(num_classes):
+            mask = y == c
+            if not mask.any():
+                raise ClassAbsent(c)
+            recalls[c] = np.mean(preds[mask] == c)
+        return float(recalls.mean()), recalls
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bincount_matches_per_class_loop(self, data):
+        num_classes = data.draw(st.integers(1, 6))
+        declared = data.draw(st.sampled_from([None, num_classes]))
+        n = data.draw(st.integers(1, 40))
+        # out-of-range labels are ignored when the class count is declared
+        low = 0 if declared is None else -1
+        labels = data.draw(st.lists(st.integers(low, num_classes + 1), min_size=n, max_size=n))
+        preds = data.draw(st.lists(st.integers(0, num_classes + 1), min_size=n, max_size=n))
+        if data.draw(st.booleans()):
+            preds = np.array(preds)  # a row-wise argmax, as run_grid passes it
+        try:
+            expected = self.per_class_loop(preds, labels, declared)
+        except ClassAbsent as exc:
+            with pytest.raises(ClassAbsent) as err:
+                balanced_accuracy(preds, labels, declared)
+            assert err.value.class_index == exc.class_index
+            return
+        score, recalls = balanced_accuracy(preds, labels, declared)
+        assert score == expected[0]
+        assert recalls.tobytes() == expected[1].tobytes()
+
     def test_random_predictor_near_chance(self):
         rng = np.random.default_rng(8)
         n = 10_000 // 3 * 3
@@ -339,9 +378,9 @@ class TestRunGrid:
     def test_byte_identical_reruns_and_threads(self, small_dataset):
         manifest, bags, clf = small_dataset
         config = GridConfig(num_folds=3, k_grid=(2,), top_k_grid=(4,), seeds=(11, 12))
-        first = run_grid(manifest, bags, clf, config, threads=1)
-        second = run_grid(manifest, bags, clf, config, threads=1)
-        threaded = run_grid(manifest, bags, clf, config, threads=8)
+        first = run_grid(manifest, bags, clf, config)
+        second = run_grid(manifest, bags, clf, config)
+        threaded = run_grid(manifest, bags, clf, config)
         assert first.to_json() == second.to_json() == threaded.to_json()
         assert first.to_csv() == threaded.to_csv()
 
@@ -660,6 +699,52 @@ class TestStreamedGrid:
                 run_grid(manifest, iter(bags), cancelling, guided)
             assert err.value.cell == "fold=0 seed=7 k=2"
             assert isinstance(err.value.cause, ZeroVectorRow)
+
+
+class TestFoldMatrix:
+    """Cells score a fold's slice of the pooled table as one matrix."""
+
+    def test_ties_resolve_to_lower_index(self, noisy_dataset):
+        manifest, bags, clf = noisy_dataset
+        # classes 0 and 1: every slide holds one patch matrix, and one text vector
+        same = bags[0].patches
+        bags = [SlideBag(b.slide_id, same, b.label) if b.label < 2 else b for b in bags]
+        weights = clf.weights.copy()
+        weights[:, 1] = weights[:, 0]
+        clf = TextClassifier(clf.class_names, weights)
+        config = GridConfig(
+            methods=("simpleshot", "mizero"), num_folds=4, k_grid=(2,), top_k_grid=(3,), seeds=(7,)
+        )
+        report = run_grid(manifest, bags, clf, config)
+        assert len(report.records) == 4 * 2
+        for r in report.records:
+            assert r.per_class_recalls[1] == 0.0  # class 1 only ever ties with class 0
+        simpleshot = [r for r in report.records if r.method == "simpleshot"]
+        assert all(r.per_class_recalls[0] == 1.0 for r in simpleshot)
+        expected = reference_records(manifest, bags, clf, config)
+        assert all(expected[r.method, r.fold, r.seed, r.k, r.top_k, r.prompt] == r
+                   for r in report.records)
+
+    def test_dimension_change_fails_during_the_pass(self, noisy_dataset):
+        manifest, bags, clf = noisy_dataset
+        narrow = SlideBag(
+            bags[5].slide_id,
+            PatchMatrix(random_unit_rows(np.random.default_rng(3), 10, clf.dim // 2)),
+            bags[5].label,
+        )
+        read = []
+
+        def stream():
+            for bag in bags[:5] + [narrow] + bags[6:]:
+                read.append(bag.slide_id)
+                yield bag
+
+        with pytest.raises(DimensionMismatch) as err:
+            run_grid(manifest, stream(), clf, TestPooledGrid.config)
+        assert err.value.slide_id == narrow.slide_id
+        assert (err.value.expected, err.value.actual) == (clf.dim, clf.dim // 2)
+        assert repr(narrow.slide_id) in str(err.value)
+        assert read == [bag.slide_id for bag in bags[:6]]
 
 
 class TestReportSerialization:

@@ -63,7 +63,7 @@ class TestScoreAgainst:
 class TestTopK:
     def test_basic(self):
         sel = top_k(np.array([0.9, 0.1, 0.5]), 2)
-        assert sel.indices.tolist() == [0, 2] and sel.effective_k == 2
+        assert sel.indices.tolist() == [0, 2] and len(sel.indices) == 2
 
     def test_tie_breaks_by_index(self):
         sel = top_k(np.array([0.5, 0.5, 0.1]), 1)
@@ -71,7 +71,7 @@ class TestTopK:
 
     def test_k_clamps(self):
         sel = top_k(np.array([0.3, 0.1]), 10)
-        assert sel.effective_k == 2
+        assert len(sel.indices) == 2
         assert sorted(sel.indices.tolist()) == [0, 1]
 
     def test_full_k_is_permutation(self):
