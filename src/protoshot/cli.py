@@ -9,6 +9,8 @@ Every command that reads a corpus streams it: each loads its classifier or
 prototypes and checks its options first (evaluate also makes every support
 draw), then reads, pools and releases one bag at a time, and writes its
 output only after the last bag, so a failure leaves no partial file.
+`synth` checks its config first, then writes each slide's file as the slide
+is drawn, and the manifest, classifier and config after the last one.
 """
 
 from __future__ import annotations
@@ -89,14 +91,21 @@ def cmd_synth(args) -> int:
         noise_scale=args.kappa,
         seed=args.seed,
     )
-    manifest, bags, classifier = synthgen.generate(config)
+    classifier, slides = synthgen.stream(config)
     out = Path(args.out)
-    manifest_path = embedstore.write_dataset(manifest, bags, out)
+    out.mkdir(parents=True, exist_ok=True)
+    records = []
+    for record, bag in slides:
+        embedstore.write_embeddings_file(bag.patches, out / record.path)
+        records.append(record)
+    manifest = embedstore.DatasetManifest(classifier.class_names, tuple(records))
+    manifest_path = out / "manifest.jsonl"
+    embedstore.write_manifest(manifest, manifest_path)
     embedstore.write_text_classifier(classifier, out / "classifier.pse")
     (out / "synth_config.json").write_text(
         json.dumps(config.to_dict(), indent=2) + "\n", encoding="utf-8"
     )
-    print(f"wrote {len(bags)} slides, {manifest_path}, classifier.pse, synth_config.json")
+    print(f"wrote {len(records)} slides, {manifest_path}, classifier.pse, synth_config.json")
     return 0
 
 

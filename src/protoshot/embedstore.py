@@ -247,8 +247,14 @@ class DatasetManifest:
         return self.classes.index(name)
 
 
-def unit_rows(rows: np.ndarray, min_norm: float = _MIN_ROW_NORM) -> np.ndarray:
+def unit_rows(
+    rows: np.ndarray, min_norm: float = _MIN_ROW_NORM, out: np.ndarray | None = None
+) -> np.ndarray:
     """The float64 matrix `rows` scaled to unit L2 norm, row by row.
+
+    The quotients are taken in float64; with `out` they are written there,
+    rounded to its dtype (a float32 `out` holds exactly what
+    ``unit_rows(rows).astype(np.float32)`` would), and `out` is returned.
 
     Raises:
         ZeroVectorRow: naming the first row whose norm is below `min_norm`.
@@ -257,7 +263,7 @@ def unit_rows(rows: np.ndarray, min_norm: float = _MIN_ROW_NORM) -> np.ndarray:
     small = np.flatnonzero(norms < min_norm)
     if small.size:
         raise ZeroVectorRow(int(small[0]))
-    return rows / norms[:, None]
+    return np.divide(rows, norms[:, None], out=out)
 
 
 def normalize(matrix: PatchMatrix) -> PatchMatrix:
@@ -265,17 +271,17 @@ def normalize(matrix: PatchMatrix) -> PatchMatrix:
 
     Norms are computed in float64 and the result is stored back at float32,
     leaving row norms within 1e-6 of 1.0. Row order is preserved and the
-    operation is idempotent to within float32 rounding.
+    operation is idempotent to within float32 rounding. The values are
+    widened once, outside the matrix's cached float64 pass, which is left
+    to the result.
 
     Raises:
         ZeroVectorRow: if any row has norm below 1e-8.
     """
-    norms = matrix.row_norms()
-    small = np.flatnonzero(norms < _MIN_ROW_NORM)
-    if small.size:
-        raise ZeroVectorRow(int(small[0]))
-    scaled = matrix.values.astype(np.float64) / norms[:, None]
-    return PatchMatrix(scaled.astype(np.float32))
+    scaled = np.empty(matrix.values.shape, dtype=np.float32)
+    unit_rows(matrix.values.astype(np.float64), out=scaled)
+    scaled.flags.writeable = False
+    return PatchMatrix(scaled)
 
 
 def is_normalized(matrix: PatchMatrix, atol: float = LOAD_NORM_ATOL) -> bool:
@@ -288,13 +294,14 @@ def is_normalized(matrix: PatchMatrix, atol: float = LOAD_NORM_ATOL) -> bool:
 def write_embeddings(matrix: PatchMatrix, sink: BinaryIO) -> int:
     """Write `matrix` to a binary sink; returns bytes written (16 + 4*N*D)."""
     header = struct.pack("<4sIII", MAGIC, matrix.rows, matrix.dim, 0)
-    payload = np.asarray(matrix.values, dtype="<f4").tobytes()
+    # the C-order array's own buffer (a copy only on a big-endian host)
+    payload = np.ascontiguousarray(matrix.values, dtype="<f4")
     try:
         sink.write(header)
         sink.write(payload)
     except OSError as exc:
         raise IoFailure(f"could not write embeddings: {exc}") from exc
-    return HEADER_SIZE + len(payload)
+    return HEADER_SIZE + payload.nbytes
 
 
 def _read_header(source: BinaryIO, path: str | None) -> tuple[int, int]:

@@ -76,6 +76,27 @@ class TestSynth:
         echo = json.loads((dataset / "synth_config.json").read_text())
         assert echo["num_classes"] == 3 and echo["seed"] == 5
 
+    @pytest.mark.parametrize("kappa, rho", [("nan", "0"), ("inf", "0.5"), ("nan", "0.5")])
+    def test_non_finite_kappa_rejected(self, tmp_path, capsys, kappa, rho):
+        out = tmp_path / "ds"
+        assert run(*synth_args(out, rho=rho, kappa=kappa)) == 1
+        assert "noise_scale" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_synth_holds_one_slide(self, tmp_path):
+        data = tmp_path / "ds"
+        tracemalloc.start()
+        try:
+            assert run(*synth_args(data, dim=128, slides=25, patches="300:400",
+                                   rho=0.05, kappa=1.0)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        manifest = embedstore.parse_manifest(data / "manifest.jsonl")
+        payload = sum(4 * rec.num_patches * 128 for rec in manifest.slides)
+        assert payload >= 5_000_000
+        assert peak < payload / 4, (peak, payload)
+
 
 class TestEvaluate:
     def evaluate_args(self, dataset, out, *extra):

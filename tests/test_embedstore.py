@@ -194,7 +194,45 @@ class TestFloat64Pass:
         assert [id(values) for values in seen] == [id(bag.patches.values) for bag in bags]
 
 
+def reference_normalize(values: np.ndarray) -> np.ndarray:
+    """`normalize` as an explicit float64 expression: norms from the plain
+    einsum, one division, one rounding to float32."""
+    v = values.astype(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+    return (v / norms[:, None]).astype(np.float32)
+
+
 class TestNormalize:
+    @settings(max_examples=200, deadline=None)
+    @given(values=finite_matrices)
+    def test_bytes_are_the_plain_expression(self, values):
+        v = values.astype(np.float64)
+        small = np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", v, v)) < 1e-8)
+        if small.size:
+            with pytest.raises(ZeroVectorRow) as err:
+                normalize(PatchMatrix(values))
+            assert err.value.row == int(small[0])
+        else:
+            out = normalize(PatchMatrix(values))
+            assert out.values.tobytes() == reference_normalize(values).tobytes()
+            assert not out.values.flags.writeable
+
+    def test_one_float64_pass_per_renormalized_bag(self, tmp_path, monkeypatch):
+        """Re-normalizing leaves the raw matrix unwidened: pooling a renormalized
+        stream of 120 bags makes 120 passes, each on the bag it yields."""
+        manifest, bags, _ = generate(SynthConfig(num_classes=3, dim=8, slides_per_class=40,
+                                                 patches_min=5, patches_max=9,
+                                                 informative_fraction=0.3, noise_scale=1.0,
+                                                 seed=4))
+        path = write_dataset(manifest, bags, tmp_path)
+        seen = counting_pass(monkeypatch)
+        streamed = []
+        for bag in iter_bags(manifest, path, renormalize=True):
+            streamed.append(bag)
+            bgap(bag.patches)
+        assert len(streamed) == 120 and len(seen) == 120
+        assert [id(values) for values in seen] == [id(bag.patches.values) for bag in streamed]
+
     def test_three_four_five(self):
         out = normalize(matrix([[3.0, 4.0]]))
         np.testing.assert_allclose(out.values, [[0.6, 0.8]], rtol=0, atol=1e-7)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protoshot.errors import InvalidConfig
-from protoshot.synthgen import SynthConfig, generate
+from protoshot.synthgen import SynthConfig, _class_directions, generate, stream
 
 
 def config(**overrides) -> SynthConfig:
@@ -42,6 +44,11 @@ class TestConfigValidation:
     def test_negative_noise(self):
         with pytest.raises(InvalidConfig):
             config(noise_scale=-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_noise(self, bad):
+        with pytest.raises(InvalidConfig, match="noise_scale"):
+            config(noise_scale=bad)
 
 
 class TestGenerate:
@@ -133,3 +140,52 @@ class TestGenerate:
         _, a_bags, _ = generate(config(seed=9))
         _, b_bags, _ = generate(config(seed=10))
         assert a_bags[0].patches.values.tobytes() != b_bags[0].patches.values.tobytes()
+
+
+def reference_slides(cfg: SynthConfig) -> list[np.ndarray]:
+    """Every slide's rows drawn block by block and stacked, the layout that
+    `generate` must reproduce byte for byte."""
+    rng = np.random.default_rng(cfg.seed)
+    directions = _class_directions(rng, cfg.num_classes, cfg.dim)
+
+    def unit(rows):
+        return rows / np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+
+    slides = []
+    for c in range(cfg.num_classes):
+        for _ in range(cfg.slides_per_class):
+            n = int(rng.integers(cfg.patches_min, cfg.patches_max + 1))
+            n_info = math.ceil(cfg.informative_fraction * n)
+            blocks = []
+            if n_info:
+                noise = cfg.noise_scale * rng.standard_normal((n_info, cfg.dim))
+                blocks.append(unit(directions[c][None, :] + noise))
+            if n - n_info:
+                blocks.append(unit(rng.standard_normal((n - n_info, cfg.dim))))
+            slides.append(np.vstack(blocks).astype(np.float32))
+    return slides
+
+
+class TestStream:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(3, 40),
+        patches=st.tuples(st.integers(1, 30), st.integers(0, 30)),
+        rho=st.sampled_from([0.0, 0.05, 0.37, 1.0]),
+        kappa=st.sampled_from([0.0, 0.5, 1.0, 3.25]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_equal_blockwise_reference(self, dim, patches, rho, kappa, seed):
+        cfg = config(dim=dim, slides_per_class=2, patches_min=patches[0],
+                     patches_max=patches[0] + patches[1], informative_fraction=rho,
+                     noise_scale=kappa, seed=seed)
+        _, bags, _ = generate(cfg)
+        expected = reference_slides(cfg)
+        assert [b.patches.values.tobytes() for b in bags] == [e.tobytes() for e in expected]
+
+    def test_lazy_and_read_only(self):
+        _, slides = stream(config())
+        record, bag = next(slides)
+        assert record.slide_id == bag.slide_id == "class_0_000"
+        assert record.num_patches == bag.patches.rows
+        assert not bag.patches.values.flags.writeable
