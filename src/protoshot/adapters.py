@@ -19,7 +19,6 @@ Argmax ties resolve to the lowest class index everywhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -30,11 +29,13 @@ from .embedstore import (
     PatchMatrix,
     SlideBag,
     TextClassifier,
+    off_unit_row,
     read_embeddings_file,
     read_sidecar,
-    sidecar_path,
+    row_norms,
     unit_rows,
     write_embeddings_file,
+    write_sidecar,
 )
 from .errors import (
     DimensionMismatch,
@@ -42,7 +43,7 @@ from .errors import (
     EmptyClassSupport,
     PromptIndexOutOfRange,
 )
-from .simsel import as_class_vector, bgap, clamp_k, score_against, top_k
+from .simsel import bgap, guided_pools
 
 _NORM_ATOL = 1e-6
 _MIN_POOLED_NORM = 1e-12
@@ -72,10 +73,8 @@ class PrototypeSet:
             )
         if not np.isfinite(arr).all():
             raise ValueError("prototypes contain NaN or infinity")
-        if self.normalized:
-            norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))
-            if np.abs(norms - 1.0).max() > _NORM_ATOL:
-                raise ValueError("normalized flag set but rows are not unit norm")
+        if self.normalized and off_unit_row(row_norms(arr), _NORM_ATOL) is not None:
+            raise ValueError("normalized flag set but rows are not unit norm")
         arr.flags.writeable = False
         object.__setattr__(self, "class_names", names)
         object.__setattr__(self, "prototypes", arr)
@@ -126,8 +125,7 @@ class CacheModel:
         one = values == 1.0
         if not ((values == 0.0) | one).all() or not (one.sum(axis=1) == 1).all():
             raise ValueError("values rows must be one-hot")
-        norms = np.sqrt(np.einsum("ij,ij->i", keys, keys))
-        if np.abs(norms - 1.0).max() > _NORM_ATOL:
+        if off_unit_row(row_norms(keys), _NORM_ATOL) is not None:
             raise ValueError("cache keys must be unit norm")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
@@ -159,15 +157,22 @@ def visionshot_slide_embedding(bag: SlideBag, class_vector: np.ndarray, k: int) 
     """Pool the k patches most similar to `class_vector` into one embedding.
 
     Meant for support slides, with `class_vector` the text embedding of the
-    slide's own class. A k of at least the bag size pools every row in row
-    order, which is the full-bag :func:`~protoshot.simsel.bgap`; that pool
-    skips scoring, but still checks the class vector's dimension and k >= 1.
+    slide's own class: the one-k form of :func:`~protoshot.simsel.guided_pools`,
+    so a k of at least the bag size pools the full bag without scoring it.
     """
-    patches = bag.patches
-    vector = as_class_vector(patches, class_vector)
-    if clamp_k(k, patches.rows) == patches.rows:
-        return bgap(patches)
-    return bgap(patches, top_k(score_against(patches, vector), k).indices)
+    return guided_pools(bag, class_vector, (k,))[k]
+
+
+def _support_label(bag: SlideBag, num_classes: int) -> int:
+    """The label of support slide `bag`, checked to be one of `num_classes`."""
+    if bag.label is None:
+        raise ValueError(f"support slide {bag.slide_id!r} has no label")
+    if bag.label >= num_classes:
+        raise ValueError(
+            f"support slide {bag.slide_id!r} has label {bag.label}, "
+            f"but there are {num_classes} classes"
+        )
+    return bag.label
 
 
 def _pool_by_label(
@@ -181,15 +186,9 @@ def _pool_by_label(
     per_class: list[list[np.ndarray]] = [[] for _ in range(num_classes)]
     ids: list[list[str]] = [[] for _ in range(num_classes)]
     for bag in support:
-        if bag.label is None:
-            raise ValueError(f"support slide {bag.slide_id!r} has no label")
-        if bag.label >= num_classes:
-            raise ValueError(
-                f"support slide {bag.slide_id!r} has label {bag.label}, "
-                f"but there are {num_classes} classes"
-            )
-        per_class[bag.label].append(pool(bag))
-        ids[bag.label].append(bag.slide_id)
+        label = _support_label(bag, num_classes)
+        per_class[label].append(pool(bag))
+        ids[label].append(bag.slide_id)
     for c, group in enumerate(ids):
         if not group:
             raise EmptyClassSupport(str(class_names[c]))
@@ -351,16 +350,14 @@ def build_cache(
     alpha: float = 1.0,
     beta: float = 5.5,
 ) -> CacheModel:
-    """Cache keys are unit-normalized full-bag embeddings of the support slides."""
-    for bag in support:
-        if bag.label is None:
-            raise ValueError(f"support slide {bag.slide_id!r} has no label")
+    """Cache keys are unit-normalized full-bag embeddings of the support slides.
+
+    Raises:
+        ValueError: a support slide has no label, or one outside `num_classes`.
+    """
+    labels = [_support_label(bag, num_classes) for bag in support]
     return cache_from_pooled(
-        [bgap(bag.patches) for bag in support],
-        [bag.label for bag in support],
-        num_classes,
-        alpha,
-        beta,
+        [bgap(bag.patches) for bag in support], labels, num_classes, alpha, beta
     )
 
 
@@ -411,7 +408,7 @@ def write_prototypes(prototypes: PrototypeSet, path: str | Path) -> None:
         "normalized": prototypes.normalized,
         "support": {name: list(ids) for name, ids in prototypes.support.items()},
     }
-    sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    write_sidecar(path, sidecar)
 
 
 def read_prototypes(path: str | Path) -> PrototypeSet:

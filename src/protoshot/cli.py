@@ -9,8 +9,9 @@ Every command that reads a corpus streams it: each loads its classifier or
 prototypes and checks its options first (evaluate also makes every support
 draw), then reads, pools and releases one bag at a time, and writes its
 output only after the last bag, so a failure leaves no partial file.
-`synth` checks its config first, then writes each slide's file as the slide
-is drawn, and the manifest, classifier and config after the last one.
+`synth` checks its config, and that `--out` is absent or empty, first;
+then it writes each slide's file as the slide is drawn, and the manifest,
+classifier and config after the last one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import adapters, embedstore, evalharness, synthgen
-from .errors import PromptIndexOutOfRange, ProtoshotError
+from .errors import OutputNotEmpty, PromptIndexOutOfRange, ProtoshotError
 
 DEFAULT_K_GRID = "2,4,8,16"
 DEFAULT_TOPK_GRID = "2,20,200,2000"
@@ -54,13 +55,13 @@ def _dataset_paths(dataset: str) -> tuple[Path, Path]:
     return manifest, manifest.parent
 
 
-def _stream_dataset(args) -> tuple[embedstore.DatasetManifest, Iterator[embedstore.SlideBag]]:
+def _stream_dataset(args) -> tuple[embedstore.DatasetManifest, Iterator, Path]:
     """Parse the manifest now; the bags are read one at a time as the
-    returned iterator is consumed."""
+    returned iterator is consumed. The dataset directory comes last."""
     manifest_path, root = _dataset_paths(args.dataset)
     manifest = embedstore.parse_manifest(manifest_path)
     bags = embedstore.iter_bags(manifest, manifest_path, root, renormalize=args.normalize)
-    return manifest, bags
+    return manifest, bags, root
 
 
 def _load_classifier(args, dataset_dir: Path) -> embedstore.TextClassifier:
@@ -91,27 +92,22 @@ def cmd_synth(args) -> int:
         noise_scale=args.kappa,
         seed=args.seed,
     )
-    classifier, slides = synthgen.stream(config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    records = []
-    for record, bag in slides:
-        embedstore.write_embeddings_file(bag.patches, out / record.path)
-        records.append(record)
-    manifest = embedstore.DatasetManifest(classifier.class_names, tuple(records))
-    manifest_path = out / "manifest.jsonl"
-    embedstore.write_manifest(manifest, manifest_path)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise OutputNotEmpty(str(out))  # an earlier corpus's files would outlive its manifest
+    classifier, slides = synthgen.stream(config)
+    manifest_path = embedstore.write_dataset(classifier.class_names, slides, out)
     embedstore.write_text_classifier(classifier, out / "classifier.pse")
     (out / "synth_config.json").write_text(
         json.dumps(config.to_dict(), indent=2) + "\n", encoding="utf-8"
     )
-    print(f"wrote {len(records)} slides, {manifest_path}, classifier.pse, synth_config.json")
+    count = config.num_classes * config.slides_per_class
+    print(f"wrote {count} slides, {manifest_path}, classifier.pse, synth_config.json")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    manifest, bags = _stream_dataset(args)
-    _, root = _dataset_paths(args.dataset)
+    manifest, bags, root = _stream_dataset(args)
     classifier = _load_classifier(args, root)
     config = evalharness.GridConfig(
         methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
@@ -135,8 +131,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_build_prototypes(args) -> int:
-    manifest, bags = _stream_dataset(args)
-    _, root = _dataset_paths(args.dataset)
+    manifest, bags, root = _stream_dataset(args)
     if args.method == "visionshot":
         classifier = _load_classifier(args, root)
         protos = adapters.build_prototypes(
@@ -167,7 +162,7 @@ def _write_predictions(path: str, predictions, class_names) -> None:
 
 def cmd_predict(args) -> int:
     protos = adapters.read_prototypes(args.prototypes)
-    _, bags = _stream_dataset(args)
+    _, bags, _ = _stream_dataset(args)
     predictions = [adapters.predict_prototype(bag, protos) for bag in bags]
     _write_predictions(args.out, predictions, protos.class_names)
     print(f"wrote {len(predictions)} predictions to {args.out}")
@@ -179,7 +174,7 @@ def cmd_zero_shot(args) -> int:
     classifier = _load_classifier(args, root)
     if not 0 <= args.prompt < classifier.num_prompts:
         raise PromptIndexOutOfRange(args.prompt, classifier.num_prompts)
-    _, bags = _stream_dataset(args)
+    _, bags, _ = _stream_dataset(args)
     predictions = [adapters.mizero_predict(bag, classifier, args.prompt) for bag in bags]
     _write_predictions(args.out, predictions, classifier.class_names)
     print(f"wrote {len(predictions)} predictions to {args.out}")
@@ -189,12 +184,10 @@ def cmd_zero_shot(args) -> int:
 def cmd_report(args) -> int:
     reports = []
     for path in args.reports:
-        report = evalharness.EvalReport.from_json(Path(path).read_text(encoding="utf-8"))
+        report = evalharness.EvalReport.from_json(Path(path).read_bytes(), path)
         recomputed = evalharness.aggregate_records(report.records)
         if len(recomputed) != len(report.aggregates) or any(
-            a.method != b.method
-            or a.k != b.k
-            or a.top_k != b.top_k
+            (a.method, a.k, a.top_k) != (b.method, b.k, b.top_k)
             or abs(a.mean - b.mean) > 1e-12
             or abs(a.std - b.std) > 1e-12
             for a, b in zip(recomputed, report.aggregates)

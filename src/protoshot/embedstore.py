@@ -79,11 +79,22 @@ def _adopt_float32(values) -> np.ndarray:
     return arr
 
 
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """The L2 norm of every row of the float64 matrix `rows`."""
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+def off_unit_row(norms: np.ndarray, atol: float) -> int | None:
+    """The first row whose norm in `norms` is more than `atol` from 1, or None."""
+    off = np.flatnonzero(np.abs(norms - 1.0) > atol)
+    return int(off[0]) if off.size else None
+
+
 def _float64_pass(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Read-only row norms (N) and row mean (D) of `values`, both taken from
     one float64 copy of it, which is dropped on return."""
     v = values.astype(np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+    norms = row_norms(v)
     mean = v.mean(axis=0)
     norms.flags.writeable = False
     mean.flags.writeable = False
@@ -179,11 +190,9 @@ class TextClassifier:
             raise ValueError(f"invalid classifier shape (P={p}, C={c}, D={d})")
         if len(names) != c:
             raise ValueError(f"{len(names)} class names for {c} classes")
-        flat = arr.reshape(p * c, d).astype(np.float64)
-        norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-        off = np.flatnonzero(np.abs(norms - 1.0) > LOAD_NORM_ATOL)
-        if off.size:
-            row = int(off[0])
+        norms = row_norms(arr.reshape(p * c, d).astype(np.float64))
+        row = off_unit_row(norms, LOAD_NORM_ATOL)
+        if row is not None:
             raise UnnormalizedRow(f"classifier[{names[row % c]}]", row, float(norms[row]))
         object.__setattr__(self, "class_names", names)
         object.__setattr__(self, "weights", arr)
@@ -259,7 +268,7 @@ def unit_rows(
     Raises:
         ZeroVectorRow: naming the first row whose norm is below `min_norm`.
     """
-    norms = np.sqrt(np.einsum("nd,nd->n", rows, rows))
+    norms = row_norms(rows)
     small = np.flatnonzero(norms < min_norm)
     if small.size:
         raise ZeroVectorRow(int(small[0]))
@@ -285,7 +294,7 @@ def normalize(matrix: PatchMatrix) -> PatchMatrix:
 
 
 def is_normalized(matrix: PatchMatrix, atol: float = LOAD_NORM_ATOL) -> bool:
-    return bool(np.all(np.abs(matrix.row_norms() - 1.0) <= atol))
+    return off_unit_row(matrix.row_norms(), atol) is None
 
 
 # --- binary embedding format ---------------------------------------------------
@@ -418,6 +427,11 @@ _SIDECAR_TYPES = {
 }
 
 
+def write_sidecar(path: str | Path, obj: dict) -> None:
+    """Write `obj` as the JSON sidecar of the binary file at `path`."""
+    sidecar_path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+
+
 def read_sidecar(path: str | Path, required: Sequence[str]) -> dict:
     """Read the JSON sidecar of the binary file at `path`.
 
@@ -459,12 +473,10 @@ def write_text_classifier(classifier: TextClassifier, path: str | Path) -> None:
     p, c, d = classifier.weights.shape
     flat = PatchMatrix(classifier.weights.reshape(p * c, d))
     write_embeddings_file(flat, path)
-    sidecar = {
-        "num_classes": c,
-        "num_prompts": p,
-        "class_names": list(classifier.class_names),
-    }
-    sidecar_path(path).write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    write_sidecar(
+        path,
+        {"num_classes": c, "num_prompts": p, "class_names": list(classifier.class_names)},
+    )
 
 
 def read_text_classifier(path: str | Path) -> TextClassifier:
@@ -621,9 +633,8 @@ def iter_bags(
             matrix = normalize(matrix)
         else:
             norms = matrix.row_norms()
-            off = np.flatnonzero(np.abs(norms - 1.0) > LOAD_NORM_ATOL)
-            if off.size:
-                row = int(off[0])
+            row = off_unit_row(norms, LOAD_NORM_ATOL)
+            if row is not None:
                 raise UnnormalizedRow(rec.slide_id, row, float(norms[row]))
         yield SlideBag(
             slide_id=rec.slide_id,
@@ -650,38 +661,25 @@ def load_manifest(
 
 
 def write_dataset(
-    manifest: DatasetManifest,
-    bags: Iterable[SlideBag],
+    classes: Sequence[str],
+    slides: Iterable[tuple[SlideRecord, SlideBag]],
     out_dir: str | Path,
     manifest_name: str = "manifest.jsonl",
 ) -> Path:
-    """Write embedding files plus the manifest under `out_dir`; returns the manifest path."""
+    """Write each (record, bag) pair of `slides` (the shape of
+    :func:`~protoshot.synthgen.stream`) to its record's path under `out_dir`
+    before drawing the next, then the manifest of `classes` and the records
+    written; returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    by_id = {rec.slide_id: rec for rec in manifest.slides}
-    for bag in bags:
-        rec = by_id[bag.slide_id]
-        target = out / rec.path
+    records = []
+    for record, bag in slides:
+        if bag.slide_id != record.slide_id:
+            raise ValueError(f"bag {bag.slide_id!r} paired with record {record.slide_id!r}")
+        target = out / record.path
         target.parent.mkdir(parents=True, exist_ok=True)
         write_embeddings_file(bag.patches, target)
+        records.append(record)
     manifest_path = out / manifest_name
-    write_manifest(manifest, manifest_path)
+    write_manifest(DatasetManifest(tuple(classes), tuple(records)), manifest_path)
     return manifest_path
-
-
-def labels_in_order(manifest: DatasetManifest) -> dict[str, int]:
-    """slide_id -> class index, in manifest order."""
-    return {rec.slide_id: manifest.class_index(rec.class_name) for rec in manifest.slides}
-
-
-def group_ids_by_class(
-    manifest: DatasetManifest, exclude: Sequence[str] | set[str] = ()
-) -> list[list[str]]:
-    """Per-class slide id lists in manifest order, skipping `exclude`."""
-    skip = set(exclude)
-    groups: list[list[str]] = [[] for _ in manifest.classes]
-    for rec in manifest.slides:
-        if rec.slide_id in skip:
-            continue
-        groups[manifest.class_index(rec.class_name)].append(rec.slide_id)
-    return groups

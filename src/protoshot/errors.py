@@ -242,8 +242,24 @@ class GridCellError(ProtoshotError):
         self.cause = cause
 
 
-# --- synthetic data -----------------------------------------------------------
+class ReportError(ProtoshotError, ValueError):
+    """An evaluation report that is not a JSON object, lacks a key or holds a
+    value of the wrong type (`key` names it). Also a ValueError."""
+
+    def __init__(self, path: str, reason: str, key: str | None = None):
+        super().__init__(f"{path}: {reason}")
+        self.path, self.reason, self.key = path, reason, key
 
 
-class InvalidConfig(ProtoshotError):
-    pass
+# --- configs and outputs -------------------------------------------------------
+
+
+class InvalidConfig(ProtoshotError, ValueError):
+    """A grid or synthesis config that cannot run as given. Also a
+    ValueError, like :class:`ManifestError`."""
+
+
+class OutputNotEmpty(ProtoshotError):
+    def __init__(self, path: str):
+        super().__init__(f"{path}: exists and is not an empty directory")
+        self.path = path

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -30,14 +30,9 @@ from .adapters import (
     prototype_scores,
     prototypes_from_pooled,
     tip_adapter_scores,
+    visionshot_slide_embedding,
 )
-from .embedstore import (
-    DatasetManifest,
-    SlideBag,
-    TextClassifier,
-    group_ids_by_class,
-    labels_in_order,
-)
+from .embedstore import DatasetManifest, SlideBag, TextClassifier, _is_int, row_norms
 from .errors import (
     ClassAbsent,
     ClassTooSmall,
@@ -47,11 +42,12 @@ from .errors import (
     InvalidConfig,
     LengthMismatch,
     ProtoshotError,
+    ReportError,
     SingleCluster,
     TooFewPoints,
     ZeroVectorRow,
 )
-from .simsel import as_class_vector, bgap, clamp_k, score_against, top_k
+from .simsel import bgap, guided_pools
 
 METHODS = ("visionshot", "simpleshot", "mizero", "tipadapter")
 
@@ -101,9 +97,6 @@ class FoldAssignment:
     def fold_ids(self, fold: int) -> list[str]:
         return [sid for sid, f in self.fold_of.items() if f == fold]
 
-    def train_ids(self, fold: int) -> list[str]:
-        return [sid for sid, f in self.fold_of.items() if f != fold]
-
 
 @dataclass(frozen=True)
 class FewShotDraw:
@@ -151,13 +144,14 @@ def stratified_kfold(
 
 
 def sample_few_shot(
-    train_ids: Sequence[Sequence[str]], k: int, seed: int
+    ids_by_class: Sequence[Sequence[str]], k: int, seed: int
 ) -> FewShotDraw:
     """Draw k support slides per class, uniformly without replacement.
 
-    `train_ids` is indexed by class. A single PCG64 stream serves the
-    classes in ascending index order; the draw is deterministic given the
-    seed and the id order.
+    `ids_by_class` holds each class's training slides. A single PCG64
+    stream serves the classes in ascending index order, and ``support_ids``
+    is class-major: class c's draw is ``support_ids[c * k : (c + 1) * k]``.
+    The draw is deterministic given the seed and the id order.
 
     Raises:
         InsufficientSupport: some class has fewer than k training slides.
@@ -166,7 +160,7 @@ def sample_few_shot(
         raise ValueError(f"k must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
     picked: list[str] = []
-    for c, ids in enumerate(train_ids):
+    for c, ids in enumerate(ids_by_class):
         if len(ids) < k:
             raise InsufficientSupport(c, len(ids), k)
         chosen = rng.choice(len(ids), size=k, replace=False)
@@ -218,7 +212,7 @@ def _pairwise_distances(points: np.ndarray, block: int = 256) -> np.ndarray:
     for start in range(0, m, block):
         stop = min(start + block, m)
         diff = points[start:stop, None, :] - points[None, :, :]
-        out[start:stop] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        out[start:stop] = row_norms(diff.reshape(-1, diff.shape[2])).reshape(diff.shape[:2])
     return out
 
 
@@ -303,80 +297,78 @@ class EvalReport:
     aggregates: tuple[Aggregate, ...]
 
     def to_json(self) -> str:
+        # each dataclass's fields by name: dataclasses.asdict without the deep
+        # copy of every value that doubles this method's time
         payload = {
             "config": self.config,
-            "records": [
-                {
-                    "method": r.method,
-                    "fold": r.fold,
-                    "seed": r.seed,
-                    "k": r.k,
-                    "top_k": r.top_k,
-                    "prompt": r.prompt,
-                    "balanced_accuracy": r.balanced_accuracy,
-                    "per_class_recalls": list(r.per_class_recalls),
-                }
-                for r in self.records
-            ],
-            "aggregates": [
-                {
-                    "method": a.method,
-                    "k": a.k,
-                    "top_k": a.top_k,
-                    "mean": a.mean,
-                    "std": a.std,
-                    "num_records": a.num_records,
-                }
-                for a in self.aggregates
-            ],
+            "records": [{f.name: getattr(r, f.name) for f in fields(r)} for r in self.records],
+            "aggregates": [{f.name: getattr(a, f.name) for f in fields(a)} for a in self.aggregates],
         }
         return canonical_json(payload) + "\n"
 
     def to_csv(self) -> str:
         lines = ["method,fold,seed,k,top_k,balanced_accuracy"]
         for r in self.records:
-            lines.append(
-                ",".join(
-                    [
-                        r.method,
-                        str(r.fold),
-                        "" if r.seed is None else str(r.seed),
-                        "" if r.k is None else str(r.k),
-                        "" if r.top_k is None else str(r.top_k),
-                        format(r.balanced_accuracy, ".6g"),
-                    ]
-                )
-            )
+            axes = ("" if v is None else str(v) for v in (r.fold, r.seed, r.k, r.top_k))
+            lines.append(",".join([r.method, *axes, format(r.balanced_accuracy, ".6g")]))
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_json(text: str) -> "EvalReport":
-        raw = json.loads(text)
-        records = tuple(
-            EvalRecord(
-                method=r["method"],
-                fold=int(r["fold"]),
-                seed=None if r["seed"] is None else int(r["seed"]),
-                k=None if r["k"] is None else int(r["k"]),
-                top_k=None if r["top_k"] is None else int(r["top_k"]),
-                prompt=None if r.get("prompt") is None else int(r["prompt"]),
-                balanced_accuracy=float(r["balanced_accuracy"]),
-                per_class_recalls=tuple(float(x) for x in r["per_class_recalls"]),
-            )
-            for r in raw["records"]
+    def from_json(text: str | bytes, path: str = "report") -> "EvalReport":
+        """Read a report written by :meth:`to_json`. Each record and aggregate
+        field must hold the type its dataclass declares, or raise ReportError
+        naming `path` and the key; a missing optional field reads as null
+        (reports older than ``prompt`` lack it)."""
+        try:
+            raw = json.loads(text)
+        except ValueError as exc:
+            raise ReportError(path, f"malformed JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ReportError(path, "expected a JSON object")
+        for key, kind in (("config", dict), ("records", list), ("aggregates", list)):
+            if not isinstance(raw.get(key), kind):
+                raise ReportError(path, f"key {key!r} is missing or not a {kind.__name__}", key)
+        records, aggregates = (
+            tuple(_from_fields(cls, item, path, f"{key}[{i}]") for i, item in enumerate(raw[key]))
+            for key, cls in (("records", EvalRecord), ("aggregates", Aggregate))
         )
-        aggregates = tuple(
-            Aggregate(
-                method=a["method"],
-                k=None if a["k"] is None else int(a["k"]),
-                top_k=None if a["top_k"] is None else int(a["top_k"]),
-                mean=float(a["mean"]),
-                std=float(a["std"]),
-                num_records=int(a["num_records"]),
-            )
-            for a in raw["aggregates"]
-        )
-        return EvalReport(config=raw["config"], records=records, aggregates=aggregates)
+        return EvalReport(raw["config"], records, aggregates)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# the JSON value each report field annotation admits: (description, test)
+_FIELD_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("an integer", _is_int),
+    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "float": ("a number", _is_number),
+    "tuple[float, ...]": (
+        "a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))
+    ),
+}
+
+
+def _from_fields(cls, raw, path: str, where: str):
+    """The report dataclass `cls` read from `raw`, at `where` in the report `path`."""
+    if not isinstance(raw, dict):
+        raise ReportError(path, f"{where} is not a JSON object")
+    values = {}
+    for f in fields(cls):
+        expected, holds = _FIELD_TYPES[f.type]
+        if f.name not in raw and not f.type.endswith("| None"):
+            raise ReportError(path, f"{where} lacks key {f.name!r}", f.name)
+        value = raw.get(f.name)
+        if not holds(value):
+            reason = f"{where} key {f.name!r} holds {value!r}, not {expected}"
+            raise ReportError(path, reason, f.name)
+        values[f.name] = float(value) if f.type == "float" else value
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ReportError(path, f"{where}: {exc}") from None
 
 
 def canonical_json(obj) -> str:
@@ -461,6 +453,9 @@ class GridConfig:
     Defaults reproduce the standard protocol: 5 stratified folds, shots
     {2, 4, 8, 16}, patch selection sizes {2, 20, 200, 2000}, five few-shot
     seeds derived from `base_seed` (unless `seeds` is given explicitly).
+    A config whose report would not mean what it says raises InvalidConfig
+    naming the field first: empty or repeating methods, grids or seeds,
+    unknown methods, fewer than 2 folds, no seeds for a few-shot method.
     """
 
     methods: tuple[str, ...] = METHODS
@@ -475,19 +470,25 @@ class GridConfig:
     normalize_prototypes: bool = True
 
     def __post_init__(self):
-        if not self.methods:
-            raise ValueError("no methods requested")
-        unknown = [m for m in self.methods if m not in METHODS]
-        if unknown:
-            raise ValueError(f"unknown methods {unknown}; choose from {list(METHODS)}")
-        if not self.k_grid or not self.top_k_grid:
-            raise ValueError("k_grid and top_k_grid must be nonempty")
-        for name in ("k_grid", "top_k_grid"):
+        for name in ("methods", "k_grid", "top_k_grid"):
             values = getattr(self, name)
+            if not values:
+                raise InvalidConfig(f"{name} is empty")
             if len(set(values)) != len(values):
                 raise InvalidConfig(f"{name} {list(values)} repeats a value")
-            if min(values) < 1:
+            if name != "methods" and min(values) < 1:
                 raise InvalidConfig(f"{name} {list(values)} holds a value below 1")
+        unknown = [m for m in self.methods if m not in METHODS]
+        if unknown:
+            raise InvalidConfig(f"methods {unknown} unknown; choose from {list(METHODS)}")
+        if self.num_folds < 2:
+            raise InvalidConfig(f"num_folds must be >= 2, got {self.num_folds}")
+        seeds = self.resolved_seeds()
+        if len(set(seeds)) != len(seeds):
+            raise InvalidConfig(f"seeds {list(seeds)} repeats a value")
+        if not seeds and any(m != "mizero" for m in self.methods):
+            field = "num_seeds" if self.seeds is None else "seeds"
+            raise InvalidConfig(f"{field} gives no seeds for the few-shot methods")
         if not self.tip_beta > 0:
             raise InvalidConfig(f"tip_beta must be > 0, got {self.tip_beta}")
         if not self.tip_alpha >= 0:
@@ -499,34 +500,6 @@ class GridConfig:
         return tuple(
             derive_seed(self.base_seed, "fewshot-seed", i) for i in range(self.num_seeds)
         )
-
-
-def guided_pools(
-    bag: SlideBag, class_vector: np.ndarray, top_ks: Sequence[int]
-) -> dict[int, np.ndarray]:
-    """Top-k text-guided pools of one slide, one per k in `top_ks`.
-
-    Each k pools the first min(k, rows) patches of the bag's score order,
-    exactly as :func:`~protoshot.adapters.visionshot_slide_embedding` pools a
-    single k. A k that covers the bag pools every row, which is the full-bag
-    :func:`~protoshot.simsel.bgap`; the bag is scored against `class_vector`
-    and argsorted once, and only when some k is smaller than the bag. The
-    class vector's dimension and k >= 1 are checked either way. Ks that
-    clamp to the same count share one pool.
-    """
-    patches = bag.patches
-    vector = as_class_vector(patches, class_vector)
-    counts = {k: clamp_k(k, patches.rows) for k in top_ks}
-    order = None
-    if any(n < patches.rows for n in counts.values()):
-        order = top_k(score_against(patches, vector), patches.rows).indices
-    by_count: dict[int, np.ndarray] = {}
-    pools = {}
-    for k, n in counts.items():
-        if n not in by_count:
-            by_count[n] = bgap(patches) if n == patches.rows else bgap(patches, order[:n])
-        pools[k] = by_count[n]
-    return pools
 
 
 @contextmanager
@@ -562,12 +535,15 @@ def run_grid(
     The fold assignment comes from derive_seed(base_seed, "folds"); each
     support draw from derive_seed(seed, "support", fold, k). Folds and draws
     depend only on the manifest and the config, so all of them are made
-    before any bag is read. `bags` is then consumed in one pass, so it may
-    be any one-shot iterable such as :func:`~protoshot.embedstore.iter_bags`:
-    each bag's full-bag mean is written to its row of one float64 table (and
-    visionshot support slides keep their :func:`guided_pools`), and the bag
-    is released. The rows run fold by fold, so a fold's test queries are one
-    slice of the table. Cells run serially; each scores that slice as one
+    before any bag is read: the manifest is grouped by class once, and each
+    fold's training lists are that grouping without the fold. `bags` is then
+    consumed in one pass, so it may be any one-shot iterable such as
+    :func:`~protoshot.embedstore.iter_bags`: each bag's full-bag mean is
+    written to its row of one float64 table (and visionshot support slides
+    keep their :func:`~protoshot.simsel.guided_pools`), and the bag is
+    released. The rows run fold by fold, so a fold's test queries are one
+    slice of the table. Cells run serially; each takes its per-class support
+    as slices of the class-major draw, scores the fold's slice as one
     ``n x C`` matrix with the cores the per-bag functions in ``adapters``
     use, so both give the same numbers, and predicts with ``argmax(axis=1)``.
     Records are sorted canonically, so the report is a pure function of the
@@ -588,7 +564,9 @@ def run_grid(
         raise ValueError(
             f"classifier has {classifier.num_classes} classes, manifest {num_classes}"
         )
-    labels = labels_in_order(manifest)
+    # the one grouping of the manifest by class, each class in manifest order
+    labels = {rec.slide_id: manifest.class_index(rec.class_name) for rec in manifest.slides}
+    by_class = [[sid for sid in labels if labels[sid] == c] for c in range(num_classes)]
     fold_seed = derive_seed(config.base_seed, "folds")
     assignment = stratified_kfold(labels, config.num_folds, fold_seed)
     seeds = config.resolved_seeds()
@@ -599,7 +577,7 @@ def run_grid(
     draws: list[dict[tuple[int, int], FewShotDraw]] = [{} for _ in test_ids]
     if fewshot_methods:
         for f in range(config.num_folds):
-            train = group_ids_by_class(manifest, exclude=test_ids[f])
+            train = [[sid for sid in ids if assignment.fold_of[sid] != f] for ids in by_class]
             for seed in seeds:
                 for k in config.k_grid:
                     with _cell(f"fold={f} seed={seed} k={k}"):
@@ -663,21 +641,20 @@ def run_grid(
                     scored.append(("mizero", None, None, None, prompt, scores))
         for (seed, k), draw in draws[f].items():
             with _cell(f"fold={f} seed={seed} k={k}"):
-                by_class: list[list[str]] = [[] for _ in range(num_classes)]
-                for sid in draw.support_ids:
-                    by_class[labels[sid]].append(sid)
+                # the draw is class-major: k slides of class 0, then of class 1, ...
+                support = [draw.support_ids[c * k : (c + 1) * k] for c in range(num_classes)]
                 # (method, top_k, per-class support pools) of each prototype method
                 pools = []
                 if "visionshot" in fewshot_methods:
                     for kt in config.top_k_grid:
-                        pooled = [[_stored(guided[sid])[kt] for sid in ids] for ids in by_class]
+                        pooled = [[_stored(guided[sid])[kt] for sid in ids] for ids in support]
                         pools.append(("visionshot", kt, pooled))
                 if "simpleshot" in fewshot_methods:
-                    pooled = [[table[row_of[sid]] for sid in ids] for ids in by_class]
+                    pooled = [[table[row_of[sid]] for sid in ids] for ids in support]
                     pools.append(("simpleshot", None, pooled))
                 for method, kt, pooled in pools:
                     protos = prototypes_from_pooled(
-                        pooled, manifest.classes, by_class, kt, config.normalize_prototypes
+                        pooled, manifest.classes, support, kt, config.normalize_prototypes
                     )
                     scored.append((method, seed, k, kt, None, prototype_scores(queries, protos)))
                 if "tipadapter" in fewshot_methods:
@@ -685,7 +662,7 @@ def run_grid(
                     # a zero-mean slide fails only in the cells that need its direction
                     cache = cache_from_pooled(
                         table[[row_of[sid] for sid in draw.support_ids]],
-                        [labels[sid] for sid in draw.support_ids],
+                        np.repeat(np.arange(num_classes), k),
                         num_classes,
                         config.tip_alpha,
                         config.tip_beta,
@@ -751,7 +728,7 @@ def slide_embedding_table(
         rows = [bgap(bag.patches) for bag in bags]
     else:
         canonical = classifier.canonical_vectors()
-        rows = [guided_pools(bag, canonical[bag.label], (k,))[k] for bag in bags]
+        rows = [visionshot_slide_embedding(bag, canonical[bag.label], k) for bag in bags]
     return np.stack(rows), [bag.label for bag in bags], [bag.slide_id for bag in bags]
 
 

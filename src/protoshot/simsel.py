@@ -2,19 +2,20 @@
 
 These are the stateless numerical primitives behind every method in
 ``adapters``: score each patch against a class vector, keep the K best,
-pool a chosen subset into a single slide embedding. All reductions run in
-float64 regardless of the float32 storage precision, and within-bag
-reductions follow row order so results never depend on caller-side
-ordering.
+pool a chosen subset into a single slide embedding; :func:`guided_pools`
+chains the three for one slide. All reductions run in float64 regardless
+of the float32 storage precision, and within-bag reductions follow row
+order so results never depend on caller-side ordering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .embedstore import PatchMatrix
+from .embedstore import PatchMatrix, SlideBag
 from .errors import DimensionMismatch, EmptySubset
 
 
@@ -91,3 +92,29 @@ def bgap(bag: PatchMatrix, subset: np.ndarray | None = None) -> np.ndarray:
     if ((idx < 0) | (idx >= bag.rows)).any():
         raise IndexError(f"subset indices out of range for {bag.rows} rows")
     return bag.values[np.sort(idx)].astype(np.float64).mean(axis=0)
+
+
+def guided_pools(
+    bag: SlideBag, class_vector: np.ndarray, top_ks: Sequence[int]
+) -> dict[int, np.ndarray]:
+    """Top-k text-guided pools of one slide, one per k in `top_ks`.
+
+    Each k pools the first min(k, rows) patches of the bag's score order,
+    the :func:`bgap` of ``top_k(score_against(patches, class_vector), k)``.
+    A k that covers the bag pools every row, which is the full-bag
+    :func:`bgap`; the bag is scored against `class_vector` and argsorted
+    once, and only when some k is smaller than the bag. The class vector's
+    dimension and k >= 1 are checked either way. Ks that clamp to the same
+    count share one pool.
+    """
+    patches = bag.patches
+    vector = as_class_vector(patches, class_vector)
+    counts = {k: clamp_k(k, patches.rows) for k in top_ks}
+    order = None
+    if any(n < patches.rows for n in counts.values()):
+        order = top_k(score_against(patches, vector), patches.rows).indices
+    by_count = {
+        n: bgap(patches) if n == patches.rows else bgap(patches, order[:n])
+        for n in dict.fromkeys(counts.values())
+    }
+    return {k: by_count[n] for k, n in counts.items()}

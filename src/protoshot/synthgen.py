@@ -17,7 +17,7 @@ at a time; :func:`generate` is its list form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -78,16 +78,7 @@ class SynthConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "dim": self.dim,
-            "slides_per_class": self.slides_per_class,
-            "patches_min": self.patches_min,
-            "patches_max": self.patches_max,
-            "informative_fraction": self.informative_fraction,
-            "noise_scale": self.noise_scale,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _class_directions(rng: np.random.Generator, num_classes: int, dim: int) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protoshot import adapters
+from protoshot import adapters, simsel
 from protoshot.adapters import (
     CacheModel,
     PrototypeSet,
@@ -140,7 +140,8 @@ class TestVisionshotEmbedding:
         def no_scoring(*args):
             raise AssertionError("a covering k scored the bag")
 
-        monkeypatch.setattr(adapters, "score_against", no_scoring)
+        assert not hasattr(adapters, "score_against")  # it scores through simsel
+        monkeypatch.setattr(simsel, "score_against", no_scoring)
         for k in (9, 10, 1000):
             assert visionshot_slide_embedding(bag, w, k).tobytes() == expected.tobytes()
         with pytest.raises(DimensionMismatch):
@@ -482,6 +483,15 @@ class TestTipAdapter:
     def test_empty_cache(self):
         with pytest.raises(EmptyCache):
             build_cache([], 3)
+
+    def test_support_label_out_of_range_named(self):
+        rng = np.random.default_rng(26)
+        support = [bag_of(random_unit_rows(rng, 3, 4), "a", label=0),
+                   bag_of(random_unit_rows(rng, 3, 4), "b", label=5)]
+        with pytest.raises(ValueError, match="support slide 'b' has label 5, but there are 2"):
+            build_cache(support, 2)
+        with pytest.raises(ValueError, match="support slide 'b' has no label"):
+            build_cache([support[0], bag_of(random_unit_rows(rng, 3, 4), "b")], 2)
 
     def test_one_hot_values_enforced(self):
         keys = np.eye(2, 4)

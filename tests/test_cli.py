@@ -6,6 +6,7 @@ import pytest
 
 from protoshot import adapters, embedstore
 from protoshot.cli import main
+from protoshot.errors import ReportError
 from protoshot.evalharness import EvalReport
 
 
@@ -83,6 +84,23 @@ class TestSynth:
         assert "noise_scale" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_non_empty_out_refused(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert run(*synth_args(out, classes=2, slides=4)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len([name for name in before if name.endswith(".pse")]) == 8 + 1
+        assert run(*synth_args(out, classes=2, slides=2)) == 1
+        assert str(out) in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # an existing empty directory is fine; a file in the way is refused
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert run(*synth_args(empty, classes=2, slides=2)) == 0
+        blocker = tmp_path / "file"
+        blocker.write_text("keep")
+        assert run(*synth_args(blocker, classes=2, slides=2)) == 1
+        assert blocker.read_text() == "keep"
+
     def test_synth_holds_one_slide(self, tmp_path):
         data = tmp_path / "ds"
         tracemalloc.start()
@@ -151,6 +169,25 @@ class TestEvaluate:
         out = tmp_path / "r.json"
         assert run("evaluate", "--dataset", str(tmp_path / "nope"), "--out", str(out)) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, field",
+        [
+            (["--seeds", "3,3"], "seeds"),
+            (["--seeds", "11", "--methods", "mizero,simpleshot,mizero"], "methods"),
+            (["--num-seeds", "0"], "num_seeds"),
+            (["--folds", "1"], "num_folds"),
+        ],
+    )
+    def test_config_that_changes_the_report_rejected(
+        self, dataset, tmp_path, capsys, extra, field
+    ):
+        out = tmp_path / "r.json"
+        args = ["evaluate", "--dataset", str(dataset), "--out", str(out),
+                "--k-grid", "2", "--topk-grid", "4", *extra]
+        assert run(*args) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}")
+        assert not out.exists()
 
     def test_failing_cell_named(self, dataset, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -438,6 +475,35 @@ class TestReportCommand:
         bad.write_text("not json at all")
         assert run("report", "--reports", str(bad)) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case, key",
+        [
+            ("null_accuracy", "balanced_accuracy"),
+            ("missing_records", "records"),
+            ("not_json", None),
+            ("string_fold", "fold"),
+        ],
+    )
+    def test_malformed_report_names_file(self, dataset, tmp_path, capsys, case, key):
+        report_path = self.make_report(dataset, tmp_path)
+        raw = json.loads(report_path.read_text())
+        if case == "null_accuracy":
+            raw["records"][0]["balanced_accuracy"] = None
+        elif case == "missing_records":
+            del raw["records"]
+        elif case == "string_fold":
+            raw["records"][2]["fold"] = "x"
+        text = "{not json" if case == "not_json" else json.dumps(raw)
+        report_path.write_text(text)
+        assert run("report", "--reports", str(report_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {report_path}: ")
+        if key is not None:
+            assert repr(key) in err
+        with pytest.raises(ReportError) as info:
+            EvalReport.from_json(text, str(report_path))
+        assert (info.value.path, info.value.key) == (str(report_path), key)
 
     def test_two_reports_merged(self, dataset, tmp_path, capsys):
         first = self.make_report(dataset, tmp_path)

@@ -25,10 +25,12 @@ from protoshot.embedstore import (
     iter_bags,
     load_manifest,
     normalize,
+    off_unit_row,
     parse_manifest,
     read_embeddings,
     read_embeddings_file,
     read_text_classifier,
+    row_norms,
     write_dataset,
     write_embeddings,
     write_embeddings_file,
@@ -52,8 +54,7 @@ from protoshot.errors import (
     ZeroVectorRow,
 )
 
-from protoshot.evalharness import guided_pools
-from protoshot.simsel import bgap
+from protoshot.simsel import bgap, guided_pools
 from protoshot.synthgen import SynthConfig, generate
 
 from conftest import random_unit_rows
@@ -202,6 +203,15 @@ def reference_normalize(values: np.ndarray) -> np.ndarray:
     return (v / norms[:, None]).astype(np.float32)
 
 
+class TestRowNorms:
+    def test_off_unit_row_is_the_first_beyond_tolerance(self):
+        norms = row_norms(np.array([[1.0, 0.0], [0.0, 1.0 + 2e-4], [0.6, 0.0]]))
+        assert norms.tolist() == [1.0, 1.0 + 2e-4, 0.6]
+        assert off_unit_row(norms, 1e-4) == 1
+        assert off_unit_row(norms, 1e-3) == 2
+        assert off_unit_row(norms, 0.5) is None
+
+
 class TestNormalize:
     @settings(max_examples=200, deadline=None)
     @given(values=finite_matrices)
@@ -224,7 +234,7 @@ class TestNormalize:
                                                  patches_min=5, patches_max=9,
                                                  informative_fraction=0.3, noise_scale=1.0,
                                                  seed=4))
-        path = write_dataset(manifest, bags, tmp_path)
+        path = write_dataset(manifest.classes, zip(manifest.slides, bags), tmp_path)
         seen = counting_pass(monkeypatch)
         streamed = []
         for bag in iter_bags(manifest, path, renormalize=True):
@@ -542,8 +552,37 @@ def _toy_dataset(tmp_path, rng, classes=("chRCC", "ccRCC", "pRCC")):
         records.append(SlideRecord(slide_id, name, f"{slide_id}.pse", rows.shape[0]))
         bags.append(SlideBag(slide_id, PatchMatrix(rows), label=i))
     manifest = DatasetManifest(tuple(classes), tuple(records))
-    write_dataset(manifest, bags, tmp_path)
+    write_dataset(manifest.classes, zip(manifest.slides, bags), tmp_path)
     return manifest, bags
+
+
+class TestWriteDataset:
+    def test_writes_each_slide_before_the_next_is_drawn(self, tmp_path):
+        rng = np.random.default_rng(30)
+        pairs = []
+        for i in range(3):
+            rows = random_unit_rows(rng, 4 + i, 5)
+            record = SlideRecord(f"s{i}", "ab"[i % 2], f"sub/s{i}.pse", rows.shape[0])
+            pairs.append((record, SlideBag(f"s{i}", PatchMatrix(rows), label=i % 2)))
+        on_disk = []
+
+        def stream():
+            for pair in pairs:
+                on_disk.append(sorted(p.name for p in tmp_path.rglob("*") if p.is_file()))
+                yield pair
+
+        path = write_dataset(("a", "b"), stream(), tmp_path)
+        assert on_disk == [[], ["s0.pse"], ["s0.pse", "s1.pse"]]
+        manifest, bags = load_manifest(path)
+        assert manifest == DatasetManifest(("a", "b"), tuple(r for r, _ in pairs))
+        assert _bag_bytes(bags) == _bag_bytes([bag for _, bag in pairs])
+
+    def test_mispaired_stream_rejected(self, tmp_path):
+        rng = np.random.default_rng(31)
+        bag = SlideBag("s1", PatchMatrix(random_unit_rows(rng, 3, 4)), label=0)
+        with pytest.raises(ValueError, match="'s1' paired with record 's0'"):
+            write_dataset(("a",), [(SlideRecord("s0", "a", "s0.pse", 3), bag)], tmp_path)
+        assert not (tmp_path / "s0.pse").exists()
 
 
 class TestManifest:
@@ -728,7 +767,7 @@ class TestIterBags:
             records.append(SlideRecord(f"s{i}", "a", f"s{i}.pse", rows.shape[0]))
             bags.append(SlideBag(f"s{i}", PatchMatrix(rows), label=0))
         manifest = DatasetManifest(("a",), tuple(records))
-        path = write_dataset(manifest, bags, tmp_path)
+        path = write_dataset(manifest.classes, zip(manifest.slides, bags), tmp_path)
         _, loaded = load_manifest(path, renormalize=True)
         streamed = list(iter_bags(manifest, path, tmp_path, renormalize=True))
         assert _bag_bytes(streamed) == _bag_bytes(loaded)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import protoshot.evalharness as evalharness
+import protoshot.simsel as simsel
 from protoshot.adapters import (
     build_cache,
     build_prototypes,
@@ -37,7 +38,6 @@ from protoshot.evalharness import (
     canonical_json,
     derive_seed,
     export_embedding_table,
-    guided_pools,
     pca_2d,
     projection_csv,
     run_grid,
@@ -54,7 +54,7 @@ from protoshot.embedstore import (
     load_manifest,
     write_dataset,
 )
-from protoshot.simsel import bgap, score_against, top_k
+from protoshot.simsel import bgap, guided_pools, score_against, top_k
 from protoshot.synthgen import SynthConfig, generate
 
 from conftest import random_unit_rows
@@ -337,15 +337,31 @@ class TestGridConfigValidation:
             ("tip_beta", {"tip_beta": -1.0}),
             ("tip_beta", {"tip_beta": float("nan")}),
             ("tip_alpha", {"tip_alpha": -0.5}),
+            ("methods", {"methods": ()}),
+            ("methods", {"methods": ("visionshot", "nope")}),
+            ("methods", {"methods": ("mizero", "simpleshot", "mizero")}),
+            ("k_grid", {"k_grid": ()}),
+            ("top_k_grid", {"top_k_grid": ()}),
+            ("num_folds", {"num_folds": 1}),
+            ("num_folds", {"num_folds": 0}),
+            ("seeds", {"seeds": (3, 3)}),
+            ("seeds", {"seeds": ()}),
+            ("num_seeds", {"num_seeds": 0}),
+            ("num_seeds", {"methods": ("tipadapter",), "num_seeds": -1}),
         ],
     )
     def test_rejected_before_any_cell(self, field, kwargs):
         with pytest.raises(InvalidConfig) as err:
             GridConfig(**kwargs)
         assert str(err.value).startswith(field)
+        assert isinstance(err.value, ValueError)
 
     def test_boundary_values_accepted(self):
         GridConfig(k_grid=(1,), top_k_grid=(1,), tip_alpha=0.0, tip_beta=1e-9)
+        GridConfig(num_folds=2, seeds=(3,))
+        # zero-shot alone needs no seeds
+        assert GridConfig(methods=("mizero",), num_seeds=0).resolved_seeds() == ()
+        assert GridConfig(methods=("mizero",), seeds=()).resolved_seeds() == ()
 
 
 class TestRunGrid:
@@ -524,10 +540,12 @@ class TestPooledGrid:
 
             return wrapped
 
-        monkeypatch.setattr(
-            evalharness, "score_against", counting(scores, evalharness.score_against)
-        )
+        # guided pools score and pool in simsel; the table's full-bag means
+        # pool in evalharness
+        monkeypatch.setattr(simsel, "score_against", counting(scores, simsel.score_against))
+        monkeypatch.setattr(simsel, "bgap", counting(pools, simsel.bgap))
         monkeypatch.setattr(evalharness, "bgap", counting(pools, evalharness.bgap))
+        assert not hasattr(evalharness, "score_against")
         run_grid(manifest, bags, clf, self.config)
         assert scores and max(scores.values()) == 1
         assert pools and max(pools.values()) <= 1 + len(self.config.top_k_grid)
@@ -597,7 +615,7 @@ class TestGuidedPools:
         def no_scoring(*args):
             raise AssertionError("a covering top-K scored the bag")
 
-        monkeypatch.setattr(evalharness, "score_against", no_scoring)
+        monkeypatch.setattr(simsel, "score_against", no_scoring)
         pools = guided_pools(bag, w, (12, 50))
         assert pools[12].tobytes() == pools[50].tobytes() == bgap(bag.patches).tobytes()
         with pytest.raises(DimensionMismatch):
@@ -638,7 +656,7 @@ class TestStreamedGrid:
         manifest, bags, clf = noisy_dataset
         listed = run_grid(manifest, bags, clf, self.config).to_json()
         assert run_grid(manifest, (bag for bag in bags), clf, self.config).to_json() == listed
-        path = write_dataset(manifest, bags, tmp_path)
+        path = write_dataset(manifest.classes, zip(manifest.slides, bags), tmp_path)
         loaded_manifest, loaded = load_manifest(path)
         assert run_grid(loaded_manifest, loaded, clf, self.config).to_json() == listed
         streamed = iter_bags(loaded_manifest, path)
@@ -648,13 +666,13 @@ class TestStreamedGrid:
         manifest, bags, clf = noisy_dataset
         slide_of = {id(bag.patches): bag.slide_id for bag in bags}
         scores = Counter()
-        original = evalharness.score_against
+        original = simsel.score_against
 
         def counting(patches, *args, **kwargs):
             scores[slide_of[id(patches)]] += 1
             return original(patches, *args, **kwargs)
 
-        monkeypatch.setattr(evalharness, "score_against", counting)
+        monkeypatch.setattr(simsel, "score_against", counting)
         config = GridConfig(num_folds=4, k_grid=(1,), top_k_grid=(3, 8), seeds=(7,))
         support = support_slides(manifest, config)
         assert 0 < len(support) < len(bags)

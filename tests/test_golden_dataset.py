@@ -1,13 +1,18 @@
 """The benchmark's grid-ref corpus, made by `protoshot synth`, must hash to
 the `dataset` entry of ``perfbench/golden.json``: a change to the draw order
 or to any floating-point expression of the generator then fails here, not
-only in the benchmark's default-seed gate. The hash function and the
-workload's flags are read from ``perfbench/run.py``."""
+only in the benchmark's default-seed gate. The commands the benchmark runs
+on that corpus (`evaluate`, `build-prototypes`, `predict`, `zero-shot`) must
+write the bytes of their golden entries too. The hash functions, the
+workload's flags and the command lines are read from ``perfbench/run.py``;
+``golden.json`` is only read."""
 
 import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from protoshot import embedstore
 from protoshot.cli import main
@@ -27,14 +32,22 @@ def load_runner():
     return module
 
 
-def test_grid_ref_synth_matches_golden_and_generate(tmp_path):
+@pytest.fixture(scope="module")
+def grid_ref(tmp_path_factory):
+    """(runner, workload, corpus directory, golden entries) of grid-ref at its
+    default seed."""
     runner = load_runner()
     workload = runner.WORKLOADS["grid-ref"]
-    out = tmp_path / "ds"
+    out = tmp_path_factory.mktemp("grid-ref") / "ds"
     argv = ["synth", *workload.synth, "--seed", str(workload.default_seed), "--out", str(out)]
     assert main(argv) == 0
     golden = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
-    assert runner.dataset_sha256(out) == golden["grid-ref"]["dataset"]
+    return runner, workload, out, golden["grid-ref"]
+
+
+def test_grid_ref_synth_matches_golden_and_generate(grid_ref):
+    runner, _, out, golden = grid_ref
+    assert runner.dataset_sha256(out) == golden["dataset"]
 
     config = SynthConfig(**json.loads((out / "synth_config.json").read_text(encoding="utf-8")))
     manifest, bags, classifier = generate(config)
@@ -47,3 +60,15 @@ def test_grid_ref_synth_matches_golden_and_generate(tmp_path):
     stored = embedstore.read_text_classifier(out / "classifier.pse")
     assert stored.class_names == classifier.class_names
     assert stored.weights.tobytes() == classifier.weights.tobytes()
+
+
+def test_grid_ref_outputs_match_golden(grid_ref, tmp_path):
+    runner, workload, data, golden = grid_ref
+    checked = []
+    for group in runner.command_groups(workload, data, tmp_path).values():
+        for _, args, outputs in group:
+            assert main([str(arg) for arg in args]) == 0
+            for name in outputs:
+                assert runner.file_sha256(tmp_path / name) == golden[name], name
+                checked.append(name)
+    assert sorted(checked) == sorted(set(golden) - {"dataset"})

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from protoshot.embedstore import PatchMatrix
+from protoshot.adapters import visionshot_slide_embedding
+from protoshot.embedstore import PatchMatrix, SlideBag
 from protoshot.errors import DimensionMismatch, EmptySubset
-from protoshot.simsel import as_class_vector, bgap, clamp_k, score_against, top_k
+from protoshot.simsel import as_class_vector, bgap, clamp_k, guided_pools, score_against, top_k
 
 from conftest import random_unit_rows
 
@@ -194,6 +195,32 @@ class TestFullBagPool:
         k = rows + extra
         scored = bgap(bag, top_k(score_against(bag, w), k).indices)
         assert scored.tobytes() == bgap(bag).tobytes()
+
+
+class TestGuidedPools:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 30),
+        dim=st.integers(2, 10),
+        distinct=st.integers(1, 30),
+        ks=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    )
+    def test_every_form_is_the_reference_expression(self, seed, rows, dim, distinct, ks):
+        """Many-k pools, the one-k adapter and the plain chain of kernels give
+        the same bytes for every k, covering ks and score ties included (rows
+        repeat when `distinct` is below `rows`)."""
+        rng = np.random.default_rng(seed)
+        values = random_unit_rows(rng, distinct, dim)[rng.integers(0, distinct, rows)]
+        bag = SlideBag("s", PatchMatrix(values), 0)
+        w = random_unit_rows(rng, 1, dim)[0]
+        pools = guided_pools(bag, w, ks)
+        assert sorted(pools) == sorted(set(ks))
+        p = bag.patches
+        for k in ks:
+            reference = bgap(p, top_k(score_against(p, w), k).indices).tobytes()
+            assert pools[k].tobytes() == reference
+            assert visionshot_slide_embedding(bag, w, k).tobytes() == reference
 
 
 class TestChecks:
