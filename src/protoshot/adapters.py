@@ -42,6 +42,7 @@ from .errors import (
     EmptyCache,
     EmptyClassSupport,
     PromptIndexOutOfRange,
+    ZeroVectorRow,
 )
 from .simsel import bgap, guided_pools
 
@@ -195,6 +196,20 @@ def _pool_by_label(
     return per_class, ids
 
 
+def prototype_rows(pooled: np.ndarray | Sequence, normalize_prototypes: bool) -> np.ndarray:
+    """Class prototypes ``(..., C, d)``: the mean over the support axis of
+    `pooled`, ``(..., C, k, d)`` or C lists when class sizes differ, then unit
+    rows if `normalize_prototypes`; ZeroVectorRow names the class row c."""
+    dense = isinstance(pooled, np.ndarray)
+    rows = pooled.mean(axis=-2) if dense else np.stack([np.stack(e).mean(axis=-2) for e in pooled])
+    if not normalize_prototypes:
+        return rows
+    try:
+        return unit_rows(rows.reshape(-1, rows.shape[-1]), _MIN_POOLED_NORM).reshape(rows.shape)
+    except ZeroVectorRow as exc:
+        raise ZeroVectorRow(exc.row % rows.shape[-2]) from None
+
+
 def prototypes_from_pooled(
     per_class: list[list[np.ndarray]],
     class_names: Sequence[str],
@@ -205,13 +220,9 @@ def prototypes_from_pooled(
     """Average each class's pooled support embeddings into its prototype.
 
     ``per_class[c]`` holds the pooled embeddings of class c's support
-    slides, in the order of ``support_ids[c]``.
+    slides, in the order of ``support_ids[c]``; see :func:`prototype_rows`.
     """
-    # one shared reduction so the k >= bag-size case is bit-identical to
-    # full-bag pooling
-    rows = np.stack([np.mean(np.stack(embs), axis=0) for embs in per_class])
-    if normalize_prototypes:
-        rows = unit_rows(rows, _MIN_POOLED_NORM)
+    rows = prototype_rows(per_class, normalize_prototypes)
     support = {str(class_names[c]): tuple(ids) for c, ids in enumerate(support_ids)}
     return PrototypeSet(
         class_names=tuple(str(n) for n in class_names),

@@ -187,7 +187,7 @@ def cmd_report(args) -> int:
         report = evalharness.EvalReport.from_json(Path(path).read_bytes(), path)
         recomputed = evalharness.aggregate_records(report.records)
         if len(recomputed) != len(report.aggregates) or any(
-            (a.method, a.k, a.top_k) != (b.method, b.k, b.top_k)
+            (a.method, a.k, a.top_k, a.num_records) != (b.method, b.k, b.top_k, b.num_records)
             or abs(a.mean - b.mean) > 1e-12
             or abs(a.std - b.std) > 1e-12
             for a, b in zip(recomputed, report.aggregates)

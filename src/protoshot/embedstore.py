@@ -226,6 +226,17 @@ class SlideRecord:
     num_patches: int
 
 
+def _check_record(rec: SlideRecord, classes: Sequence[str], seen: set[str]) -> None:
+    """A manifest record's rule: a new, non-empty slide_id (added to `seen`) of a known class."""
+    if not rec.slide_id:
+        raise ValueError("manifest contains an empty slide_id")
+    if rec.slide_id in seen:
+        raise ValueError(f"duplicate slide_id {rec.slide_id!r} in manifest")
+    seen.add(rec.slide_id)
+    if rec.class_name not in classes:
+        raise UnknownClass(rec.slide_id, rec.class_name)
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
     """Ordered corpus census: class names plus one record per slide."""
@@ -242,13 +253,7 @@ class DatasetManifest:
             raise ValueError("duplicate class names in manifest")
         seen: set[str] = set()
         for rec in slides:
-            if not rec.slide_id:
-                raise ValueError("manifest contains an empty slide_id")
-            if rec.slide_id in seen:
-                raise ValueError(f"duplicate slide_id {rec.slide_id!r} in manifest")
-            seen.add(rec.slide_id)
-            if rec.class_name not in classes:
-                raise UnknownClass(rec.slide_id, rec.class_name)
+            _check_record(rec, classes, seen)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "slides", slides)
 
@@ -669,13 +674,16 @@ def write_dataset(
     """Write each (record, bag) pair of `slides` (the shape of
     :func:`~protoshot.synthgen.stream`) to its record's path under `out_dir`
     before drawing the next, then the manifest of `classes` and the records
-    written; returns the manifest path."""
+    written; returns the manifest path. A bad record raises before its file
+    is written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
+    seen: set[str] = set()
     for record, bag in slides:
         if bag.slide_id != record.slide_id:
             raise ValueError(f"bag {bag.slide_id!r} paired with record {record.slide_id!r}")
+        _check_record(record, classes, seen)
         target = out / record.path
         target.parent.mkdir(parents=True, exist_ok=True)
         write_embeddings_file(bag.patches, target)

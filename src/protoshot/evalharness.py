@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -27,8 +28,8 @@ from .adapters import (
     SlidePrediction,
     cache_from_pooled,
     mizero_scores,
-    prototype_scores,
-    prototypes_from_pooled,
+    prototype_rows,
+    row_scores,
     tip_adapter_scores,
     visionshot_slide_embedding,
 )
@@ -376,19 +377,20 @@ def canonical_json(obj) -> str:
 
     Byte-stable across runs; floats round-trip exactly at 17 digits.
     """
-    if obj is None:
-        return "null"
+    if type(obj) is float:
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite float {obj} in report")
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
+    if obj is None:
+        return "null"
     if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if not np.isfinite(value):
-            raise ValueError(f"non-finite float {value} in report")
-        return format(value, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
+        return canonical_json(float(obj))
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, Mapping):
@@ -542,12 +544,14 @@ def run_grid(
     written to its row of one float64 table (and visionshot support slides
     keep their :func:`~protoshot.simsel.guided_pools`), and the bag is
     released. The rows run fold by fold, so a fold's test queries are one
-    slice of the table. Cells run serially; each takes its per-class support
-    as slices of the class-major draw, scores the fold's slice as one
-    ``n x C`` matrix with the cores the per-bag functions in ``adapters``
-    use, so both give the same numbers, and predicts with ``argmax(axis=1)``.
-    Records are sorted canonically, so the report is a pure function of the
-    data and the config.
+    slice of the table. Cells run serially. A cell stacks the support pools
+    of its prototype sets (visionshot's per top-K, then simpleshot's) into
+    one ``(sets, C, k, d)`` array for one
+    :func:`~protoshot.adapters.prototype_rows` call and one ``row_scores``
+    call on the fold's slice. Every score comes from the cores the per-bag
+    functions in ``adapters`` use, so both give the same numbers; predictions
+    are ``argmax(axis=1)``. Records are sorted canonically, so the report is
+    a pure function of the data and the config.
 
     Raises:
         GridCellError: a cell failed; the message names it. A draw fails
@@ -584,10 +588,15 @@ def run_grid(
                         draws[f][seed, k] = sample_few_shot(
                             train, k, derive_seed(seed, "support", f, k)
                         )
-    guided_ids = (
-        {sid for fold in draws for draw in fold.values() for sid in draw.support_ids}
-        if "visionshot" in fewshot_methods
-        else set()
+    # the prototype sets of every few-shot cell, in stacking order: (method, top_k)
+    top_ks = config.top_k_grid if "visionshot" in fewshot_methods else ()
+    proto_sets = [("visionshot", kt) for kt in top_ks]
+    if "simpleshot" in fewshot_methods:
+        proto_sets.append(("simpleshot", None))
+    # guided[sid]: a visionshot support slide's pools, set by the pass, or their
+    # failure, kept without the traceback frames that hold the bag
+    guided: dict[str, dict[int, np.ndarray] | ProtoshotError | None] = dict.fromkeys(
+        sid for fold in draws for draw in fold.values() for sid in draw.support_ids if top_ks
     )
     try:
         class_vectors = classifier.canonical_vectors()
@@ -599,11 +608,9 @@ def run_grid(
     bounds = np.cumsum([0] + [len(ids) for ids in test_ids])
     y = np.array([labels[sid] for sid in row_of], dtype=np.int64)
 
-    # the one pass over the bags; a failed pool is kept in place of the pool,
-    # without the traceback frames that hold the bag
+    # the one pass over the bags
     table: np.ndarray | None = None
     seen: set[str] = set()
-    guided: dict[str, dict[int, np.ndarray] | ProtoshotError] = {}
     for bag in bags:
         sid = bag.slide_id
         if sid not in labels:
@@ -618,11 +625,9 @@ def run_grid(
             raise DimensionMismatch(table.shape[1], bag.patches.dim, sid)
         table[row_of[sid]] = bgap(bag.patches)
         seen.add(sid)
-        if sid in guided_ids:
+        if sid in guided:
             try:
-                guided[sid] = guided_pools(
-                    bag, _stored(class_vectors)[bag.label], config.top_k_grid
-                )
+                guided[sid] = guided_pools(bag, _stored(class_vectors)[bag.label], top_ks)
             except ProtoshotError as exc:
                 guided[sid] = exc.with_traceback(None)
     missing = [sid for sid in labels if sid not in seen]
@@ -630,6 +635,7 @@ def run_grid(
         raise ValueError(f"bags missing for manifest slides: {missing[:5]}")
 
     records: list[EvalRecord] = []
+    dim = table.shape[1]
     for f in range(config.num_folds):
         queries, truth = table[bounds[f] : bounds[f + 1]], y[bounds[f] : bounds[f + 1]]
         # (method, seed, k, top_k, prompt, n x C scores) of every record of the fold
@@ -641,27 +647,22 @@ def run_grid(
                     scored.append(("mizero", None, None, None, prompt, scores))
         for (seed, k), draw in draws[f].items():
             with _cell(f"fold={f} seed={seed} k={k}"):
-                # the draw is class-major: k slides of class 0, then of class 1, ...
-                support = [draw.support_ids[c * k : (c + 1) * k] for c in range(num_classes)]
-                # (method, top_k, per-class support pools) of each prototype method
-                pools = []
-                if "visionshot" in fewshot_methods:
-                    for kt in config.top_k_grid:
-                        pooled = [[_stored(guided[sid])[kt] for sid in ids] for ids in support]
-                        pools.append(("visionshot", kt, pooled))
+                support = table[[row_of[sid] for sid in draw.support_ids]]
+                # each set's pools in draw order, which is class-major (k slides of
+                # class 0, then of class 1, ...), so they reshape to (C, k)
+                pooled = [[_stored(guided[s])[kt] for s in draw.support_ids] for kt in top_ks]
                 if "simpleshot" in fewshot_methods:
-                    pooled = [[table[row_of[sid]] for sid in ids] for ids in support]
-                    pools.append(("simpleshot", None, pooled))
-                for method, kt, pooled in pools:
-                    protos = prototypes_from_pooled(
-                        pooled, manifest.classes, support, kt, config.normalize_prototypes
-                    )
-                    scored.append((method, seed, k, kt, None, prototype_scores(queries, protos)))
+                    pooled.append(support)
+                pooled = np.array(pooled).reshape(len(proto_sets), num_classes, k, dim)
+                rows = prototype_rows(pooled, config.normalize_prototypes).reshape(-1, dim)
+                scores = row_scores(queries, rows).reshape(len(queries), -1, num_classes)
+                for i, (method, kt) in enumerate(proto_sets):
+                    scored.append((method, seed, k, kt, None, scores[:, i]))
                 if "tipadapter" in fewshot_methods:
                     # the cache and the queries take unit vectors inside this cell, so
                     # a zero-mean slide fails only in the cells that need its direction
                     cache = cache_from_pooled(
-                        table[[row_of[sid] for sid in draw.support_ids]],
+                        support,
                         np.repeat(np.arange(num_classes), k),
                         num_classes,
                         config.tip_alpha,

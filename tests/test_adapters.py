@@ -14,7 +14,9 @@ from protoshot.adapters import (
     mizero_predict,
     mizero_scores,
     predict_prototype,
+    prototype_rows,
     prototype_scores,
+    prototypes_from_pooled,
     row_scores,
     tip_adapter_scores,
     read_prototypes,
@@ -32,7 +34,7 @@ from protoshot.errors import (
     SidecarError,
     ZeroVectorRow,
 )
-from protoshot.simsel import bgap, score_against, top_k
+from protoshot.simsel import bgap, guided_pools, score_against, top_k
 
 from conftest import random_unit_rows
 
@@ -625,3 +627,58 @@ class TestRowScores:
         with pytest.raises(ZeroVectorRow) as err:
             tip_adapter_scores(queries, cache, clf.canonical_vectors())
         assert err.value.row == 2
+
+
+class TestPrototypeRows:
+    """Every prototype set of a grid cell, stacked into one array, gives the
+    bytes each set gives when built and scored alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_classes=st.integers(2, 4),
+        k=st.integers(1, 10),
+        dim=st.integers(2, 24),
+        top_ks=st.lists(st.integers(1, 15), max_size=4, unique=True),
+        normalize=st.booleans(),
+    )
+    def test_stacked_sets_equal_per_set_builds(
+        self, seed, num_classes, k, dim, top_ks, normalize
+    ):
+        rng = np.random.default_rng(seed)
+        bags = [
+            bag_of(random_unit_rows(rng, int(rng.integers(1, 13)), dim), f"s{i}")
+            for i in range(num_classes * k)
+        ]
+        vector = random_unit_rows(rng, 1, dim)[0].astype(np.float64)
+        # guided pools per top-K (64 covers every bag), then the full-bag means:
+        # the sets of a grid cell, in the order it stacks them
+        top_ks = [*top_ks, 64]
+        by_k = [guided_pools(bag, vector, top_ks) for bag in bags]
+        pools = np.stack(
+            [[p[kt] for p in by_k] for kt in top_ks] + [[bgap(bag.patches) for bag in bags]]
+        )
+        cols = rng.permutation(len(bags))
+        sets = len(top_ks) + 1
+        pooled = np.take(pools, cols, axis=1).reshape(sets, num_classes, k, dim)
+        rows = prototype_rows(pooled, normalize)
+        queries = rng.standard_normal((5, dim))
+        scores = row_scores(queries, rows.reshape(-1, dim))
+        names = [f"c{c}" for c in range(num_classes)]
+        for s in range(sets):
+            per_class = [
+                [pools[s, cols[c * k + j]] for j in range(k)] for c in range(num_classes)
+            ]
+            ids = [[f"s{cols[c * k + j]}" for j in range(k)] for c in range(num_classes)]
+            alone = prototypes_from_pooled(per_class, names, ids, None, normalize)
+            assert rows[s].tobytes() == alone.prototypes.tobytes()
+            block = scores[:, s * num_classes : (s + 1) * num_classes]
+            assert block.tobytes() == prototype_scores(queries, alone).tobytes()
+
+    def test_zero_row_named_within_its_set(self):
+        pooled = np.ones((3, 4, 2, 5))
+        pooled[1, 2, 1] = -1.0  # set 1, class 2: mean zero
+        with pytest.raises(ZeroVectorRow) as err:
+            prototype_rows(pooled, True)
+        assert err.value.row == 2
+        assert prototype_rows(pooled, False)[1, 2].tolist() == [0.0] * 5

@@ -470,6 +470,14 @@ class TestReportCommand:
         assert run("report", "--reports", str(report_path)) == 1
         assert "do not match" in capsys.readouterr().err
 
+    def test_tampered_record_count_rejected(self, dataset, tmp_path, capsys):
+        report_path = self.make_report(dataset, tmp_path)
+        raw = json.loads(report_path.read_text())
+        raw["aggregates"][0]["num_records"] += 7
+        report_path.write_text(json.dumps(raw))
+        assert run("report", "--reports", str(report_path)) == 1
+        assert "do not match their records" in capsys.readouterr().err
+
     def test_malformed_report_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json at all")

@@ -584,6 +584,21 @@ class TestWriteDataset:
             write_dataset(("a",), [(SlideRecord("s0", "a", "s0.pse", 3), bag)], tmp_path)
         assert not (tmp_path / "s0.pse").exists()
 
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(("s1", "nope"), UnknownClass), (("s0", "a"), ValueError)],
+    )
+    def test_bad_record_raises_before_its_file(self, tmp_path, bad, error):
+        rng = np.random.default_rng(32)
+        pairs = []
+        for sid, name in (("s0", "a"), bad):
+            record = SlideRecord(sid, name, f"{sid}_{len(pairs)}.pse", 3)
+            pairs.append((record, SlideBag(sid, PatchMatrix(random_unit_rows(rng, 3, 4)), 0)))
+        with pytest.raises(error):
+            write_dataset(("a",), pairs, tmp_path)
+        # the first pair was written; no file of the bad pair and no manifest
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s0_0.pse"]
+
 
 class TestManifest:
     def test_load_round_trip(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import protoshot.adapters as adapters
 import protoshot.evalharness as evalharness
 import protoshot.simsel as simsel
 from protoshot.adapters import (
@@ -591,6 +592,54 @@ class TestPooledGrid:
         assert isinstance(err.value.cause, DimensionMismatch)
 
 
+class TestBatchedCell:
+    """A cell builds all of its prototype sets as one array through the one
+    prototype-row function the per-bag builders use."""
+
+    config = GridConfig(
+        methods=("visionshot", "simpleshot"),
+        num_folds=4,
+        k_grid=(2, 3),
+        top_k_grid=(1,),
+        seeds=(7,),
+    )
+
+    def test_zero_mean_simpleshot_class_names_its_row(self, noisy_dataset):
+        manifest, bags, clf = noisy_dataset
+        # every class-1 slide has a zero full-bag mean, but a non-zero top-1 pool,
+        # so the cell's visionshot set builds and its simpleshot set fails
+        def zero_mean(bag):
+            v = bag.patches.values[0]
+            return SlideBag(bag.slide_id, PatchMatrix(np.stack([v, -v])), bag.label)
+
+        zeroed = [zero_mean(bag) if bag.label == 1 else bag for bag in bags]
+        with pytest.raises(GridCellError) as err:
+            run_grid(manifest, zeroed, clf, self.config)
+        assert err.value.cell == "fold=0 seed=7 k=2"
+        assert isinstance(err.value.cause, ZeroVectorRow)
+        assert err.value.cause.row == 1  # the class row, not its row in the stack
+        assert "row 1 has near-zero L2 norm" in str(err.value)
+
+    def test_grid_and_builders_share_the_row_function(self, noisy_dataset, monkeypatch):
+        manifest, bags, clf = noisy_dataset
+        calls = Counter()
+        rows = adapters.prototype_rows
+
+        def counting(pooled, normalize):
+            calls["dense" if isinstance(pooled, np.ndarray) else "lists"] += 1
+            return rows(pooled, normalize)
+
+        assert evalharness.prototype_rows is rows
+        monkeypatch.setattr(adapters, "prototype_rows", counting)
+        monkeypatch.setattr(evalharness, "prototype_rows", counting)
+        run_grid(manifest, bags, clf, self.config)
+        # one call per (fold, seed, k) cell, for all of its sets
+        assert calls == {"dense": 4 * 1 * 2}
+        build_prototypes(bags, clf, 3)
+        simpleshot_prototypes(bags)
+        assert calls == {"dense": 8, "lists": 2}
+
+
 class TestGuidedPools:
     """A top-K that covers the bag pools the full bag without scoring it."""
 
@@ -801,6 +850,17 @@ class TestReportSerialization:
     def test_canonical_json_sorted_keys(self):
         assert canonical_json({"z": 1, "a": 0}) == '{"a":0,"z":1}'
         assert canonical_json({"z": {"y": 2, "b": 3}}) == '{"z":{"b":3,"y":2}}'
+
+    def test_canonical_json_numpy_scalars_and_errors(self):
+        mixed = [np.float64(0.1), np.float32(0.5), np.int64(-3), np.int32(7), 0.1, "é"]
+        assert canonical_json(mixed) == '[0.10000000000000001,0.5,-3,7,0.10000000000000001,"é"]'
+        for bad in (float("nan"), np.float64("inf"), [1.0, -float("inf")]):
+            with pytest.raises(ValueError, match="non-finite float"):
+                canonical_json(bad)
+        with pytest.raises(TypeError, match="string keys"):
+            canonical_json({1: 0})
+        with pytest.raises(TypeError, match="cannot serialize"):
+            canonical_json(np.bool_(True))
 
 
 class TestEmbeddingTable:
