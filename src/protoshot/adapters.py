@@ -48,6 +48,7 @@ from .simsel import bgap, guided_pools
 
 _NORM_ATOL = 1e-6
 _MIN_POOLED_NORM = 1e-12
+PROTOTYPE_METHOD = "prototype"  # the method of every predict_prototype prediction
 
 
 @dataclass(frozen=True)
@@ -302,15 +303,13 @@ def prototype_scores(queries: np.ndarray, prototypes: PrototypeSet) -> np.ndarra
     return row_scores(queries, prototypes.prototypes)
 
 
-def predict_prototype(
-    bag: SlideBag, prototypes: PrototypeSet, method: str = "prototype"
-) -> SlidePrediction:
+def predict_prototype(bag: SlideBag, prototypes: PrototypeSet) -> SlidePrediction:
     """Nearest-prototype prediction from the full-bag pooled embedding.
 
     The bag's label is never consulted.
     """
     scores = prototype_scores(bgap(bag.patches)[None], prototypes)[0]
-    return SlidePrediction(bag.slide_id, scores, int(np.argmax(scores)), method)
+    return SlidePrediction(bag.slide_id, scores, int(np.argmax(scores)), PROTOTYPE_METHOD)
 
 
 def mizero_scores(

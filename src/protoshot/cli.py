@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -49,9 +48,9 @@ def _patch_range(text: str) -> tuple[int, int]:
 
 
 def _dataset_paths(dataset: str) -> tuple[Path, Path]:
-    """Accept a manifest file or a directory holding manifest.jsonl."""
+    """Accept a manifest file or a directory holding the manifest."""
     path = Path(dataset)
-    manifest = path / "manifest.jsonl" if path.is_dir() else path
+    manifest = path / embedstore.MANIFEST_NAME if path.is_dir() else path
     return manifest, manifest.parent
 
 

@@ -58,6 +58,7 @@ from .errors import (
 
 MAGIC = b"PSE1"
 HEADER_SIZE = 16
+MANIFEST_NAME = "manifest.jsonl"  # a dataset directory's manifest
 
 # Store-level tolerance on row norms at load; tighter tolerances apply to
 # freshly normalized output (1e-6) and idempotence (1e-7 per element).
@@ -669,7 +670,6 @@ def write_dataset(
     classes: Sequence[str],
     slides: Iterable[tuple[SlideRecord, SlideBag]],
     out_dir: str | Path,
-    manifest_name: str = "manifest.jsonl",
 ) -> Path:
     """Write each (record, bag) pair of `slides` (the shape of
     :func:`~protoshot.synthgen.stream`) to its record's path under `out_dir`
@@ -688,6 +688,6 @@ def write_dataset(
         target.parent.mkdir(parents=True, exist_ok=True)
         write_embeddings_file(bag.patches, target)
         records.append(record)
-    manifest_path = out / manifest_name
+    manifest_path = out / MANIFEST_NAME
     write_manifest(DatasetManifest(tuple(classes), tuple(records)), manifest_path)
     return manifest_path

@@ -5,7 +5,7 @@ Determinism rules. All randomness flows through numpy's PCG64, seeded by
 :func:`derive_seed`, a splitmix64 chain over a base seed and purpose tags.
 The grid streams the corpus: every support draw is made before any bag is
 read, then one pass writes each bag's full-bag mean to a fold-ordered table
-(and its text-guided pools, for visionshot support) and releases it, so
+(and each drawn slide's pools to one support array) and releases it, so
 each slide is read, scored and pooled at most once per run. Each cell
 scores its fold's slice of that table as one matrix. Results are sorted by
 a canonical key before serialization.
@@ -457,7 +457,8 @@ class GridConfig:
     seeds derived from `base_seed` (unless `seeds` is given explicitly).
     A config whose report would not mean what it says raises InvalidConfig
     naming the field first: empty or repeating methods, grids or seeds,
-    unknown methods, fewer than 2 folds, no seeds for a few-shot method.
+    unknown methods, fewer than 2 folds, no seeds for a few-shot method, a
+    non-finite or out-of-range tip_alpha or tip_beta.
     """
 
     methods: tuple[str, ...] = METHODS
@@ -491,10 +492,10 @@ class GridConfig:
         if not seeds and any(m != "mizero" for m in self.methods):
             field = "num_seeds" if self.seeds is None else "seeds"
             raise InvalidConfig(f"{field} gives no seeds for the few-shot methods")
-        if not self.tip_beta > 0:
-            raise InvalidConfig(f"tip_beta must be > 0, got {self.tip_beta}")
-        if not self.tip_alpha >= 0:
-            raise InvalidConfig(f"tip_alpha must be >= 0, got {self.tip_alpha}")
+        if not 0 < self.tip_beta < math.inf:
+            raise InvalidConfig(f"tip_beta must be finite and > 0, got {self.tip_beta}")
+        if not 0 <= self.tip_alpha < math.inf:
+            raise InvalidConfig(f"tip_alpha must be finite and >= 0, got {self.tip_alpha}")
 
     def resolved_seeds(self) -> tuple[int, ...]:
         if self.seeds is not None:
@@ -514,7 +515,7 @@ def _cell(name: str) -> Iterator[None]:
 
 
 def _stored(entry):
-    """Return a table entry, or raise the failure stored in its place."""
+    """Return `entry`, or raise it if it is a failure stored in its place."""
     if isinstance(entry, Exception):
         raise entry
     return entry
@@ -540,23 +541,19 @@ def run_grid(
     before any bag is read: the manifest is grouped by class once, and each
     fold's training lists are that grouping without the fold. `bags` is then
     consumed in one pass, so it may be any one-shot iterable such as
-    :func:`~protoshot.embedstore.iter_bags`: each bag's full-bag mean is
-    written to its row of one float64 table (and visionshot support slides
-    keep their :func:`~protoshot.simsel.guided_pools`), and the bag is
-    released. The rows run fold by fold, so a fold's test queries are one
-    slice of the table. Cells run serially. A cell stacks the support pools
-    of its prototype sets (visionshot's per top-K, then simpleshot's) into
-    one ``(sets, C, k, d)`` array for one
-    :func:`~protoshot.adapters.prototype_rows` call and one ``row_scores``
-    call on the fold's slice. Every score comes from the cores the per-bag
-    functions in ``adapters`` use, so both give the same numbers; predictions
-    are ``argmax(axis=1)``. Records are sorted canonically, so the report is
-    a pure function of the data and the config.
+    :func:`~protoshot.embedstore.iter_bags`. Each bag fills two float64
+    arrays and is released: ``table``, every slide's full-bag mean, fold by
+    fold; and ``pools``, each drawn slide's guided pool per top-K and then
+    its full-bag mean. A cell takes its draw's columns of ``pools`` once and
+    scores them on its fold's slice of ``table`` with the cores the per-bag
+    functions in ``adapters`` use, so both give the same numbers;
+    predictions are ``argmax(axis=1)``. Records are sorted canonically, so
+    the report is a pure function of the data and the config.
 
     Raises:
         GridCellError: a cell failed; the message names it. A draw fails
             before the first bag is read; a guided pool that fails during
-            the pass fails the first cell that needs it.
+            the pass fails the first few-shot cell.
         DimensionMismatch: a bag's dimension differs from the first bag's;
             names the slide.
         ValueError: the classifier and the manifest disagree on the class
@@ -577,27 +574,25 @@ def run_grid(
     fewshot_methods = [m for m in config.methods if m != "mizero"]
     test_ids = [assignment.fold_ids(f) for f in range(config.num_folds)]
 
-    # draws[f][seed, k]: the support of fold f's few-shot cell (seed, k)
-    draws: list[dict[tuple[int, int], FewShotDraw]] = [{} for _ in test_ids]
+    # support[sid]: a drawn slide's column of the pools array; draws[f][seed, k]:
+    # the columns of fold f's cell (seed, k), class-major like the draw
+    support: dict[str, int] = {}
+    draws: list[dict[tuple[int, int], list[int]]] = [{} for _ in test_ids]
     if fewshot_methods:
         for f in range(config.num_folds):
             train = [[sid for sid in ids if assignment.fold_of[sid] != f] for ids in by_class]
             for seed in seeds:
                 for k in config.k_grid:
                     with _cell(f"fold={f} seed={seed} k={k}"):
-                        draws[f][seed, k] = sample_few_shot(
-                            train, k, derive_seed(seed, "support", f, k)
-                        )
+                        draw = sample_few_shot(train, k, derive_seed(seed, "support", f, k))
+                    draws[f][seed, k] = [
+                        support.setdefault(s, len(support)) for s in draw.support_ids
+                    ]
     # the prototype sets of every few-shot cell, in stacking order: (method, top_k)
     top_ks = config.top_k_grid if "visionshot" in fewshot_methods else ()
     proto_sets = [("visionshot", kt) for kt in top_ks]
     if "simpleshot" in fewshot_methods:
         proto_sets.append(("simpleshot", None))
-    # guided[sid]: a visionshot support slide's pools, set by the pass, or their
-    # failure, kept without the traceback frames that hold the bag
-    guided: dict[str, dict[int, np.ndarray] | ProtoshotError | None] = dict.fromkeys(
-        sid for fold in draws for draw in fold.values() for sid in draw.support_ids if top_ks
-    )
     try:
         class_vectors = classifier.canonical_vectors()
     except ZeroVectorRow as exc:
@@ -608,8 +603,9 @@ def run_grid(
     bounds = np.cumsum([0] + [len(ids) for ids in test_ids])
     y = np.array([labels[sid] for sid in row_of], dtype=np.int64)
 
-    # the one pass over the bags
-    table: np.ndarray | None = None
+    # the one pass over the bags. A guided pool fails only through the classifier, so
+    # for every slide alike: its failure is kept once, without the frames of the bag
+    table = pools = guide_error = None
     seen: set[str] = set()
     for bag in bags:
         sid = bag.slide_id
@@ -621,15 +617,20 @@ def run_grid(
             )
         if table is None:
             table = np.empty((len(row_of), bag.patches.dim))
+            pools = np.empty((len(top_ks) + 1, len(support), bag.patches.dim))
         elif bag.patches.dim != table.shape[1]:
             raise DimensionMismatch(table.shape[1], bag.patches.dim, sid)
         table[row_of[sid]] = bgap(bag.patches)
         seen.add(sid)
-        if sid in guided:
+        if sid not in support:
+            continue
+        pools[-1, support[sid]] = table[row_of[sid]]
+        if top_ks and guide_error is None:
             try:
-                guided[sid] = guided_pools(bag, _stored(class_vectors)[bag.label], top_ks)
+                by_k = guided_pools(bag, _stored(class_vectors)[bag.label], top_ks)
+                pools[:-1, support[sid]] = [by_k[kt] for kt in top_ks]
             except ProtoshotError as exc:
-                guided[sid] = exc.with_traceback(None)
+                guide_error = exc.with_traceback(None)
     missing = [sid for sid in labels if sid not in seen]
     if missing:
         raise ValueError(f"bags missing for manifest slides: {missing[:5]}")
@@ -645,16 +646,15 @@ def run_grid(
                 for prompt in range(classifier.num_prompts):
                     scores = mizero_scores(queries, classifier, prompt)
                     scored.append(("mizero", None, None, None, prompt, scores))
-        for (seed, k), draw in draws[f].items():
+        for (seed, k), columns in draws[f].items():
             with _cell(f"fold={f} seed={seed} k={k}"):
-                support = table[[row_of[sid] for sid in draw.support_ids]]
-                # each set's pools in draw order, which is class-major (k slides of
-                # class 0, then of class 1, ...), so they reshape to (C, k)
-                pooled = [[_stored(guided[s])[kt] for s in draw.support_ids] for kt in top_ks]
-                if "simpleshot" in fewshot_methods:
-                    pooled.append(support)
-                pooled = np.array(pooled).reshape(len(proto_sets), num_classes, k, dim)
-                rows = prototype_rows(pooled, config.normalize_prototypes).reshape(-1, dim)
+                if guide_error is not None:
+                    raise guide_error
+                # take, not pools[:, columns], so the gather is C-ordered; the draw
+                # is class-major, so each plane's k slides per class reshape to (C, k)
+                cell = pools.take(columns, axis=1)
+                sets = cell[: len(proto_sets)].reshape(len(proto_sets), num_classes, k, dim)
+                rows = prototype_rows(sets, config.normalize_prototypes).reshape(-1, dim)
                 scores = row_scores(queries, rows).reshape(len(queries), -1, num_classes)
                 for i, (method, kt) in enumerate(proto_sets):
                     scored.append((method, seed, k, kt, None, scores[:, i]))
@@ -662,7 +662,7 @@ def run_grid(
                     # the cache and the queries take unit vectors inside this cell, so
                     # a zero-mean slide fails only in the cells that need its direction
                     cache = cache_from_pooled(
-                        support,
+                        cell[-1],
                         np.repeat(np.arange(num_classes), k),
                         num_classes,
                         config.tip_alpha,

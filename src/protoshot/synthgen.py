@@ -76,6 +76,8 @@ class SynthConfig:
             raise InvalidConfig(
                 f"noise_scale must be finite and >= 0, got {self.noise_scale}"
             )
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)

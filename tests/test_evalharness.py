@@ -1,4 +1,7 @@
+import dataclasses
+import itertools
 import json
+import math
 import re
 from collections import Counter
 
@@ -338,6 +341,8 @@ class TestGridConfigValidation:
             ("tip_beta", {"tip_beta": -1.0}),
             ("tip_beta", {"tip_beta": float("nan")}),
             ("tip_alpha", {"tip_alpha": -0.5}),
+            ("tip_alpha", {"tip_alpha": math.inf}),
+            ("tip_beta", {"tip_beta": math.inf}),
             ("methods", {"methods": ()}),
             ("methods", {"methods": ("visionshot", "nope")}),
             ("methods", {"methods": ("mizero", "simpleshot", "mizero")}),
@@ -638,6 +643,77 @@ class TestBatchedCell:
         build_prototypes(bags, clf, 3)
         simpleshot_prototypes(bags)
         assert calls == {"dense": 8, "lists": 2}
+
+
+FEWSHOT = ("visionshot", "simpleshot", "tipadapter")
+
+
+@pytest.fixture(scope="module")
+def pooled_reference(noisy_dataset):
+    manifest, bags, clf = noisy_dataset
+    return reference_records(manifest, bags, clf, TestPooledGrid.config)
+
+
+class TestSupportPools:
+    """Every few-shot cell reads its pools from one support array: the
+    guided pools per top-K, then the full-bag means, one column per drawn
+    slide."""
+
+    @pytest.mark.parametrize("mizero", [False, True], ids=["no-mizero", "mizero"])
+    @pytest.mark.parametrize(
+        "fewshot",
+        [combo for n in (1, 2, 3) for combo in itertools.combinations(FEWSHOT, n)],
+        ids="+".join,
+    )
+    def test_any_method_subset_matches_per_bag_adapters(
+        self, noisy_dataset, pooled_reference, fewshot, mizero
+    ):
+        manifest, bags, clf = noisy_dataset
+        methods = fewshot + ("mizero",) * mizero
+        config = dataclasses.replace(TestPooledGrid.config, methods=methods)
+        report = run_grid(manifest, bags, clf, config)
+        got = {(r.method, r.fold, r.seed, r.k, r.top_k, r.prompt): r for r in report.records}
+        assert got == {key: r for key, r in pooled_reference.items() if key[0] in methods}
+
+    def test_classifier_dimension_mismatch_fails_the_first_cell(
+        self, noisy_dataset, monkeypatch
+    ):
+        manifest, bags, clf = noisy_dataset
+        narrow = clf.weights[:, :, : clf.dim // 2].astype(np.float64)
+        narrow /= np.linalg.norm(narrow, axis=-1, keepdims=True)
+        calls = Counter()
+        pools = evalharness.guided_pools
+
+        def counting(bag, *args):
+            calls[bag.slide_id] += 1
+            return pools(bag, *args)
+
+        monkeypatch.setattr(evalharness, "guided_pools", counting)
+        config = GridConfig(
+            methods=("visionshot",), num_folds=4, k_grid=(2,), top_k_grid=(3,), seeds=(7,)
+        )
+        with pytest.raises(GridCellError) as err:
+            run_grid(manifest, bags, TextClassifier(clf.class_names, narrow), config)
+        assert err.value.cell == "fold=0 seed=7 k=2"
+        assert isinstance(err.value.cause, DimensionMismatch)
+        assert sum(calls.values()) == 1  # the failure is the classifier's: pooling stops
+
+    def test_cells_pass_c_ordered_pools(self, noisy_dataset, monkeypatch):
+        manifest, bags, clf = noisy_dataset
+        rows, caches = adapters.prototype_rows, evalharness.cache_from_pooled
+        layouts = Counter()
+
+        def checking(fn):
+            def wrapped(pooled, *args):
+                layouts[pooled.flags.c_contiguous] += 1
+                return fn(pooled, *args)
+
+            return wrapped
+
+        monkeypatch.setattr(evalharness, "prototype_rows", checking(rows))
+        monkeypatch.setattr(evalharness, "cache_from_pooled", checking(caches))
+        run_grid(manifest, bags, clf, TestPooledGrid.config)
+        assert layouts == {True: 2 * 4 * 2 * 2}  # both calls of 16 cells
 
 
 class TestGuidedPools:

@@ -50,6 +50,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig, match="noise_scale"):
             config(noise_scale=bad)
 
+    def test_negative_seed_names_the_field(self):
+        with pytest.raises(InvalidConfig, match=r"^seed must be >= 0, got -1$"):
+            config(seed=-1)
+        config(seed=0)
+
 
 class TestGenerate:
     def test_shapes_and_labels(self):
