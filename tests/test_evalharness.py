@@ -341,8 +341,6 @@ class TestGridConfigValidation:
             ("tip_beta", {"tip_beta": -1.0}),
             ("tip_beta", {"tip_beta": float("nan")}),
             ("tip_alpha", {"tip_alpha": -0.5}),
-            ("tip_alpha", {"tip_alpha": math.inf}),
-            ("tip_beta", {"tip_beta": math.inf}),
             ("methods", {"methods": ()}),
             ("methods", {"methods": ("visionshot", "nope")}),
             ("methods", {"methods": ("mizero", "simpleshot", "mizero")}),
@@ -354,6 +352,8 @@ class TestGridConfigValidation:
             ("seeds", {"seeds": ()}),
             ("num_seeds", {"num_seeds": 0}),
             ("num_seeds", {"methods": ("tipadapter",), "num_seeds": -1}),
+            ("tip_alpha", {"tip_alpha": math.inf}),
+            ("tip_beta", {"tip_beta": math.inf}),
         ],
     )
     def test_rejected_before_any_cell(self, field, kwargs):
