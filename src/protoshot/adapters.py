@@ -303,12 +303,23 @@ def prototype_scores(queries: np.ndarray, prototypes: PrototypeSet) -> np.ndarra
     return row_scores(queries, prototypes.prototypes)
 
 
+def _bag_scores(bag: SlideBag, scores: Callable[..., np.ndarray], *args) -> np.ndarray:
+    """``scores(queries, *args)`` of the one full-bag pooled query of `bag`; a
+    DimensionMismatch over the bag's own dimension names the slide."""
+    try:
+        return scores(bgap(bag.patches)[None], *args)[0]
+    except DimensionMismatch as exc:
+        if exc.actual != bag.patches.dim:  # the other operands disagree, not the bag
+            raise
+        raise DimensionMismatch(exc.expected, exc.actual, bag.slide_id) from None
+
+
 def predict_prototype(bag: SlideBag, prototypes: PrototypeSet) -> SlidePrediction:
     """Nearest-prototype prediction from the full-bag pooled embedding.
 
     The bag's label is never consulted.
     """
-    scores = prototype_scores(bgap(bag.patches)[None], prototypes)[0]
+    scores = _bag_scores(bag, prototype_scores, prototypes)
     return SlidePrediction(bag.slide_id, scores, int(np.argmax(scores)), PROTOTYPE_METHOD)
 
 
@@ -332,7 +343,7 @@ def mizero_predict(
     bag: SlideBag, classifier: TextClassifier, prompt_index: int = 0
 ) -> SlidePrediction:
     """Zero-shot prediction with one prompt's classifier."""
-    scores = mizero_scores(bgap(bag.patches)[None], classifier, prompt_index)[0]
+    scores = _bag_scores(bag, mizero_scores, classifier, prompt_index)
     return SlidePrediction(bag.slide_id, scores, int(np.argmax(scores)), "mizero")
 
 
@@ -391,8 +402,26 @@ def tip_adapter_scores(
         if other.shape[1] != dim:
             raise DimensionMismatch(dim, other.shape[1])
     unit = unit_rows(queries, _MIN_POOLED_NORM)
-    affinity = np.exp(-cache.beta * (1.0 - row_scores(unit, cache.keys)))
-    return cache.alpha * row_scores(affinity, cache.values.T) + row_scores(unit, canonical)
+    affinity = cache_affinity(unit, cache.keys, cache.beta)
+    return cache_blend(affinity, cache.values, cache.alpha, row_scores(unit, canonical))
+
+
+def cache_affinity(unit: np.ndarray, keys: np.ndarray, beta: float) -> np.ndarray:
+    """``exp(-beta * (1 - q . key))`` of every unit query row q against every
+    cache key row, ``n x M``; a column block of a call on stacked keys equals
+    the call on that block's keys."""
+    return np.exp(-beta * (1.0 - row_scores(unit, keys)))
+
+
+def cache_blend(
+    affinity: np.ndarray, values: np.ndarray, alpha: float, text: np.ndarray
+) -> np.ndarray:
+    """The Tip-Adapter scores ``alpha * affinity @ values + text`` of
+    :func:`tip_adapter_scores`, from the ``n x M`` cache affinities, the
+    ``M x C`` one-hot values and the ``n x C`` text scores. `affinity` must be
+    C-ordered for the bytes of :func:`tip_adapter_scores` (see
+    :func:`row_scores`)."""
+    return alpha * row_scores(affinity, values.T) + text
 
 
 def tip_adapter_predict(
@@ -401,7 +430,7 @@ def tip_adapter_predict(
     """Tip-Adapter prediction from the full-bag pooled embedding; see
     :func:`tip_adapter_scores`."""
     canonical = classifier.canonical_vectors()
-    scores = tip_adapter_scores(bgap(bag.patches)[None], cache, canonical)[0]
+    scores = _bag_scores(bag, tip_adapter_scores, cache, canonical)
     return SlidePrediction(bag.slide_id, scores, int(np.argmax(scores)), "tipadapter")
 
 

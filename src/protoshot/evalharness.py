@@ -7,8 +7,10 @@ The grid streams the corpus: every support draw is made before any bag is
 read, then one pass writes each bag's full-bag mean to a fold-ordered table
 (and each drawn slide's pools to one support array) and releases it, so
 each slide is read, scored and pooled at most once per run. Each cell
-scores its fold's slice of that table as one matrix. Results are sorted by
-a canonical key before serialization.
+builds its prototypes and cache keys; each fold then scores its slice of
+that table against all of them at once and counts every record's hits
+with one bincount. Results are sorted by a canonical key before
+serialization.
 Reports echo the generator identity, the mixing rule, and every seed so a
 run can be reproduced from the report alone.
 """
@@ -25,15 +27,23 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .adapters import (
+    _MIN_POOLED_NORM,
     SlidePrediction,
-    cache_from_pooled,
+    cache_affinity,
+    cache_blend,
     mizero_scores,
     prototype_rows,
     row_scores,
-    tip_adapter_scores,
     visionshot_slide_embedding,
 )
-from .embedstore import DatasetManifest, SlideBag, TextClassifier, _is_int, row_norms
+from .embedstore import (
+    DatasetManifest,
+    SlideBag,
+    TextClassifier,
+    _is_int,
+    row_norms,
+    unit_rows,
+)
 from .errors import (
     ClassAbsent,
     ClassTooSmall,
@@ -205,6 +215,30 @@ def balanced_accuracy(
     return float(recalls.mean()), recalls
 
 
+def column_balanced_accuracies(
+    predictions: np.ndarray, labels: np.ndarray, num_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`balanced_accuracy` of every column of the ``n x R`` integer
+    matrix `predictions` against the n `labels`, each in 0..num_classes-1:
+    the R scores and the ``R x C`` recalls. One ``np.bincount`` over
+    ``column * C + label`` of the hits counts every column, and each row of
+    the result holds the bytes :func:`balanced_accuracy` gives that column.
+
+    Raises:
+        ClassAbsent: naming the lowest class absent from `labels`.
+    """
+    totals = np.bincount(labels, minlength=num_classes)
+    absent = np.flatnonzero(totals == 0)
+    if absent.size:
+        raise ClassAbsent(int(absent[0]))
+    row, column = np.nonzero(predictions == labels[:, None])
+    hits = np.bincount(
+        column * num_classes + labels[row], minlength=predictions.shape[1] * num_classes
+    )
+    recalls = hits.reshape(-1, num_classes) / totals
+    return recalls.mean(axis=1), recalls
+
+
 def _pairwise_distances(points: np.ndarray, block: int = 256) -> np.ndarray:
     """Euclidean distance matrix, computed blockwise without the Gram trick
     (which loses precision for near-coincident points)."""
@@ -298,19 +332,20 @@ class EvalReport:
     aggregates: tuple[Aggregate, ...]
 
     def to_json(self) -> str:
-        # each dataclass's fields by name: dataclasses.asdict without the deep
-        # copy of every value that doubles this method's time
-        payload = {
-            "config": self.config,
-            "records": [{f.name: getattr(r, f.name) for f in fields(r)} for r in self.records],
-            "aggregates": [{f.name: getattr(a, f.name) for f in fields(a)} for a in self.aggregates],
-        }
-        return canonical_json(payload) + "\n"
+        """The bytes of :func:`canonical_json` over each dataclass's fields by
+        name, with every record written by one format string."""
+        aggregates = canonical_json(
+            [{f.name: getattr(a, f.name) for f in fields(a)} for a in self.aggregates]
+        )
+        quoted: dict[str, str] = {}  # the few method names, each quoted once
+        records = ",".join(_record_json(r, quoted) for r in self.records)
+        config = canonical_json(self.config)
+        return f'{{"aggregates":{aggregates},"config":{config},"records":[{records}]}}\n'
 
     def to_csv(self) -> str:
-        lines = ["method,fold,seed,k,top_k,balanced_accuracy"]
+        lines = ["method,fold,seed,k,top_k,prompt,balanced_accuracy"]
         for r in self.records:
-            axes = ("" if v is None else str(v) for v in (r.fold, r.seed, r.k, r.top_k))
+            axes = ("" if v is None else str(v) for v in (r.fold, r.seed, r.k, r.top_k, r.prompt))
             lines.append(",".join([r.method, *axes, format(r.balanced_accuracy, ".6g")]))
         return "\n".join(lines) + "\n"
 
@@ -399,6 +434,41 @@ def canonical_json(obj) -> str:
         items = sorted(obj.items())
         return "{" + ",".join(f"{json.dumps(k)}:{canonical_json(v)}" for k, v in items) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
+
+
+# an EvalRecord's keys in the sorted order canonical_json writes them, and the
+# one format string that writes a record with its values in that order
+_RECORD_KEYS = (
+    "balanced_accuracy", "fold", "k", "method", "per_class_recalls", "prompt", "seed", "top_k"
+)
+_RECORD_JSON = "{{" + ",".join(f'"{key}":{{}}' for key in _RECORD_KEYS) + "}}"
+
+
+def _axis_json(value: int | None) -> str:
+    return "null" if value is None else str(int(value))
+
+
+def _record_json(r: EvalRecord, quoted: dict[str, str]) -> str:
+    """`r` as canonical_json writes its field dict; `quoted` memoizes the
+    JSON string of each method name."""
+    floats = (float(r.balanced_accuracy), *r.per_class_recalls)
+    if not all(map(math.isfinite, floats)):
+        bad = next(x for x in floats if not math.isfinite(x))
+        raise ValueError(f"non-finite float {bad} in report")
+    method = quoted.get(r.method)
+    if method is None:
+        method = quoted[r.method] = json.dumps(r.method, ensure_ascii=False)
+    accuracy, *recalls = (format(x, ".17g") for x in floats)
+    return _RECORD_JSON.format(
+        accuracy,
+        _axis_json(r.fold),
+        _axis_json(r.k),
+        method,
+        "[" + ",".join(recalls) + "]",
+        _axis_json(r.prompt),
+        _axis_json(r.seed),
+        _axis_json(r.top_k),
+    )
 
 
 def _opt(v):
@@ -521,6 +591,37 @@ def _stored(entry):
     return entry
 
 
+def _fold_scores(
+    queries: np.ndarray,
+    rows: Sequence[np.ndarray],
+    keys: Sequence[np.ndarray],
+    values: Sequence[np.ndarray],
+    unit: np.ndarray | None,
+    text: np.ndarray | None,
+    config: GridConfig,
+) -> np.ndarray:
+    """The ``n x R x C`` scores of one fold's few-shot records, from the parts
+    its cells built: first every cell's ``(sets, C, d)`` prototype `rows`,
+    scored by one row_scores call on all of them stacked; then, if `keys` is
+    not empty, each cell's Tip-Adapter scores, from one cache_affinity call
+    of the `unit` queries on every cell's keys stacked, and the cell's
+    `values` product on a C-ordered copy of its block, plus the `text`
+    scores. Each block holds the bytes of its cell scored alone (see
+    :func:`~protoshot.adapters.row_scores`)."""
+    n, dim = queries.shape
+    num_classes = rows[0].shape[-2]
+    stacked = np.concatenate(rows).reshape(-1, dim)
+    scores = [row_scores(queries, stacked).reshape(n, -1, num_classes)]
+    if keys:
+        affinity = cache_affinity(unit, np.concatenate(keys), config.tip_beta)
+        end = 0
+        for block, value in zip(keys, values):
+            start, end = end, end + len(block)
+            cell = np.ascontiguousarray(affinity[:, start:end])
+            scores.append(cache_blend(cell, value, config.tip_alpha, text)[:, None])
+    return np.concatenate(scores, axis=1)
+
+
 def run_grid(
     manifest: DatasetManifest,
     bags: Iterable[SlideBag],
@@ -545,13 +646,20 @@ def run_grid(
     arrays and is released: ``table``, every slide's full-bag mean, fold by
     fold; and ``pools``, each drawn slide's guided pool per top-K and then
     its full-bag mean. A cell takes its draw's columns of ``pools`` once and
-    scores them on its fold's slice of ``table`` with the cores the per-bag
-    functions in ``adapters`` use, so both give the same numbers;
-    predictions are ``argmax(axis=1)``. Records are sorted canonically, so
-    the report is a pure function of the data and the config.
+    builds its prototype rows and unit cache keys from them. The fold then
+    scores its slice of ``table`` against every cell's rows with one
+    ``row_scores`` call, and against every cell's keys with one
+    ``cache_affinity`` call (:func:`_fold_scores`); each cell's block holds
+    the bytes the per-bag functions in ``adapters`` give. Predictions are
+    the argmax over classes, and :func:`column_balanced_accuracies` counts
+    every record of the fold with one bincount. No array grows with folds
+    times seeds. Records are sorted canonically, so the report is a pure
+    function of the data and the config.
 
     Raises:
-        GridCellError: a cell failed; the message names it. A draw fails
+        GridCellError: a cell failed; the message names it. Every cell that
+            can fail is built before its fold is scored, so the cell named
+            is the first failing one in fold-major order. A draw fails
             before the first bag is read; a guided pool that fails during
             the pass fails the first few-shot cell.
         DimensionMismatch: a bag's dimension differs from the first bag's;
@@ -637,15 +745,25 @@ def run_grid(
 
     records: list[EvalRecord] = []
     dim = table.shape[1]
+    sets = len(proto_sets)
+    tipadapter = "tipadapter" in fewshot_methods
     for f in range(config.num_folds):
         queries, truth = table[bounds[f] : bounds[f + 1]], y[bounds[f] : bounds[f + 1]]
-        # (method, seed, k, top_k, prompt, n x C scores) of every record of the fold
-        scored: list[tuple] = []
+        # axes[r] = (method, seed, k, top_k, prompt) of record r, which is column r of
+        # the fold's n x R predictions; the prototype columns follow mizero's, and
+        # Tip-Adapter's follow them
+        axes: list[tuple] = []
+        predictions: list[np.ndarray] = []
         if "mizero" in config.methods:
             with _cell(f"method=mizero fold={f}"):
                 for prompt in range(classifier.num_prompts):
                     scores = mizero_scores(queries, classifier, prompt)
-                    scored.append(("mizero", None, None, None, prompt, scores))
+                    predictions.append(scores.argmax(axis=1)[:, None])
+                    axes.append(("mizero", None, None, None, prompt))
+        # every cell fails here or not at all, in fold-major order; _fold_scores then
+        # scores the whole fold at once
+        rows, keys, values = [], [], []
+        unit = text = None
         for (seed, k), columns in draws[f].items():
             with _cell(f"fold={f} seed={seed} k={k}"):
                 if guide_error is not None:
@@ -653,26 +771,31 @@ def run_grid(
                 # take, not pools[:, columns], so the gather is C-ordered; the draw
                 # is class-major, so each plane's k slides per class reshape to (C, k)
                 cell = pools.take(columns, axis=1)
-                sets = cell[: len(proto_sets)].reshape(len(proto_sets), num_classes, k, dim)
-                rows = prototype_rows(sets, config.normalize_prototypes).reshape(-1, dim)
-                scores = row_scores(queries, rows).reshape(len(queries), -1, num_classes)
-                for i, (method, kt) in enumerate(proto_sets):
-                    scored.append((method, seed, k, kt, None, scores[:, i]))
-                if "tipadapter" in fewshot_methods:
-                    # the cache and the queries take unit vectors inside this cell, so
+                pooled = cell[:sets].reshape(sets, num_classes, k, dim)
+                rows.append(prototype_rows(pooled, config.normalize_prototypes))
+                axes.extend((method, seed, k, kt, None) for method, kt in proto_sets)
+                if tipadapter:
+                    # the keys and the queries take unit vectors inside this cell, so
                     # a zero-mean slide fails only in the cells that need its direction
-                    cache = cache_from_pooled(
-                        cell[-1],
-                        np.repeat(np.arange(num_classes), k),
-                        num_classes,
-                        config.tip_alpha,
-                        config.tip_beta,
-                    )
-                    scores = tip_adapter_scores(queries, cache, _stored(class_vectors))
-                    scored.append(("tipadapter", seed, k, None, None, scores))
-        for method, seed, k, kt, prompt, scores in scored:
-            accuracy, recalls = balanced_accuracy(scores.argmax(axis=1), truth, num_classes)
-            records.append(EvalRecord(method, f, seed, k, kt, prompt, accuracy, recalls))
+                    keys.append(unit_rows(cell[-1], _MIN_POOLED_NORM))
+                    values.append(np.eye(num_classes).repeat(k, axis=0))  # one-hot, class-major
+                    if unit is None:
+                        canonical = _stored(class_vectors)
+                        if canonical.shape[1] != dim:
+                            raise DimensionMismatch(dim, canonical.shape[1])
+                        unit = unit_rows(queries, _MIN_POOLED_NORM)
+                        text = row_scores(unit, canonical)
+        if rows:
+            scores = _fold_scores(queries, rows, keys, values, unit, text, config)
+            predictions.append(scores.argmax(axis=2))
+            axes.extend(("tipadapter", seed, k, None, None) for seed, k in draws[f] if keys)
+        accuracies, recalls = column_balanced_accuracies(
+            np.concatenate(predictions, axis=1), truth, num_classes
+        )
+        for (method, seed, k, kt, prompt), accuracy, recall in zip(
+            axes, accuracies.tolist(), recalls.tolist()
+        ):
+            records.append(EvalRecord(method, f, seed, k, kt, prompt, accuracy, recall))
 
     records.sort(key=_record_key)
     aggregates = aggregate_records(records)

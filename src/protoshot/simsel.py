@@ -31,15 +31,18 @@ class SelectionResult:
         object.__setattr__(self, "indices", idx)
 
 
-def as_class_vector(bag: PatchMatrix, class_vector: np.ndarray) -> np.ndarray:
+def as_class_vector(
+    bag: PatchMatrix, class_vector: np.ndarray, slide_id: str | None = None
+) -> np.ndarray:
     """`class_vector` as a flat float64 vector to score `bag` against.
 
     Raises:
-        DimensionMismatch: its length is not the bag's dimension.
+        DimensionMismatch: its length is not the bag's dimension; names
+            `slide_id` when given.
     """
     w = np.asarray(class_vector, dtype=np.float64).reshape(-1)
     if w.shape[0] != bag.dim:
-        raise DimensionMismatch(bag.dim, w.shape[0])
+        raise DimensionMismatch(bag.dim, w.shape[0], slide_id)
     return w
 
 
@@ -108,7 +111,7 @@ def guided_pools(
     count share one pool.
     """
     patches = bag.patches
-    vector = as_class_vector(patches, class_vector)
+    vector = as_class_vector(patches, class_vector, bag.slide_id)
     counts = {k: clamp_k(k, patches.rows) for k in top_ks}
     order = None
     if any(n < patches.rows for n in counts.values()):

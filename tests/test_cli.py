@@ -139,13 +139,6 @@ class TestEvaluate:
         }
         assert "method" in capsys.readouterr().out
 
-    def test_thread_count_invariant(self, dataset, tmp_path):
-        one = tmp_path / "one.json"
-        eight = tmp_path / "eight.json"
-        assert run(*self.evaluate_args(dataset, one)) == 0
-        assert run(*self.evaluate_args(dataset, eight)) == 0
-        assert one.read_bytes() == eight.read_bytes()
-
     def test_rerun_identical(self, dataset, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -163,7 +156,9 @@ class TestEvaluate:
     def test_csv_format(self, dataset, tmp_path):
         out = tmp_path / "report.csv"
         assert run(*self.evaluate_args(dataset, out, "--format", "csv")) == 0
-        assert out.read_text().splitlines()[0] == "method,fold,seed,k,top_k,balanced_accuracy"
+        assert out.read_text().splitlines()[0] == (
+            "method,fold,seed,k,top_k,prompt,balanced_accuracy"
+        )
 
     def test_missing_dataset_exits_one(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -264,6 +259,58 @@ class TestPrototypeCommands:
         manifest, _ = embedstore.load_manifest(dataset / "manifest.jsonl")
         for line, rec in zip(out.read_text().splitlines()[1:], manifest.slides):
             assert line.split(",")[1] == rec.class_name
+
+
+class TestDimensionErrors:
+    """A prototype or classifier file of another dimension fails the command
+    with a message that names the first slide it meets."""
+
+    @pytest.fixture
+    def narrow(self, tmp_path):
+        out = tmp_path / "narrow"
+        assert run(*synth_args(out, dim=4)) == 0
+        return out
+
+    @staticmethod
+    def first_slide(dataset):
+        return embedstore.parse_manifest(dataset / "manifest.jsonl").slides[0].slide_id
+
+    def fails_naming_first_slide(self, dataset, capsys, *argv):
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "dimension mismatch" in err
+        assert f"slide {self.first_slide(dataset)!r}" in err
+
+    def test_build_prototypes(self, dataset, narrow, tmp_path, capsys):
+        self.fails_naming_first_slide(
+            dataset, capsys,
+            "build-prototypes",
+            "--dataset", str(dataset),
+            "--classifier", str(narrow / "classifier.pse"),
+            "--top-k", "4",
+            "--out", str(tmp_path / "proto.pse"),
+        )
+
+    def test_predict(self, dataset, narrow, tmp_path, capsys):
+        proto = tmp_path / "narrow.pse"
+        assert run("build-prototypes", "--dataset", str(narrow), "--out", str(proto)) == 0
+        self.fails_naming_first_slide(
+            dataset, capsys,
+            "predict",
+            "--dataset", str(dataset),
+            "--prototypes", str(proto),
+            "--out", str(tmp_path / "preds.csv"),
+        )
+
+    def test_zero_shot(self, dataset, narrow, tmp_path, capsys):
+        self.fails_naming_first_slide(
+            dataset, capsys,
+            "zero-shot",
+            "--dataset", str(dataset),
+            "--classifier", str(narrow / "classifier.pse"),
+            "--out", str(tmp_path / "zs.csv"),
+        )
 
 
 class TestSidecarTypes:

@@ -18,8 +18,10 @@ from protoshot.adapters import (
     build_prototypes,
     mizero_predict,
     predict_prototype,
+    prototype_scores,
     simpleshot_prototypes,
     tip_adapter_predict,
+    tip_adapter_scores,
 )
 from protoshot.errors import (
     ClassAbsent,
@@ -40,6 +42,7 @@ from protoshot.evalharness import (
     aggregate_records,
     balanced_accuracy,
     canonical_json,
+    column_balanced_accuracies,
     derive_seed,
     export_embedding_table,
     pca_2d,
@@ -270,6 +273,44 @@ class TestBalancedAccuracy:
         assert abs(score - 1 / 3) <= 3 * sigma
 
 
+class TestColumnCounts:
+    """One bincount per fold counts every record; each column's score and
+    recalls hold the bytes balanced_accuracy gives that column alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_classes=st.integers(2, 40),
+        n=st.integers(0, 200),
+        columns=st.integers(1, 40),
+    )
+    def test_columns_equal_per_record_balanced_accuracy(self, seed, num_classes, n, columns):
+        rng = np.random.default_rng(seed)
+        n = max(n, num_classes)  # every class among the labels
+        labels = rng.permutation(
+            np.concatenate([np.arange(num_classes), rng.integers(0, num_classes, n - num_classes)])
+        )
+        # each column hits its label at its own rate, from never to always
+        hit = rng.random((n, columns)) < rng.random(columns)
+        guesses = rng.integers(0, num_classes, (n, columns))
+        predictions = np.where(hit, labels[:, None], guesses)
+        scores, recalls = column_balanced_accuracies(predictions, labels, num_classes)
+        assert scores.shape == (columns,) and recalls.shape == (columns, num_classes)
+        for r in range(columns):
+            score, expected = balanced_accuracy(predictions[:, r], labels, num_classes)
+            assert scores[r].tobytes() == np.float64(score).tobytes()
+            assert recalls[r].tobytes() == expected.tobytes()
+
+    def test_absent_class_named_like_balanced_accuracy(self):
+        labels = np.array([0, 0, 2, 4, 2])
+        predictions = np.zeros((5, 3), dtype=np.int64)
+        for count in (lambda: column_balanced_accuracies(predictions, labels, 5),
+                      lambda: balanced_accuracy(predictions[:, 0], labels, 5)):
+            with pytest.raises(ClassAbsent) as err:
+                count()
+            assert err.value.class_index == 1
+
+
 class TestSilhouette:
     def test_two_tight_clusters(self):
         points = np.vstack([np.zeros((4, 3)), np.ones((5, 3))])
@@ -397,14 +438,13 @@ class TestRunGrid:
         report = run_grid(manifest, bags, clf, config)
         assert all(r.balanced_accuracy == 1.0 for r in report.records)
 
-    def test_byte_identical_reruns_and_threads(self, small_dataset):
+    def test_byte_identical_reruns(self, small_dataset):
         manifest, bags, clf = small_dataset
         config = GridConfig(num_folds=3, k_grid=(2,), top_k_grid=(4,), seeds=(11, 12))
         first = run_grid(manifest, bags, clf, config)
         second = run_grid(manifest, bags, clf, config)
-        threaded = run_grid(manifest, bags, clf, config)
-        assert first.to_json() == second.to_json() == threaded.to_json()
-        assert first.to_csv() == threaded.to_csv()
+        assert first.to_json() == second.to_json()
+        assert first.to_csv() == second.to_csv()
 
     def test_aggregate_matches_record_mean(self, small_dataset):
         manifest, bags, clf = small_dataset
@@ -700,7 +740,7 @@ class TestSupportPools:
 
     def test_cells_pass_c_ordered_pools(self, noisy_dataset, monkeypatch):
         manifest, bags, clf = noisy_dataset
-        rows, caches = adapters.prototype_rows, evalharness.cache_from_pooled
+        rows, units = adapters.prototype_rows, evalharness.unit_rows
         layouts = Counter()
 
         def checking(fn):
@@ -711,9 +751,110 @@ class TestSupportPools:
             return wrapped
 
         monkeypatch.setattr(evalharness, "prototype_rows", checking(rows))
-        monkeypatch.setattr(evalharness, "cache_from_pooled", checking(caches))
+        monkeypatch.setattr(evalharness, "unit_rows", checking(units))
         run_grid(manifest, bags, clf, TestPooledGrid.config)
-        assert layouts == {True: 2 * 4 * 2 * 2}  # both calls of 16 cells
+        # prototype rows and cache keys of 16 cells, and the unit queries of 4 folds
+        assert layouts == {True: 2 * 4 * 2 * 2 + 4}
+
+
+def per_cell_scores(manifest, bags, clf, config):
+    """Every fold's few-shot score blocks, each cell built and scored alone
+    with the public per-bag builders: per fold, every cell's prototype sets
+    (visionshot top-Ks, then simpleshot), then every cell's Tip-Adapter
+    scores, cells in (seed, k) order."""
+    bags_by_id = {bag.slide_id: bag for bag in bags}
+    labels = {rec.slide_id: manifest.class_index(rec.class_name) for rec in manifest.slides}
+    num_classes = len(manifest.classes)
+    folds = stratified_kfold(labels, config.num_folds, derive_seed(config.base_seed, "folds"))
+    normalize = config.normalize_prototypes
+    out = []
+    for f in range(config.num_folds):
+        queries = np.stack([bgap(bags_by_id[sid].patches) for sid in folds.fold_ids(f)])
+        groups = [[] for _ in manifest.classes]
+        for rec in manifest.slides:
+            if folds.fold_of[rec.slide_id] != f:
+                groups[labels[rec.slide_id]].append(rec.slide_id)
+        protos, tips = [], []
+        for seed in config.resolved_seeds():
+            for k in config.k_grid:
+                draw = sample_few_shot(groups, k, derive_seed(seed, "support", f, k))
+                support = [bags_by_id[sid] for sid in draw.support_ids]
+                if "visionshot" in config.methods:
+                    for kt in config.top_k_grid:
+                        built = build_prototypes(support, clf, kt, normalize)
+                        protos.append(prototype_scores(queries, built))
+                if "simpleshot" in config.methods:
+                    built = simpleshot_prototypes(
+                        support, normalize, num_classes=num_classes, class_names=manifest.classes
+                    )
+                    protos.append(prototype_scores(queries, built))
+                if "tipadapter" in config.methods:
+                    cache = build_cache(support, num_classes, config.tip_alpha, config.tip_beta)
+                    tips.append(tip_adapter_scores(queries, cache, clf.canonical_vectors()))
+        out.append(protos + tips)
+    return out
+
+
+class TestFoldScoring:
+    """A fold scores every cell's prototype rows with one call and every
+    cell's cache keys with one affinity call; each block of the result
+    holds the bytes of its cell scored alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_classes=st.integers(2, 4),
+        extra_dim=st.integers(0, 12),
+        per_class=st.integers(4, 7),
+        folds=st.integers(2, 3),
+        top_ks=st.lists(st.integers(1, 14), min_size=1, max_size=3, unique=True),
+        fewshot=st.sampled_from(
+            [combo for n in (1, 2, 3) for combo in itertools.combinations(FEWSHOT, n)]
+        ),
+        normalize=st.booleans(),
+        alpha=st.floats(0.0, 10.0),
+        beta=st.floats(0.01, 20.0),
+    )
+    def test_fold_blocks_equal_per_cell_path(
+        self, seed, num_classes, extra_dim, per_class, folds, top_ks, fewshot, normalize,
+        alpha, beta,
+    ):
+        manifest, bags, clf = generate(SynthConfig(
+            num_classes=num_classes,
+            dim=num_classes + extra_dim,
+            slides_per_class=per_class,
+            patches_min=1,
+            patches_max=12,
+            informative_fraction=0.3,
+            noise_scale=1.0,
+            seed=seed % 2**16,
+        ))
+        config = GridConfig(
+            methods=fewshot,
+            num_folds=folds,
+            k_grid=(1, 2),
+            top_k_grid=tuple(top_ks),
+            seeds=(seed, seed + 1),
+            tip_alpha=alpha,
+            tip_beta=beta,
+            normalize_prototypes=normalize,
+        )
+        captured = []
+        fold_scores = evalharness._fold_scores
+
+        def capturing(*args):
+            captured.append(fold_scores(*args))
+            return captured[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evalharness, "_fold_scores", capturing)
+            run_grid(manifest, bags, clf, config)
+        expected = per_cell_scores(manifest, bags, clf, config)
+        assert len(captured) == len(expected) == folds
+        for got, blocks in zip(captured, expected):
+            assert got.shape == (blocks[0].shape[0], len(blocks), num_classes)
+            for r, block in enumerate(blocks):
+                assert got[:, r].tobytes() == block.tobytes()
 
 
 class TestGuidedPools:
@@ -900,6 +1041,59 @@ class TestReportSerialization:
         assert back.aggregates == report.aggregates
         assert back.to_json() == report.to_json()
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_to_json_equals_canonical_json_of_the_fields(self, data):
+        axis = st.one_of(st.none(), st.integers(-3, 2**40), st.integers(0, 9).map(np.int64))
+        value = st.one_of(
+            st.sampled_from([0.0, 1.0, 1 / 3, 2 / 3, 5e-324, 2.2250738585072014e-308, 1e-300]),
+            st.floats(0.0, 1.0),
+        )
+        records = []
+        for _ in range(data.draw(st.integers(0, 5))):
+            num_classes = data.draw(st.integers(2, 40))
+            records.append(EvalRecord(
+                method=data.draw(st.one_of(st.sampled_from(evalharness.METHODS), st.text())),
+                fold=data.draw(st.integers(0, 9)),
+                seed=data.draw(axis),
+                k=data.draw(axis),
+                top_k=data.draw(axis),
+                prompt=data.draw(axis),
+                balanced_accuracy=data.draw(value),
+                per_class_recalls=data.draw(
+                    st.lists(value, min_size=num_classes, max_size=num_classes)
+                ),
+            ))
+        report = EvalReport(
+            {"seeds": [1, 2], "tip_alpha": 1 / 3}, tuple(records), aggregate_records(records)
+        )
+        payload = {
+            "config": report.config,
+            "records": [dataclasses.asdict(r) for r in report.records],
+            "aggregates": [dataclasses.asdict(a) for a in report.aggregates],
+        }
+        assert report.to_json() == canonical_json(payload) + "\n"
+
+    def test_record_writer_keys_are_the_record_fields(self):
+        # a field added to EvalRecord must be added to the writer too
+        names = sorted(f.name for f in dataclasses.fields(EvalRecord))
+        assert list(evalharness._RECORD_KEYS) == names
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_recall_rejected(self, bad):
+        record = EvalRecord("simpleshot", 0, 7, 2, None, None, 0.5, (1.0, bad, 0.0))
+        with pytest.raises(ValueError, match="non-finite float"):
+            EvalReport({}, (record,), ()).to_json()
+
+    def test_csv_rows_have_unique_axes_with_two_prompts(self, small_dataset):
+        manifest, bags, clf = small_dataset
+        two = TextClassifier(clf.class_names, np.stack([clf.weights[0]] * 2))
+        config = GridConfig(num_folds=3, k_grid=(2,), top_k_grid=(4,), seeds=(1,))
+        report = run_grid(manifest, bags, two, config)
+        axes = [line.rsplit(",", 1)[0] for line in report.to_csv().splitlines()[1:]]
+        assert sum(r.method == "mizero" for r in report.records) == 3 * 2
+        assert len(set(axes)) == len(axes) == len(report.records)
+
     def test_csv_layout(self, small_dataset):
         manifest, bags, clf = small_dataset
         config = GridConfig(
@@ -907,7 +1101,7 @@ class TestReportSerialization:
         )
         report = run_grid(manifest, bags, clf, config)
         lines = report.to_csv().splitlines()
-        assert lines[0] == "method,fold,seed,k,top_k,balanced_accuracy"
+        assert lines[0] == "method,fold,seed,k,top_k,prompt,balanced_accuracy"
         assert len(lines) == 1 + len(report.records)
         first = lines[1].split(",")
         assert first[0] == "simpleshot" and first[4] == ""  # no top_k axis
