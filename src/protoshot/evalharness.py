@@ -788,7 +788,8 @@ def run_grid(
         if rows:
             scores = _fold_scores(queries, rows, keys, values, unit, text, config)
             predictions.append(scores.argmax(axis=2))
-            axes.extend(("tipadapter", seed, k, None, None) for seed, k in draws[f] if keys)
+            if keys:
+                axes.extend(("tipadapter", seed, k, None, None) for seed, k in draws[f])
         accuracies, recalls = column_balanced_accuracies(
             np.concatenate(predictions, axis=1), truth, num_classes
         )

@@ -618,6 +618,28 @@ class TestRowScores:
         with pytest.raises(DimensionMismatch):
             tip_adapter_scores(queries, cache, clf.canonical_vectors())
 
+    def test_per_bag_dimension_errors_name_the_slide(self):
+        rng = np.random.default_rng(42)
+        clf = random_classifier(rng, 3, 8)
+        protos = simpleshot_prototypes(random_support(rng, 3, 8, 2))
+        cache = build_cache(random_support(rng, 3, 8, 2), 3)
+        narrow = SlideBag("narrow-slide", PatchMatrix(random_unit_rows(rng, 5, 6)), 0)
+        for predict in (
+            lambda: predict_prototype(narrow, protos),
+            lambda: mizero_predict(narrow, clf),
+            lambda: tip_adapter_predict(narrow, cache, clf),
+            lambda: guided_pools(narrow, clf.canonical_vectors()[0], (2,)),
+        ):
+            with pytest.raises(DimensionMismatch) as err:
+                predict()
+            assert err.value.slide_id == "narrow-slide"
+            assert "slide 'narrow-slide'" in str(err.value)
+        # a classifier that disagrees with the cache is not the slide's fault
+        bag = SlideBag("fine-slide", PatchMatrix(random_unit_rows(rng, 5, 8)), 0)
+        with pytest.raises(DimensionMismatch) as err:
+            tip_adapter_predict(bag, cache, random_classifier(rng, 3, 6))
+        assert err.value.slide_id is None
+
     def test_zero_query_names_its_row(self):
         rng = np.random.default_rng(42)
         clf = random_classifier(rng, 3, 8)
