@@ -29,10 +29,12 @@ from .embedstore import (
     PatchMatrix,
     SlideBag,
     TextClassifier,
+    frozen,
     off_unit_row,
     read_embeddings_file,
     read_sidecar,
     row_norms,
+    sidecar_path,
     unit_rows,
     write_embeddings_file,
     write_sidecar,
@@ -42,12 +44,13 @@ from .errors import (
     EmptyCache,
     EmptyClassSupport,
     PromptIndexOutOfRange,
+    SidecarError,
     ZeroVectorRow,
 )
 from .simsel import bgap, guided_pools
 
 _NORM_ATOL = 1e-6
-_MIN_POOLED_NORM = 1e-12
+MIN_POOLED_NORM = 1e-12
 PROTOTYPE_METHOD = "prototype"  # the method of every predict_prototype prediction
 
 
@@ -68,7 +71,7 @@ class PrototypeSet:
 
     def __post_init__(self):
         names = tuple(self.class_names)
-        arr = np.ascontiguousarray(self.prototypes, dtype=np.float64)
+        arr = frozen(self.prototypes, np.float64)
         if arr.ndim != 2 or arr.shape[0] != len(names):
             raise ValueError(
                 f"expected one prototype per class ({len(names)}), got shape {arr.shape}"
@@ -77,7 +80,6 @@ class PrototypeSet:
             raise ValueError("prototypes contain NaN or infinity")
         if self.normalized and off_unit_row(row_norms(arr), _NORM_ATOL) is not None:
             raise ValueError("normalized flag set but rows are not unit norm")
-        arr.flags.writeable = False
         object.__setattr__(self, "class_names", names)
         object.__setattr__(self, "prototypes", arr)
         object.__setattr__(self, "support", dict(self.support))
@@ -99,9 +101,7 @@ class SlidePrediction:
     method: str
 
     def __post_init__(self):
-        scores = np.ascontiguousarray(self.class_scores, dtype=np.float64)
-        scores.flags.writeable = False
-        object.__setattr__(self, "class_scores", scores)
+        object.__setattr__(self, "class_scores", frozen(self.class_scores, np.float64))
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,8 @@ class CacheModel:
     beta: float = 5.5
 
     def __post_init__(self):
-        keys = np.ascontiguousarray(self.keys, dtype=np.float64)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        keys = frozen(self.keys, np.float64)
+        values = frozen(self.values, np.float64)
         if keys.ndim != 2 or keys.shape[0] == 0:
             raise EmptyCache()
         if values.ndim != 2 or values.shape[0] != keys.shape[0]:
@@ -133,8 +133,6 @@ class CacheModel:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.beta <= 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
-        keys.flags.writeable = False
-        values.flags.writeable = False
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "values", values)
 
@@ -206,7 +204,7 @@ def prototype_rows(pooled: np.ndarray | Sequence, normalize_prototypes: bool) ->
     if not normalize_prototypes:
         return rows
     try:
-        return unit_rows(rows.reshape(-1, rows.shape[-1]), _MIN_POOLED_NORM).reshape(rows.shape)
+        return unit_rows(rows.reshape(-1, rows.shape[-1]), MIN_POOLED_NORM).reshape(rows.shape)
     except ZeroVectorRow as exc:
         raise ZeroVectorRow(exc.row % rows.shape[-2]) from None
 
@@ -359,7 +357,7 @@ def cache_from_pooled(
     pooled = np.asarray(pooled, dtype=np.float64)
     if pooled.ndim != 2 or pooled.shape[0] == 0:
         raise EmptyCache()
-    keys = unit_rows(pooled, _MIN_POOLED_NORM)
+    keys = unit_rows(pooled, MIN_POOLED_NORM)
     values = np.zeros((pooled.shape[0], num_classes))
     values[np.arange(pooled.shape[0]), labels] = 1.0
     return CacheModel(keys=keys, values=values, alpha=alpha, beta=beta)
@@ -401,7 +399,7 @@ def tip_adapter_scores(
     for other in (queries, canonical):
         if other.shape[1] != dim:
             raise DimensionMismatch(dim, other.shape[1])
-    unit = unit_rows(queries, _MIN_POOLED_NORM)
+    unit = unit_rows(queries, MIN_POOLED_NORM)
     affinity = cache_affinity(unit, cache.keys, cache.beta)
     return cache_blend(affinity, cache.values, cache.alpha, row_scores(unit, canonical))
 
@@ -455,21 +453,25 @@ def read_prototypes(path: str | Path) -> PrototypeSet:
 
     Raises:
         MissingFile, SidecarError: from
-            :func:`~protoshot.embedstore.read_sidecar`;
+            :func:`~protoshot.embedstore.read_sidecar`, and SidecarError when
+            its class names do not match the file's rows;
+        ZeroVectorRow: a row marked normalized is zero; names the file;
         everything :func:`~protoshot.embedstore.read_embeddings_file` raises.
     """
     sidecar = read_sidecar(path, ("class_names",))
     matrix = read_embeddings_file(path)
     names = tuple(sidecar["class_names"])
     if matrix.rows != len(names):
-        raise ValueError(
-            f"prototype file holds {matrix.rows} rows for {len(names)} classes"
-        )
+        reason = f"lists {len(names)} class names, but the file holds {matrix.rows} rows"
+        raise SidecarError(str(sidecar_path(path)), reason, "class_names")
     support = {name: tuple(ids) for name, ids in sidecar.get("support", {}).items()}
     rows = matrix.values.astype(np.float64)
     normalized = sidecar.get("normalized", False)
     if normalized:
-        rows = unit_rows(rows)  # float32 storage loosens unit norms; restore them
+        try:
+            rows = unit_rows(rows)  # float32 storage loosens unit norms; restore them
+        except ZeroVectorRow as exc:
+            raise ZeroVectorRow(exc.row, str(path)) from None
     return PrototypeSet(
         class_names=names,
         prototypes=rows,

@@ -19,19 +19,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterator
 
 from . import adapters, embedstore, evalharness, synthgen
 from .errors import OutputNotEmpty, PromptIndexOutOfRange, ProtoshotError
 
-DEFAULT_K_GRID = "2,4,8,16"
-DEFAULT_TOPK_GRID = "2,20,200,2000"
+
+def _str_list(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _int_list(text: str) -> list[int]:
+def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return tuple(int(part) for part in _str_list(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
@@ -59,7 +61,7 @@ def _stream_dataset(args) -> tuple[embedstore.DatasetManifest, Iterator, Path]:
     returned iterator is consumed. The dataset directory comes last."""
     manifest_path, root = _dataset_paths(args.dataset)
     manifest = embedstore.parse_manifest(manifest_path)
-    bags = embedstore.iter_bags(manifest, manifest_path, root, renormalize=args.normalize)
+    bags = embedstore.iter_bags(manifest, manifest_path, renormalize=args.normalize)
     return manifest, bags, root
 
 
@@ -106,20 +108,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    # only the grid flags given, by field name: GridConfig holds every default and check
+    given = {f.name: vars(args)[f.name] for f in fields(evalharness.GridConfig) if f.name in args}
+    config = evalharness.GridConfig(**given)
     manifest, bags, root = _stream_dataset(args)
     classifier = _load_classifier(args, root)
-    config = evalharness.GridConfig(
-        methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-        num_folds=args.folds,
-        k_grid=tuple(args.k_grid),
-        top_k_grid=tuple(args.topk_grid),
-        seeds=tuple(args.seeds) if args.seeds else None,
-        num_seeds=args.num_seeds,
-        base_seed=args.base_seed,
-        tip_alpha=args.tip_alpha,
-        tip_beta=args.tip_beta,
-        normalize_prototypes=not args.no_normalize_prototypes,
-    )
     report = evalharness.run_grid(manifest, bags, classifier, config)
     out = Path(args.out)
     payload = report.to_csv() if args.format == "csv" else report.to_json()
@@ -258,20 +251,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("evaluate", help="run the cross-validated few-shot grid")
+    p = sub.add_parser(
+        "evaluate", help="run the cross-validated few-shot grid",
+        argument_default=argparse.SUPPRESS,  # GridConfig holds the grid's defaults
+    )
     p.add_argument("--dataset", required=True, help="manifest file or dataset directory")
-    p.add_argument("--classifier", help="text classifier file (default: classifier.pse in dataset dir)")
-    p.add_argument("--methods", default=",".join(evalharness.METHODS))
-    p.add_argument("--k-grid", type=_int_list, default=_int_list(DEFAULT_K_GRID))
-    p.add_argument("--topk-grid", type=_int_list, default=_int_list(DEFAULT_TOPK_GRID))
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seeds", type=_int_list, default=None, help="explicit few-shot seeds")
-    p.add_argument("--num-seeds", type=int, default=5)
-    p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--tip-alpha", type=float, default=1.0)
-    p.add_argument("--tip-beta", type=float, default=5.5)
-    p.add_argument("--no-normalize-prototypes", action="store_true")
-    p.add_argument("--normalize", action="store_true", help="re-normalize rows at load")
+    p.add_argument("--classifier", default=None,
+                   help="text classifier file (default: classifier.pse in dataset dir)")
+    p.add_argument("--methods", type=_str_list)
+    p.add_argument("--k-grid", type=_int_list)
+    p.add_argument("--topk-grid", type=_int_list, dest="top_k_grid", metavar="TOPK_GRID")
+    p.add_argument("--folds", type=int, dest="num_folds", metavar="FOLDS")
+    p.add_argument("--seeds", type=_int_list, help="explicit few-shot seeds")
+    p.add_argument("--num-seeds", type=int)
+    p.add_argument("--base-seed", type=int)
+    p.add_argument("--tip-alpha", type=float)
+    p.add_argument("--tip-beta", type=float)
+    p.add_argument("--no-normalize-prototypes", action="store_false", dest="normalize_prototypes")
+    p.add_argument("--normalize", action="store_true", default=False,
+                   help="re-normalize rows at load")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)

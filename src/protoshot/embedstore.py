@@ -25,17 +25,21 @@ means, dot products) accumulate in 64-bit. A :class:`PatchMatrix` widens
 its values to 64-bit once, on first use of its row norms or row mean, and
 keeps both, so the load-time unit-norm check and full-bag pooling share
 one pass.
+
+:func:`frozen` adopts every array a model keeps, and :func:`typed_object`
+checks every JSON object read: manifest lines, sidecars and reports.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import reprlib
 import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -67,15 +71,13 @@ _MIN_ROW_NORM = 1e-8
 _READ_CHUNK = 1 << 26
 
 
-def _adopt_float32(values) -> np.ndarray:
-    """Return a read-only float32 C-order view or copy of `values`."""
+def frozen(values, dtype) -> np.ndarray:
+    """`values` as a read-only C-ordered array of `dtype`, the array every
+    model keeps: `values` itself if it already is one, else a read-only copy,
+    so the caller's own array is never frozen."""
     arr = np.asarray(values)
-    if not (
-        arr.dtype == np.float32
-        and arr.flags["C_CONTIGUOUS"]
-        and not arr.flags.writeable
-    ):
-        arr = np.array(arr, dtype=np.float32, order="C")
+    if arr.dtype != dtype or not arr.flags.c_contiguous or arr.flags.writeable:
+        arr = np.array(arr, dtype=dtype, order="C")
         arr.flags.writeable = False
     return arr
 
@@ -109,6 +111,8 @@ class PatchMatrix:
     Rows are expected to be unit-norm in regular use (stores check this at
     load time), but the type itself only rejects non-finite values and
     degenerate shapes so that :func:`normalize` can accept raw input.
+    :func:`frozen` adopts `values`: a file's read-only payload is kept as it
+    is, and a caller's writable array is copied, never frozen.
 
     The row norms and the row mean come from one float64 pass over the
     values, made on the first call to :meth:`row_norms` or the first read of
@@ -118,7 +122,7 @@ class PatchMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _adopt_float32(self.values)
+        arr = frozen(self.values, np.float32)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
         n, d = arr.shape
@@ -183,7 +187,7 @@ class TextClassifier:
 
     def __post_init__(self):
         names = tuple(self.class_names)
-        arr = _adopt_float32(self.weights)
+        arr = frozen(self.weights, np.float32)
         if arr.ndim != 3:
             raise ValueError(f"expected weights of shape (P, C, D), got {arr.shape}")
         p, c, d = arr.shape
@@ -194,7 +198,7 @@ class TextClassifier:
         norms = row_norms(arr.reshape(p * c, d).astype(np.float64))
         row = off_unit_row(norms, LOAD_NORM_ATOL)
         if row is not None:
-            raise UnnormalizedRow(f"classifier[{names[row % c]}]", row, float(norms[row]))
+            raise UnnormalizedRow(None, row, float(norms[row]))
         object.__setattr__(self, "class_names", names)
         object.__setattr__(self, "weights", arr)
 
@@ -299,10 +303,6 @@ def normalize(matrix: PatchMatrix) -> PatchMatrix:
     return PatchMatrix(scaled)
 
 
-def is_normalized(matrix: PatchMatrix, atol: float = LOAD_NORM_ATOL) -> bool:
-    return off_unit_row(matrix.row_norms(), atol) is None
-
-
 # --- binary embedding format ---------------------------------------------------
 
 
@@ -402,6 +402,47 @@ def read_embeddings_file(path: str | Path) -> PatchMatrix:
         return _read_payload(fh, n, d, where)
 
 
+# --- typed JSON objects --------------------------------------------------------
+
+
+def is_int(value) -> bool:
+    """Whether the decoded JSON `value` is an integer (a bool is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def typed_object(raw, types: Mapping, required: Collection[str], fail: Callable) -> dict:
+    """The JSON object `raw`, with its keys checked against `types`.
+
+    `raw` is JSON text (str or bytes), decoded here, or a value decoded
+    already. `types` maps each key it checks to (description, test). In the
+    order of `types`, a key of `required` must be present, and a key that is
+    present must pass its test; other keys are not checked. A failure raises
+    the error ``fail(reason, key)`` builds, with `key` None when `raw` is not
+    a JSON object.
+    """
+    if isinstance(raw, (str, bytes)):
+        try:
+            raw = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            at = (f"line {exc.lineno} " if exc.lineno > 1 else "") + f"column {exc.colno}"
+            raise fail(f"malformed JSON: {exc.msg} at {at}", None) from None
+        except UnicodeDecodeError as exc:
+            raise fail(f"malformed JSON: {exc}", None) from None
+    if not isinstance(raw, dict):
+        raise fail("expected a JSON object", None)
+    for key, (expected, holds) in types.items():
+        if key not in raw:
+            if key in required:
+                raise fail(f"missing key {key!r}", key)
+        elif not holds(raw[key]):
+            raise fail(f"key {key!r} holds {reprlib.repr(raw[key])}, not {expected}", key)
+    return raw
+
+
 # --- text classifier persistence ---------------------------------------------
 
 
@@ -411,24 +452,16 @@ def sidecar_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".json")
 
 
-def _is_str_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # the type every known sidecar key must hold when present: (description, test)
 _SIDECAR_TYPES = {
-    "num_classes": ("an integer", _is_int),
-    "num_prompts": ("an integer", _is_int),
+    "num_classes": ("an integer", is_int),
+    "num_prompts": ("an integer", is_int),
     "class_names": ("a list of strings", _is_str_list),
     "support": (
         "an object of string lists",
         lambda v: isinstance(v, dict) and all(_is_str_list(ids) for ids in v.values()),
     ),
-    "top_k": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "top_k": ("an integer or null", lambda v: v is None or is_int(v)),
     "normalized": ("a boolean", lambda v: isinstance(v, bool)),
 }
 
@@ -455,22 +488,10 @@ def read_sidecar(path: str | Path, required: Sequence[str]) -> dict:
     where = sidecar_path(path)
     if not where.is_file():
         raise MissingFile(str(where))
-    try:
-        sidecar = json.loads(where.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SidecarError(
-            str(where), f"malformed JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
-        ) from None
-    if not isinstance(sidecar, dict):
-        raise SidecarError(str(where), "expected a JSON object")
-    for key in required:
-        if key not in sidecar:
-            raise SidecarError(str(where), f"missing key {key!r}", key)
-    for key, (expected, holds) in _SIDECAR_TYPES.items():
-        if key in sidecar and not holds(sidecar[key]):
-            reason = f"key {key!r} holds {sidecar[key]!r}, not {expected}"
-            raise SidecarError(str(where), reason, key)
-    return sidecar
+    return typed_object(
+        where.read_bytes(), _SIDECAR_TYPES, required,
+        lambda reason, key: SidecarError(str(where), reason, key),
+    )
 
 
 def write_text_classifier(classifier: TextClassifier, path: str | Path) -> None:
@@ -489,20 +510,29 @@ def read_text_classifier(path: str | Path) -> TextClassifier:
     """Read a classifier written by :func:`write_text_classifier`.
 
     Raises:
-        MissingFile, SidecarError: from :func:`read_sidecar`;
+        MissingFile, SidecarError: from :func:`read_sidecar`, and
+            SidecarError when the sidecar's counts disagree with each other
+            or with the file's rows;
+        UnnormalizedRow: naming the file;
         everything :func:`read_embeddings_file` raises.
     """
     sidecar = read_sidecar(path, ("num_classes", "num_prompts", "class_names"))
     num_classes, num_prompts = sidecar["num_classes"], sidecar["num_prompts"]
     names = tuple(sidecar["class_names"])
+    where = str(sidecar_path(path))
+    if len(names) != num_classes:
+        reason = f"{len(names)} class names for {num_classes} classes"
+        raise SidecarError(where, reason, "class_names")
     flat = read_embeddings_file(path)
     if flat.rows != num_prompts * num_classes:
-        raise ValueError(
-            f"classifier file holds {flat.rows} rows, sidecar declares "
-            f"{num_prompts} prompts x {num_classes} classes"
-        )
-    weights = flat.values.reshape(num_prompts, num_classes, flat.dim)
-    return TextClassifier(names, weights)
+        counts = f"{num_prompts} prompts x {num_classes} classes"
+        raise SidecarError(where, f"declares {counts}, but the file holds {flat.rows} rows")
+    try:
+        return TextClassifier(names, flat.values.reshape(num_prompts, num_classes, flat.dim))
+    except UnnormalizedRow as exc:
+        raise UnnormalizedRow(None, exc.row, exc.norm, str(path)) from None
+    except ValueError as exc:  # fewer than 2 classes
+        raise SidecarError(where, str(exc), "num_classes") from None
 
 
 # --- manifest ingestion ---------------------------------------------------------
@@ -529,7 +559,7 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 _MANIFEST_HEAD_TYPES = {"classes": ("a list of strings", _is_str_list)}
 _MANIFEST_SLIDE_TYPES = {
     **{key: ("a string", lambda v: isinstance(v, str)) for key in ("slide_id", "class", "path")},
-    "num_patches": ("an integer", _is_int),
+    "num_patches": ("an integer", is_int),
 }
 
 
@@ -557,21 +587,8 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
         raise ValueError(f"manifest {path} is empty")
 
     def fields(number: int, text: str, types: dict) -> dict:
-        try:
-            row = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(
-                str(path), number, f"malformed JSON: {exc.msg} at column {exc.colno}"
-            ) from None
-        if not isinstance(row, dict):
-            raise ManifestError(str(path), number, "expected a JSON object")
-        for key, (expected, holds) in types.items():
-            if key not in row:
-                raise ManifestError(str(path), number, f"missing key {key!r}", key)
-            if not holds(row[key]):
-                reason = f"key {key!r} holds {row[key]!r}, not {expected}"
-                raise ManifestError(str(path), number, reason, key)
-        return row
+        fail = lambda reason, key: ManifestError(str(path), number, reason, key)
+        return typed_object(text, types, types, fail)
 
     head = fields(*lines[0], _MANIFEST_HEAD_TYPES)
     classes = tuple(head["classes"])
@@ -599,11 +616,7 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
 
 
 def iter_bags(
-    manifest: DatasetManifest,
-    path: str | Path,
-    root: str | Path | None = None,
-    *,
-    renormalize: bool = False,
+    manifest: DatasetManifest, path: str | Path, *, renormalize: bool = False
 ) -> Iterator[SlideBag]:
     """Read and validate the manifest's bags one at a time, in manifest order.
 
@@ -619,9 +632,7 @@ def iter_bags(
 
     Args:
         manifest: the parsed manifest at `path`.
-        path: manifest file.
-        root: directory that slide paths are relative to; defaults to the
-            manifest's own directory.
+        path: manifest file; slide paths are relative to its directory.
         renormalize: re-normalize rows that fail the unit-norm check rather
             than rejecting them.
 
@@ -630,7 +641,7 @@ def iter_bags(
         errors of :func:`read_embeddings_file`, each when the offending bag
         is reached.
     """
-    base = Path(root) if root is not None else Path(path).parent
+    base = Path(path).parent
     for rec in manifest.slides:
         matrix = read_embeddings_file(base / rec.path)
         if matrix.rows != rec.num_patches:
@@ -650,10 +661,7 @@ def iter_bags(
 
 
 def load_manifest(
-    path: str | Path,
-    root: str | Path | None = None,
-    *,
-    renormalize: bool = False,
+    path: str | Path, *, renormalize: bool = False
 ) -> tuple[DatasetManifest, list[SlideBag]]:
     """Load a manifest and every embedding file it references.
 
@@ -663,7 +671,7 @@ def load_manifest(
         ManifestError, PatchCountMismatch, MissingFile, UnnormalizedRow.
     """
     manifest = parse_manifest(path)
-    return manifest, list(iter_bags(manifest, path, root, renormalize=renormalize))
+    return manifest, list(iter_bags(manifest, path, renormalize=renormalize))
 
 
 def write_dataset(

@@ -19,9 +19,10 @@ def _in_file(path: str | None, message: str) -> str:
 
 
 class ZeroVectorRow(ProtoshotError):
-    def __init__(self, row: int):
-        super().__init__(f"row {row} has near-zero L2 norm and cannot be normalized")
-        self.row = row
+    def __init__(self, row: int, path: str | None = None):
+        message = f"row {row} has near-zero L2 norm and cannot be normalized"
+        super().__init__(_in_file(path, message))
+        self.row, self.path = row, path
 
 
 class NonFiniteValue(ProtoshotError):
@@ -32,14 +33,16 @@ class NonFiniteValue(ProtoshotError):
 
 
 class UnnormalizedRow(ProtoshotError):
-    def __init__(self, slide_id: str, row: int, norm: float):
-        super().__init__(
-            f"slide {slide_id!r} row {row} has L2 norm {norm:.6g}, expected 1.0; "
-            "pass renormalize=True to fix at load"
+    """A row whose L2 norm is off 1: of the slide `slide_id`, or of a text
+    classifier when `slide_id` is None, which no load option re-normalizes."""
+
+    def __init__(self, slide_id: str | None, row: int, norm: float, path: str | None = None):
+        what, fix = ("classifier", "") if slide_id is None else (
+            f"slide {slide_id!r}", "; pass renormalize=True to fix at load"
         )
-        self.slide_id = slide_id
-        self.row = row
-        self.norm = norm
+        message = f"{what} row {row} has L2 norm {norm:.6g}, expected 1.0{fix}"
+        super().__init__(_in_file(path, message))
+        self.slide_id, self.row, self.norm, self.path = slide_id, row, norm, path
 
 
 class IoFailure(ProtoshotError):
@@ -136,8 +139,8 @@ class ManifestError(ProtoshotError, ValueError):
 
 
 class SidecarError(ProtoshotError, ValueError):
-    """A JSON sidecar that is not a valid JSON object, lacks a required key
-    or holds a value of the wrong type.
+    """A JSON sidecar that is not a valid JSON object, lacks a required key,
+    holds a value of the wrong type or counts what its binary file does not.
 
     `key` names the offending key, or is None when the file as a whole is
     malformed. Also a ValueError, like :class:`ManifestError`.

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .adapters import (
-    _MIN_POOLED_NORM,
+    MIN_POOLED_NORM,
     SlidePrediction,
     cache_affinity,
     cache_blend,
@@ -40,8 +40,9 @@ from .embedstore import (
     DatasetManifest,
     SlideBag,
     TextClassifier,
-    _is_int,
+    is_int,
     row_norms,
+    typed_object,
     unit_rows,
 )
 from .errors import (
@@ -355,15 +356,9 @@ class EvalReport:
         field must hold the type its dataclass declares, or raise ReportError
         naming `path` and the key; a missing optional field reads as null
         (reports older than ``prompt`` lack it)."""
-        try:
-            raw = json.loads(text)
-        except ValueError as exc:
-            raise ReportError(path, f"malformed JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ReportError(path, "expected a JSON object")
-        for key, kind in (("config", dict), ("records", list), ("aggregates", list)):
-            if not isinstance(raw.get(key), kind):
-                raise ReportError(path, f"key {key!r} is missing or not a {kind.__name__}", key)
+        raw = typed_object(
+            text, _REPORT_TYPES, _REPORT_TYPES, lambda reason, key: ReportError(path, reason, key)
+        )
         records, aggregates = (
             tuple(_from_fields(cls, item, path, f"{key}[{i}]") for i, item in enumerate(raw[key]))
             for key, cls in (("records", EvalRecord), ("aggregates", Aggregate))
@@ -372,35 +367,39 @@ class EvalReport:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    return is_int(value) or isinstance(value, float)
 
 
 # the JSON value each report field annotation admits: (description, test)
 _FIELD_TYPES = {
     "str": ("a string", lambda v: isinstance(v, str)),
-    "int": ("an integer", _is_int),
-    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "int": ("an integer", is_int),
+    "int | None": ("an integer or null", lambda v: v is None or is_int(v)),
     "float": ("a number", _is_number),
     "tuple[float, ...]": (
         "a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))
     ),
 }
+# the keys of a report, each required
+_REPORT_TYPES = {
+    "config": ("an object", lambda v: isinstance(v, dict)),
+    **dict.fromkeys(
+        ("records", "aggregates"),
+        ("a list of objects", lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v))
+    ),
+}
 
 
-def _from_fields(cls, raw, path: str, where: str):
-    """The report dataclass `cls` read from `raw`, at `where` in the report `path`."""
-    if not isinstance(raw, dict):
-        raise ReportError(path, f"{where} is not a JSON object")
-    values = {}
-    for f in fields(cls):
-        expected, holds = _FIELD_TYPES[f.type]
-        if f.name not in raw and not f.type.endswith("| None"):
-            raise ReportError(path, f"{where} lacks key {f.name!r}", f.name)
-        value = raw.get(f.name)
-        if not holds(value):
-            reason = f"{where} key {f.name!r} holds {value!r}, not {expected}"
-            raise ReportError(path, reason, f.name)
-        values[f.name] = float(value) if f.type == "float" else value
+def _from_fields(cls, raw: dict, path: str, where: str):
+    """The report dataclass `cls` read from `raw`, at `where` in the report
+    `path`; a field typed ``int | None`` may be missing, and a float field
+    stores an integer as a float."""
+    types = {f.name: _FIELD_TYPES[f.type] for f in fields(cls)}
+    required = [f.name for f in fields(cls) if not f.type.endswith("| None")]
+    typed_object(raw, types, required, lambda why, key: ReportError(path, f"{where}: {why}", key))
+    values = {
+        f.name: float(raw[f.name]) if f.type == "float" else raw.get(f.name) for f in fields(cls)
+    }
     try:
         return cls(**values)
     except ValueError as exc:
@@ -777,13 +776,13 @@ def run_grid(
                 if tipadapter:
                     # the keys and the queries take unit vectors inside this cell, so
                     # a zero-mean slide fails only in the cells that need its direction
-                    keys.append(unit_rows(cell[-1], _MIN_POOLED_NORM))
+                    keys.append(unit_rows(cell[-1], MIN_POOLED_NORM))
                     values.append(np.eye(num_classes).repeat(k, axis=0))  # one-hot, class-major
                     if unit is None:
                         canonical = _stored(class_vectors)
                         if canonical.shape[1] != dim:
                             raise DimensionMismatch(dim, canonical.shape[1])
-                        unit = unit_rows(queries, _MIN_POOLED_NORM)
+                        unit = unit_rows(queries, MIN_POOLED_NORM)
                         text = row_scores(unit, canonical)
         if rows:
             scores = _fold_scores(queries, rows, keys, values, unit, text, config)

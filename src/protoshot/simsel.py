@@ -10,25 +10,12 @@ order so results never depend on caller-side ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .embedstore import PatchMatrix, SlideBag
+from .embedstore import PatchMatrix, SlideBag, frozen
 from .errors import DimensionMismatch, EmptySubset
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """Indices of the best-scoring patches, score-descending (ties by index)."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.ascontiguousarray(self.indices, dtype=np.int64)
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
 
 
 def as_class_vector(
@@ -66,15 +53,16 @@ def clamp_k(k: int, count: int) -> int:
     return min(k, count)
 
 
-def top_k(scores: np.ndarray, k: int) -> SelectionResult:
-    """Select the k highest scores; k above the score count clamps.
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The read-only int64 indices of the k highest scores; k above the
+    score count clamps.
 
     Ordering is deterministic: score descending, then original index
     ascending. The selection keeps :func:`clamp_k` indices.
     """
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
     order = np.argsort(-s, kind="stable")
-    return SelectionResult(order[: clamp_k(k, s.shape[0])])
+    return frozen(order[: clamp_k(k, s.shape[0])], np.int64)
 
 
 def bgap(bag: PatchMatrix, subset: np.ndarray | None = None) -> np.ndarray:
@@ -115,7 +103,7 @@ def guided_pools(
     counts = {k: clamp_k(k, patches.rows) for k in top_ks}
     order = None
     if any(n < patches.rows for n in counts.values()):
-        order = top_k(score_against(patches, vector), patches.rows).indices
+        order = top_k(score_against(patches, vector), patches.rows)
     by_count = {
         n: bgap(patches) if n == patches.rows else bgap(patches, order[:n])
         for n in dict.fromkeys(counts.values())

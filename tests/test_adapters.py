@@ -9,6 +9,7 @@ from protoshot import adapters, simsel
 from protoshot.adapters import (
     CacheModel,
     PrototypeSet,
+    SlidePrediction,
     build_cache,
     build_prototypes,
     mizero_predict,
@@ -37,6 +38,44 @@ from protoshot.errors import (
 from protoshot.simsel import bgap, guided_pools, score_against, top_k
 
 from conftest import random_unit_rows
+
+
+class TestAdoptedArrays:
+    """Every model keeps a read-only C-ordered array, and a caller's writable
+    array is copied, never frozen."""
+
+    @pytest.mark.parametrize(
+        "given, kept",
+        [
+            pytest.param(np.eye(2, 3, dtype=np.float32), lambda a: PatchMatrix(a).values,
+                         id="PatchMatrix"),
+            pytest.param(np.eye(2, 3, dtype=np.float32)[None],
+                         lambda a: TextClassifier(("a", "b"), a).weights, id="TextClassifier"),
+            pytest.param(np.eye(2, 3), lambda a: PrototypeSet(("a", "b"), a, True).prototypes,
+                         id="PrototypeSet"),
+            pytest.param(np.array([0.2, 0.8]),
+                         lambda a: SlidePrediction("s", a, 1, "m").class_scores,
+                         id="SlidePrediction"),
+            pytest.param(np.eye(2, 3), lambda a: CacheModel(a, np.eye(2)).keys,
+                         id="CacheModel.keys"),
+            pytest.param(np.eye(2), lambda a: CacheModel(np.eye(2, 3), a).values,
+                         id="CacheModel.values"),
+        ],
+    )
+    def test_callers_array_stays_writable(self, given, kept):
+        array = kept(given)
+        assert not array.flags.writeable and array.flags.c_contiguous
+        np.testing.assert_array_equal(array, given)
+        given[...] = 0.5  # raises if the constructor froze the caller's array
+        assert not (array == 0.5).all()
+
+    def test_read_only_input_is_kept_as_is(self):
+        values = np.eye(2, 3, dtype=np.float32)
+        values.flags.writeable = False
+        assert PatchMatrix(values).values is values
+        rows = np.eye(2, 3)
+        rows.flags.writeable = False
+        assert PrototypeSet(("a", "b"), rows, True).prototypes is rows
 
 
 def bag_of(rows, slide_id="s", label=None) -> SlideBag:
@@ -137,7 +176,7 @@ class TestVisionshotEmbedding:
         rng = np.random.default_rng(3)
         bag = bag_of(random_unit_rows(rng, 9, 5))
         w = random_unit_rows(rng, 1, 5)[0]
-        expected = bgap(bag.patches, top_k(score_against(bag.patches, w), 9).indices)
+        expected = bgap(bag.patches, top_k(score_against(bag.patches, w), 9))
 
         def no_scoring(*args):
             raise AssertionError("a covering k scored the bag")

@@ -1,13 +1,15 @@
 import json
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from protoshot import adapters, embedstore
-from protoshot.cli import main
+from protoshot.cli import build_parser, main
 from protoshot.errors import ReportError
-from protoshot.evalharness import EvalReport
+from protoshot.evalharness import EvalReport, GridConfig
 
 
 def run(*argv) -> int:
@@ -172,6 +174,7 @@ class TestEvaluate:
             (["--seeds", "11", "--methods", "mizero,simpleshot,mizero"], "methods"),
             (["--num-seeds", "0"], "num_seeds"),
             (["--folds", "1"], "num_folds"),
+            (["--seeds", ","], "seeds"),
         ],
     )
     def test_config_that_changes_the_report_rejected(
@@ -189,6 +192,22 @@ class TestEvaluate:
         code = run(*self.evaluate_args(dataset, out, "--k-grid", "99"))
         assert code == 1
         assert "k=99" in capsys.readouterr().err
+
+    def test_no_seeds_run_zero_shot_only(self, dataset, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(*self.evaluate_args(dataset, out, "--methods", "mizero", "--seeds", ",")) == 0
+        report = EvalReport.from_json(out.read_text())
+        assert report.config["seeds"] == [] and report.records
+
+    def test_grid_defaults_come_from_grid_config(self):
+        args = build_parser().parse_args(["evaluate", "--dataset", "d", "--out", "o"])
+        assert not any(f.name in args for f in fields(GridConfig))
+        given = build_parser().parse_args(
+            ["evaluate", "--dataset", "d", "--out", "o", "--folds", "3", "--topk-grid", "4,8",
+             "--no-normalize-prototypes"]
+        )
+        grid = {f.name: getattr(given, f.name) for f in fields(GridConfig) if f.name in given}
+        assert grid == {"num_folds": 3, "top_k_grid": (4, 8), "normalize_prototypes": False}
 
 
 class TestPrototypeCommands:
@@ -364,6 +383,68 @@ class TestSidecarTypes:
         message = f"{sidecar}: key {key!r} holds {value!r}, not {expected}"
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+class TestInputFileErrors:
+    """A prototype or classifier file that disagrees with its sidecar, or
+    whose rows cannot be used, fails the command with a message that names
+    the file."""
+
+    def fails_naming(self, capsys, path, *argv) -> str:
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: "), err
+        return err[len(f"error: {path}: "):]
+
+    @staticmethod
+    def predict(dataset, proto, tmp_path):
+        return ("predict", "--dataset", str(dataset), "--prototypes", str(proto),
+                "--out", str(tmp_path / "p.csv"))
+
+    @staticmethod
+    def zero_shot(dataset, tmp_path):
+        return ("zero-shot", "--dataset", str(dataset), "--out", str(tmp_path / "z.csv"))
+
+    @staticmethod
+    def edit_sidecar(path, **changes):
+        sidecar = embedstore.sidecar_path(path)
+        fields = json.loads(sidecar.read_text())
+        fields.update(changes)
+        sidecar.write_text(json.dumps(fields))
+        return sidecar
+
+    def test_prototype_class_names_and_rows_disagree(self, dataset, tmp_path, capsys):
+        proto = tmp_path / "proto.pse"
+        assert run("build-prototypes", "--dataset", str(dataset), "--top-k", "4",
+                   "--out", str(proto)) == 0
+        sidecar = self.edit_sidecar(proto, class_names=["a", "b", "c", "d"])
+        err = self.fails_naming(capsys, sidecar, *self.predict(dataset, proto, tmp_path))
+        assert err == "lists 4 class names, but the file holds 3 rows\n"
+
+    def test_zero_prototype_marked_normalized(self, dataset, tmp_path, capsys):
+        proto = tmp_path / "zero.pse"
+        embedstore.write_embeddings_file(embedstore.PatchMatrix(np.zeros((3, 8))), proto)
+        embedstore.write_sidecar(proto, {"class_names": ["a", "b", "c"], "normalized": True})
+        err = self.fails_naming(capsys, proto, *self.predict(dataset, proto, tmp_path))
+        assert err == "row 0 has near-zero L2 norm and cannot be normalized\n"
+
+    def test_unnormalized_classifier_rows(self, dataset, tmp_path, capsys):
+        path = dataset / "classifier.pse"
+        weights = embedstore.read_embeddings_file(path).values
+        embedstore.write_embeddings_file(embedstore.PatchMatrix(weights * 4), path)
+        err = self.fails_naming(capsys, path, *self.zero_shot(dataset, tmp_path))
+        assert err == "classifier row 0 has L2 norm 4, expected 1.0\n"
+
+    def test_classifier_rows_and_sidecar_disagree(self, dataset, tmp_path, capsys):
+        sidecar = self.edit_sidecar(dataset / "classifier.pse", num_prompts=2)
+        err = self.fails_naming(capsys, sidecar, *self.zero_shot(dataset, tmp_path))
+        assert err == "declares 2 prompts x 3 classes, but the file holds 3 rows\n"
+
+    def test_more_class_names_than_classes(self, dataset, tmp_path, capsys):
+        sidecar = self.edit_sidecar(dataset / "classifier.pse", num_classes=2)
+        err = self.fails_naming(capsys, sidecar, *self.zero_shot(dataset, tmp_path))
+        assert err == "3 class names for 2 classes\n"
 
 
 def workflow_outputs(dataset, tmp_path):

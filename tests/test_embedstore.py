@@ -15,13 +15,13 @@ from hypothesis.extra import numpy as hnp
 import protoshot.embedstore as embedstore
 from protoshot.embedstore import (
     HEADER_SIZE,
+    LOAD_NORM_ATOL,
     MAGIC,
     DatasetManifest,
     PatchMatrix,
     SlideBag,
     SlideRecord,
     TextClassifier,
-    is_normalized,
     iter_bags,
     load_manifest,
     normalize,
@@ -674,7 +674,7 @@ class TestManifest:
         write_embeddings_file(PatchMatrix(rows), tmp_path / "s0.pse")
         write_manifest(manifest, tmp_path / "manifest.jsonl")
         _, bags = load_manifest(tmp_path / "manifest.jsonl", renormalize=True)
-        assert is_normalized(bags[0].patches)
+        assert off_unit_row(bags[0].patches.row_norms(), LOAD_NORM_ATOL) is None
 
     def test_parse_requires_classes_line(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
@@ -784,9 +784,9 @@ class TestIterBags:
         manifest = DatasetManifest(("a",), tuple(records))
         path = write_dataset(manifest.classes, zip(manifest.slides, bags), tmp_path)
         _, loaded = load_manifest(path, renormalize=True)
-        streamed = list(iter_bags(manifest, path, tmp_path, renormalize=True))
+        streamed = list(iter_bags(manifest, path, renormalize=True))
         assert _bag_bytes(streamed) == _bag_bytes(loaded)
-        assert all(is_normalized(b.patches) for b in streamed)
+        assert all(off_unit_row(b.patches.row_norms(), LOAD_NORM_ATOL) is None for b in streamed)
 
     def test_lazy(self, tmp_path):
         rng = np.random.default_rng(27)

@@ -31,6 +31,7 @@ from protoshot.errors import (
     InsufficientSupport,
     InvalidConfig,
     LengthMismatch,
+    ReportError,
     SingleCluster,
     TooFewPoints,
     ZeroVectorRow,
@@ -869,11 +870,11 @@ class TestGuidedPools:
     def test_covering_pool_is_full_bag_mean(self):
         bag, w = self.bag_and_vector()
         p = bag.patches
-        scored = bgap(p, top_k(score_against(p, w), p.rows).indices)
+        scored = bgap(p, top_k(score_against(p, w), p.rows))
         pools = guided_pools(bag, w, (3, 12, 40))
         assert pools[12].tobytes() == pools[40].tobytes() == scored.tobytes()
         assert pools[40].tobytes() == bgap(p).tobytes()
-        assert pools[3].tobytes() == bgap(p, top_k(score_against(p, w), 3).indices).tobytes()
+        assert pools[3].tobytes() == bgap(p, top_k(score_against(p, w), 3)).tobytes()
 
     def test_covering_ks_never_score(self, monkeypatch):
         bag, w = self.bag_and_vector()
@@ -1040,6 +1041,45 @@ class TestReportSerialization:
         assert back.records == report.records
         assert back.aggregates == report.aggregates
         assert back.to_json() == report.to_json()
+
+    def test_missing_optional_field_reads_null_and_int_reads_float(self, small_dataset):
+        manifest, bags, clf = small_dataset
+        config = GridConfig(num_folds=3, k_grid=(2,), top_k_grid=(4,), seeds=(1,))
+        raw = json.loads(run_grid(manifest, bags, clf, config).to_json())
+        del raw["records"][0]["prompt"]  # reports older than prompt lack it
+        raw["records"][0]["balanced_accuracy"] = 1
+        raw["aggregates"][0]["std"] = 0
+        back = EvalReport.from_json(json.dumps(raw))
+        assert back.records[0].prompt is None
+        assert type(back.records[0].balanced_accuracy) is float
+        assert type(back.aggregates[0].std) is float
+
+    @pytest.mark.parametrize(
+        "edit, key, start, end",
+        [
+            pytest.param(lambda raw: raw.pop("config"), "config", "missing key 'config'", "",
+                         id="no-config"),
+            pytest.param(lambda raw: raw["records"].append(3), "records",
+                         "key 'records' holds [{'balanced_accuracy': ",
+                         ", ...], not a list of objects", id="record-not-an-object"),
+            pytest.param(lambda raw: raw["aggregates"][1].pop("mean"), "mean",
+                         "aggregates[1]: missing key 'mean'", "", id="aggregate-without-mean"),
+            pytest.param(lambda raw: raw["records"][2].update(k="2"), "k",
+                         "records[2]: key 'k' holds '2', not an integer or null", "",
+                         id="string-k"),
+        ],
+    )
+    def test_malformed_report_names_key(self, small_dataset, edit, key, start, end):
+        manifest, bags, clf = small_dataset
+        config = GridConfig(num_folds=3, k_grid=(2,), top_k_grid=(4,), seeds=(1,))
+        raw = json.loads(run_grid(manifest, bags, clf, config).to_json())
+        edit(raw)
+        with pytest.raises(ReportError) as err:
+            EvalReport.from_json(json.dumps(raw), "r.json")
+        message = str(err.value)
+        assert err.value.key == key
+        assert message.startswith(f"r.json: {start}") and message.endswith(end)
+        assert len(message) < 600  # a long value is shown abridged
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

@@ -64,22 +64,26 @@ class TestScoreAgainst:
 class TestTopK:
     def test_basic(self):
         sel = top_k(np.array([0.9, 0.1, 0.5]), 2)
-        assert sel.indices.tolist() == [0, 2] and len(sel.indices) == 2
+        assert sel.tolist() == [0, 2] and len(sel) == 2
+
+    def test_read_only_int64_indices(self):
+        sel = top_k(np.array([0.9, 0.1, 0.5]), 2)
+        assert sel.dtype == np.int64 and sel.flags.c_contiguous and not sel.flags.writeable
 
     def test_tie_breaks_by_index(self):
         sel = top_k(np.array([0.5, 0.5, 0.1]), 1)
-        assert sel.indices.tolist() == [0]
+        assert sel.tolist() == [0]
 
     def test_k_clamps(self):
         sel = top_k(np.array([0.3, 0.1]), 10)
-        assert len(sel.indices) == 2
-        assert sorted(sel.indices.tolist()) == [0, 1]
+        assert len(sel) == 2
+        assert sorted(sel.tolist()) == [0, 1]
 
     def test_full_k_is_permutation(self):
         rng = np.random.default_rng(3)
         scores = rng.standard_normal(31)
         sel = top_k(scores, 31)
-        assert sorted(sel.indices.tolist()) == list(range(31))
+        assert sorted(sel.tolist()) == list(range(31))
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
@@ -96,13 +100,13 @@ class TestTopK:
                 scores = rng.standard_normal(n)
             k = int(rng.integers(1, n + 4))
             sel = top_k(scores, k)
-            assert sel.indices.tolist() == sort_then_truncate(list(scores), k)
+            assert sel.tolist() == sort_then_truncate(list(scores), k)
 
     def test_selected_dominate_unselected(self):
         rng = np.random.default_rng(5)
         scores = rng.integers(0, 4, size=40) / 3.0
         sel = top_k(scores, 11)
-        chosen = set(sel.indices.tolist())
+        chosen = set(sel.tolist())
         rest = [scores[i] for i in range(40) if i not in chosen]
         assert min(scores[i] for i in chosen) >= max(rest)
 
@@ -112,9 +116,9 @@ class TestTopK:
             n = int(rng.integers(3, 40))
             scores = rng.permutation(np.linspace(0.0, 1.0, n))  # all distinct
             k = int(rng.integers(1, n + 1))
-            base = set(top_k(scores, k).indices.tolist())
+            base = set(top_k(scores, k).tolist())
             perm = rng.permutation(n)
-            permuted = set(top_k(scores[perm], k).indices.tolist())
+            permuted = set(top_k(scores[perm], k).tolist())
             assert {int(perm[i]) for i in permuted} == base
 
 
@@ -193,7 +197,7 @@ class TestFullBagPool:
         bag = PatchMatrix(random_unit_rows(rng, rows, 6))
         w = random_unit_rows(rng, 1, 6)[0]
         k = rows + extra
-        scored = bgap(bag, top_k(score_against(bag, w), k).indices)
+        scored = bgap(bag, top_k(score_against(bag, w), k))
         assert scored.tobytes() == bgap(bag).tobytes()
 
 
@@ -218,7 +222,7 @@ class TestGuidedPools:
         assert sorted(pools) == sorted(set(ks))
         p = bag.patches
         for k in ks:
-            reference = bgap(p, top_k(score_against(p, w), k).indices).tobytes()
+            reference = bgap(p, top_k(score_against(p, w), k)).tobytes()
             assert pools[k].tobytes() == reference
             assert visionshot_slide_embedding(bag, w, k).tobytes() == reference
 
