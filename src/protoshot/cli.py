@@ -65,7 +65,12 @@ def _stream_dataset(args) -> tuple[embedstore.DatasetManifest, Iterator, Path]:
     return manifest, bags, root
 
 
-def _load_classifier(args, dataset_dir: Path) -> embedstore.TextClassifier:
+def _load_classifier(
+    args, dataset_dir: Path, classes: tuple[str, ...] | None = None
+) -> embedstore.TextClassifier:
+    """The text classifier `args` names, else the one next to the manifest.
+    Given `classes`, the manifest's class names, it must hold the same names
+    in the same order; ClassNamesMismatch names its sidecar."""
     path = args.classifier
     if path is None:
         candidate = dataset_dir / "classifier.pse"
@@ -75,7 +80,10 @@ def _load_classifier(args, dataset_dir: Path) -> embedstore.TextClassifier:
             raise ProtoshotError(
                 "no --classifier given and no classifier.pse next to the manifest"
             )
-    return embedstore.read_text_classifier(path)
+    classifier = embedstore.read_text_classifier(path)
+    if classes is not None:
+        classifier.check_classes(classes, str(embedstore.sidecar_path(path)))
+    return classifier
 
 
 # --- subcommands ------------------------------------------------------------------
@@ -112,7 +120,7 @@ def cmd_evaluate(args) -> int:
     given = {f.name: vars(args)[f.name] for f in fields(evalharness.GridConfig) if f.name in args}
     config = evalharness.GridConfig(**given)
     manifest, bags, root = _stream_dataset(args)
-    classifier = _load_classifier(args, root)
+    classifier = _load_classifier(args, root, manifest.classes)
     report = evalharness.run_grid(manifest, bags, classifier, config)
     out = Path(args.out)
     payload = report.to_csv() if args.format == "csv" else report.to_json()
@@ -125,7 +133,7 @@ def cmd_evaluate(args) -> int:
 def cmd_build_prototypes(args) -> int:
     manifest, bags, root = _stream_dataset(args)
     if args.method == "visionshot":
-        classifier = _load_classifier(args, root)
+        classifier = _load_classifier(args, root, manifest.classes)
         protos = adapters.build_prototypes(
             bags, classifier, args.top_k, not args.no_normalize_prototypes
         )

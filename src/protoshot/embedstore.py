@@ -21,10 +21,14 @@ Text classifiers reuse the embedding binary with N = prompts * classes rows
 ``{"num_classes", "num_prompts", "class_names"}``.
 
 Values are stored at 32-bit precision; all reductions over them (norms,
-means, dot products) accumulate in 64-bit. A :class:`PatchMatrix` widens
-its values to 64-bit once, on first use of its row norms or row mean, and
-keeps both, so the load-time unit-norm check and full-bag pooling share
-one pass.
+means, dot products) accumulate in 64-bit. Every whole-bag reduction reads
+the bag through :func:`float64_blocks`, which widens about
+:data:`BLOCK_BYTES` of rows at a time into one reused buffer, so widening
+a bag never copies all of it: a reduction's bytes are those of the same
+expression on the whole widened bag, and a bag that fits in one block
+costs what one whole copy costs. A :class:`PatchMatrix` makes its one
+pass on first use of its row norms or row mean and keeps both, so the
+load-time unit-norm check and full-bag pooling share it.
 
 :func:`frozen` adopts every array a model keeps, and :func:`typed_object`
 checks every JSON object read: manifest lines, sidecars and reports.
@@ -45,6 +49,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    ClassNamesMismatch,
     DimensionZero,
     IoFailure,
     ManifestError,
@@ -69,6 +74,7 @@ MANIFEST_NAME = "manifest.jsonl"  # a dataset directory's manifest
 LOAD_NORM_ATOL = 1e-4
 _MIN_ROW_NORM = 1e-8
 _READ_CHUNK = 1 << 26
+BLOCK_BYTES = 1 << 20  # the float64 rows a whole-bag reduction widens at a time
 
 
 def frozen(values, dtype) -> np.ndarray:
@@ -93,12 +99,60 @@ def off_unit_row(norms: np.ndarray, atol: float) -> int | None:
     return int(off[0]) if off.size else None
 
 
+def float64_blocks(
+    values: np.ndarray, rows: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The float32 matrix `values`, widened to float64 one block at a time.
+
+    Walks every row of `values`, or its rows `rows` in that order, in blocks
+    of :data:`BLOCK_BYTES` of float64 (at least two rows), and yields
+    ``(start, block)`` for each: ``block[1:]`` holds the walk's rows from
+    `start` on, widened, and ``block[0]`` is a spare row for
+    :func:`carried_sum`. Every block is a view of one buffer, valid until
+    the next step; a walk that fits in one block allocates one buffer of
+    its own size plus the spare row.
+
+    A block holds one row only when the whole walk does: a lone last row
+    joins the block before it, since einsum reduces the row of a one-row
+    matrix of more than 8192 columns in another order than the same row of
+    a taller one.
+    """
+    n = values.shape[0] if rows is None else len(rows)
+    step = max(2, BLOCK_BYTES // (8 * values.shape[1]))
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    buffer = np.empty((min(n, step + 1) + 1, values.shape[1]))
+    for start, stop in zip(starts, starts[1:] + [n]):
+        block = buffer[: stop - start + 1]
+        block[1:] = values[start:stop] if rows is None else values[rows[start:stop]]
+        yield start, block
+
+
+def carried_sum(block: np.ndarray, total: np.ndarray | None) -> np.ndarray:
+    """`total`, the row sum of the blocks before `block` (None before the
+    first), plus the rows ``block[1:]``, added one row after another.
+
+    `total` is carried in the spare row ``block[0]``, so the rows of a whole
+    walk of :func:`float64_blocks` are added in the order, and to the bytes,
+    of ``widened.sum(axis=0)`` on all of them at once.
+    """
+    if total is None:
+        return block[1:].sum(axis=0)
+    block[0] = total
+    return block.sum(axis=0)
+
+
 def _float64_pass(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row norms (N) and row mean (D) of `values`, both taken from
-    one float64 copy of it, which is dropped on return."""
-    v = values.astype(np.float64)
-    norms = row_norms(v)
-    mean = v.mean(axis=0)
+    """Read-only row norms (N) and row mean (D) of `values`, both taken in
+    one walk of :func:`float64_blocks`: the bytes of :func:`row_norms` and
+    ``mean(axis=0)`` on one whole float64 copy, without making it."""
+    norms = np.empty(values.shape[0])
+    total = None
+    for start, block in float64_blocks(values):
+        norms[start : start + len(block) - 1] = row_norms(block[1:])
+        total = carried_sum(block, total)
+    mean = total / values.shape[0]
     norms.flags.writeable = False
     mean.flags.writeable = False
     return norms, mean
@@ -117,6 +171,9 @@ class PatchMatrix:
     The row norms and the row mean come from one float64 pass over the
     values, made on the first call to :meth:`row_norms` or the first read of
     :attr:`mean` and then kept; a matrix that needs neither never widens.
+    The pass widens a block of rows at a time (:func:`float64_blocks`), so
+    it holds about :data:`BLOCK_BYTES` of float64, never a copy of the
+    whole matrix.
     """
 
     values: np.ndarray
@@ -214,6 +271,22 @@ class TextClassifier:
     def dim(self) -> int:
         return self.weights.shape[2]
 
+    def check_classes(self, classes: Sequence[str], path: str | None = None) -> None:
+        """Check that this classifier's class names are `classes`, in order.
+
+        Raises:
+            ClassNamesMismatch: naming the first position where they differ,
+                and `path`, the classifier's sidecar, when given.
+        """
+        names, classes = self.class_names, tuple(classes)
+        if names != classes:
+            index = next(
+                (i for i, (a, b) in enumerate(zip(names, classes)) if a != b),
+                min(len(names), len(classes)),
+            )
+            at = lambda seq: seq[index] if index < len(seq) else None
+            raise ClassNamesMismatch(index, at(names), at(classes), path)
+
     def canonical_vectors(self) -> np.ndarray:
         """One unit vector per class: the re-normalized mean over prompts.
 
@@ -291,14 +364,21 @@ def normalize(matrix: PatchMatrix) -> PatchMatrix:
     Norms are computed in float64 and the result is stored back at float32,
     leaving row norms within 1e-6 of 1.0. Row order is preserved and the
     operation is idempotent to within float32 rounding. The values are
-    widened once, outside the matrix's cached float64 pass, which is left
-    to the result.
+    widened once, block by block (:func:`float64_blocks`), straight into
+    the float32 result, outside the matrix's cached float64 pass, which is
+    left to the result; the bytes are those of :func:`unit_rows` on one
+    whole float64 copy.
 
     Raises:
-        ZeroVectorRow: if any row has norm below 1e-8.
+        ZeroVectorRow: naming the first row, counted from the start of the
+            matrix, whose norm is below 1e-8.
     """
     scaled = np.empty(matrix.values.shape, dtype=np.float32)
-    unit_rows(matrix.values.astype(np.float64), out=scaled)
+    for start, block in float64_blocks(matrix.values):
+        try:
+            unit_rows(block[1:], out=scaled[start : start + len(block) - 1])
+        except ZeroVectorRow as exc:
+            raise ZeroVectorRow(start + exc.row) from None
     scaled.flags.writeable = False
     return PatchMatrix(scaled)
 
@@ -568,21 +648,25 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
 
     Raises:
         MissingFile: no manifest at `path`.
-        ManifestError: a line is not a JSON object, lacks a required key or
-            holds it with the wrong type (see the module docstring), repeats
-            a slide_id or names an undeclared class; names the file and the
-            1-based line number (blank lines count).
+        ManifestError: a line is not UTF-8 or not a JSON object, lacks a
+            required key or holds it with the wrong type (see the module
+            docstring), repeats a slide_id or names an undeclared class;
+            names the file and the 1-based line number (blank lines count).
         ValueError: the manifest is empty, declares no classes or repeats
             one, or holds an empty slide_id.
     """
     path = Path(path)
     if not path.is_file():
         raise MissingFile(str(path))
-    lines = [
-        (number, text)
-        for number, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if text.strip()
-    ]
+    lines = []
+    for number, raw in enumerate(path.read_bytes().splitlines(), 1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            reason = f"not UTF-8: byte {raw[exc.start]:#04x} at column {exc.start + 1}"
+            raise ManifestError(str(path), number, reason) from None
+        if text.strip():
+            lines.append((number, text))
     if not lines:
         raise ValueError(f"manifest {path} is empty")
 

@@ -138,6 +138,30 @@ class ManifestError(ProtoshotError, ValueError):
         self.key = key
 
 
+class ClassNamesMismatch(ProtoshotError, ValueError):
+    """A text classifier whose class names are not the manifest's, in the
+    manifest's order: `index` is the first position where they differ, and
+    `classifier_name` and `manifest_name` the names there (None past the end
+    of a list). `path` is the classifier's sidecar, when known. Also a
+    ValueError, like :class:`ManifestError`."""
+
+    def __init__(
+        self,
+        index: int,
+        classifier_name: str | None,
+        manifest_name: str | None,
+        path: str | None = None,
+    ):
+        name = lambda value: "absent" if value is None else repr(value)
+        message = (
+            f"class {index} is {name(classifier_name)} in the classifier, "
+            f"{name(manifest_name)} in the manifest"
+        )
+        super().__init__(_in_file(path, message))
+        self.index, self.path = index, path
+        self.classifier_name, self.manifest_name = classifier_name, manifest_name
+
+
 class SidecarError(ProtoshotError, ValueError):
     """A JSON sidecar that is not a valid JSON object, lacks a required key,
     holds a value of the wrong type or counts what its binary file does not.

@@ -663,15 +663,13 @@ def run_grid(
             the pass fails the first few-shot cell.
         DimensionMismatch: a bag's dimension differs from the first bag's;
             names the slide.
-        ValueError: the classifier and the manifest disagree on the class
-            count, a bag's label disagrees with the manifest, or a manifest
+        ClassNamesMismatch: the classifier's class names are not the
+            manifest's, in order; checked before anything else.
+        ValueError: a bag's label disagrees with the manifest, or a manifest
             slide has no bag.
     """
+    classifier.check_classes(manifest.classes)
     num_classes = len(manifest.classes)
-    if classifier.num_classes != num_classes:
-        raise ValueError(
-            f"classifier has {classifier.num_classes} classes, manifest {num_classes}"
-        )
     # the one grouping of the manifest by class, each class in manifest order
     labels = {rec.slide_id: manifest.class_index(rec.class_name) for rec in manifest.slides}
     by_class = [[sid for sid in labels if labels[sid] == c] for c in range(num_classes)]

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embedstore import PatchMatrix, SlideBag, frozen
+from .embedstore import PatchMatrix, SlideBag, carried_sum, float64_blocks, frozen
 from .errors import DimensionMismatch, EmptySubset
 
 
@@ -37,9 +37,17 @@ def score_against(bag: PatchMatrix, class_vector: np.ndarray) -> np.ndarray:
     """Dot product of every patch row with `class_vector`, in float64.
 
     For unit-norm inputs this is cosine similarity. The class vector is not
-    re-normalized, so the result is linear in it.
+    re-normalized, so the result is linear in it. The bag is widened a
+    block at a time (:func:`~protoshot.embedstore.float64_blocks`) and each
+    block scored by one unbuffered einsum, not BLAS, so the bytes depend on
+    neither the block size nor the BLAS thread count: they are those of
+    :func:`~protoshot.adapters.row_scores` on the whole widened bag.
     """
-    return bag.values.astype(np.float64) @ as_class_vector(bag, class_vector)
+    w = as_class_vector(bag, class_vector)
+    scores = np.empty(bag.rows)
+    for start, block in float64_blocks(bag.values):
+        np.einsum("nd,d->n", block[1:], w, out=scores[start : start + len(block) - 1])
+    return scores
 
 
 def clamp_k(k: int, count: int) -> int:
@@ -73,7 +81,9 @@ def bgap(bag: PatchMatrix, subset: np.ndarray | None = None) -> np.ndarray:
     pooled in row order, so the result is independent of the order the
     indices arrive in, and a subset of every row equals the full-bag mean
     bit for bit. The full-bag mean is a copy of :attr:`PatchMatrix.mean`,
-    so it reuses the float64 pass the load-time norm check already made.
+    so it reuses the float64 pass the load-time norm check already made; a
+    subset is widened a block at a time, its sum carried from block to
+    block (:func:`~protoshot.embedstore.carried_sum`).
     """
     if subset is None:
         return bag.mean.copy()
@@ -82,7 +92,10 @@ def bgap(bag: PatchMatrix, subset: np.ndarray | None = None) -> np.ndarray:
         raise EmptySubset()
     if ((idx < 0) | (idx >= bag.rows)).any():
         raise IndexError(f"subset indices out of range for {bag.rows} rows")
-    return bag.values[np.sort(idx)].astype(np.float64).mean(axis=0)
+    total = None
+    for _, block in float64_blocks(bag.values, np.sort(idx)):
+        total = carried_sum(block, total)
+    return total / idx.size
 
 
 def guided_pools(

@@ -3,6 +3,8 @@ acceptance criterion."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,17 @@ def random_unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     rows = rng.standard_normal((n, dim))
     rows /= np.sqrt((rows * rows).sum(axis=1))[:, None]
     return rows.astype(np.float32)
+
+
+@contextmanager
+def small_blocks(block_bytes: int):
+    """Shrink embedstore.BLOCK_BYTES to `block_bytes` inside the with block,
+    so that small matrices span many blocks of the float64 walk."""
+    from protoshot import embedstore
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embedstore, "BLOCK_BYTES", block_bytes)
+        yield
 
 
 @pytest.fixture

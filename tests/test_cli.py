@@ -441,6 +441,22 @@ class TestInputFileErrors:
         err = self.fails_naming(capsys, sidecar, *self.zero_shot(dataset, tmp_path))
         assert err == "declares 2 prompts x 3 classes, but the file holds 3 rows\n"
 
+    @pytest.mark.parametrize("command", ["evaluate", "build-prototypes"])
+    def test_classifier_classes_in_another_order(self, dataset, tmp_path, capsys, command):
+        """The classifier's class names must be the manifest's, in order; the
+        check runs before any bag is read (here, before a missing one)."""
+        sidecar = self.edit_sidecar(
+            dataset / "classifier.pse", class_names=["class_0", "class_2", "class_1"]
+        )
+        manifest = embedstore.parse_manifest(dataset / "manifest.jsonl")
+        (dataset / manifest.slides[0].path).unlink()
+        out = tmp_path / "out"
+        err = self.fails_naming(
+            capsys, sidecar, command, "--dataset", str(dataset), "--out", str(out)
+        )
+        assert err == "class 1 is 'class_2' in the classifier, 'class_1' in the manifest\n"
+        assert not out.exists()
+
     def test_more_class_names_than_classes(self, dataset, tmp_path, capsys):
         sidecar = self.edit_sidecar(dataset / "classifier.pse", num_classes=2)
         err = self.fails_naming(capsys, sidecar, *self.zero_shot(dataset, tmp_path))

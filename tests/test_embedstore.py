@@ -22,6 +22,7 @@ from protoshot.embedstore import (
     SlideBag,
     SlideRecord,
     TextClassifier,
+    float64_blocks,
     iter_bags,
     load_manifest,
     normalize,
@@ -39,6 +40,7 @@ from protoshot.embedstore import (
 )
 from protoshot.errors import (
     BadMagic,
+    ClassNamesMismatch,
     DimensionZero,
     ManifestError,
     MissingFile,
@@ -54,10 +56,10 @@ from protoshot.errors import (
     ZeroVectorRow,
 )
 
-from protoshot.simsel import bgap, guided_pools
+from protoshot.simsel import bgap, guided_pools, score_against
 from protoshot.synthgen import SynthConfig, generate
 
-from conftest import random_unit_rows
+from conftest import random_unit_rows, small_blocks
 
 
 def matrix(rows) -> PatchMatrix:
@@ -193,6 +195,92 @@ class TestFloat64Pass:
             bgap(bag.patches)
             guided_pools(bag, class_vector, (2, 100))  # one scored pool, one covering
         assert [id(values) for values in seen] == [id(bag.patches.values) for bag in bags]
+
+
+# a float32 matrix, a block size that splits it into many blocks of the float64
+# walk (at least two rows each), and rows to zero out
+blocked_matrices = st.tuples(
+    hnp.arrays(
+        np.float32,
+        st.tuples(st.integers(1, 60), st.integers(2, 12)),
+        elements=st.floats(-1e6, 1e6, width=32),
+    ),
+    st.integers(1, 1024),
+    st.lists(st.integers(0, 59), max_size=3),
+)
+
+
+class TestBlockedPass:
+    """Widened a block at a time, every whole-bag reduction keeps the bytes of
+    the same expression on one whole float64 copy."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=blocked_matrices)
+    def test_walk_is_the_widened_rows_in_order(self, case):
+        values, block_bytes, picks = case
+        rows = np.array([p % values.shape[0] for p in picks] or [0], dtype=np.int64)
+        with small_blocks(block_bytes):
+            for index, expected in ((None, values), (rows, values[rows])):
+                starts, widened = [], []
+                for start, block in float64_blocks(values, index):
+                    starts.append(start)
+                    widened.append(block[1:].copy())
+                    assert len(block) > 2 or len(expected) == 1  # no lone row
+                assert starts == np.cumsum([0] + [len(b) for b in widened[:-1]]).tolist()
+                assert np.concatenate(widened).tobytes() == expected.astype(np.float64).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=blocked_matrices)
+    def test_norms_and_mean_are_the_whole_copy_expressions(self, case):
+        values, block_bytes, _ = case
+        v = values.astype(np.float64)
+        with small_blocks(block_bytes):
+            m = PatchMatrix(values)
+            assert m.row_norms().tobytes() == np.sqrt(np.einsum("ij,ij->i", v, v)).tobytes()
+            assert m.mean.tobytes() == v.mean(axis=0).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=blocked_matrices)
+    def test_normalize_is_the_whole_copy_expression(self, case):
+        values, block_bytes, zeroed = case
+        values = values.copy()
+        values[[z % values.shape[0] for z in zeroed]] = 0.0
+        v = values.astype(np.float64)
+        small = np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", v, v)) < 1e-8)
+        with small_blocks(block_bytes):
+            if small.size:
+                with pytest.raises(ZeroVectorRow) as err:
+                    normalize(PatchMatrix(values))
+                assert err.value.row == int(small[0])  # counted from the start of the bag
+            else:
+                out = normalize(PatchMatrix(values))
+                assert out.values.tobytes() == reference_normalize(values).tobytes()
+
+    def test_lone_last_row_of_a_wide_bag_joins_its_block(self):
+        """einsum reduces a one-row matrix of more than 8192 columns in another
+        order, so a 3-row walk in 2-row blocks ends in one 2-row block."""
+        values = random_unit_rows(np.random.default_rng(41), 3, 10000)
+        v = values.astype(np.float64)
+        with small_blocks(2 * 8 * 10000):
+            assert [len(block) - 1 for _, block in float64_blocks(values)] == [3]
+            assert (PatchMatrix(values).row_norms().tobytes()
+                    == np.sqrt(np.einsum("ij,ij->i", v, v)).tobytes())
+
+    def test_pass_and_scores_hold_one_block(self):
+        """The load pass and the scores of a 4096 x 512 bag (8 MiB of float32,
+        16 MiB widened) allocate under 2 MiB: one 1 MiB block buffer at a time."""
+        rng = np.random.default_rng(43)
+        bag = PatchMatrix(random_unit_rows(rng, 4096, 512))
+        w = random_unit_rows(rng, 1, 512)[0].astype(np.float64)
+        tracemalloc.start()
+        try:
+            bag.row_norms()
+            bag.mean
+            score_against(bag, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
 
 
 def reference_normalize(values: np.ndarray) -> np.ndarray:
@@ -477,6 +565,28 @@ class TestTextClassifier:
         with pytest.raises(UnnormalizedRow):
             TextClassifier(("a", "b"), weights)
 
+    @pytest.mark.parametrize(
+        "classes, index, in_classifier, in_manifest",
+        [
+            (("a", "c", "b"), 1, "'b'", "'c'"),
+            (("a", "b"), 2, "'c'", "absent"),
+            (("a", "b", "c", "d"), 3, "absent", "'d'"),
+        ],
+    )
+    def test_check_classes_names_the_first_difference(
+        self, classes, index, in_classifier, in_manifest
+    ):
+        clf = TextClassifier(("a", "b", "c"), random_unit_rows(np.random.default_rng(7), 3, 4)[None])
+        clf.check_classes(("a", "b", "c"))
+        clf.check_classes(["a", "b", "c"])
+        with pytest.raises(ClassNamesMismatch) as err:
+            clf.check_classes(classes, "clf.pse.json")
+        assert err.value.index == index
+        assert str(err.value) == (
+            f"clf.pse.json: class {index} is {in_classifier} in the classifier, "
+            f"{in_manifest} in the manifest"
+        )
+
     def test_canonical_vectors_single_prompt(self):
         rng = np.random.default_rng(8)
         w = random_unit_rows(rng, 3, 5).reshape(1, 3, 5)
@@ -749,6 +859,14 @@ class TestManifest:
         assert (err.value.line, err.value.key) == (line, key)
         reason = f"key {key!r} holds {value!r}, not {expected}"
         assert str(err.value) == f"{path} line {line}: {reason}"
+
+    def test_non_utf8_line_named(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        path.write_bytes(b'{"classes": ["a"]}\n{"slide_id": "\xff"}\n')
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(path)
+        assert err.value.line == 2
+        assert str(err.value) == f"{path} line 2: not UTF-8: byte 0xff at column 15"
 
     def test_non_integer_patch_count_names_line(self, tmp_path):
         path = tmp_path / "manifest.jsonl"

@@ -25,6 +25,7 @@ from protoshot.adapters import (
 )
 from protoshot.errors import (
     ClassAbsent,
+    ClassNamesMismatch,
     ClassTooSmall,
     DimensionMismatch,
     GridCellError,
@@ -955,6 +956,18 @@ class TestStreamedGrid:
         )
         run_grid(manifest, iter(bags), clf, unguided)
         assert not scores
+
+    @pytest.mark.parametrize("order", [(2, 1, 0), (0, 2, 1), (0, 1)])
+    def test_classifier_of_other_classes_reads_no_bag(self, noisy_dataset, order):
+        """A classifier whose classes are in another order (or fewer) would be
+        scored by position against the wrong classes; it fails first."""
+        manifest, _, clf = noisy_dataset
+        names = tuple(clf.class_names[c] for c in order)
+        other = TextClassifier(names, clf.weights[:, list(order)])
+        first = next(i for i, c in enumerate(order + (None,)) if c != i)
+        with pytest.raises(ClassNamesMismatch) as err:
+            run_grid(manifest, unreadable_bags(), other, self.config)
+        assert err.value.index == first and err.value.path is None
 
     def test_failed_draw_reads_no_bag(self, noisy_dataset):
         manifest, _, clf = noisy_dataset

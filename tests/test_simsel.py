@@ -1,15 +1,23 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from protoshot.adapters import visionshot_slide_embedding
+from protoshot.adapters import row_scores, visionshot_slide_embedding
 from protoshot.embedstore import PatchMatrix, SlideBag
 from protoshot.errors import DimensionMismatch, EmptySubset
 from protoshot.simsel import as_class_vector, bgap, clamp_k, guided_pools, score_against, top_k
 
-from conftest import random_unit_rows
+from conftest import random_unit_rows, small_blocks
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def matrix(rows) -> PatchMatrix:
@@ -49,6 +57,61 @@ class TestScoreAgainst:
         w = random_unit_rows(rng, 1, 8)[0]
         out = score_against(bag, w)
         assert np.all(np.abs(out) <= 1 + 1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=hnp.arrays(
+            np.float32,
+            st.tuples(st.integers(1, 60), st.integers(2, 12)),
+            elements=st.floats(-1e6, 1e6, width=32),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        block_bytes=st.integers(1, 1024),
+    )
+    def test_blocked_scores_are_the_whole_copy_einsum(self, values, seed, block_bytes):
+        """Scored a block at a time, the bytes are those of one einsum on the
+        whole widened bag, and of the grid's row_scores kernel."""
+        v = values.astype(np.float64)
+        w = np.random.default_rng(seed).standard_normal(values.shape[1])
+        with small_blocks(block_bytes):
+            out = score_against(PatchMatrix(values), w)
+        assert out.tobytes() == np.einsum("nd,d->n", v, w).tobytes()
+        assert out.tobytes() == row_scores(v, w[None])[:, 0].tobytes()
+
+    def test_lone_last_row_of_a_wide_bag_scores_in_its_block(self):
+        rng = np.random.default_rng(44)
+        values = random_unit_rows(rng, 3, 10000)
+        w = rng.standard_normal(10000)
+        with small_blocks(2 * 8 * 10000):
+            out = score_against(PatchMatrix(values), w)
+        assert out.tobytes() == row_scores(values.astype(np.float64), w[None])[:, 0].tobytes()
+
+    def test_scores_do_not_depend_on_blas_threads(self):
+        """No score goes through BLAS, whose sums follow its thread count: a
+        fixed 1500 x 512 bag scores to the same bytes with 1 and 2 threads."""
+        script = textwrap.dedent(
+            """
+            import hashlib
+            import numpy as np
+            from protoshot.embedstore import PatchMatrix
+            from protoshot.simsel import score_against
+            rng = np.random.default_rng(2024)
+            rows = rng.standard_normal((1500, 512))
+            rows /= np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+            w = rng.standard_normal(512)
+            scores = score_against(PatchMatrix(rows.astype(np.float32)), w)
+            print(hashlib.sha256(scores.tobytes()).hexdigest())
+            """
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                check=True, timeout=120,
+            )
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_linear_in_class_vector(self):
         rng = np.random.default_rng(2)
@@ -189,6 +252,24 @@ class TestFullBagPool:
         expected = values.astype(np.float64).mean(axis=0).tobytes()
         assert bgap(bag).tobytes() == expected
         assert bgap(bag, np.arange(bag.rows)[::-1]).tobytes() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=hnp.arrays(
+            np.float32,
+            st.tuples(st.integers(1, 60), st.integers(2, 12)),
+            elements=st.floats(allow_nan=False, allow_infinity=False, width=32),
+        ),
+        picks=st.lists(st.integers(0, 59), min_size=1, max_size=80),
+        block_bytes=st.integers(1, 1024),
+    )
+    def test_blocked_subset_is_the_whole_copy_mean(self, values, picks, block_bytes):
+        """A subset, repeats included, pooled a block at a time with its sum
+        carried between blocks, keeps the bytes of one whole float64 copy."""
+        subset = np.array(picks) % values.shape[0]
+        expected = values[np.sort(subset)].astype(np.float64).mean(axis=0)
+        with small_blocks(block_bytes):
+            assert bgap(PatchMatrix(values), subset).tobytes() == expected.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30), extra=st.integers(0, 5))
