@@ -8,6 +8,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from protoshot import embedstore
+
 _ACCEPTANCE: dict[str, str] = {}
 _NOTES: dict[str, str] = {}
 
@@ -51,8 +53,6 @@ def random_unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 def small_blocks(block_bytes: int):
     """Shrink embedstore.BLOCK_BYTES to `block_bytes` inside the with block,
     so that small matrices span many blocks of the float64 walk."""
-    from protoshot import embedstore
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(embedstore, "BLOCK_BYTES", block_bytes)
         yield
