@@ -345,39 +345,24 @@ def mizero_predict(
     return SlidePrediction(bag.slide_id, scores, int(np.argmax(scores)), "mizero")
 
 
-def cache_from_pooled(
-    pooled: np.ndarray | Sequence[np.ndarray],
-    labels: Sequence[int],
-    num_classes: int,
-    alpha: float = 1.0,
-    beta: float = 5.5,
-) -> CacheModel:
-    """Cache keys are the unit-normalized rows of `pooled`, the pooled
-    support embeddings; values are their one-hot labels."""
-    pooled = np.asarray(pooled, dtype=np.float64)
-    if pooled.ndim != 2 or pooled.shape[0] == 0:
-        raise EmptyCache()
-    keys = unit_rows(pooled, MIN_POOLED_NORM)
-    values = np.zeros((pooled.shape[0], num_classes))
-    values[np.arange(pooled.shape[0]), labels] = 1.0
-    return CacheModel(keys=keys, values=values, alpha=alpha, beta=beta)
-
-
 def build_cache(
     support: Sequence[SlideBag],
     num_classes: int,
     alpha: float = 1.0,
     beta: float = 5.5,
 ) -> CacheModel:
-    """Cache keys are unit-normalized full-bag embeddings of the support slides.
+    """Cache keys are unit-normalized full-bag embeddings of the support
+    slides; values are their one-hot labels.
 
     Raises:
         ValueError: a support slide has no label, or one outside `num_classes`.
+        EmptyCache: `support` is empty.
     """
     labels = [_support_label(bag, num_classes) for bag in support]
-    return cache_from_pooled(
-        [bgap(bag.patches) for bag in support], labels, num_classes, alpha, beta
-    )
+    if not labels:
+        raise EmptyCache()
+    keys = unit_rows(np.stack([bgap(bag.patches) for bag in support]), MIN_POOLED_NORM)
+    return CacheModel(keys=keys, values=np.eye(num_classes)[labels], alpha=alpha, beta=beta)
 
 
 def tip_adapter_scores(

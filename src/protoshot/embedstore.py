@@ -14,7 +14,8 @@ Embedding file (binary, little-endian):
 
 Manifest (UTF-8 JSON lines): the first line is ``{"classes": [...]}``; each
 following line is ``{"slide_id": str, "class": str, "path": str,
-"num_patches": int}`` with ``path`` relative to the manifest root.
+"num_patches": int}`` with ``path`` relative to the manifest root and
+``num_patches`` at least 1.
 
 Text classifiers reuse the embedding binary with N = prompts * classes rows
 (prompt-major) plus a JSON sidecar at ``<path>.json`` carrying
@@ -94,8 +95,9 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def off_unit_row(norms: np.ndarray, atol: float) -> int | None:
-    """The first row whose norm in `norms` is more than `atol` from 1, or None."""
-    off = np.flatnonzero(np.abs(norms - 1.0) > atol)
+    """The first row whose norm in `norms` is NaN or more than `atol` from 1,
+    or None."""
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= atol))
     return int(off[0]) if off.size else None
 
 
@@ -639,7 +641,7 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 _MANIFEST_HEAD_TYPES = {"classes": ("a list of strings", _is_str_list)}
 _MANIFEST_SLIDE_TYPES = {
     **{key: ("a string", lambda v: isinstance(v, str)) for key in ("slide_id", "class", "path")},
-    "num_patches": ("an integer", is_int),
+    "num_patches": ("a positive integer", lambda v: is_int(v) and v > 0),
 }
 
 

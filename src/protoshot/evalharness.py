@@ -6,10 +6,12 @@ Determinism rules. All randomness flows through numpy's PCG64, seeded by
 The grid streams the corpus: every support draw is made before any bag is
 read, then one pass writes each bag's full-bag mean to a fold-ordered table
 (and each drawn slide's pools to one support array) and releases it, so
-each slide is read, scored and pooled at most once per run. Each cell
-builds its prototypes and cache keys; each fold then scores its slice of
-that table against all of them at once and counts every record's hits
-with one bincount. Results are sorted by a canonical key before
+each slide is read, scored and pooled at most once per run. The text
+classifier is checked once: its canonical vectors before the first bag is
+read, its dimension at the first bag. Each cell builds its prototypes and
+cache keys; each fold then scores its slice of that table against the
+classifier's prompts and all of them at once and counts every record's
+hits with one bincount. Results are sorted by a canonical key before
 serialization.
 Reports echo the generator identity, the mixing rule, and every seed so a
 run can be reproduced from the report alone.
@@ -31,7 +33,6 @@ from .adapters import (
     SlidePrediction,
     cache_affinity,
     cache_blend,
-    mizero_scores,
     prototype_rows,
     row_scores,
     visionshot_slide_embedding,
@@ -53,11 +54,9 @@ from .errors import (
     InsufficientSupport,
     InvalidConfig,
     LengthMismatch,
-    ProtoshotError,
     ReportError,
     SingleCluster,
     TooFewPoints,
-    ZeroVectorRow,
 )
 from .simsel import bgap, guided_pools
 
@@ -583,13 +582,6 @@ def _cell(name: str) -> Iterator[None]:
         raise GridCellError(name, exc) from exc
 
 
-def _stored(entry):
-    """Return `entry`, or raise it if it is a failure stored in its place."""
-    if isinstance(entry, Exception):
-        raise entry
-    return entry
-
-
 def _fold_scores(
     queries: np.ndarray,
     rows: Sequence[np.ndarray],
@@ -599,9 +591,10 @@ def _fold_scores(
     text: np.ndarray | None,
     config: GridConfig,
 ) -> np.ndarray:
-    """The ``n x R x C`` scores of one fold's few-shot records, from the parts
-    its cells built: first every cell's ``(sets, C, d)`` prototype `rows`,
-    scored by one row_scores call on all of them stacked; then, if `keys` is
+    """The ``n x R x C`` scores of one fold's records, from the parts its cells
+    built: first every ``(sets, C, d)`` array of `rows` (the classifier's
+    prompts for mizero, then every cell's prototype rows), scored by one
+    row_scores call on all of them stacked; then, if `keys` is
     not empty, each cell's Tip-Adapter scores, from one cache_affinity call
     of the `unit` queries on every cell's keys stacked, and the cell's
     `values` product on a C-ordered copy of its block, plus the `text`
@@ -646,25 +639,30 @@ def run_grid(
     fold; and ``pools``, each drawn slide's guided pool per top-K and then
     its full-bag mean. A cell takes its draw's columns of ``pools`` once and
     builds its prototype rows and unit cache keys from them. The fold then
-    scores its slice of ``table`` against every cell's rows with one
-    ``row_scores`` call, and against every cell's keys with one
-    ``cache_affinity`` call (:func:`_fold_scores`); each cell's block holds
-    the bytes the per-bag functions in ``adapters`` give. Predictions are
-    the argmax over classes, and :func:`column_balanced_accuracies` counts
-    every record of the fold with one bincount. No array grows with folds
-    times seeds. Records are sorted canonically, so the report is a pure
-    function of the data and the config.
+    scores its slice of ``table`` against the classifier's prompts (mizero)
+    and every cell's rows with one ``row_scores`` call, and against every
+    cell's keys with one ``cache_affinity`` call (:func:`_fold_scores`);
+    each block holds the bytes the per-bag functions in ``adapters`` give.
+    Predictions are the argmax over classes, and
+    :func:`column_balanced_accuracies` counts every record of the fold with
+    one bincount. No array grows with folds times seeds. Records are sorted
+    canonically, so the report is a pure function of the data and the
+    config.
 
     Raises:
-        GridCellError: a cell failed; the message names it. Every cell that
-            can fail is built before its fold is scored, so the cell named
-            is the first failing one in fold-major order. A draw fails
-            before the first bag is read; a guided pool that fails during
-            the pass fails the first few-shot cell.
-        DimensionMismatch: a bag's dimension differs from the first bag's;
-            names the slide.
         ClassNamesMismatch: the classifier's class names are not the
             manifest's, in order; checked before anything else.
+        GridCellError: a cell failed; the message names it. A draw fails
+            before the first bag is read; every other cell that can fail is
+            built before its fold is scored, so the cell named is the first
+            failing one in fold-major order.
+        ZeroVectorRow: visionshot or tipadapter is requested and the
+            classifier's canonical vector of that class row is zero (its
+            prompts cancel); raised after the draws, before the first bag
+            is read.
+        DimensionMismatch: a bag's dimension differs from the first bag's,
+            or the first bag's differs from the classifier's when any
+            method but simpleshot is requested; names the slide.
         ValueError: a bag's label disagrees with the manifest, or a manifest
             slide has no bag.
     """
@@ -698,19 +696,20 @@ def run_grid(
     proto_sets = [("visionshot", kt) for kt in top_ks]
     if "simpleshot" in fewshot_methods:
         proto_sets.append(("simpleshot", None))
-    try:
-        class_vectors = classifier.canonical_vectors()
-    except ZeroVectorRow as exc:
-        class_vectors = exc  # mizero and simpleshot need no canonical vectors
+    tipadapter = "tipadapter" in fewshot_methods
+    # the classifier fails here, before any bag is read, or at the first bag; only
+    # visionshot and tipadapter need its canonical vectors, and simpleshot reads
+    # nothing of it but its class names
+    canonical = classifier.canonical_vectors() if top_ks or tipadapter else None
+    reads_text = config.methods != ("simpleshot",)
 
     # table rows run fold by fold; fold f's test queries are rows bounds[f]:bounds[f+1]
     row_of = {sid: row for row, sid in enumerate(sid for ids in test_ids for sid in ids)}
     bounds = np.cumsum([0] + [len(ids) for ids in test_ids])
     y = np.array([labels[sid] for sid in row_of], dtype=np.int64)
 
-    # the one pass over the bags. A guided pool fails only through the classifier, so
-    # for every slide alike: its failure is kept once, without the frames of the bag
-    table = pools = guide_error = None
+    # the one pass over the bags
+    table = pools = None
     seen: set[str] = set()
     for bag in bags:
         sid = bag.slide_id
@@ -721,6 +720,8 @@ def run_grid(
                 f"slide {sid!r} label {bag.label} disagrees with manifest ({labels[sid]})"
             )
         if table is None:
+            if reads_text and bag.patches.dim != classifier.dim:
+                raise DimensionMismatch(classifier.dim, bag.patches.dim, sid)
             table = np.empty((len(row_of), bag.patches.dim))
             pools = np.empty((len(top_ks) + 1, len(support), bag.patches.dim))
         elif bag.patches.dim != table.shape[1]:
@@ -730,12 +731,9 @@ def run_grid(
         if sid not in support:
             continue
         pools[-1, support[sid]] = table[row_of[sid]]
-        if top_ks and guide_error is None:
-            try:
-                by_k = guided_pools(bag, _stored(class_vectors)[bag.label], top_ks)
-                pools[:-1, support[sid]] = [by_k[kt] for kt in top_ks]
-            except ProtoshotError as exc:
-                guide_error = exc.with_traceback(None)
+        if top_ks:
+            by_k = guided_pools(bag, canonical[bag.label], top_ks)
+            pools[:-1, support[sid]] = [by_k[kt] for kt in top_ks]
     missing = [sid for sid in labels if sid not in seen]
     if missing:
         raise ValueError(f"bags missing for manifest slides: {missing[:5]}")
@@ -743,28 +741,22 @@ def run_grid(
     records: list[EvalRecord] = []
     dim = table.shape[1]
     sets = len(proto_sets)
-    tipadapter = "tipadapter" in fewshot_methods
+    prompts = classifier.weights.astype(np.float64)
     for f in range(config.num_folds):
         queries, truth = table[bounds[f] : bounds[f + 1]], y[bounds[f] : bounds[f + 1]]
         # axes[r] = (method, seed, k, top_k, prompt) of record r, which is column r of
-        # the fold's n x R predictions; the prototype columns follow mizero's, and
-        # Tip-Adapter's follow them
+        # the fold's n x R predictions: mizero's prompts, then every cell's prototype
+        # sets, then every cell's Tip-Adapter scores
         axes: list[tuple] = []
-        predictions: list[np.ndarray] = []
+        rows, keys, values = [], [], []
         if "mizero" in config.methods:
-            with _cell(f"method=mizero fold={f}"):
-                for prompt in range(classifier.num_prompts):
-                    scores = mizero_scores(queries, classifier, prompt)
-                    predictions.append(scores.argmax(axis=1)[:, None])
-                    axes.append(("mizero", None, None, None, prompt))
+            rows.append(prompts)
+            axes.extend(("mizero", None, None, None, p) for p in range(classifier.num_prompts))
         # every cell fails here or not at all, in fold-major order; _fold_scores then
         # scores the whole fold at once
-        rows, keys, values = [], [], []
         unit = text = None
         for (seed, k), columns in draws[f].items():
             with _cell(f"fold={f} seed={seed} k={k}"):
-                if guide_error is not None:
-                    raise guide_error
                 # take, not pools[:, columns], so the gather is C-ordered; the draw
                 # is class-major, so each plane's k slides per class reshape to (C, k)
                 cell = pools.take(columns, axis=1)
@@ -777,19 +769,12 @@ def run_grid(
                     keys.append(unit_rows(cell[-1], MIN_POOLED_NORM))
                     values.append(np.eye(num_classes).repeat(k, axis=0))  # one-hot, class-major
                     if unit is None:
-                        canonical = _stored(class_vectors)
-                        if canonical.shape[1] != dim:
-                            raise DimensionMismatch(dim, canonical.shape[1])
                         unit = unit_rows(queries, MIN_POOLED_NORM)
                         text = row_scores(unit, canonical)
-        if rows:
-            scores = _fold_scores(queries, rows, keys, values, unit, text, config)
-            predictions.append(scores.argmax(axis=2))
-            if keys:
-                axes.extend(("tipadapter", seed, k, None, None) for seed, k in draws[f])
-        accuracies, recalls = column_balanced_accuracies(
-            np.concatenate(predictions, axis=1), truth, num_classes
-        )
+        if keys:
+            axes.extend(("tipadapter", seed, k, None, None) for seed, k in draws[f])
+        scores = _fold_scores(queries, rows, keys, values, unit, text, config)
+        accuracies, recalls = column_balanced_accuracies(scores.argmax(axis=2), truth, num_classes)
         for (method, seed, k, kt, prompt), accuracy, recall in zip(
             axes, accuracies.tolist(), recalls.tolist()
         ):

@@ -539,6 +539,12 @@ class TestTipAdapter:
         with pytest.raises(ValueError):
             CacheModel(keys=keys, values=np.full((2, 3), 0.5))
 
+    def test_nan_key_is_not_unit(self):
+        keys = np.eye(2, 4)
+        keys[1, 3] = np.nan
+        with pytest.raises(ValueError, match="cache keys must be unit norm"):
+            CacheModel(keys=keys, values=np.eye(2))
+
 
 class TestPrototypePersistence:
     def test_round_trip(self, tmp_path):

@@ -518,6 +518,13 @@ class TestStreamingCommands:
             (dataset / rec.path).unlink()
         bad_sidecar = tmp_path / "bad.pse"
         (tmp_path / "bad.pse.json").write_text('{"num_classes": 3, "class_names": []}')
+        # two prompts that cancel: every canonical vector is zero
+        clf = embedstore.read_text_classifier(dataset / "classifier.pse")
+        cancelling = tmp_path / "cancelling.pse"
+        embedstore.write_text_classifier(
+            embedstore.TextClassifier(clf.class_names, np.stack([clf.weights[0], -clf.weights[0]])),
+            cancelling,
+        )
         evaluate = ["evaluate", "--dataset", str(dataset), "--out", str(tmp_path / "r.json"),
                     "--folds", "3", "--seeds", "11"]
         cases = [
@@ -527,6 +534,9 @@ class TestStreamingCommands:
              [f"file not found: {tmp_path / 'none.pse.json'}"]),
             (["--classifier", str(bad_sidecar)],
              [f"{tmp_path / 'bad.pse.json'}: missing key 'num_prompts'"]),
+            (["--classifier", str(cancelling), "--k-grid", "2",
+              "--methods", "simpleshot,mizero,tipadapter"],
+             ["error: row 0 has near-zero L2 norm and cannot be normalized"]),
         ]
         capsys.readouterr()
         for extra, messages in cases:

@@ -298,6 +298,7 @@ class TestRowNorms:
         assert off_unit_row(norms, 1e-4) == 1
         assert off_unit_row(norms, 1e-3) == 2
         assert off_unit_row(norms, 0.5) is None
+        assert off_unit_row(np.array([1.0, np.nan, 0.6]), 0.5) == 1
 
 
 class TestNormalize:
@@ -564,6 +565,13 @@ class TestTextClassifier:
         weights = np.ones((1, 2, 3), dtype=np.float32)
         with pytest.raises(UnnormalizedRow):
             TextClassifier(("a", "b"), weights)
+
+    def test_nan_row_is_not_unit(self):
+        weights = np.eye(2, 3, dtype=np.float32)[None].repeat(2, axis=0)
+        weights[1, 0, 2] = np.nan
+        with pytest.raises(UnnormalizedRow, match="classifier row 2 has L2 norm nan") as err:
+            TextClassifier(("a", "b"), weights)
+        assert err.value.row == 2
 
     @pytest.mark.parametrize(
         "classes, index, in_classifier, in_manifest",
@@ -841,9 +849,11 @@ class TestManifest:
             (2, "slide_id", 7, "a string"),
             (2, "class", ["a"], "a string"),
             (2, "path", 3, "a string"),
-            (2, "num_patches", "3", "an integer"),
-            (2, "num_patches", 3.7, "an integer"),
-            (2, "num_patches", True, "an integer"),
+            (2, "num_patches", "3", "a positive integer"),
+            (2, "num_patches", 3.7, "a positive integer"),
+            (2, "num_patches", True, "a positive integer"),
+            (2, "num_patches", 0, "a positive integer"),
+            (2, "num_patches", -3, "a positive integer"),
         ],
     )
     def test_mistyped_value_names_line_and_key(self, tmp_path, line, key, value, expected):

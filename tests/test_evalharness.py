@@ -17,6 +17,7 @@ from protoshot.adapters import (
     build_cache,
     build_prototypes,
     mizero_predict,
+    mizero_scores,
     predict_prototype,
     prototype_scores,
     simpleshot_prototypes,
@@ -38,6 +39,7 @@ from protoshot.errors import (
     ZeroVectorRow,
 )
 from protoshot.evalharness import (
+    METHODS,
     EvalRecord,
     EvalReport,
     GridConfig,
@@ -626,17 +628,17 @@ class TestPooledGrid:
         assert re.search(r"\[fold=\d+ seed=7 k=2\]", str(err.value))
 
     @pytest.mark.parametrize("method", ["visionshot", "mizero", "tipadapter"])
-    def test_classifier_dimension_mismatch_is_typed(self, noisy_dataset, method):
+    def test_classifier_dimension_mismatch_is_typed(self, noisy_dataset, monkeypatch, method):
         manifest, bags, clf = noisy_dataset
-        narrow = clf.weights[:, :, : clf.dim // 2].astype(np.float64)
-        narrow /= np.linalg.norm(narrow, axis=-1, keepdims=True)
-        narrow_clf = TextClassifier(clf.class_names, narrow)
+        monkeypatch.setattr(evalharness, "guided_pools", unreachable)
         config = GridConfig(
             methods=(method,), num_folds=4, k_grid=(2,), top_k_grid=(3,), seeds=(7,)
         )
-        with pytest.raises(GridCellError) as err:
-            run_grid(manifest, bags, narrow_clf, config)
-        assert isinstance(err.value.cause, DimensionMismatch)
+        read = []
+        with pytest.raises(DimensionMismatch) as err:
+            run_grid(manifest, counted(bags, read), narrow_classifier(clf), config)
+        assert read == [bags[0].slide_id] == [err.value.slide_id]
+        assert (err.value.expected, err.value.actual) == (clf.dim // 2, clf.dim)
 
 
 class TestBatchedCell:
@@ -720,25 +722,22 @@ class TestSupportPools:
     def test_classifier_dimension_mismatch_fails_the_first_cell(
         self, noisy_dataset, monkeypatch
     ):
+        """Only simpleshot reads no text vector, so only a simpleshot-only grid
+        accepts a classifier of another dimension; any text method fails at
+        the first bag, before any cell or guided pool."""
         manifest, bags, clf = noisy_dataset
-        narrow = clf.weights[:, :, : clf.dim // 2].astype(np.float64)
-        narrow /= np.linalg.norm(narrow, axis=-1, keepdims=True)
-        calls = Counter()
-        pools = evalharness.guided_pools
-
-        def counting(bag, *args):
-            calls[bag.slide_id] += 1
-            return pools(bag, *args)
-
-        monkeypatch.setattr(evalharness, "guided_pools", counting)
+        narrow = narrow_classifier(clf)
         config = GridConfig(
-            methods=("visionshot",), num_folds=4, k_grid=(2,), top_k_grid=(3,), seeds=(7,)
+            methods=("simpleshot",), num_folds=4, k_grid=(2,), top_k_grid=(3,), seeds=(7,)
         )
-        with pytest.raises(GridCellError) as err:
-            run_grid(manifest, bags, TextClassifier(clf.class_names, narrow), config)
-        assert err.value.cell == "fold=0 seed=7 k=2"
-        assert isinstance(err.value.cause, DimensionMismatch)
-        assert sum(calls.values()) == 1  # the failure is the classifier's: pooling stops
+        report = run_grid(manifest, bags, narrow, config)
+        assert report.to_json() == run_grid(manifest, bags, clf, config).to_json()
+        monkeypatch.setattr(evalharness, "guided_pools", unreachable)
+        both = dataclasses.replace(config, methods=("simpleshot", "visionshot"))
+        read = []
+        with pytest.raises(DimensionMismatch) as err:
+            run_grid(manifest, counted(bags, read), narrow, both)
+        assert read == [bags[0].slide_id] == [err.value.slide_id]
 
     def test_cells_pass_c_ordered_pools(self, noisy_dataset, monkeypatch):
         manifest, bags, clf = noisy_dataset
@@ -760,10 +759,10 @@ class TestSupportPools:
 
 
 def per_cell_scores(manifest, bags, clf, config):
-    """Every fold's few-shot score blocks, each cell built and scored alone
-    with the public per-bag builders: per fold, every cell's prototype sets
-    (visionshot top-Ks, then simpleshot), then every cell's Tip-Adapter
-    scores, cells in (seed, k) order."""
+    """Every fold's score blocks, each prompt or cell scored alone with the
+    public per-bag functions: per fold, mizero's score under every prompt,
+    then every cell's prototype sets (visionshot top-Ks, then simpleshot),
+    then every cell's Tip-Adapter scores, cells in (seed, k) order."""
     bags_by_id = {bag.slide_id: bag for bag in bags}
     labels = {rec.slide_id: manifest.class_index(rec.class_name) for rec in manifest.slides}
     num_classes = len(manifest.classes)
@@ -777,6 +776,8 @@ def per_cell_scores(manifest, bags, clf, config):
             if folds.fold_of[rec.slide_id] != f:
                 groups[labels[rec.slide_id]].append(rec.slide_id)
         protos, tips = [], []
+        if "mizero" in config.methods:
+            protos = [mizero_scores(queries, clf, p) for p in range(clf.num_prompts)]
         for seed in config.resolved_seeds():
             for k in config.k_grid:
                 draw = sample_few_shot(groups, k, derive_seed(seed, "support", f, k))
@@ -798,9 +799,9 @@ def per_cell_scores(manifest, bags, clf, config):
 
 
 class TestFoldScoring:
-    """A fold scores every cell's prototype rows with one call and every
-    cell's cache keys with one affinity call; each block of the result
-    holds the bytes of its cell scored alone."""
+    """A fold scores the classifier's prompts and every cell's prototype rows
+    with one call and every cell's cache keys with one affinity call; each
+    block of the result holds the bytes of its prompt or cell scored alone."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -810,18 +811,18 @@ class TestFoldScoring:
         per_class=st.integers(4, 7),
         folds=st.integers(2, 3),
         top_ks=st.lists(st.integers(1, 14), min_size=1, max_size=3, unique=True),
-        fewshot=st.sampled_from(
-            [combo for n in (1, 2, 3) for combo in itertools.combinations(FEWSHOT, n)]
+        methods=st.sampled_from(
+            [combo for n in (1, 2, 3, 4) for combo in itertools.combinations(METHODS, n)]
         ),
         normalize=st.booleans(),
         alpha=st.floats(0.0, 10.0),
         beta=st.floats(0.01, 20.0),
     )
     def test_fold_blocks_equal_per_cell_path(
-        self, seed, num_classes, extra_dim, per_class, folds, top_ks, fewshot, normalize,
+        self, seed, num_classes, extra_dim, per_class, folds, top_ks, methods, normalize,
         alpha, beta,
     ):
-        manifest, bags, clf = generate(SynthConfig(
+        manifest, bags, one_prompt = generate(SynthConfig(
             num_classes=num_classes,
             dim=num_classes + extra_dim,
             slides_per_class=per_class,
@@ -831,8 +832,12 @@ class TestFoldScoring:
             noise_scale=1.0,
             seed=seed % 2**16,
         ))
+        # a second prompt unlike the first: each class vector's coordinates rotated
+        w = one_prompt.weights[0]
+        clf = TextClassifier(one_prompt.class_names, np.stack([w, np.roll(w, 1, axis=-1)]))
+        assert not np.array_equal(clf.weights[0], clf.weights[1])
         config = GridConfig(
-            methods=fewshot,
+            methods=methods,
             num_folds=folds,
             k_grid=(1, 2),
             top_k_grid=tuple(top_ks),
@@ -914,6 +919,23 @@ def unreadable_bags():
     yield
 
 
+def counted(bags, read):
+    """Yield `bags`, appending each one's slide id to `read` as it is read."""
+    for bag in bags:
+        read.append(bag.slide_id)
+        yield bag
+
+
+def unreachable(*args):
+    raise AssertionError("a guided pool was taken")
+
+
+def narrow_classifier(clf):
+    """`clf` cut to the first half of its dimensions, rows re-normalized."""
+    narrow = clf.weights[:, :, : clf.dim // 2].astype(np.float64)
+    return TextClassifier(clf.class_names, narrow / np.linalg.norm(narrow, axis=-1, keepdims=True))
+
+
 class TestStreamedGrid:
     """run_grid consumes its bags in one pass; a one-shot stream gives the
     report a list gives, and only support slides are scored."""
@@ -983,6 +1005,8 @@ class TestStreamedGrid:
             run_grid(manifest, iter(bags[:-1]), clf, self.config)
 
     def test_degenerate_classifier_fails_only_guided_cells(self, noisy_dataset):
+        """simpleshot and mizero need no canonical vector; visionshot and
+        tipadapter fail on a zero one before any bag is read."""
         manifest, bags, clf = noisy_dataset
         cancelling = TextClassifier(clf.class_names, np.stack([clf.weights[0], -clf.weights[0]]))
         config = GridConfig(
@@ -990,13 +1014,10 @@ class TestStreamedGrid:
         )
         assert len(run_grid(manifest, iter(bags), cancelling, config).records) == 4 * (1 + 2)
         for method in ("visionshot", "tipadapter"):
-            guided = GridConfig(
-                methods=(method,), num_folds=4, k_grid=(2,), top_k_grid=(3,), seeds=(7,)
-            )
-            with pytest.raises(GridCellError) as err:
-                run_grid(manifest, iter(bags), cancelling, guided)
-            assert err.value.cell == "fold=0 seed=7 k=2"
-            assert isinstance(err.value.cause, ZeroVectorRow)
+            guided = dataclasses.replace(config, methods=("simpleshot", "mizero", method))
+            with pytest.raises(ZeroVectorRow) as err:
+                run_grid(manifest, unreadable_bags(), cancelling, guided)
+            assert err.value.row == 0
 
 
 class TestFoldMatrix:

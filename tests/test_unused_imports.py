@@ -1,6 +1,8 @@
-"""Every module-level import of a protoshot module is used in that module.
+"""Every module-level import of a protoshot module is used in that module,
+and so is every private (``_``-prefixed) module-level function, class or
+constant.
 
-No linter ships with the project, so this stdlib check stands in for one.
+No linter ships with the project, so these stdlib checks stand in for one.
 ``__init__.py`` is skipped: its imports are the package's re-exports.
 """
 
@@ -13,6 +15,11 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "protoshot"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name that some expression in `tree` reads."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
 def unused_imports(source: str) -> list[str]:
     """The names bound by the module-level imports of `source` that no
     expression in it reads, in source order."""
@@ -23,8 +30,27 @@ def unused_imports(source: str) -> list[str]:
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             bound += [(a.asname or a.name).split(".")[0] for a in node.names]
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    read = names_read(tree)
     return [name for name in bound if name not in read]
+
+
+def unread_private_names(source: str) -> list[str]:
+    """The ``_``-prefixed, non-dunder names bound by the module-level
+    definitions and assignments of `source` that no expression in it reads,
+    in source order."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [t.id for t in targets if isinstance(t, ast.Name)]
+    read = names_read(tree)
+    return [
+        name for name in bound
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
 
 
 def test_the_check_finds_an_unused_import():
@@ -33,6 +59,23 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
 
 
+def test_the_check_finds_an_unread_private_name():
+    source = (
+        "__all__ = []\n_A = 1\n_B: int = 2\n_C = 3\n"
+        "def _f():\n    return _A\n"
+        "def _stored(entry):\n    return entry\n"
+        "class _Kept:\n    pass\n"
+        "class _Unread:\n    pass\n"
+        "def public(x: _Kept):\n    _C = 4\n    return _f(), _B\n"
+    )
+    assert unread_private_names(source) == ["_C", "_stored", "_Unread"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_module_names(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []
