@@ -26,13 +26,16 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .embedstore import (
+    BagRequest,
     PatchMatrix,
     SlideBag,
+    SlideRecord,
     TextClassifier,
     frozen,
     off_unit_row,
     read_embeddings_file,
     read_sidecar,
+    read_with,
     row_norms,
     sidecar_path,
     unit_rows,
@@ -233,7 +236,7 @@ def prototypes_from_pooled(
 
 
 def build_prototypes(
-    support: Iterable[SlideBag],
+    support: Iterable[SlideBag] | Callable[..., Iterable[SlideBag]],
     classifier: TextClassifier,
     k: int,
     normalize_prototypes: bool = True,
@@ -244,7 +247,10 @@ def build_prototypes(
     class's canonical text vector, and each class prototype is the mean of
     its slides' pooled embeddings (re-normalized by default). `support` is
     iterated once and each slide is pooled as it arrives, so it may be a
-    stream such as :func:`~protoshot.embedstore.iter_bags`.
+    stream such as :func:`~protoshot.embedstore.iter_bags`. It may also be
+    a reader (see :func:`~protoshot.embedstore.read_with`): then each bag's
+    one walk scores it against its class vector when k is below its patch
+    count, and takes its mean only when k covers it.
 
     Raises:
         ValueError: k < 1, before any slide is consumed.
@@ -253,8 +259,13 @@ def build_prototypes(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     canonical = classifier.canonical_vectors()
+
+    def request(record: SlideRecord, label: int) -> BagRequest:
+        scored = k < record.num_patches and label < len(canonical)
+        return BagRequest(canonical[label] if scored else None, mean=not scored)
+
     per_class, ids = _pool_by_label(
-        support,
+        read_with(support, request),
         classifier.num_classes,
         classifier.class_names,
         lambda bag: visionshot_slide_embedding(bag, canonical[bag.label], k),
@@ -439,16 +450,24 @@ def read_prototypes(path: str | Path) -> PrototypeSet:
     Raises:
         MissingFile, SidecarError: from
             :func:`~protoshot.embedstore.read_sidecar`, and SidecarError when
-            its class names do not match the file's rows;
+            its class names repeat one or do not match the file's rows, or
+            its top_k is below 1;
         ZeroVectorRow: a row marked normalized is zero; names the file;
         everything :func:`~protoshot.embedstore.read_embeddings_file` raises.
     """
     sidecar = read_sidecar(path, ("class_names",))
-    matrix = read_embeddings_file(path)
+    where = str(sidecar_path(path))
     names = tuple(sidecar["class_names"])
+    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if repeated is not None:
+        raise SidecarError(where, f"class name {repeated!r} is listed twice", "class_names")
+    top_k = sidecar.get("top_k")
+    if top_k is not None and top_k < 1:
+        raise SidecarError(where, f"top_k {top_k} is below 1", "top_k")
+    matrix = read_embeddings_file(path)
     if matrix.rows != len(names):
         reason = f"lists {len(names)} class names, but the file holds {matrix.rows} rows"
-        raise SidecarError(str(sidecar_path(path)), reason, "class_names")
+        raise SidecarError(where, reason, "class_names")
     support = {name: tuple(ids) for name, ids in sidecar.get("support", {}).items()}
     rows = matrix.values.astype(np.float64)
     normalized = sidecar.get("normalized", False)
@@ -461,6 +480,6 @@ def read_prototypes(path: str | Path) -> PrototypeSet:
         class_names=names,
         prototypes=rows,
         normalized=normalized,
-        top_k=sidecar.get("top_k"),
+        top_k=top_k,
         support=support,
     )

@@ -20,8 +20,9 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import adapters, embedstore, evalharness, synthgen
 from .errors import OutputNotEmpty, PromptIndexOutOfRange, ProtoshotError
@@ -56,13 +57,15 @@ def _dataset_paths(dataset: str) -> tuple[Path, Path]:
     return manifest, manifest.parent
 
 
-def _stream_dataset(args) -> tuple[embedstore.DatasetManifest, Iterator, Path]:
-    """Parse the manifest now; the bags are read one at a time as the
-    returned iterator is consumed. The dataset directory comes last."""
+def _stream_dataset(args) -> tuple[embedstore.DatasetManifest, Callable[..., Iterator], Path]:
+    """Parse the manifest now, and return it with a reader of its bags: the
+    :func:`~protoshot.embedstore.iter_bags` stream that a call of the reader
+    gives, optionally with a per-slide ``request=``. The dataset directory
+    comes last."""
     manifest_path, root = _dataset_paths(args.dataset)
     manifest = embedstore.parse_manifest(manifest_path)
-    bags = embedstore.iter_bags(manifest, manifest_path, renormalize=args.normalize)
-    return manifest, bags, root
+    read = partial(embedstore.iter_bags, manifest, manifest_path, renormalize=args.normalize)
+    return manifest, read, root
 
 
 def _load_classifier(
@@ -119,9 +122,9 @@ def cmd_evaluate(args) -> int:
     # only the grid flags given, by field name: GridConfig holds every default and check
     given = {f.name: vars(args)[f.name] for f in fields(evalharness.GridConfig) if f.name in args}
     config = evalharness.GridConfig(**given)
-    manifest, bags, root = _stream_dataset(args)
+    manifest, read, root = _stream_dataset(args)
     classifier = _load_classifier(args, root, manifest.classes)
-    report = evalharness.run_grid(manifest, bags, classifier, config)
+    report = evalharness.run_grid(manifest, read, classifier, config)
     out = Path(args.out)
     payload = report.to_csv() if args.format == "csv" else report.to_json()
     out.write_text(payload, encoding="utf-8")
@@ -131,15 +134,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_build_prototypes(args) -> int:
-    manifest, bags, root = _stream_dataset(args)
+    manifest, read, root = _stream_dataset(args)
     if args.method == "visionshot":
         classifier = _load_classifier(args, root, manifest.classes)
         protos = adapters.build_prototypes(
-            bags, classifier, args.top_k, not args.no_normalize_prototypes
+            read, classifier, args.top_k, not args.no_normalize_prototypes
         )
     else:
         protos = adapters.simpleshot_prototypes(
-            bags,
+            read(),
             not args.no_normalize_prototypes,
             num_classes=len(manifest.classes),
             class_names=manifest.classes,
@@ -162,8 +165,8 @@ def _write_predictions(path: str, predictions, class_names) -> None:
 
 def cmd_predict(args) -> int:
     protos = adapters.read_prototypes(args.prototypes)
-    _, bags, _ = _stream_dataset(args)
-    predictions = [adapters.predict_prototype(bag, protos) for bag in bags]
+    _, read, _ = _stream_dataset(args)
+    predictions = [adapters.predict_prototype(bag, protos) for bag in read()]
     _write_predictions(args.out, predictions, protos.class_names)
     print(f"wrote {len(predictions)} predictions to {args.out}")
     return 0
@@ -174,8 +177,8 @@ def cmd_zero_shot(args) -> int:
     classifier = _load_classifier(args, root)
     if not 0 <= args.prompt < classifier.num_prompts:
         raise PromptIndexOutOfRange(args.prompt, classifier.num_prompts)
-    _, bags, _ = _stream_dataset(args)
-    predictions = [adapters.mizero_predict(bag, classifier, args.prompt) for bag in bags]
+    _, read, _ = _stream_dataset(args)
+    predictions = [adapters.mizero_predict(bag, classifier, args.prompt) for bag in read()]
     _write_predictions(args.out, predictions, classifier.class_names)
     print(f"wrote {len(predictions)} predictions to {args.out}")
     return 0

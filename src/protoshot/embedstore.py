@@ -24,12 +24,18 @@ Text classifiers reuse the embedding binary with N = prompts * classes rows
 Values are stored at 32-bit precision; all reductions over them (norms,
 means, dot products) accumulate in 64-bit. Every whole-bag reduction reads
 the bag through :func:`float64_blocks`, which widens about
-:data:`BLOCK_BYTES` of rows at a time into one reused buffer, so widening
-a bag never copies all of it: a reduction's bytes are those of the same
-expression on the whole widened bag, and a bag that fits in one block
-costs what one whole copy costs. A :class:`PatchMatrix` makes its one
-pass on first use of its row norms or row mean and keeps both, so the
-load-time unit-norm check and full-bag pooling share it.
+:data:`BLOCK_BYTES` of rows at a time into a buffer that one walk hands to
+the next, so widening a bag never copies all of it and, once the buffer
+has grown, allocates nothing: a reduction's bytes are those of the same
+expression on the whole widened bag.
+
+:func:`iter_bags` walks each bag it reads exactly once. The walk yields the
+row norms, which serve both the unit-norm check and the finite check; the
+row mean, unless the request says nothing will read it; and the scores
+against a class vector, when a :class:`BagRequest` asks for them. A
+:class:`PatchMatrix` keeps all three. The payload is read into one of two
+byte buffers that the stream reuses; a buffer is reused only once no array
+views it, so a bag that is still held keeps a buffer of its own.
 
 :func:`frozen` adopts every array a model keeps, and :func:`typed_object`
 checks every JSON object read: manifest lines, sidecars and reports.
@@ -38,13 +44,16 @@ checks every JSON object read: manifest lines, sidecars and reports.
 from __future__ import annotations
 
 import json
+import math
 import os
 import reprlib
+import stat
 import struct
+import sys
+import threading
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,6 +85,8 @@ LOAD_NORM_ATOL = 1e-4
 _MIN_ROW_NORM = 1e-8
 _READ_CHUNK = 1 << 26
 BLOCK_BYTES = 1 << 20  # the float64 rows a whole-bag reduction widens at a time
+_spare: list[np.ndarray] = []  # the float64 buffer the last finished block walk left
+_spare_lock = threading.Lock()
 
 
 def frozen(values, dtype) -> np.ndarray:
@@ -97,8 +108,8 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 def off_unit_row(norms: np.ndarray, atol: float) -> int | None:
     """The first row whose norm in `norms` is NaN or more than `atol` from 1,
     or None."""
-    off = np.flatnonzero(~(np.abs(norms - 1.0) <= atol))
-    return int(off[0]) if off.size else None
+    near = np.abs(norms - 1.0) <= atol
+    return None if near.all() else int(np.flatnonzero(~near)[0])
 
 
 def float64_blocks(
@@ -106,13 +117,15 @@ def float64_blocks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The float32 matrix `values`, widened to float64 one block at a time.
 
-    Walks every row of `values`, or its rows `rows` in that order, in blocks
-    of :data:`BLOCK_BYTES` of float64 (at least two rows), and yields
-    ``(start, block)`` for each: ``block[1:]`` holds the walk's rows from
-    `start` on, widened, and ``block[0]`` is a spare row for
-    :func:`carried_sum`. Every block is a view of one buffer, valid until
-    the next step; a walk that fits in one block allocates one buffer of
-    its own size plus the spare row.
+    Walks every row of `values`, or its rows `rows` (an int array of row
+    indices from 0, else IndexError) in that order, in blocks of :data:`BLOCK_BYTES` of float64 (at least two
+    rows), and yields ``(start, block)`` for each: ``block[1:]`` holds the
+    walk's rows from `start` on, widened, and ``block[0]`` is a spare row
+    for :func:`carried_sum`. Every block is a view of one buffer, valid
+    until the next step. The buffer is the one the last finished walk left,
+    or a new one when that is too small, so walks allocate nothing once it
+    has grown; rows are gathered into a float32 part of it, not into a new
+    array.
 
     A block holds one row only when the whole walk does: a lone last row
     joins the block before it, since einsum reduces the row of a one-row
@@ -120,15 +133,37 @@ def float64_blocks(
     a taller one.
     """
     n = values.shape[0] if rows is None else len(rows)
-    step = max(2, BLOCK_BYTES // (8 * values.shape[1]))
+    d = values.shape[1]
+    if rows is not None and n and not 0 <= rows.min() <= rows.max() < values.shape[0]:
+        raise IndexError(f"rows out of range for {values.shape[0]} rows")
+    step = max(2, BLOCK_BYTES // (8 * d))
     starts = list(range(0, n, step))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
-    buffer = np.empty((min(n, step + 1) + 1, values.shape[1]))
-    for start, stop in zip(starts, starts[1:] + [n]):
-        block = buffer[: stop - start + 1]
-        block[1:] = values[start:stop] if rows is None else values[rows[start:stop]]
-        yield start, block
+    height = min(n, step + 1)
+    wide = (height + 1) * d
+    # a gather of `rows` lands after the blocks, two float32 values per float64
+    size = wide + (0 if rows is None else (height * d + 1) // 2)
+    with _spare_lock:
+        scratch = _spare.pop() if _spare else None
+    if scratch is None or scratch.size < size:
+        scratch = np.empty(size)
+    buffer = scratch[:wide].reshape(height + 1, d)
+    gathered = None if rows is None else scratch[wide:size].view(np.float32)
+    try:
+        for start, stop in zip(starts, starts[1:] + [n]):
+            block = buffer[: stop - start + 1]
+            if rows is None:
+                block[1:] = values[start:stop]
+            else:
+                picked = gathered[: (stop - start) * d].reshape(stop - start, d)
+                np.take(values, rows[start:stop], axis=0, out=picked, mode="clip")
+                block[1:] = picked
+            yield start, block
+    finally:
+        with _spare_lock:
+            if not _spare or _spare[0].size < scratch.size:
+                _spare[:] = [scratch]
 
 
 def carried_sum(block: np.ndarray, total: np.ndarray | None) -> np.ndarray:
@@ -140,24 +175,74 @@ def carried_sum(block: np.ndarray, total: np.ndarray | None) -> np.ndarray:
     of ``widened.sum(axis=0)`` on all of them at once.
     """
     if total is None:
-        return block[1:].sum(axis=0)
+        return np.add.reduce(block[1:], axis=0)  # what block[1:].sum(axis=0) calls
     block[0] = total
-    return block.sum(axis=0)
+    return np.add.reduce(block, axis=0)
 
 
-def _float64_pass(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row norms (N) and row mean (D) of `values`, both taken in
-    one walk of :func:`float64_blocks`: the bytes of :func:`row_norms` and
-    ``mean(axis=0)`` on one whole float64 copy, without making it."""
-    norms = np.empty(values.shape[0])
+@dataclass(frozen=True)
+class BagRequest:
+    """What the one walk of a bag computes besides its row norms: its scores
+    against the class vector `vector` when one is given, and its row mean
+    when `mean`. A reader such as :func:`iter_bags` takes one per slide from
+    the caller that knows how the bag will be pooled."""
+
+    vector: np.ndarray | None = None
+    mean: bool = True
+
+
+class _Walk(NamedTuple):
+    """What one walk of a bag found; read-only arrays, None where not asked."""
+
+    norms: np.ndarray
+    mean: np.ndarray | None
+    vector: np.ndarray | None  # the flat float64 class vector `scores` are against
+    scores: np.ndarray | None
+
+
+def _walk(values: np.ndarray, request: BagRequest = BagRequest()) -> _Walk:
+    """The one walk of :func:`float64_blocks` over the float32 bag `values`.
+
+    Yields its row norms, its row mean when ``request.mean``, and its scores
+    against ``request.vector`` when that vector is as long as a row (a
+    consumer checks a vector of another length itself). Each has the bytes
+    of its expression on one whole float64 copy: :func:`row_norms`,
+    ``mean(axis=0)`` and the unbuffered einsum of
+    :func:`~protoshot.simsel.score_against`.
+
+    The norms are also the finite check: a row holds NaN or +-inf if and
+    only if its float64 norm is not finite, because no float32 square, nor
+    any sum of 2**32 of them, overflows float64.
+
+    Raises:
+        NonFiniteValue: naming the first row that holds NaN or +-inf, before
+            its block is summed or scored, so no inf - inf is computed.
+    """
+    n = values.shape[0]
+    vector = request.vector
+    if vector is not None:
+        vector = np.asarray(vector, dtype=np.float64).reshape(-1)
+        if vector.shape[0] != values.shape[1]:
+            vector = None
+    norms = np.empty(n)
+    scores = None if vector is None else np.empty(n)
     total = None
     for start, block in float64_blocks(values):
-        norms[start : start + len(block) - 1] = row_norms(block[1:])
-        total = carried_sum(block, total)
-    mean = total / values.shape[0]
-    norms.flags.writeable = False
-    mean.flags.writeable = False
-    return norms, mean
+        stop = start + len(block) - 1
+        part = norms[start:stop]
+        part[:] = row_norms(block[1:])
+        # norms are at least 0 and far below overflow, so their sum is finite iff each is
+        if not math.isfinite(np.add.reduce(part)):
+            raise NonFiniteValue(start + int(np.flatnonzero(~np.isfinite(part))[0]))
+        if request.mean:
+            total = carried_sum(block, total)
+        if scores is not None:
+            np.einsum("nd,d->n", block[1:], vector, out=scores[start:stop])
+    mean = None if total is None else total / n
+    for result in (norms, mean, scores):
+        if result is not None:
+            result.flags.writeable = False
+    return _Walk(norms, mean, vector, scores)
 
 
 @dataclass(frozen=True)
@@ -170,12 +255,16 @@ class PatchMatrix:
     :func:`frozen` adopts `values`: a file's read-only payload is kept as it
     is, and a caller's writable array is copied, never frozen.
 
-    The row norms and the row mean come from one float64 pass over the
-    values, made on the first call to :meth:`row_norms` or the first read of
-    :attr:`mean` and then kept; a matrix that needs neither never widens.
-    The pass widens a block of rows at a time (:func:`float64_blocks`), so
-    it holds about :data:`BLOCK_BYTES` of float64, never a copy of the
-    whole matrix.
+    The row norms and the row mean come from one walk of the values
+    (:func:`float64_blocks`), which holds about :data:`BLOCK_BYTES` of
+    float64, never a copy of the whole matrix, and whose results are kept.
+    A matrix that :func:`iter_bags` reads was walked as it was read, and
+    may also keep its scores against one class vector
+    (:meth:`walked_scores`). A matrix built directly is walked on the first
+    call to :meth:`row_norms` or the first read of :attr:`mean`; it is
+    checked for non-finite values when built, by the sum of its values,
+    which is finite only if every value is, and by the walk's rule when
+    that sum is not (a value that is not finite, or a float32 overflow).
     """
 
     values: np.ndarray
@@ -189,10 +278,12 @@ class PatchMatrix:
             raise ValueError("a patch matrix needs at least one row")
         if d < 2:
             raise ValueError(f"embedding dimension must be >= 2, got {d}")
-        bad_rows = np.flatnonzero(~np.isfinite(arr).all(axis=1))
-        if bad_rows.size:
-            raise NonFiniteValue(int(bad_rows[0]))
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_walked", None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(np.add.reduce(arr, axis=None))
+        if not finite:
+            self._stats(mean=True)
 
     @property
     def rows(self) -> int:
@@ -202,19 +293,41 @@ class PatchMatrix:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    @cached_property
-    def _float64_stats(self) -> tuple[np.ndarray, np.ndarray]:
-        return _float64_pass(self.values)
+    def _stats(self, mean: bool) -> _Walk:
+        walked = self._walked
+        if walked is None or (mean and walked.mean is None):
+            fresh = _walk(self.values)
+            walked = fresh if walked is None else walked._replace(mean=fresh.mean)
+            object.__setattr__(self, "_walked", walked)
+        return walked
 
     def row_norms(self) -> np.ndarray:
         """Per-row L2 norms, accumulated in float64; read-only."""
-        return self._float64_stats[0]
+        return self._stats(mean=False).norms
 
     @property
     def mean(self) -> np.ndarray:
         """Element-wise mean of all rows, accumulated in float64 in row
         order; read-only."""
-        return self._float64_stats[1]
+        return self._stats(mean=True).mean
+
+    def walked_scores(self, vector: np.ndarray) -> np.ndarray | None:
+        """The read-only scores against the flat float64 `vector` that this
+        matrix's walk took, or None when it took none against an equal one."""
+        walked = self._walked
+        if walked is None or walked.scores is None or not np.array_equal(walked.vector, vector):
+            return None
+        return walked.scores
+
+
+def _walked_matrix(values: np.ndarray, request: BagRequest) -> PatchMatrix:
+    """The PatchMatrix of the read-only float32 (N >= 1, D >= 2) `values`,
+    walked once with `request`; the walk is its construction check."""
+    walked = _walk(values, request)
+    matrix = object.__new__(PatchMatrix)
+    object.__setattr__(matrix, "values", values)
+    object.__setattr__(matrix, "_walked", walked)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -306,15 +419,41 @@ class SlideRecord:
     num_patches: int
 
 
-def _check_record(rec: SlideRecord, classes: Sequence[str], seen: set[str]) -> None:
-    """A manifest record's rule: a new, non-empty slide_id (added to `seen`) of a known class."""
+def _check_classes(classes: Sequence[str], fail: Callable) -> None:
+    """A manifest's class rule: at least one class, none declared twice. A
+    failure raises ``fail(reason, "classes")``."""
+    if not classes:
+        raise fail("no classes declared", "classes")
+    seen: set[str] = set()
+    for name in classes:
+        if name in seen:
+            raise fail(f"class {name!r} declared twice", "classes")
+        seen.add(name)
+
+
+def _check_record(rec: SlideRecord, classes: Sequence[str], seen: set[str], fail: Callable) -> None:
+    """A manifest record's rule: a new, non-empty slide_id (added to `seen`)
+    of a known class. A failure raises ``fail(reason, key)``."""
     if not rec.slide_id:
-        raise ValueError("manifest contains an empty slide_id")
+        raise fail("empty slide_id", "slide_id")
     if rec.slide_id in seen:
-        raise ValueError(f"duplicate slide_id {rec.slide_id!r} in manifest")
+        raise fail(f"duplicate slide_id {rec.slide_id!r}", "slide_id")
     seen.add(rec.slide_id)
     if rec.class_name not in classes:
-        raise UnknownClass(rec.slide_id, rec.class_name)
+        raise fail(f"class {rec.class_name!r} is not in the manifest classes", "class")
+
+
+def _invalid(reason: str, key: str) -> ValueError:
+    """The `fail` of a manifest that is not read from a file."""
+    return ValueError(f"invalid manifest: {reason}")
+
+
+def _invalid_record(rec: SlideRecord) -> Callable:
+    """The `fail` of a record that is not read from a file: UnknownClass for
+    its class, else :func:`_invalid`."""
+    return lambda reason, key: (
+        UnknownClass(rec.slide_id, rec.class_name) if key == "class" else _invalid(reason, key)
+    )
 
 
 @dataclass(frozen=True)
@@ -327,13 +466,10 @@ class DatasetManifest:
     def __post_init__(self):
         classes = tuple(self.classes)
         slides = tuple(self.slides)
-        if not classes:
-            raise ValueError("manifest declares no classes")
-        if len(set(classes)) != len(classes):
-            raise ValueError("duplicate class names in manifest")
+        _check_classes(classes, _invalid)
         seen: set[str] = set()
         for rec in slides:
-            _check_record(rec, classes, seen)
+            _check_record(rec, classes, seen, _invalid_record(rec))
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "slides", slides)
 
@@ -401,9 +537,9 @@ def write_embeddings(matrix: PatchMatrix, sink: BinaryIO) -> int:
     return HEADER_SIZE + payload.nbytes
 
 
-def _read_header(source: BinaryIO, path: str | None) -> tuple[int, int]:
-    """Read and validate a header; returns the declared (rows, dim)."""
-    header = source.read(HEADER_SIZE)
+def _parse_header(header: bytes, path: str | None) -> tuple[int, int]:
+    """Validate the first bytes of a file or stream, up to HEADER_SIZE;
+    returns the declared (rows, dim)."""
     if len(header) >= 4 and header[:4] != MAGIC:
         raise BadMagic(header[:4], path)
     if len(header) < HEADER_SIZE:
@@ -416,21 +552,10 @@ def _read_header(source: BinaryIO, path: str | None) -> tuple[int, int]:
     return n, d
 
 
-def _read_payload(source: BinaryIO, n: int, d: int, path: str | None) -> PatchMatrix:
-    # chunked so that memory follows the bytes present, not the header's claim
-    expected = 4 * n * d
-    chunks = []
-    remaining = expected
-    while remaining:
-        chunk = source.read(min(remaining, _READ_CHUNK))
-        if not chunk:
-            raise TruncatedPayload(expected, expected - remaining, path)
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    payload = chunks[0] if len(chunks) == 1 else b"".join(chunks)
-    arr = np.frombuffer(payload, dtype="<f4").reshape(n, d)
+def _checked(values: np.ndarray, path: str | None) -> PatchMatrix:
+    """The PatchMatrix of a payload read from `path`; NonFiniteValue names it."""
     try:
-        return PatchMatrix(arr)
+        return PatchMatrix(values)
     except NonFiniteValue as exc:
         raise NonFiniteValue(exc.row, path) from None
 
@@ -445,8 +570,19 @@ def read_embeddings(source: BinaryIO) -> PatchMatrix:
         DimensionZero: header declares zero rows or a dimension below 2.
         NonFiniteValue: payload holds NaN or infinity.
     """
-    n, d = _read_header(source, None)
-    return _read_payload(source, n, d, None)
+    n, d = _parse_header(source.read(HEADER_SIZE), None)
+    # chunked so that memory follows the bytes present, not the header's claim
+    expected = 4 * n * d
+    chunks = []
+    remaining = expected
+    while remaining:
+        chunk = source.read(min(remaining, _READ_CHUNK))
+        if not chunk:
+            raise TruncatedPayload(expected, expected - remaining, None)
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    payload = chunks[0] if len(chunks) == 1 else b"".join(chunks)
+    return _checked(np.frombuffer(payload, dtype="<f4").reshape(n, d), None)
 
 
 def write_embeddings_file(matrix: PatchMatrix, path: str | Path) -> int:
@@ -458,8 +594,49 @@ def write_embeddings_file(matrix: PatchMatrix, path: str | Path) -> int:
         raise IoFailure(f"could not write {path}: {exc}") from exc
 
 
+def _new_buffer(nbytes: int) -> np.ndarray:
+    return np.empty(nbytes, np.uint8)
+
+
+def _read_file(path: str, buffer: Callable[[int], np.ndarray]) -> np.ndarray:
+    """The read-only float32 (N, D) payload of the embedding file at `path`,
+    read into the first bytes of ``buffer(nbytes)``.
+
+    The size the header declares is checked against the file's size before
+    `buffer` is asked for, so a hostile header allocates nothing. Raises
+    what :func:`read_embeddings_file` raises, except NonFiniteValue.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except (FileNotFoundError, NotADirectoryError):
+        raise MissingFile(path) from None
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            raise MissingFile(path)
+        n, d = _parse_header(os.read(fd, HEADER_SIZE), path)
+        expected = 4 * n * d
+        available = info.st_size - HEADER_SIZE
+        if available < expected:
+            raise TruncatedPayload(expected, available, path)
+        if available > expected:
+            raise TrailingBytes(expected, available - expected, path)
+        payload = buffer(expected)[:expected]
+        filled = 0
+        while filled < expected:
+            got = os.preadv(fd, [payload[filled:]], HEADER_SIZE + filled)
+            if not got:
+                raise TruncatedPayload(expected, filled, path)
+            filled += got
+    finally:
+        os.close(fd)
+    values = payload.view("<f4").reshape(n, d)
+    values.flags.writeable = False
+    return values
+
+
 def read_embeddings_file(path: str | Path) -> PatchMatrix:
-    """Read a file holding exactly one matrix.
+    """Read a file holding exactly one matrix, into a buffer of its own.
 
     The size the header declares is checked against the file's size before
     the payload is read, so a hostile header allocates nothing. Format
@@ -469,19 +646,8 @@ def read_embeddings_file(path: str | Path) -> PatchMatrix:
         MissingFile, plus everything :func:`read_embeddings` raises, and
         TrailingBytes: the file is longer than its header declares.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(str(path))
-    where = str(path)
-    with path.open("rb") as fh:
-        n, d = _read_header(fh, where)
-        expected = 4 * n * d
-        available = os.fstat(fh.fileno()).st_size - HEADER_SIZE
-        if available < expected:
-            raise TruncatedPayload(expected, available, where)
-        if available > expected:
-            raise TrailingBytes(expected, available - expected, where)
-        return _read_payload(fh, n, d, where)
+    where = str(Path(path))
+    return _checked(_read_file(where, _new_buffer), where)
 
 
 # --- typed JSON objects --------------------------------------------------------
@@ -652,10 +818,10 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
         MissingFile: no manifest at `path`.
         ManifestError: a line is not UTF-8 or not a JSON object, lacks a
             required key or holds it with the wrong type (see the module
-            docstring), repeats a slide_id or names an undeclared class;
-            names the file and the 1-based line number (blank lines count).
-        ValueError: the manifest is empty, declares no classes or repeats
-            one, or holds an empty slide_id.
+            docstring), declares no classes or one twice, or holds an empty
+            or repeated slide_id or an undeclared class; names the file and
+            the 1-based line number (blank lines count).
+        ValueError: the manifest is empty.
     """
     path = Path(path)
     if not path.is_file():
@@ -672,78 +838,150 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
     if not lines:
         raise ValueError(f"manifest {path} is empty")
 
+    def failing(number: int) -> Callable:
+        return lambda reason, key: ManifestError(str(path), number, reason, key)
+
     def fields(number: int, text: str, types: dict) -> dict:
-        fail = lambda reason, key: ManifestError(str(path), number, reason, key)
-        return typed_object(text, types, types, fail)
+        return typed_object(text, types, types, failing(number))
 
     head = fields(*lines[0], _MANIFEST_HEAD_TYPES)
     classes = tuple(head["classes"])
+    _check_classes(classes, failing(lines[0][0]))
     records = []
     seen: set[str] = set()
     for number, text in lines[1:]:
         row = fields(number, text, _MANIFEST_SLIDE_TYPES)
-        slide_id, class_name = row["slide_id"], row["class"]
-        if slide_id in seen:
-            raise ManifestError(str(path), number, f"duplicate slide_id {slide_id!r}")
-        seen.add(slide_id)
-        if class_name not in classes:
-            raise ManifestError(
-                str(path), number, f"class {class_name!r} is not in the manifest classes"
-            )
-        records.append(
-            SlideRecord(
-                slide_id=slide_id,
-                class_name=class_name,
-                path=row["path"],
-                num_patches=row["num_patches"],
-            )
+        record = SlideRecord(
+            slide_id=row["slide_id"],
+            class_name=row["class"],
+            path=row["path"],
+            num_patches=row["num_patches"],
         )
+        _check_record(record, classes, seen, failing(number))
+        records.append(record)
     return DatasetManifest(classes, tuple(records))
 
 
+def _references(items: list, index: int) -> int:
+    return sys.getrefcount(items[index])
+
+
+# what _references counts for an item that only its list holds
+_UNVIEWED = _references([object()], 0)
+
+
+class _Payloads:
+    """The byte buffers one stream of bags reads its payloads into.
+
+    A buffer is handed out again only when no array views it any more, that
+    is when this list holds its only reference. A caller that releases each
+    bag before it asks for the one after next alternates between two
+    buffers; a bag that is held keeps its buffer, and the stream takes a new
+    one in its place.
+    """
+
+    def __init__(self):
+        self.buffers: list[np.ndarray] = []
+
+    def __call__(self, nbytes: int) -> np.ndarray:
+        buffers = self.buffers
+        for i in range(len(buffers)):
+            if _references(buffers, i) <= _UNVIEWED:
+                if buffers[i].nbytes < nbytes:
+                    buffers[i] = None  # freed before the larger one is made
+                    buffers[i] = _new_buffer(nbytes)
+                return buffers[i]
+        if len(buffers) == 2:
+            del buffers[0]  # the bag that views it keeps it alive
+        buffers.append(_new_buffer(nbytes))
+        return buffers[-1]
+
+
+def _read_bag(
+    path: str, record: SlideRecord, label: int, request: BagRequest,
+    payloads: _Payloads, renormalize: bool,
+) -> SlideBag:
+    """The bag of `record`, read from `path` into `payloads` and walked once."""
+    values = _read_file(path, payloads)
+    try:
+        matrix = PatchMatrix(values) if renormalize else _walked_matrix(values, request)
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(exc.row, path) from None
+    if matrix.rows != record.num_patches:
+        raise PatchCountMismatch(record.slide_id, record.num_patches, matrix.rows)
+    if renormalize:
+        matrix = _walked_matrix(normalize(matrix).values, request)
+    else:
+        norms = matrix.row_norms()
+        row = off_unit_row(norms, LOAD_NORM_ATOL)
+        if row is not None:
+            raise UnnormalizedRow(record.slide_id, row, float(norms[row]))
+    return SlideBag(slide_id=record.slide_id, patches=matrix, label=label)
+
+
 def iter_bags(
-    manifest: DatasetManifest, path: str | Path, *, renormalize: bool = False
+    manifest: DatasetManifest,
+    path: str | Path,
+    *,
+    renormalize: bool = False,
+    request: Callable[[SlideRecord, int], BagRequest] | None = None,
 ) -> Iterator[SlideBag]:
     """Read and validate the manifest's bags one at a time, in manifest order.
 
-    Nothing is read until the first bag is requested, and the generator
-    keeps only the bag it yielded last, so a caller that reduces each bag
-    before asking for the next holds about one bag at a time, whatever the
-    corpus size. Labels resolve positionally against
-    the manifest's class list. Each file's header patch count is
-    cross-checked against the manifest, and each row's unit norm is checked
-    to within 1e-4 unless `renormalize` asks for re-normalization instead.
-    The check makes the bag's one float64 pass, which also leaves its
-    full-bag mean in :attr:`PatchMatrix.mean` for pooling.
+    Nothing is read until the first bag is requested. Labels resolve
+    positionally against the manifest's class list. Each file's header
+    patch count is cross-checked against the manifest, and each row's unit
+    norm is checked to within 1e-4 unless `renormalize` asks for
+    re-normalization instead.
+
+    Each bag is walked once (:func:`float64_blocks`), as it is read: the
+    walk checks that every value is finite, gives the row norms for the
+    unit-norm check and, as ``request(record, label)`` asks (by default
+    ``BagRequest()``), the full-bag mean and the scores against a
+    class vector, which the bag's :class:`PatchMatrix` keeps for pooling.
+    A re-normalized bag is walked after it is re-normalized.
+
+    Payloads are read into two buffers that the stream reuses, and the walk
+    into a block buffer that every walk reuses, so a caller that releases
+    each bag before it asks for the one after next holds about two bags,
+    whatever the corpus size, and reading allocates no per-bag buffer. A
+    buffer is reused only when no array views it any more: a bag that is
+    held, as by :func:`load_manifest` or ``list(iter_bags(...))``, keeps a
+    buffer of its own and stays intact.
 
     Args:
         manifest: the parsed manifest at `path`.
         path: manifest file; slide paths are relative to its directory.
         renormalize: re-normalize rows that fail the unit-norm check rather
             than rejecting them.
+        request: what each bag's walk computes, from its manifest record
+            and label.
 
     Raises:
         PatchCountMismatch, MissingFile, UnnormalizedRow, and the format
         errors of :func:`read_embeddings_file`, each when the offending bag
         is reached.
     """
-    base = Path(path).parent
+    base = str(Path(path).parent)
+    payloads = _Payloads()
     for rec in manifest.slides:
-        matrix = read_embeddings_file(base / rec.path)
-        if matrix.rows != rec.num_patches:
-            raise PatchCountMismatch(rec.slide_id, rec.num_patches, matrix.rows)
-        if renormalize:
-            matrix = normalize(matrix)
-        else:
-            norms = matrix.row_norms()
-            row = off_unit_row(norms, LOAD_NORM_ATOL)
-            if row is not None:
-                raise UnnormalizedRow(rec.slide_id, row, float(norms[row]))
-        yield SlideBag(
-            slide_id=rec.slide_id,
-            patches=matrix,
-            label=manifest.class_index(rec.class_name),
+        label = manifest.class_index(rec.class_name)
+        wanted = BagRequest() if request is None else request(rec, label)
+        # no local keeps the bag, so a caller that drops it frees its buffer
+        yield _read_bag(
+            os.path.join(base, rec.path), rec, label, wanted, payloads, renormalize
         )
+
+
+def read_with(
+    bags: Iterable[SlideBag] | Callable[..., Iterable[SlideBag]],
+    request: Callable[[SlideRecord, int], BagRequest],
+) -> Iterable[SlideBag]:
+    """The bags of `bags`: an iterable of them, or a reader, a callable such
+    as :func:`iter_bags` with its manifest and path bound
+    (``functools.partial``) that is called here with ``request=request``, so
+    that each bag's one walk computes what its consumer will read."""
+    return bags(request=request) if callable(bags) else bags
 
 
 def load_manifest(
@@ -777,7 +1015,7 @@ def write_dataset(
     for record, bag in slides:
         if bag.slide_id != record.slide_id:
             raise ValueError(f"bag {bag.slide_id!r} paired with record {record.slide_id!r}")
-        _check_record(record, classes, seen)
+        _check_record(record, classes, seen, _invalid_record(record))
         target = out / record.path
         target.parent.mkdir(parents=True, exist_ok=True)
         write_embeddings_file(bag.patches, target)

@@ -24,7 +24,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -38,10 +38,13 @@ from .adapters import (
     visionshot_slide_embedding,
 )
 from .embedstore import (
+    BagRequest,
     DatasetManifest,
     SlideBag,
+    SlideRecord,
     TextClassifier,
     is_int,
+    read_with,
     row_norms,
     typed_object,
     unit_rows,
@@ -616,7 +619,7 @@ def _fold_scores(
 
 def run_grid(
     manifest: DatasetManifest,
-    bags: Iterable[SlideBag],
+    bags: Iterable[SlideBag] | Callable[..., Iterable[SlideBag]],
     classifier: TextClassifier,
     config: GridConfig = GridConfig(),
 ) -> EvalReport:
@@ -634,11 +637,14 @@ def run_grid(
     before any bag is read: the manifest is grouped by class once, and each
     fold's training lists are that grouping without the fold. `bags` is then
     consumed in one pass, so it may be any one-shot iterable such as
-    :func:`~protoshot.embedstore.iter_bags`. Each bag fills two float64
-    arrays and is released: ``table``, every slide's full-bag mean, fold by
-    fold; and ``pools``, each drawn slide's guided pool per top-K and then
-    its full-bag mean. A cell takes its draw's columns of ``pools`` once and
-    builds its prototype rows and unit cache keys from them. The fold then
+    :func:`~protoshot.embedstore.iter_bags`, or a reader
+    (:func:`~protoshot.embedstore.read_with`), which is asked to score each
+    support slide that some top-K does not cover in the bag's one walk.
+    Each bag fills two float64 arrays and is released: ``table``, every
+    slide's full-bag mean, fold by fold; and ``pools``, each drawn slide's
+    guided pool per top-K and then its full-bag mean. A cell takes its
+    draw's columns of ``pools`` once and builds its prototype rows and unit
+    cache keys from them. The fold then
     scores its slice of ``table`` against the classifier's prompts (mizero)
     and every cell's rows with one ``row_scores`` call, and against every
     cell's keys with one ``cache_affinity`` call (:func:`_fold_scores`);
@@ -708,10 +714,15 @@ def run_grid(
     bounds = np.cumsum([0] + [len(ids) for ids in test_ids])
     y = np.array([labels[sid] for sid in row_of], dtype=np.int64)
 
+    def request(record: SlideRecord, label: int) -> BagRequest:
+        # a support slide that some top-K leaves uncovered is scored in its one walk
+        scored = record.slide_id in support and any(kt < record.num_patches for kt in top_ks)
+        return BagRequest(canonical[label] if scored else None)
+
     # the one pass over the bags
     table = pools = None
     seen: set[str] = set()
-    for bag in bags:
+    for bag in read_with(bags, request):
         sid = bag.slide_id
         if sid not in labels:
             continue

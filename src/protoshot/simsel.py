@@ -24,12 +24,13 @@ def as_class_vector(
     """`class_vector` as a flat float64 vector to score `bag` against.
 
     Raises:
-        DimensionMismatch: its length is not the bag's dimension; names
-            `slide_id` when given.
+        DimensionMismatch: its length is not the bag's dimension; expects the
+            vector's length, as the other kernels expect the classifier's,
+            and names `slide_id` when given.
     """
     w = np.asarray(class_vector, dtype=np.float64).reshape(-1)
     if w.shape[0] != bag.dim:
-        raise DimensionMismatch(bag.dim, w.shape[0], slide_id)
+        raise DimensionMismatch(w.shape[0], bag.dim, slide_id)
     return w
 
 
@@ -37,13 +38,20 @@ def score_against(bag: PatchMatrix, class_vector: np.ndarray) -> np.ndarray:
     """Dot product of every patch row with `class_vector`, in float64.
 
     For unit-norm inputs this is cosine similarity. The class vector is not
-    re-normalized, so the result is linear in it. The bag is widened a
-    block at a time (:func:`~protoshot.embedstore.float64_blocks`) and each
-    block scored by one unbuffered einsum, not BLAS, so the bytes depend on
+    re-normalized, so the result is linear in it. Each block of rows is
+    scored by one unbuffered einsum, not BLAS, so the bytes depend on
     neither the block size nor the BLAS thread count: they are those of
     :func:`~protoshot.adapters.row_scores` on the whole widened bag.
+
+    A bag whose one walk was asked for its scores against an equal vector
+    (a :class:`~protoshot.embedstore.BagRequest` of its reader) returns
+    those, read-only, without widening it again; any other bag is widened
+    a block at a time (:func:`~protoshot.embedstore.float64_blocks`).
     """
     w = as_class_vector(bag, class_vector)
+    walked = bag.walked_scores(w)
+    if walked is not None:
+        return walked
     scores = np.empty(bag.rows)
     for start, block in float64_blocks(bag.values):
         np.einsum("nd,d->n", block[1:], w, out=scores[start : start + len(block) - 1])
@@ -81,9 +89,10 @@ def bgap(bag: PatchMatrix, subset: np.ndarray | None = None) -> np.ndarray:
     pooled in row order, so the result is independent of the order the
     indices arrive in, and a subset of every row equals the full-bag mean
     bit for bit. The full-bag mean is a copy of :attr:`PatchMatrix.mean`,
-    so it reuses the float64 pass the load-time norm check already made; a
-    subset is widened a block at a time, its sum carried from block to
-    block (:func:`~protoshot.embedstore.carried_sum`).
+    so it reuses the walk the load-time norm check already made; a subset
+    is gathered and widened a block at a time into the walks' reused
+    buffer, its sum carried from block to block
+    (:func:`~protoshot.embedstore.carried_sum`).
     """
     if subset is None:
         return bag.mean.copy()
@@ -107,7 +116,9 @@ def guided_pools(
     the :func:`bgap` of ``top_k(score_against(patches, class_vector), k)``.
     A k that covers the bag pools every row, which is the full-bag
     :func:`bgap`; the bag is scored against `class_vector` and argsorted
-    once, and only when some k is smaller than the bag. The class vector's
+    once, and only when some k is smaller than the bag (the scores are the
+    bag's walk's when its reader was asked for them, see
+    :func:`score_against`). The class vector's
     dimension and k >= 1 are checked either way. Ks that clamp to the same
     count share one pool.
     """

@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -6,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from protoshot import adapters, embedstore
+from protoshot import adapters, embedstore, simsel
 from protoshot.cli import build_parser, main
-from protoshot.errors import ReportError
+from protoshot.errors import ReportError, SidecarError
 from protoshot.evalharness import EvalReport, GridConfig
 
 
@@ -311,6 +312,25 @@ class TestDimensionErrors:
             "--out", str(tmp_path / "proto.pse"),
         )
 
+    def test_build_prototypes_and_evaluate_agree(self, narrow, tmp_path, capsys):
+        """For an 8-dim corpus and a 4-dim classifier, both expect the
+        classifier's dimension and name the first slide."""
+        wide = tmp_path / "wide"
+        assert run(*synth_args(wide, dim=8)) == 0
+        classifier = ("--classifier", str(narrow / "classifier.pse"))
+        messages = []
+        for argv in (
+            ("build-prototypes", "--dataset", str(wide), *classifier, "--top-k", "4",
+             "--out", str(tmp_path / "proto.pse")),
+            ("evaluate", "--dataset", str(wide), *classifier, "--k-grid", "2",
+             "--out", str(tmp_path / "r.json")),
+        ):
+            capsys.readouterr()
+            assert run(*argv) == 1
+            messages.append(capsys.readouterr().err)
+        first = self.first_slide(wide)
+        assert messages == [f"error: slide {first!r}: dimension mismatch: expected 4, got 8\n"] * 2
+
     def test_predict(self, dataset, narrow, tmp_path, capsys):
         proto = tmp_path / "narrow.pse"
         assert run("build-prototypes", "--dataset", str(narrow), "--out", str(proto)) == 0
@@ -421,6 +441,27 @@ class TestInputFileErrors:
         sidecar = self.edit_sidecar(proto, class_names=["a", "b", "c", "d"])
         err = self.fails_naming(capsys, sidecar, *self.predict(dataset, proto, tmp_path))
         assert err == "lists 4 class names, but the file holds 3 rows\n"
+
+    @pytest.mark.parametrize(
+        "change, key, reason",
+        [
+            ({"class_names": ["a", "a", "b"]}, "class_names", "class name 'a' is listed twice"),
+            ({"top_k": -5}, "top_k", "top_k -5 is below 1"),
+            ({"top_k": 0}, "top_k", "top_k 0 is below 1"),
+        ],
+    )
+    def test_prototype_sidecar_rules(self, dataset, tmp_path, capsys, change, key, reason):
+        proto = tmp_path / "proto.pse"
+        assert run("build-prototypes", "--dataset", str(dataset), "--top-k", "4",
+                   "--out", str(proto)) == 0
+        sidecar = self.edit_sidecar(proto, **change)
+        with pytest.raises(SidecarError) as err:
+            adapters.read_prototypes(proto)
+        assert (err.value.path, err.value.key) == (str(sidecar), key)
+        assert self.fails_naming(capsys, sidecar, *self.predict(dataset, proto, tmp_path)) == (
+            reason + "\n"
+        )
+        assert not (tmp_path / "p.csv").exists()
 
     def test_zero_prototype_marked_normalized(self, dataset, tmp_path, capsys):
         proto = tmp_path / "zero.pse"
@@ -590,6 +631,78 @@ class TestStreamingCommands:
         finally:
             tracemalloc.stop()
         assert peak < payload / 4, (peak, payload)
+
+
+class TestOneWalkPerBag:
+    """Every command that reads a corpus walks each bag exactly once,
+    re-normalized or not, and widens no whole bag outside that walk except
+    to re-normalize it."""
+
+    @pytest.fixture
+    def noisy(self, tmp_path):
+        out = tmp_path / "noisy"
+        assert run(*synth_args(out, rho=0.3, kappa=1.0)) == 0
+        return out
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize(
+        "command", ["evaluate", "visionshot", "simpleshot", "predict", "zero-shot"]
+    )
+    def test_each_bag_walked_once(self, noisy, tmp_path, monkeypatch, command, normalize):
+        proto = tmp_path / "proto.pse"
+        assert run("build-prototypes", "--dataset", str(noisy), "--out", str(proto)) == 0
+        dataset = ("--dataset", str(noisy))
+        argv = {
+            "evaluate": ("evaluate", *dataset, "--folds", "3", "--k-grid", "2",
+                         "--topk-grid", "4,400", "--out", str(tmp_path / "r.json")),
+            "visionshot": ("build-prototypes", *dataset, "--top-k", "4",
+                           "--out", str(tmp_path / "v.pse")),
+            "simpleshot": ("build-prototypes", *dataset, "--method", "simpleshot",
+                           "--out", str(tmp_path / "s.pse")),
+            "predict": ("predict", *dataset, "--prototypes", str(proto),
+                        "--out", str(tmp_path / "p.csv")),
+            "zero-shot": ("zero-shot", *dataset, "--out", str(tmp_path / "z.csv")),
+        }[command]
+        walked, widened = [], []
+        walk, blocks = embedstore._walk, embedstore.float64_blocks
+
+        def counted_walk(values, *args, **kwargs):
+            walked.append(values[0].tobytes())  # a slide's first row names it
+            return walk(values, *args, **kwargs)
+
+        def counted_blocks(values, rows=None):
+            if rows is None:
+                widened.append(values.shape)
+            return blocks(values, rows)
+
+        monkeypatch.setattr(embedstore, "_walk", counted_walk)
+        monkeypatch.setattr(embedstore, "float64_blocks", counted_blocks)
+        monkeypatch.setattr(simsel, "float64_blocks", counted_blocks)
+        assert run(*argv, *(["--normalize"] if normalize else [])) == 0
+        slides = len(embedstore.parse_manifest(noisy / "manifest.jsonl").slides)
+        assert len(walked) == len(set(walked)) == slides
+        assert len(widened) == slides * (2 if normalize else 1)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
+def test_streaming_makes_few_page_faults(tmp_path):
+    """Reading and walking a bag allocates no memory of its own: a second
+    zero-shot over 60 bags makes fewer minor page faults than an eighth of
+    the pages of the corpus payload."""
+    import resource  # Unix only
+
+    data = tmp_path / "ds"
+    assert run(*synth_args(data, dim=256, slides=20, patches="250:300", rho=0.05,
+                           kappa=1.0)) == 0
+    manifest = embedstore.parse_manifest(data / "manifest.jsonl")
+    assert len(manifest.slides) == 60
+    pages = sum(4 * rec.num_patches * 256 for rec in manifest.slides) / resource.getpagesize()
+    argv = ("zero-shot", "--dataset", str(data), "--out", str(tmp_path / "z.csv"))
+    assert run(*argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert run(*argv) == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < pages / 8, (faults, pages)
 
 
 class TestReportCommand:

@@ -17,6 +17,7 @@ from protoshot.embedstore import (
     HEADER_SIZE,
     LOAD_NORM_ATOL,
     MAGIC,
+    BagRequest,
     DatasetManifest,
     PatchMatrix,
     SlideBag,
@@ -41,6 +42,7 @@ from protoshot.embedstore import (
 from protoshot.errors import (
     BadMagic,
     ClassNamesMismatch,
+    DimensionMismatch,
     DimensionZero,
     ManifestError,
     MissingFile,
@@ -102,15 +104,15 @@ finite_matrices = hnp.arrays(
 
 
 def counting_pass(monkeypatch) -> list:
-    """Count the float64 passes; returns the list of matrices they ran on."""
+    """Count the walks of a bag; returns the list of matrices they ran on."""
     seen = []
-    original = embedstore._float64_pass
+    original = embedstore._walk
 
-    def counted(values):
+    def counted(values, *args, **kwargs):
         seen.append(values)
-        return original(values)
+        return original(values, *args, **kwargs)
 
-    monkeypatch.setattr(embedstore, "_float64_pass", counted)
+    monkeypatch.setattr(embedstore, "_walk", counted)
     return seen
 
 
@@ -870,6 +872,33 @@ class TestManifest:
         reason = f"key {key!r} holds {value!r}, not {expected}"
         assert str(err.value) == f"{path} line {line}: {reason}"
 
+    @pytest.mark.parametrize(
+        "lines, line, key, reason",
+        [
+            (['{"classes": []}'], 1, "classes", "no classes declared"),
+            (['{"classes": ["a", "b", "a"]}'], 1, "classes", "class 'a' declared twice"),
+            (['{"classes": ["a"]}',
+              '{"slide_id": "s0", "class": "a", "path": "x", "num_patches": 2}',
+              '{"slide_id": "", "class": "a", "path": "y", "num_patches": 2}'],
+             3, "slide_id", "empty slide_id"),
+        ],
+    )
+    def test_manifest_rules_name_line(self, tmp_path, lines, line, key, reason):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(path)
+        assert (err.value.line, err.value.key) == (line, key)
+        assert str(err.value) == f"{path} line {line}: {reason}"
+
+    @pytest.mark.parametrize(
+        "classes, slides",
+        [((), ()), (("a", "a"), ()), (("a",), (SlideRecord("", "a", "x.pse", 2),))],
+    )
+    def test_built_manifest_keeps_the_same_rules(self, classes, slides):
+        with pytest.raises(ValueError, match="invalid manifest: "):
+            DatasetManifest(classes, slides)
+
     def test_non_utf8_line_named(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
         path.write_bytes(b'{"classes": ["a"]}\n{"slide_id": "\xff"}\n')
@@ -891,6 +920,120 @@ class TestManifest:
 def _bag_bytes(bags):
     return [(b.slide_id, b.label, b.patches.values.dtype.str, b.patches.values.tobytes())
             for b in bags]
+
+
+def _equal_bags(tmp_path, rng, count, rows=7, dim=6):
+    """A one-class corpus of `count` bags of the same shape."""
+    records = tuple(SlideRecord(f"s{i}", "a", f"s{i}.pse", rows) for i in range(count))
+    bags = [SlideBag(rec.slide_id, PatchMatrix(random_unit_rows(rng, rows, dim)), 0)
+            for rec in records]
+    write_dataset(("a",), zip(records, bags), tmp_path)
+    return DatasetManifest(("a",), records), bags
+
+
+def _write_bag(directory: Path, values: np.ndarray) -> DatasetManifest:
+    """`values` written raw as ``bag.pse`` under `directory`, with a manifest
+    of it that is not written."""
+    n, d = values.shape
+    header = struct.pack("<4sIII", MAGIC, n, d, 0)
+    (directory / "bag.pse").write_bytes(header + values.astype("<f4").tobytes())
+    return DatasetManifest(("a",), (SlideRecord("s0", "a", "bag.pse", n),))
+
+
+class TestOneWalk:
+    """A bag that iter_bags reads is walked once: the walk checks that its
+    values are finite and gives its norms, its mean and, on request, its
+    scores."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(1, 30), st.integers(2, 9)),
+        poison=st.lists(
+            st.tuples(st.integers(0, 10**6), st.sampled_from([np.nan, np.inf, -np.inf])),
+            min_size=1,
+            max_size=4,
+        ),
+        block_bytes=st.integers(1, 512),
+        renormalize=st.booleans(),
+    )
+    def test_non_finite_payload_names_file_and_row(self, shape, poison, block_bytes, renormalize):
+        values = random_unit_rows(np.random.default_rng(shape[0] * 97 + shape[1]), *shape)
+        flat = values.reshape(-1)
+        for position, bad in poison:
+            flat[position % flat.size] = bad
+        expected = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = _write_bag(Path(tmp), values)
+            with small_blocks(block_bytes), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteValue) as err:
+                    next(iter_bags(manifest, Path(tmp) / "manifest.jsonl", renormalize=renormalize))
+        assert (err.value.row, err.value.path) == (expected, str(Path(tmp) / "bag.pse"))
+
+    @pytest.mark.parametrize("block_bytes", [16, 32, 1 << 20])
+    def test_inf_and_minus_inf_in_one_column_never_summed(self, tmp_path, block_bytes):
+        values = random_unit_rows(np.random.default_rng(44), 6, 3)
+        values[3, 1], values[4, 1] = np.inf, -np.inf
+        manifest = _write_bag(tmp_path, values)
+        with small_blocks(block_bytes), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for renormalize in (False, True):
+                with pytest.raises(NonFiniteValue) as err:
+                    next(iter_bags(manifest, tmp_path / "manifest.jsonl", renormalize=renormalize))
+                assert err.value.row == 3
+            with pytest.raises(NonFiniteValue) as err:
+                PatchMatrix(values)
+            assert err.value.row == 3
+
+    def test_huge_finite_rows_load_without_warnings(self, tmp_path):
+        big = np.float32(3e38)
+        values = np.array([[big, big], [-big, -big], [big, -big], [big, big]], dtype=np.float32)
+        manifest = _write_bag(tmp_path, values)
+        path = tmp_path / "manifest.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_embeddings_file(tmp_path / "bag.pse").values.tobytes() == values.tobytes()
+            (bag,) = iter_bags(manifest, path, renormalize=True)
+            with pytest.raises(UnnormalizedRow) as err:
+                next(iter_bags(manifest, path))
+        assert off_unit_row(bag.patches.row_norms(), LOAD_NORM_ATOL) is None
+        v = values.astype(np.float64)
+        assert err.value.norm == np.sqrt(np.einsum("ij,ij->i", v, v))[0]
+
+    def test_requested_scores_come_from_the_walk(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(45)
+        manifest, bags = _toy_dataset(tmp_path, rng)
+        w = random_unit_rows(rng, 1, 6)[0].astype(np.float64)
+        seen = counting_pass(monkeypatch)
+        streamed = list(iter_bags(manifest, tmp_path / "manifest.jsonl",
+                                  request=lambda rec, label: BagRequest(w, mean=False)))
+        assert len(seen) == 3
+        for bag, built in zip(streamed, bags):
+            scores = score_against(bag.patches, w)
+            assert not scores.flags.writeable
+            assert scores.tobytes() == score_against(built.patches, w).tobytes()
+            assert (guided_pools(bag, w, (2,))[2].tobytes()
+                    == guided_pools(built, w, (2,))[2].tobytes())
+        assert len(seen) == 3  # scoring and the subset pools walked nothing
+        for bag in streamed:
+            widened = bag.patches.values.astype(np.float64)
+            assert bag.patches.mean.tobytes() == widened.mean(axis=0).tobytes()
+        assert len(seen) == 6  # a mean that was not requested takes a walk of its own
+
+    def test_vector_of_another_length_is_left_to_the_consumer(self, tmp_path):
+        rng = np.random.default_rng(46)
+        manifest, _ = _toy_dataset(tmp_path, rng)
+        bag = next(iter_bags(manifest, tmp_path / "manifest.jsonl",
+                             request=lambda rec, label: BagRequest(np.ones(4))))
+        with pytest.raises(DimensionMismatch) as err:
+            guided_pools(bag, np.ones(4), (2,))
+        assert (err.value.expected, err.value.actual, err.value.slide_id) == (4, 6, "s0")
+
+    def test_walks_share_one_block_buffer(self):
+        values = random_unit_rows(np.random.default_rng(47), 9, 5)
+        first = [block for _, block in float64_blocks(values)][0]
+        second = [block for _, block in float64_blocks(values, np.arange(3))][0]
+        assert np.shares_memory(first, second)
 
 
 class TestIterBags:
@@ -915,6 +1058,38 @@ class TestIterBags:
         streamed = list(iter_bags(manifest, path, renormalize=True))
         assert _bag_bytes(streamed) == _bag_bytes(loaded)
         assert all(off_unit_row(b.patches.row_norms(), LOAD_NORM_ATOL) is None for b in streamed)
+
+    def test_held_bags_stay_intact(self, tmp_path):
+        """Bags that are held keep buffers of their own: after the stream has
+        moved past them, and after later streams, they hold the bytes of a
+        fresh read."""
+        rng = np.random.default_rng(28)
+        manifest, _ = _equal_bags(tmp_path, rng, count=9)
+        path = tmp_path / "manifest.jsonl"
+        fresh = [read_embeddings_file(tmp_path / rec.path).values.tobytes()
+                 for rec in manifest.slides]
+        _, loaded = load_manifest(path)
+        listed = list(iter_bags(manifest, path))
+        kept = [bag for i, bag in enumerate(iter_bags(manifest, path)) if i % 3 == 0]
+        stream = iter_bags(manifest, path)
+        first = next(stream)
+        for _ in stream:
+            pass
+        for _ in iter_bags(manifest, path):
+            pass
+        assert [b.patches.values.tobytes() for b in loaded] == fresh
+        assert [b.patches.values.tobytes() for b in listed] == fresh
+        assert [b.patches.values.tobytes() for b in kept] == fresh[::3]
+        assert first.patches.values.tobytes() == fresh[0]
+
+    def test_dropped_bags_alternate_two_buffers(self, tmp_path):
+        """A caller that drops each bag before it asks for the one after next
+        reads every payload into one of two buffers."""
+        rng = np.random.default_rng(29)
+        manifest, _ = _equal_bags(tmp_path, rng, count=12)
+        addresses = [bag.patches.values.__array_interface__["data"][0]
+                     for bag in iter_bags(manifest, tmp_path / "manifest.jsonl")]
+        assert len(addresses) == 12 and len(set(addresses)) == 2
 
     def test_lazy(self, tmp_path):
         rng = np.random.default_rng(27)
