@@ -47,7 +47,6 @@ import json
 import math
 import os
 import reprlib
-import stat
 import struct
 import sys
 import threading
@@ -600,23 +599,18 @@ def _new_buffer(nbytes: int) -> np.ndarray:
 
 def _read_file(path: str, buffer: Callable[[int], np.ndarray]) -> np.ndarray:
     """The read-only float32 (N, D) payload of the embedding file at `path`,
-    read into the first bytes of ``buffer(nbytes)``.
+    read with ``readinto`` into the first bytes of ``buffer(nbytes)``.
 
     The size the header declares is checked against the file's size before
     `buffer` is asked for, so a hostile header allocates nothing. Raises
     what :func:`read_embeddings_file` raises, except NonFiniteValue.
     """
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except (FileNotFoundError, NotADirectoryError):
-        raise MissingFile(path) from None
-    try:
-        info = os.fstat(fd)
-        if not stat.S_ISREG(info.st_mode):
-            raise MissingFile(path)
-        n, d = _parse_header(os.read(fd, HEADER_SIZE), path)
+    if not os.path.isfile(path):
+        raise MissingFile(path)
+    with open(path, "rb", buffering=0) as fh:
+        n, d = _parse_header(fh.read(HEADER_SIZE), path)
         expected = 4 * n * d
-        available = info.st_size - HEADER_SIZE
+        available = os.fstat(fh.fileno()).st_size - HEADER_SIZE
         if available < expected:
             raise TruncatedPayload(expected, available, path)
         if available > expected:
@@ -624,12 +618,10 @@ def _read_file(path: str, buffer: Callable[[int], np.ndarray]) -> np.ndarray:
         payload = buffer(expected)[:expected]
         filled = 0
         while filled < expected:
-            got = os.preadv(fd, [payload[filled:]], HEADER_SIZE + filled)
+            got = fh.readinto(payload[filled:])
             if not got:
                 raise TruncatedPayload(expected, filled, path)
             filled += got
-    finally:
-        os.close(fd)
     values = payload.view("<f4").reshape(n, d)
     values.flags.writeable = False
     return values
