@@ -26,16 +26,15 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .embedstore import (
-    BagRequest,
+    MEAN,
     PatchMatrix,
+    PoolRequest,
     SlideBag,
-    SlideRecord,
     TextClassifier,
     frozen,
     off_unit_row,
     read_embeddings_file,
     read_sidecar,
-    read_with,
     row_norms,
     sidecar_path,
     unit_rows,
@@ -50,7 +49,7 @@ from .errors import (
     SidecarError,
     ZeroVectorRow,
 )
-from .simsel import bgap, guided_pools
+from .simsel import guided_pools, pool_bag, pooled
 
 _NORM_ATOL = 1e-6
 MIN_POOLED_NORM = 1e-12
@@ -166,32 +165,38 @@ def visionshot_slide_embedding(bag: SlideBag, class_vector: np.ndarray, k: int) 
     return guided_pools(bag, class_vector, (k,))[k]
 
 
-def _support_label(bag: SlideBag, num_classes: int) -> int:
-    """The label of support slide `bag`, checked to be one of `num_classes`."""
-    if bag.label is None:
-        raise ValueError(f"support slide {bag.slide_id!r} has no label")
-    if bag.label >= num_classes:
+def _support_label(slide_id: str, label: int | None, num_classes: int) -> int:
+    """The label of support slide `slide_id`, checked to be one of
+    `num_classes`."""
+    if label is None:
+        raise ValueError(f"support slide {slide_id!r} has no label")
+    if label >= num_classes:
         raise ValueError(
-            f"support slide {bag.slide_id!r} has label {bag.label}, "
+            f"support slide {slide_id!r} has label {label}, "
             f"but there are {num_classes} classes"
         )
-    return bag.label
+    return label
 
 
 def _pool_by_label(
-    support: Iterable[SlideBag],
-    num_classes: int,
+    support: Iterable[SlideBag] | Callable[..., Iterable],
     class_names: Sequence[str],
-    pool: Callable[[SlideBag], np.ndarray],
+    requests: Sequence[PoolRequest],
 ) -> tuple[list[list[np.ndarray]], list[list[str]]]:
-    """Pool each support slide as it arrives, grouped by label in arrival
-    order; returns the per-class pooled embeddings and slide ids."""
+    """Pool each support slide as it arrives (:func:`~protoshot.simsel.pooled`),
+    into the first row of ``requests[label]``, once its label is checked, and
+    group the pools by label in arrival order; returns the per-class pooled
+    embeddings and slide ids."""
+    num_classes = len(requests)
     per_class: list[list[np.ndarray]] = [[] for _ in range(num_classes)]
     ids: list[list[str]] = [[] for _ in range(num_classes)]
-    for bag in support:
-        label = _support_label(bag, num_classes)
-        per_class[label].append(pool(bag))
-        ids[label].append(bag.slide_id)
+
+    def request(slide_id: str, label: int | None) -> PoolRequest:
+        return requests[_support_label(slide_id, label, num_classes)]
+
+    for slide_id, label, rows in pooled(support, request):
+        per_class[label].append(rows[0])
+        ids[label].append(slide_id)
     for c, group in enumerate(ids):
         if not group:
             raise EmptyClassSupport(str(class_names[c]))
@@ -236,7 +241,7 @@ def prototypes_from_pooled(
 
 
 def build_prototypes(
-    support: Iterable[SlideBag] | Callable[..., Iterable[SlideBag]],
+    support: Iterable[SlideBag] | Callable[..., Iterable],
     classifier: TextClassifier,
     k: int,
     normalize_prototypes: bool = True,
@@ -248,9 +253,9 @@ def build_prototypes(
     its slides' pooled embeddings (re-normalized by default). `support` is
     iterated once and each slide is pooled as it arrives, so it may be a
     stream such as :func:`~protoshot.embedstore.iter_bags`. It may also be
-    a reader (see :func:`~protoshot.embedstore.read_with`): then each bag's
-    one walk scores it against its class vector when k is below its patch
-    count, and takes its mean only when k covers it.
+    a reader (see :func:`~protoshot.simsel.pooled`), which pools each slide
+    as it reads it: one walk scores the bag against its class vector when k
+    is below its patch count, and takes its mean only when k covers it.
 
     Raises:
         ValueError: k < 1, before any slide is consumed.
@@ -259,24 +264,15 @@ def build_prototypes(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     canonical = classifier.canonical_vectors()
-
-    def request(record: SlideRecord, label: int) -> BagRequest:
-        scored = k < record.num_patches and label < len(canonical)
-        return BagRequest(canonical[label] if scored else None, mean=not scored)
-
-    per_class, ids = _pool_by_label(
-        read_with(support, request),
-        classifier.num_classes,
-        classifier.class_names,
-        lambda bag: visionshot_slide_embedding(bag, canonical[bag.label], k),
-    )
+    requests = [PoolRequest((k,), vector, mean=False) for vector in canonical]
+    per_class, ids = _pool_by_label(support, classifier.class_names, requests)
     return prototypes_from_pooled(
         per_class, classifier.class_names, ids, k, normalize_prototypes
     )
 
 
 def simpleshot_prototypes(
-    support: Iterable[SlideBag],
+    support: Iterable[SlideBag] | Callable[..., Iterable],
     normalize_prototypes: bool = True,
     *,
     num_classes: int | None = None,
@@ -287,7 +283,8 @@ def simpleshot_prototypes(
     `num_classes` defaults to max(label)+1 and `class_names` to generated
     names; pass both when the corpus knows better. `support` is iterated
     once, pooling each slide as it arrives, unless `num_classes` must be
-    inferred from the labels first.
+    inferred from the labels first; it may be a reader (see
+    :func:`~protoshot.simsel.pooled`) when `num_classes` is given.
     """
     if num_classes is None:
         support = list(support)
@@ -295,9 +292,7 @@ def simpleshot_prototypes(
         num_classes = (max(labels) + 1) if labels else 0
     if class_names is None:
         class_names = [f"class_{c}" for c in range(num_classes)]
-    per_class, ids = _pool_by_label(
-        support, num_classes, class_names, lambda bag: bgap(bag.patches)
-    )
+    per_class, ids = _pool_by_label(support, class_names, [MEAN] * num_classes)
     return prototypes_from_pooled(per_class, class_names, ids, None, normalize_prototypes)
 
 
@@ -316,11 +311,37 @@ def _bag_scores(bag: SlideBag, scores: Callable[..., np.ndarray], *args) -> np.n
     """``scores(queries, *args)`` of the one full-bag pooled query of `bag`; a
     DimensionMismatch over the bag's own dimension names the slide."""
     try:
-        return scores(bgap(bag.patches)[None], *args)[0]
+        return scores(pool_bag(bag, MEAN), *args)[0]
     except DimensionMismatch as exc:
         if exc.actual != bag.patches.dim:  # the other operands disagree, not the bag
             raise
         raise DimensionMismatch(exc.expected, exc.actual, bag.slide_id) from None
+
+
+def score_means(
+    pooled_means: Iterable[tuple[str, int | None, np.ndarray]], weights: np.ndarray, count: int
+) -> tuple[list[str], np.ndarray]:
+    """The slide ids of `pooled_means`, ``(slide_id, label, rows)`` whose
+    last row is a slide's full-bag mean, and the ``count x C`` scores of
+    those means against the C rows of the float64 `weights`, in order.
+
+    Each mean is scored as it arrives, by one :func:`row_scores` call on
+    the one-row query, so row i holds the bytes of row i of the n-row call,
+    and nothing of size ``count x d`` is kept.
+
+    Raises:
+        DimensionMismatch: naming the first slide whose dimension is not the
+            weights'.
+    """
+    dim = weights.shape[1]
+    ids: list[str] = []
+    scores = np.empty((count, weights.shape[0]))
+    for slide_id, _, rows in pooled_means:
+        if rows.shape[1] != dim:
+            raise DimensionMismatch(dim, rows.shape[1], slide_id)
+        scores[len(ids)] = row_scores(rows[-1:], weights)[0]
+        ids.append(slide_id)
+    return ids, scores
 
 
 def predict_prototype(bag: SlideBag, prototypes: PrototypeSet) -> SlidePrediction:
@@ -369,10 +390,10 @@ def build_cache(
         ValueError: a support slide has no label, or one outside `num_classes`.
         EmptyCache: `support` is empty.
     """
-    labels = [_support_label(bag, num_classes) for bag in support]
+    labels = [_support_label(bag.slide_id, bag.label, num_classes) for bag in support]
     if not labels:
         raise EmptyCache()
-    keys = unit_rows(np.stack([bgap(bag.patches) for bag in support]), MIN_POOLED_NORM)
+    keys = unit_rows(np.concatenate([pool_bag(bag, MEAN) for bag in support]), MIN_POOLED_NORM)
     return CacheModel(keys=keys, values=np.eye(num_classes)[labels], alpha=alpha, beta=beta)
 
 

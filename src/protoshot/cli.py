@@ -7,8 +7,10 @@ runs, the failing cell) on stderr.
 
 Every command that reads a corpus streams it: each loads its classifier or
 prototypes and checks its options first (evaluate also makes every support
-draw), then reads, pools and releases one bag at a time, and writes its
-output only after the last bag, so a failure leaves no partial file.
+draw), then reads and pools one slide at a time in the reader
+(:func:`~protoshot.embedstore.iter_pooled`), which hands over only the
+slide's pooled rows, and writes its output only after the last slide, so a
+failure leaves no partial file.
 `synth` checks its config, and that `--out` is absent or empty, first;
 then it writes each slide's file as the slide is drawn, and the manifest,
 classifier and config after the last one.
@@ -23,6 +25,8 @@ from dataclasses import fields
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator
+
+import numpy as np
 
 from . import adapters, embedstore, evalharness, synthgen
 from .errors import OutputNotEmpty, PromptIndexOutOfRange, ProtoshotError
@@ -58,14 +62,18 @@ def _dataset_paths(dataset: str) -> tuple[Path, Path]:
 
 
 def _stream_dataset(args) -> tuple[embedstore.DatasetManifest, Callable[..., Iterator], Path]:
-    """Parse the manifest now, and return it with a reader of its bags: the
-    :func:`~protoshot.embedstore.iter_bags` stream that a call of the reader
-    gives, optionally with a per-slide ``request=``. The dataset directory
-    comes last."""
+    """Parse the manifest now, and return it with a reader of its slides: the
+    :func:`~protoshot.embedstore.iter_pooled` stream that a call of the
+    reader with a per-slide request gives. The dataset directory comes
+    last."""
     manifest_path, root = _dataset_paths(args.dataset)
     manifest = embedstore.parse_manifest(manifest_path)
-    read = partial(embedstore.iter_bags, manifest, manifest_path, renormalize=args.normalize)
+    read = partial(embedstore.iter_pooled, manifest, manifest_path, renormalize=args.normalize)
     return manifest, read, root
+
+
+def _full_means(slide_id: str, label: int) -> embedstore.PoolRequest:
+    return embedstore.MEAN
 
 
 def _load_classifier(
@@ -142,7 +150,7 @@ def cmd_build_prototypes(args) -> int:
         )
     else:
         protos = adapters.simpleshot_prototypes(
-            read(),
+            read,
             not args.no_normalize_prototypes,
             num_classes=len(manifest.classes),
             class_names=manifest.classes,
@@ -152,23 +160,25 @@ def cmd_build_prototypes(args) -> int:
     return 0
 
 
-def _write_predictions(path: str, predictions, class_names) -> None:
+def _write_predictions(path: str, ids, scores, class_names) -> None:
+    """One CSV row per slide: its id, the argmax class of its row of the
+    ``n x C`` `scores` (the lowest index among ties) and every score."""
     header = "slide_id,predicted_class," + ",".join(
         f"score_{c}" for c in range(len(class_names))
     )
     lines = [header]
-    for pred in predictions:
-        scores = ",".join(format(s, ".6g") for s in pred.class_scores)
-        lines.append(f"{pred.slide_id},{class_names[pred.predicted]},{scores}")
+    for slide_id, predicted, row in zip(ids, scores.argmax(axis=1).tolist(), scores.tolist()):
+        scores_text = ",".join(format(s, ".6g") for s in row)
+        lines.append(f"{slide_id},{class_names[predicted]},{scores_text}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_predict(args) -> int:
     protos = adapters.read_prototypes(args.prototypes)
-    _, read, _ = _stream_dataset(args)
-    predictions = [adapters.predict_prototype(bag, protos) for bag in read()]
-    _write_predictions(args.out, predictions, protos.class_names)
-    print(f"wrote {len(predictions)} predictions to {args.out}")
+    manifest, read, _ = _stream_dataset(args)
+    ids, scores = adapters.score_means(read(_full_means), protos.prototypes, len(manifest.slides))
+    _write_predictions(args.out, ids, scores, protos.class_names)
+    print(f"wrote {len(ids)} predictions to {args.out}")
     return 0
 
 
@@ -177,10 +187,11 @@ def cmd_zero_shot(args) -> int:
     classifier = _load_classifier(args, root)
     if not 0 <= args.prompt < classifier.num_prompts:
         raise PromptIndexOutOfRange(args.prompt, classifier.num_prompts)
-    _, read, _ = _stream_dataset(args)
-    predictions = [adapters.mizero_predict(bag, classifier, args.prompt) for bag in read()]
-    _write_predictions(args.out, predictions, classifier.class_names)
-    print(f"wrote {len(predictions)} predictions to {args.out}")
+    manifest, read, _ = _stream_dataset(args)
+    weights = classifier.weights[args.prompt].astype(np.float64)  # as mizero_scores takes them
+    ids, scores = adapters.score_means(read(_full_means), weights, len(manifest.slides))
+    _write_predictions(args.out, ids, scores, classifier.class_names)
+    print(f"wrote {len(ids)} predictions to {args.out}")
     return 0
 
 

@@ -29,13 +29,18 @@ the next, so widening a bag never copies all of it and, once the buffer
 has grown, allocates nothing: a reduction's bytes are those of the same
 expression on the whole widened bag.
 
-:func:`iter_bags` walks each bag it reads exactly once. The walk yields the
-row norms, which serve both the unit-norm check and the finite check; the
-row mean, unless the request says nothing will read it; and the scores
-against a class vector, when a :class:`BagRequest` asks for them. A
-:class:`PatchMatrix` keeps all three. The payload is read into one of two
-byte buffers that the stream reuses; a buffer is reused only once no array
-views it, so a bag that is still held keeps a buffer of its own.
+A slide is pooled in one place, :func:`pool_rows`, into what its
+:class:`PoolRequest` asks: top-K pools against a class vector, the
+full-bag mean, or both. :func:`iter_pooled` streams a corpus through it:
+each slide is read into the stream's one grow-only payload buffer, walked
+once (the walk yields the row norms, which serve both the unit-norm check
+and the finite check, and only the mean and the scores against a class
+vector that the pools read), checked, and pooled, and only its rows leave
+the reader. A stream so keeps two buffers, the payload buffer and the walk's
+float64 block buffer, whatever the corpus size. :func:`iter_bags` yields
+whole bags instead, each read into a buffer of its own and walked once as
+it is read; a bag in memory is pooled by :func:`~protoshot.simsel.pool_bag`,
+which reads the mean its walk kept.
 
 :func:`frozen` adopts every array a model keeps, and :func:`typed_object`
 checks every JSON object read: manifest lines, sidecars and reports.
@@ -48,7 +53,6 @@ import math
 import os
 import reprlib
 import struct
-import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +63,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     ClassNamesMismatch,
+    DimensionMismatch,
     DimensionZero,
     IoFailure,
     ManifestError,
@@ -99,9 +104,10 @@ def frozen(values, dtype) -> np.ndarray:
     return arr
 
 
-def row_norms(rows: np.ndarray) -> np.ndarray:
-    """The L2 norm of every row of the float64 matrix `rows`."""
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+def row_norms(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The L2 norm of every row of the float64 matrix `rows`, written to
+    `out` when given."""
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows, out=out), out=out)
 
 
 def off_unit_row(norms: np.ndarray, atol: float) -> int | None:
@@ -136,9 +142,6 @@ def float64_blocks(
     if rows is not None and n and not 0 <= rows.min() <= rows.max() < values.shape[0]:
         raise IndexError(f"rows out of range for {values.shape[0]} rows")
     step = max(2, BLOCK_BYTES // (8 * d))
-    starts = list(range(0, n, step))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
     height = min(n, step + 1)
     wide = (height + 1) * d
     # a gather of `rows` lands after the blocks, two float32 values per float64
@@ -150,7 +153,11 @@ def float64_blocks(
     buffer = scratch[:wide].reshape(height + 1, d)
     gathered = None if rows is None else scratch[wide:size].view(np.float32)
     try:
-        for start, stop in zip(starts, starts[1:] + [n]):
+        start = 0
+        while start < n:
+            stop = start + step
+            if stop >= n - 1:  # the last block, which a lone last row joins
+                stop = n
             block = buffer[: stop - start + 1]
             if rows is None:
                 block[1:] = values[start:stop]
@@ -159,6 +166,7 @@ def float64_blocks(
                 np.take(values, rows[start:stop], axis=0, out=picked, mode="clip")
                 block[1:] = picked
             yield start, block
+            start = stop
     finally:
         with _spare_lock:
             if not _spare or _spare[0].size < scratch.size:
@@ -180,14 +188,48 @@ def carried_sum(block: np.ndarray, total: np.ndarray | None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BagRequest:
-    """What the one walk of a bag computes besides its row norms: its scores
-    against the class vector `vector` when one is given, and its row mean
-    when `mean`. A reader such as :func:`iter_bags` takes one per slide from
-    the caller that knows how the bag will be pooled."""
+class PoolRequest:
+    """What one slide is pooled into, one float64 row each, in this order:
+    for each k of `top_ks`, the mean of the k rows of the bag that score
+    highest against the class vector `vector` (every row, which is the
+    full-bag mean, when k covers the bag); then, when `mean`, the full-bag
+    mean. A reader such as :func:`iter_pooled` takes one per slide from the
+    caller that knows how the slide will be pooled.
 
+    Raises:
+        ValueError: a k is below 1, or top-K pools are asked without a
+            class vector.
+    """
+
+    top_ks: tuple[int, ...] = ()
     vector: np.ndarray | None = None
     mean: bool = True
+
+    def __post_init__(self):
+        top_ks = tuple(self.top_ks)
+        for k in top_ks:
+            if k < 1:
+                raise ValueError(f"k must be >= 1, got {k}")
+        if top_ks and self.vector is None:
+            raise ValueError("a top-K pool needs a class vector")
+        if self.vector is not None:
+            vector = np.asarray(self.vector, dtype=np.float64).reshape(-1)
+            object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "top_ks", top_ks)
+
+    def walk_needs(self, rows: int, dim: int) -> tuple[np.ndarray | None, bool]:
+        """What the walk of a ``rows x dim`` bag must yield for this request:
+        the class vector to score the bag against, None when every k covers
+        the bag (or the vector is not `dim` long: :func:`pool_rows` names the
+        slide), and whether the full-bag mean is read."""
+        vector = self.vector
+        scored = vector is not None and vector.shape[0] == dim and any(
+            k < rows for k in self.top_ks
+        )
+        return (vector if scored else None), self.mean or any(k >= rows for k in self.top_ks)
+
+
+MEAN = PoolRequest()  # the full-bag mean alone
 
 
 class _Walk(NamedTuple):
@@ -195,17 +237,15 @@ class _Walk(NamedTuple):
 
     norms: np.ndarray
     mean: np.ndarray | None
-    vector: np.ndarray | None  # the flat float64 class vector `scores` are against
     scores: np.ndarray | None
 
 
-def _walk(values: np.ndarray, request: BagRequest = BagRequest()) -> _Walk:
+def _walk(values: np.ndarray, vector: np.ndarray | None = None, mean: bool = True) -> _Walk:
     """The one walk of :func:`float64_blocks` over the float32 bag `values`.
 
-    Yields its row norms, its row mean when ``request.mean``, and its scores
-    against ``request.vector`` when that vector is as long as a row (a
-    consumer checks a vector of another length itself). Each has the bytes
-    of its expression on one whole float64 copy: :func:`row_norms`,
+    Yields its row norms, its row mean when `mean`, and its scores against
+    the flat float64 `vector` when one is given. Each has the bytes of its
+    expression on one whole float64 copy: :func:`row_norms`,
     ``mean(axis=0)`` and the unbuffered einsum of
     :func:`~protoshot.simsel.score_against`.
 
@@ -218,30 +258,77 @@ def _walk(values: np.ndarray, request: BagRequest = BagRequest()) -> _Walk:
             its block is summed or scored, so no inf - inf is computed.
     """
     n = values.shape[0]
-    vector = request.vector
-    if vector is not None:
-        vector = np.asarray(vector, dtype=np.float64).reshape(-1)
-        if vector.shape[0] != values.shape[1]:
-            vector = None
     norms = np.empty(n)
     scores = None if vector is None else np.empty(n)
     total = None
     for start, block in float64_blocks(values):
         stop = start + len(block) - 1
-        part = norms[start:stop]
-        part[:] = row_norms(block[1:])
+        part = row_norms(block[1:], out=norms[start:stop])
         # norms are at least 0 and far below overflow, so their sum is finite iff each is
         if not math.isfinite(np.add.reduce(part)):
             raise NonFiniteValue(start + int(np.flatnonzero(~np.isfinite(part))[0]))
-        if request.mean:
+        if mean:
             total = carried_sum(block, total)
         if scores is not None:
             np.einsum("nd,d->n", block[1:], vector, out=scores[start:stop])
-    mean = None if total is None else total / n
-    for result in (norms, mean, scores):
+    if total is not None:
+        np.divide(total, n, out=total)
+    for result in (norms, total, scores):
         if result is not None:
-            result.flags.writeable = False
-    return _Walk(norms, mean, vector, scores)
+            result.setflags(write=False)
+    return _Walk(norms, total, scores)
+
+
+def subset_mean(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The float64 mean of the rows `rows` (ascending int64 indices) of the
+    float32 matrix `values`, gathered and widened a block at a time
+    (:func:`float64_blocks`) and summed in row order (:func:`carried_sum`)."""
+    total = None
+    for _, block in float64_blocks(values, rows):
+        total = carried_sum(block, total)
+    return total / rows.size
+
+
+def pool_rows(
+    values: np.ndarray,
+    request: PoolRequest,
+    mean: np.ndarray | None,
+    scores: np.ndarray | None,
+    slide_id: str | None = None,
+) -> np.ndarray:
+    """The rows `request` asks of the float32 bag `values`, as one new float64
+    ``(len(top_ks) + mean, D)`` array, from the bag's full-bag `mean` and its
+    `scores` against the request's class vector, each as
+    :meth:`PoolRequest.walk_needs` says (None where it needs none).
+
+    The one place a slide is pooled, for a stream (:func:`iter_pooled`) and
+    for a bag in memory (:func:`~protoshot.simsel.pool_bag`). A k below the
+    bag size pools the first k rows of the score order (score descending,
+    then row ascending), taken in row order (:func:`subset_mean`); a k that
+    covers the bag pools the full-bag mean; ks that clamp to the same count
+    share one pool.
+
+    Raises:
+        DimensionMismatch: the class vector is not as long as a row; expects
+            the vector's length and names `slide_id`.
+    """
+    n, d = values.shape
+    vector = request.vector
+    if vector is not None and vector.shape[0] != d:
+        raise DimensionMismatch(vector.shape[0], d, slide_id)
+    rows = np.empty((len(request.top_ks) + request.mean, d))
+    order = None if scores is None else np.argsort(-scores, kind="stable")
+    first: dict[int, int] = {}  # the row of each count's pool
+    for i, k in enumerate(request.top_ks):
+        count = min(k, n)
+        if count in first:
+            rows[i] = rows[first[count]]
+        else:
+            first[count] = i
+            rows[i] = mean if count == n else subset_mean(values, np.sort(order[:count]))
+    if request.mean:
+        rows[-1] = mean
+    return rows
 
 
 @dataclass(frozen=True)
@@ -257,13 +344,12 @@ class PatchMatrix:
     The row norms and the row mean come from one walk of the values
     (:func:`float64_blocks`), which holds about :data:`BLOCK_BYTES` of
     float64, never a copy of the whole matrix, and whose results are kept.
-    A matrix that :func:`iter_bags` reads was walked as it was read, and
-    may also keep its scores against one class vector
-    (:meth:`walked_scores`). A matrix built directly is walked on the first
-    call to :meth:`row_norms` or the first read of :attr:`mean`; it is
-    checked for non-finite values when built, by the sum of its values,
-    which is finite only if every value is, and by the walk's rule when
-    that sum is not (a value that is not finite, or a float32 overflow).
+    A matrix that :func:`iter_bags` reads was walked as it was read. A
+    matrix built directly is walked on the first call to :meth:`row_norms`
+    or the first read of :attr:`mean`; it is checked for non-finite values
+    when built, by the sum of its values, which is finite only if every
+    value is, and by the walk's rule when that sum is not (a value that is
+    not finite, or a float32 overflow).
     """
 
     values: np.ndarray
@@ -310,19 +396,11 @@ class PatchMatrix:
         order; read-only."""
         return self._stats(mean=True).mean
 
-    def walked_scores(self, vector: np.ndarray) -> np.ndarray | None:
-        """The read-only scores against the flat float64 `vector` that this
-        matrix's walk took, or None when it took none against an equal one."""
-        walked = self._walked
-        if walked is None or walked.scores is None or not np.array_equal(walked.vector, vector):
-            return None
-        return walked.scores
 
 
-def _walked_matrix(values: np.ndarray, request: BagRequest) -> PatchMatrix:
+def _walked_matrix(values: np.ndarray, walked: _Walk) -> PatchMatrix:
     """The PatchMatrix of the read-only float32 (N >= 1, D >= 2) `values`,
-    walked once with `request`; the walk is its construction check."""
-    walked = _walk(values, request)
+    keeping `walked`, their walk, which was its construction check."""
     matrix = object.__new__(PatchMatrix)
     object.__setattr__(matrix, "values", values)
     object.__setattr__(matrix, "_walked", walked)
@@ -605,9 +683,14 @@ def _read_file(path: str, buffer: Callable[[int], np.ndarray]) -> np.ndarray:
     `buffer` is asked for, so a hostile header allocates nothing. Raises
     what :func:`read_embeddings_file` raises, except NonFiniteValue.
     """
-    if not os.path.isfile(path):
-        raise MissingFile(path)
-    with open(path, "rb", buffering=0) as fh:
+    try:
+        fh = open(path, "rb", buffering=0)
+    except OSError:
+        # a directory raises too (IsADirectoryError, or PermissionError on Windows)
+        if not os.path.isfile(path):
+            raise MissingFile(path) from None
+        raise
+    with fh:
         n, d = _parse_header(fh.read(HEADER_SIZE), path)
         expected = 4 * n * d
         available = os.fstat(fh.fileno()).st_size - HEADER_SIZE
@@ -811,8 +894,9 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
         ManifestError: a line is not UTF-8 or not a JSON object, lacks a
             required key or holds it with the wrong type (see the module
             docstring), declares no classes or one twice, or holds an empty
-            or repeated slide_id or an undeclared class; names the file and
-            the 1-based line number (blank lines count).
+            or repeated slide_id or an undeclared class, or no slide line
+            follows the classes line; names the file and the 1-based line
+            number (blank lines count). Each rule runs once per line.
         ValueError: the manifest is empty.
     """
     path = Path(path)
@@ -839,6 +923,8 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
     head = fields(*lines[0], _MANIFEST_HEAD_TYPES)
     classes = tuple(head["classes"])
     _check_classes(classes, failing(lines[0][0]))
+    if len(lines) == 1:
+        raise ManifestError(str(path), lines[0][0], "no slide lines follow the classes line")
     records = []
     seen: set[str] = set()
     for number, text in lines[1:]:
@@ -851,64 +937,98 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
         )
         _check_record(record, classes, seen, failing(number))
         records.append(record)
-    return DatasetManifest(classes, tuple(records))
+    # every rule of DatasetManifest has run above, once, naming its line
+    manifest = object.__new__(DatasetManifest)
+    object.__setattr__(manifest, "classes", classes)
+    object.__setattr__(manifest, "slides", tuple(records))
+    return manifest
 
 
-def _references(items: list, index: int) -> int:
-    return sys.getrefcount(items[index])
-
-
-# what _references counts for an item that only its list holds
-_UNVIEWED = _references([object()], 0)
-
-
-class _Payloads:
-    """The byte buffers one stream of bags reads its payloads into.
-
-    A buffer is handed out again only when no array views it any more, that
-    is when this list holds its only reference. A caller that releases each
-    bag before it asks for the one after next alternates between two
-    buffers; a bag that is held keeps its buffer, and the stream takes a new
-    one in its place.
-    """
-
-    def __init__(self):
-        self.buffers: list[np.ndarray] = []
-
-    def __call__(self, nbytes: int) -> np.ndarray:
-        buffers = self.buffers
-        for i in range(len(buffers)):
-            if _references(buffers, i) <= _UNVIEWED:
-                if buffers[i].nbytes < nbytes:
-                    buffers[i] = None  # freed before the larger one is made
-                    buffers[i] = _new_buffer(nbytes)
-                return buffers[i]
-        if len(buffers) == 2:
-            del buffers[0]  # the bag that views it keeps it alive
-        buffers.append(_new_buffer(nbytes))
-        return buffers[-1]
-
-
-def _read_bag(
-    path: str, record: SlideRecord, label: int, request: BagRequest,
-    payloads: _Payloads, renormalize: bool,
-) -> SlideBag:
-    """The bag of `record`, read from `path` into `payloads` and walked once."""
-    values = _read_file(path, payloads)
+def _checked_walk(
+    values: np.ndarray, path: str, record: SlideRecord, renormalize: bool,
+    vector: np.ndarray | None, mean: bool,
+) -> tuple[np.ndarray, _Walk]:
+    """The payload `values` of `record`, read from `path`, and its one walk
+    (:func:`_walk` with `vector` and `mean`), after every load check: the
+    walk's finite check (NonFiniteValue names `path`), the patch count, and
+    the unit norm of every row, or, with `renormalize`, the construction
+    check of a :class:`PatchMatrix` before the count and the walk of the
+    re-normalized rows, which are returned instead, after it."""
     try:
-        matrix = PatchMatrix(values) if renormalize else _walked_matrix(values, request)
+        checked = PatchMatrix(values) if renormalize else _walk(values, vector, mean)
     except NonFiniteValue as exc:
         raise NonFiniteValue(exc.row, path) from None
-    if matrix.rows != record.num_patches:
-        raise PatchCountMismatch(record.slide_id, record.num_patches, matrix.rows)
+    if values.shape[0] != record.num_patches:
+        raise PatchCountMismatch(record.slide_id, record.num_patches, values.shape[0])
     if renormalize:
-        matrix = _walked_matrix(normalize(matrix).values, request)
-    else:
-        norms = matrix.row_norms()
-        row = off_unit_row(norms, LOAD_NORM_ATOL)
-        if row is not None:
-            raise UnnormalizedRow(record.slide_id, row, float(norms[row]))
-    return SlideBag(slide_id=record.slide_id, patches=matrix, label=label)
+        values = normalize(checked).values
+        return values, _walk(values, vector, mean)
+    row = off_unit_row(checked.norms, LOAD_NORM_ATOL)
+    if row is not None:
+        raise UnnormalizedRow(record.slide_id, row, float(checked.norms[row]))
+    return values, checked
+
+
+def _pool_slide(
+    path: str, record: SlideRecord, request: PoolRequest,
+    buffer: Callable[[int], np.ndarray], renormalize: bool,
+) -> np.ndarray:
+    """The one per-slide step of a stream: read the bag of `record` from
+    `path` into `buffer`, walk it once with every load check, and return
+    only the rows `request` asks of it (:func:`pool_rows`)."""
+    values = _read_file(path, buffer)
+    vector, mean = request.walk_needs(*values.shape)
+    values, walked = _checked_walk(values, path, record, renormalize, vector, mean)
+    return pool_rows(values, request, walked.mean, walked.scores, record.slide_id)
+
+
+def _grow_only() -> Callable[[int], np.ndarray]:
+    """A `buffer` for :func:`_read_file` that keeps one byte buffer and
+    replaces it, freeing it first, only when a payload does not fit."""
+    held = [_new_buffer(0)]
+
+    def buffer(nbytes: int) -> np.ndarray:
+        if held[0].nbytes < nbytes:
+            held[0] = None
+            held[0] = _new_buffer(nbytes)
+        return held[0]
+
+    return buffer
+
+
+def iter_pooled(
+    manifest: DatasetManifest,
+    path: str | Path,
+    request: Callable[[str, int], PoolRequest],
+    *,
+    renormalize: bool = False,
+) -> Iterator[tuple[str, int, np.ndarray]]:
+    """Read, check and pool the manifest's slides one at a time, in manifest
+    order, yielding ``(slide_id, label, rows)`` for each.
+
+    ``request(slide_id, label)`` says what each slide is pooled into, and
+    `rows` holds those rows (:class:`PoolRequest`, :func:`pool_rows`). A
+    slide is read and walked once, with the checks of :func:`iter_bags`
+    (re-normalized first with `renormalize`), and no array of it outlives
+    its step: every payload is read into one byte buffer that grows only
+    when a payload does not fit, and every walk into the block buffer of
+    :func:`float64_blocks`, so the stream holds about one bag, whatever the
+    corpus size. Nothing is read until the first slide is asked for.
+
+    Raises:
+        what :func:`iter_bags` raises, and DimensionMismatch naming the
+        slide whose rows are not as long as its request's class vector, each
+        when the slide is reached.
+    """
+    base = str(Path(path).parent)
+    labels = {name: label for label, name in enumerate(manifest.classes)}
+    buffer = _grow_only()
+    for rec in manifest.slides:
+        label = labels[rec.class_name]
+        wanted = request(rec.slide_id, label)
+        yield rec.slide_id, label, _pool_slide(
+            os.path.join(base, rec.path), rec, wanted, buffer, renormalize
+        )
 
 
 def iter_bags(
@@ -916,7 +1036,6 @@ def iter_bags(
     path: str | Path,
     *,
     renormalize: bool = False,
-    request: Callable[[SlideRecord, int], BagRequest] | None = None,
 ) -> Iterator[SlideBag]:
     """Read and validate the manifest's bags one at a time, in manifest order.
 
@@ -926,28 +1045,21 @@ def iter_bags(
     norm is checked to within 1e-4 unless `renormalize` asks for
     re-normalization instead.
 
-    Each bag is walked once (:func:`float64_blocks`), as it is read: the
-    walk checks that every value is finite, gives the row norms for the
-    unit-norm check and, as ``request(record, label)`` asks (by default
-    ``BagRequest()``), the full-bag mean and the scores against a
-    class vector, which the bag's :class:`PatchMatrix` keeps for pooling.
-    A re-normalized bag is walked after it is re-normalized.
-
-    Payloads are read into two buffers that the stream reuses, and the walk
-    into a block buffer that every walk reuses, so a caller that releases
-    each bag before it asks for the one after next holds about two bags,
-    whatever the corpus size, and reading allocates no per-bag buffer. A
-    buffer is reused only when no array views it any more: a bag that is
-    held, as by :func:`load_manifest` or ``list(iter_bags(...))``, keeps a
-    buffer of its own and stays intact.
+    Each bag is read into a buffer of its own, like
+    :func:`read_embeddings_file`, and walked once as it is read
+    (:func:`float64_blocks`): the walk checks that every value is finite
+    and gives the row norms for the unit-norm check and the full-bag mean,
+    which the bag's :class:`PatchMatrix` keeps for pooling. A re-normalized
+    bag is walked after it is re-normalized. A bag that is dropped is
+    freed, and a bag that is held, as by :func:`load_manifest`, stays
+    intact. A caller that needs only pooled rows streams them with
+    :func:`iter_pooled` instead, which holds no bag.
 
     Args:
         manifest: the parsed manifest at `path`.
         path: manifest file; slide paths are relative to its directory.
         renormalize: re-normalize rows that fail the unit-norm check rather
             than rejecting them.
-        request: what each bag's walk computes, from its manifest record
-            and label.
 
     Raises:
         PatchCountMismatch, MissingFile, UnnormalizedRow, and the format
@@ -955,25 +1067,13 @@ def iter_bags(
         is reached.
     """
     base = str(Path(path).parent)
-    payloads = _Payloads()
     for rec in manifest.slides:
-        label = manifest.class_index(rec.class_name)
-        wanted = BagRequest() if request is None else request(rec, label)
-        # no local keeps the bag, so a caller that drops it frees its buffer
-        yield _read_bag(
-            os.path.join(base, rec.path), rec, label, wanted, payloads, renormalize
+        where = os.path.join(base, rec.path)
+        values, walked = _checked_walk(
+            _read_file(where, _new_buffer), where, rec, renormalize, None, True
         )
-
-
-def read_with(
-    bags: Iterable[SlideBag] | Callable[..., Iterable[SlideBag]],
-    request: Callable[[SlideRecord, int], BagRequest],
-) -> Iterable[SlideBag]:
-    """The bags of `bags`: an iterable of them, or a reader, a callable such
-    as :func:`iter_bags` with its manifest and path bound
-    (``functools.partial``) that is called here with ``request=request``, so
-    that each bag's one walk computes what its consumer will read."""
-    return bags(request=request) if callable(bags) else bags
+        label = manifest.class_index(rec.class_name)
+        yield SlideBag(rec.slide_id, _walked_matrix(values, walked), label)
 
 
 def load_manifest(

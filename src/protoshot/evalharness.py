@@ -4,8 +4,8 @@ and the full (method x fold x seed x shots x top-K) grid with aggregation.
 Determinism rules. All randomness flows through numpy's PCG64, seeded by
 :func:`derive_seed`, a splitmix64 chain over a base seed and purpose tags.
 The grid streams the corpus: every support draw is made before any bag is
-read, then one pass writes each bag's full-bag mean to a fold-ordered table
-(and each drawn slide's pools to one support array) and releases it, so
+read, then one pass pools each slide once and writes its full-bag mean to a
+fold-ordered table (and a drawn slide's pools to one support array), so
 each slide is read, scored and pooled at most once per run. The text
 classifier is checked once: its canonical vectors before the first bag is
 read, its dimension at the first bag. Each cell builds its prototypes and
@@ -35,16 +35,14 @@ from .adapters import (
     cache_blend,
     prototype_rows,
     row_scores,
-    visionshot_slide_embedding,
 )
 from .embedstore import (
-    BagRequest,
+    MEAN,
     DatasetManifest,
+    PoolRequest,
     SlideBag,
-    SlideRecord,
     TextClassifier,
     is_int,
-    read_with,
     row_norms,
     typed_object,
     unit_rows,
@@ -61,7 +59,7 @@ from .errors import (
     SingleCluster,
     TooFewPoints,
 )
-from .simsel import bgap, guided_pools
+from .simsel import pool_bag, pooled
 
 METHODS = ("visionshot", "simpleshot", "mizero", "tipadapter")
 
@@ -357,7 +355,10 @@ class EvalReport:
         """Read a report written by :meth:`to_json`. Each record and aggregate
         field must hold the type its dataclass declares, or raise ReportError
         naming `path` and the key; a missing optional field reads as null
-        (reports older than ``prompt`` lack it)."""
+        (reports older than ``prompt`` lack it). Each record's fold must be
+        at least 0 and below the config's ``num_folds``, and it must hold one
+        recall per class of the config's ``num_classes``, where the config
+        gives them, or ReportError names the record and the key."""
         raw = typed_object(
             text, _REPORT_TYPES, _REPORT_TYPES, lambda reason, key: ReportError(path, reason, key)
         )
@@ -365,6 +366,7 @@ class EvalReport:
             tuple(_from_fields(cls, item, path, f"{key}[{i}]") for i, item in enumerate(raw[key]))
             for key, cls in (("records", EvalRecord), ("aggregates", Aggregate))
         )
+        _check_records(records, raw["config"], path)
         return EvalReport(raw["config"], records, aggregates)
 
 
@@ -406,6 +408,24 @@ def _from_fields(cls, raw: dict, path: str, where: str):
         return cls(**values)
     except ValueError as exc:
         raise ReportError(path, f"{where}: {exc}") from None
+
+
+def _check_records(records: Sequence[EvalRecord], config: dict, path: str) -> None:
+    """Check each record of the report `path` against its `config`: a fold
+    from 0 to below ``num_folds`` and one recall per class of
+    ``num_classes``, each bound where the config holds it as an integer."""
+    num_folds, num_classes = config.get("num_folds"), config.get("num_classes")
+    for i, r in enumerate(records):
+        if r.fold < 0 or (is_int(num_folds) and r.fold >= num_folds):
+            bound = f"from 0 to {num_folds - 1}" if is_int(num_folds) else "of 0 or more"
+            reason = f"records[{i}]: key 'fold' holds {r.fold}, not a fold {bound}"
+            raise ReportError(path, reason, "fold")
+        if is_int(num_classes) and len(r.per_class_recalls) != num_classes:
+            reason = (
+                f"records[{i}]: key 'per_class_recalls' holds {len(r.per_class_recalls)} "
+                f"recalls, not one per class of num_classes {num_classes}"
+            )
+            raise ReportError(path, reason, "per_class_recalls")
 
 
 def canonical_json(obj) -> str:
@@ -619,7 +639,7 @@ def _fold_scores(
 
 def run_grid(
     manifest: DatasetManifest,
-    bags: Iterable[SlideBag] | Callable[..., Iterable[SlideBag]],
+    bags: Iterable[SlideBag] | Callable[..., Iterable],
     classifier: TextClassifier,
     config: GridConfig = GridConfig(),
 ) -> EvalReport:
@@ -636,15 +656,15 @@ def run_grid(
     depend only on the manifest and the config, so all of them are made
     before any bag is read: the manifest is grouped by class once, and each
     fold's training lists are that grouping without the fold. `bags` is then
-    consumed in one pass, so it may be any one-shot iterable such as
-    :func:`~protoshot.embedstore.iter_bags`, or a reader
-    (:func:`~protoshot.embedstore.read_with`), which is asked to score each
-    support slide that some top-K does not cover in the bag's one walk.
-    Each bag fills two float64 arrays and is released: ``table``, every
-    slide's full-bag mean, fold by fold; and ``pools``, each drawn slide's
-    guided pool per top-K and then its full-bag mean. A cell takes its
-    draw's columns of ``pools`` once and builds its prototype rows and unit
-    cache keys from them. The fold then
+    consumed in one pass (:func:`~protoshot.simsel.pooled`): it may be any
+    one-shot iterable of bags, such as
+    :func:`~protoshot.embedstore.iter_bags`, or a reader such as
+    :func:`~protoshot.embedstore.iter_pooled`, which pools each slide as it
+    reads it and hands over only its rows. A drawn slide is pooled into its
+    guided pool per top-K and its full-bag mean, which fill its column of
+    ``pools``; every slide's full-bag mean fills its row of ``table``, fold
+    by fold. A cell takes its draw's columns of ``pools`` once and builds
+    its prototype rows and unit cache keys from them. The fold then
     scores its slice of ``table`` against the classifier's prompts (mizero)
     and every cell's rows with one ``row_scores`` call, and against every
     cell's keys with one ``cache_affinity`` call (:func:`_fold_scores`);
@@ -714,37 +734,38 @@ def run_grid(
     bounds = np.cumsum([0] + [len(ids) for ids in test_ids])
     y = np.array([labels[sid] for sid in row_of], dtype=np.int64)
 
-    def request(record: SlideRecord, label: int) -> BagRequest:
-        # a support slide that some top-K leaves uncovered is scored in its one walk
-        scored = record.slide_id in support and any(kt < record.num_patches for kt in top_ks)
-        return BagRequest(canonical[label] if scored else None)
+    # what each slide is pooled into: a drawn slide, its guided pool per top-K and
+    # then its full-bag mean (a column of `pools`); any other, its full-bag mean
+    guided = [PoolRequest(top_ks, vector) for vector in canonical] if top_ks else None
+    skipped = PoolRequest(mean=False)
 
-    # the one pass over the bags
+    def request(sid: str, label: int | None) -> PoolRequest:
+        if sid not in labels:
+            return skipped
+        if label != labels[sid]:
+            raise ValueError(
+                f"slide {sid!r} label {label} disagrees with manifest ({labels[sid]})"
+            )
+        return guided[label] if guided and sid in support else MEAN
+
+    # the one pass over the slides
     table = pools = None
     seen: set[str] = set()
-    for bag in read_with(bags, request):
-        sid = bag.slide_id
+    for sid, _, slide_rows in pooled(bags, request):
         if sid not in labels:
             continue
-        if bag.label != labels[sid]:
-            raise ValueError(
-                f"slide {sid!r} label {bag.label} disagrees with manifest ({labels[sid]})"
-            )
+        dim = slide_rows.shape[1]
         if table is None:
-            if reads_text and bag.patches.dim != classifier.dim:
-                raise DimensionMismatch(classifier.dim, bag.patches.dim, sid)
-            table = np.empty((len(row_of), bag.patches.dim))
-            pools = np.empty((len(top_ks) + 1, len(support), bag.patches.dim))
-        elif bag.patches.dim != table.shape[1]:
-            raise DimensionMismatch(table.shape[1], bag.patches.dim, sid)
-        table[row_of[sid]] = bgap(bag.patches)
+            if reads_text and dim != classifier.dim:
+                raise DimensionMismatch(classifier.dim, dim, sid)
+            table = np.empty((len(row_of), dim))
+            pools = np.empty((len(top_ks) + 1, len(support), dim))
+        elif dim != table.shape[1]:
+            raise DimensionMismatch(table.shape[1], dim, sid)
+        table[row_of[sid]] = slide_rows[-1]
         seen.add(sid)
-        if sid not in support:
-            continue
-        pools[-1, support[sid]] = table[row_of[sid]]
-        if top_ks:
-            by_k = guided_pools(bag, canonical[bag.label], top_ks)
-            pools[:-1, support[sid]] = [by_k[kt] for kt in top_ks]
+        if sid in support:
+            pools[:, support[sid]] = slide_rows
     missing = [sid for sid in labels if sid not in seen]
     if missing:
         raise ValueError(f"bags missing for manifest slides: {missing[:5]}")
@@ -771,8 +792,8 @@ def run_grid(
                 # take, not pools[:, columns], so the gather is C-ordered; the draw
                 # is class-major, so each plane's k slides per class reshape to (C, k)
                 cell = pools.take(columns, axis=1)
-                pooled = cell[:sets].reshape(sets, num_classes, k, dim)
-                rows.append(prototype_rows(pooled, config.normalize_prototypes))
+                planes = cell[:sets].reshape(sets, num_classes, k, dim)
+                rows.append(prototype_rows(planes, config.normalize_prototypes))
                 axes.extend((method, seed, k, kt, None) for method, kt in proto_sets)
                 if tipadapter:
                     # the keys and the queries take unit vectors inside this cell, so
@@ -843,11 +864,11 @@ def slide_embedding_table(
         if bag.label is None:
             raise ValueError(f"slide {bag.slide_id!r} has no label")
     if mode == "bgap":
-        rows = [bgap(bag.patches) for bag in bags]
+        rows = [pool_bag(bag, MEAN) for bag in bags]
     else:
         canonical = classifier.canonical_vectors()
-        rows = [visionshot_slide_embedding(bag, canonical[bag.label], k) for bag in bags]
-    return np.stack(rows), [bag.label for bag in bags], [bag.slide_id for bag in bags]
+        rows = [pool_bag(bag, PoolRequest((k,), canonical[bag.label], mean=False)) for bag in bags]
+    return np.concatenate(rows), [bag.label for bag in bags], [bag.slide_id for bag in bags]
 
 
 def pca_2d(points: np.ndarray) -> np.ndarray:

@@ -2,19 +2,30 @@
 
 These are the stateless numerical primitives behind every method in
 ``adapters``: score each patch against a class vector, keep the K best,
-pool a chosen subset into a single slide embedding; :func:`guided_pools`
-chains the three for one slide. All reductions run in float64 regardless
-of the float32 storage precision, and within-bag reductions follow row
-order so results never depend on caller-side ordering.
+pool a chosen subset into a single slide embedding. :func:`pool_bag` pools
+a bag held in memory through :func:`~protoshot.embedstore.pool_rows`, the
+one place a slide is pooled, which a stream
+(:func:`~protoshot.embedstore.iter_pooled`) also goes through, and
+:func:`pooled` takes either. All reductions run in float64 regardless of
+the float32 storage precision, and within-bag reductions follow row order
+so results never depend on caller-side ordering.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .embedstore import PatchMatrix, SlideBag, carried_sum, float64_blocks, frozen
+from .embedstore import (
+    PatchMatrix,
+    PoolRequest,
+    SlideBag,
+    float64_blocks,
+    frozen,
+    pool_rows,
+    subset_mean,
+)
 from .errors import DimensionMismatch, EmptySubset
 
 
@@ -43,15 +54,11 @@ def score_against(bag: PatchMatrix, class_vector: np.ndarray) -> np.ndarray:
     neither the block size nor the BLAS thread count: they are those of
     :func:`~protoshot.adapters.row_scores` on the whole widened bag.
 
-    A bag whose one walk was asked for its scores against an equal vector
-    (a :class:`~protoshot.embedstore.BagRequest` of its reader) returns
-    those, read-only, without widening it again; any other bag is widened
-    a block at a time (:func:`~protoshot.embedstore.float64_blocks`).
+    Any bag is widened a block at a time
+    (:func:`~protoshot.embedstore.float64_blocks`); a bag that a stream
+    pools is scored in its one walk instead, by the same einsum.
     """
     w = as_class_vector(bag, class_vector)
-    walked = bag.walked_scores(w)
-    if walked is not None:
-        return walked
     scores = np.empty(bag.rows)
     for start, block in float64_blocks(bag.values):
         np.einsum("nd,d->n", block[1:], w, out=scores[start : start + len(block) - 1])
@@ -90,9 +97,8 @@ def bgap(bag: PatchMatrix, subset: np.ndarray | None = None) -> np.ndarray:
     indices arrive in, and a subset of every row equals the full-bag mean
     bit for bit. The full-bag mean is a copy of :attr:`PatchMatrix.mean`,
     so it reuses the walk the load-time norm check already made; a subset
-    is gathered and widened a block at a time into the walks' reused
-    buffer, its sum carried from block to block
-    (:func:`~protoshot.embedstore.carried_sum`).
+    is pooled as :func:`~protoshot.embedstore.pool_rows` pools one
+    (:func:`~protoshot.embedstore.subset_mean`).
     """
     if subset is None:
         return bag.mean.copy()
@@ -101,10 +107,45 @@ def bgap(bag: PatchMatrix, subset: np.ndarray | None = None) -> np.ndarray:
         raise EmptySubset()
     if ((idx < 0) | (idx >= bag.rows)).any():
         raise IndexError(f"subset indices out of range for {bag.rows} rows")
-    total = None
-    for _, block in float64_blocks(bag.values, np.sort(idx)):
-        total = carried_sum(block, total)
-    return total / idx.size
+    return subset_mean(bag.values, np.sort(idx))
+
+
+def pool_bag(bag: SlideBag, request: PoolRequest) -> np.ndarray:
+    """The rows `request` asks of the bag `bag` held in memory, with the
+    bytes a stream gives for the same slide: both go through
+    :func:`~protoshot.embedstore.pool_rows`. The full-bag mean is the one
+    the bag's walk keeps (:attr:`PatchMatrix.mean`), and the bag is scored
+    (:func:`score_against`) only when some top-K is below its size.
+
+    Raises:
+        DimensionMismatch: the request's class vector is not as long as a
+            row; names the slide.
+    """
+    patches = bag.patches
+    vector, mean = request.walk_needs(patches.rows, patches.dim)
+    scores = None if vector is None else score_against(patches, vector)
+    return pool_rows(
+        patches.values, request, patches.mean if mean else None, scores, bag.slide_id
+    )
+
+
+def pooled(
+    bags: Iterable[SlideBag] | Callable[..., Iterable[tuple[str, int, np.ndarray]]],
+    request: Callable[[str, int | None], PoolRequest],
+) -> Iterator[tuple[str, int | None, np.ndarray]]:
+    """``(slide_id, label, rows)`` for each slide of `bags`, with the rows
+    ``request(slide_id, label)`` asks of it.
+
+    `bags` is an iterable of bags held in memory, each pooled here as it
+    arrives (:func:`pool_bag`) after its request is made, or a reader: a
+    callable such as :func:`~protoshot.embedstore.iter_pooled` with its
+    manifest and path bound (``functools.partial``), called here with
+    `request`, so that each slide is pooled as it is read.
+    """
+    if callable(bags):
+        return iter(bags(request))
+    return ((bag.slide_id, bag.label, pool_bag(bag, request(bag.slide_id, bag.label)))
+            for bag in bags)
 
 
 def guided_pools(
@@ -116,20 +157,11 @@ def guided_pools(
     the :func:`bgap` of ``top_k(score_against(patches, class_vector), k)``.
     A k that covers the bag pools every row, which is the full-bag
     :func:`bgap`; the bag is scored against `class_vector` and argsorted
-    once, and only when some k is smaller than the bag (the scores are the
-    bag's walk's when its reader was asked for them, see
-    :func:`score_against`). The class vector's
+    once, and only when some k is smaller than the bag. The class vector's
     dimension and k >= 1 are checked either way. Ks that clamp to the same
-    count share one pool.
+    count share one pool. This is :func:`pool_bag` with a request of these
+    top-Ks and no full-bag mean.
     """
-    patches = bag.patches
-    vector = as_class_vector(patches, class_vector, bag.slide_id)
-    counts = {k: clamp_k(k, patches.rows) for k in top_ks}
-    order = None
-    if any(n < patches.rows for n in counts.values()):
-        order = top_k(score_against(patches, vector), patches.rows)
-    by_count = {
-        n: bgap(patches) if n == patches.rows else bgap(patches, order[:n])
-        for n in dict.fromkeys(counts.values())
-    }
-    return {k: by_count[n] for k, n in counts.items()}
+    ks = tuple(top_ks)
+    rows = pool_bag(bag, PoolRequest(ks, class_vector, mean=False))
+    return {k: rows[i] for i, k in enumerate(ks)}

@@ -4,6 +4,7 @@ acceptance criterion."""
 from __future__ import annotations
 
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,3 +62,17 @@ def small_blocks(block_bytes: int):
 @pytest.fixture
 def unit_rows():
     return random_unit_rows
+
+
+def write_random_corpus(directory: Path, rng, dim: int, sizes, classes=("a", "b")) -> Path:
+    """A corpus of unit-norm bags of the given row counts, classes in turn;
+    a bag repeats some of its rows, so its scores tie. Returns the manifest
+    path."""
+    records, bags = [], []
+    for i, n in enumerate(sizes):
+        distinct = random_unit_rows(rng, max(1, n - 1), dim)
+        rows = distinct[rng.integers(0, len(distinct), n)]
+        records.append(embedstore.SlideRecord(f"s{i}", classes[i % len(classes)], f"s{i}.pse", n))
+        matrix = embedstore.PatchMatrix(rows)
+        bags.append(embedstore.SlideBag(f"s{i}", matrix, label=i % len(classes)))
+    return embedstore.write_dataset(classes, zip(records, bags), directory)

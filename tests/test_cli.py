@@ -1,16 +1,21 @@
 import json
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protoshot import adapters, embedstore, simsel
 from protoshot.cli import build_parser, main
 from protoshot.errors import ReportError, SidecarError
 from protoshot.evalharness import EvalReport, GridConfig
+
+from conftest import random_unit_rows, small_blocks, write_random_corpus
 
 
 def run(*argv) -> int:
@@ -601,6 +606,43 @@ class TestStreamingCommands:
                    str(tmp_path / "z.csv")) == 1
         assert f"{path} line 3: missing key 'slide_id'" in capsys.readouterr().err
 
+    def test_corpus_without_slides_rejected(self, dataset, tmp_path, capsys):
+        """A manifest of its classes line alone fails every corpus command with
+        one line naming the manifest, and writes nothing."""
+        commands = workflow_outputs(dataset, tmp_path)
+        commands += [
+            (["build-prototypes", "--dataset", str(dataset), "--method", "simpleshot",
+              "--out", str(tmp_path / "s.pse")], [tmp_path / "s.pse"]),
+            (["evaluate", "--dataset", str(dataset), "--out", str(tmp_path / "r.json")],
+             [tmp_path / "r.json"]),
+        ]
+        path = dataset / "manifest.jsonl"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        for argv, outputs in commands:
+            assert run(*argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err == f"error: {path} line 1: no slide lines follow the classes line\n", argv
+            assert not any(out.exists() for out in outputs), argv
+
+    def test_zero_shot_keeps_no_slide_by_dim_table(self, tmp_path):
+        """zero-shot keeps n x C scores, not the n x d pooled means: over 2N
+        slides it peaks less than half an N x d float64 table above its
+        peak over N slides."""
+        peaks = []
+        for slides in (20, 40):
+            data = tmp_path / f"ds{slides}"
+            assert run(*synth_args(data, dim=512, slides=slides, patches="4:6")) == 0
+            tracemalloc.start()
+            try:
+                assert run("zero-shot", "--dataset", str(data),
+                           "--out", str(tmp_path / f"z{slides}.csv")) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        n = 3 * 20  # slides in the smaller corpus
+        assert peaks[1] - peaks[0] < n * 512 * 4, peaks
+
     def test_predict_holds_one_bag(self, tmp_path):
         data = tmp_path / "ds"
         assert run(*synth_args(data, dim=64, slides=20, patches="300:400")) == 0
@@ -631,6 +673,59 @@ class TestStreamingCommands:
         finally:
             tracemalloc.stop()
         assert peak < payload / 4, (peak, payload)
+
+
+def prediction_csv(predictions, class_names) -> str:
+    """The CSV of per-bag predictions, written out field by field."""
+    lines = ["slide_id,predicted_class," + ",".join(f"score_{c}" for c in range(len(class_names)))]
+    for pred in predictions:
+        scores = ",".join(format(s, ".6g") for s in pred.class_scores)
+        lines.append(f"{pred.slide_id},{class_names[pred.predicted]},{scores}")
+    return "\n".join(lines) + "\n"
+
+
+class TestPooledPredictions:
+    """predict and zero-shot score each pooled mean as the reader hands it
+    over; their CSVs are those of the per-bag predictions."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 9),
+        sizes=st.lists(st.integers(1, 14), min_size=2, max_size=7),
+        prompts=st.integers(1, 3),
+        block_bytes=st.integers(1, 256),
+    )
+    def test_csvs_are_the_per_bag_predictions(self, seed, dim, sizes, prompts, block_bytes):
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            path = write_random_corpus(tmp / "ds", rng, dim, sizes)
+            weights = random_unit_rows(rng, prompts * 2, dim).reshape(prompts, 2, dim)
+            classifier = embedstore.TextClassifier(("a", "b"), weights)
+            embedstore.write_text_classifier(classifier, tmp / "ds" / "classifier.pse")
+            proto = tmp / "proto.pse"
+            adapters.write_prototypes(
+                adapters.simpleshot_prototypes(random_bags(rng, dim), num_classes=2), proto
+            )
+            protos = adapters.read_prototypes(proto)
+            _, bags = embedstore.load_manifest(path)
+            prompt = prompts - 1
+            with small_blocks(block_bytes):
+                assert run("predict", "--dataset", str(path), "--prototypes", str(proto),
+                           "--out", str(tmp / "p.csv")) == 0
+                assert run("zero-shot", "--dataset", str(path), "--prompt", str(prompt),
+                           "--out", str(tmp / "z.csv")) == 0
+            predicted = [adapters.predict_prototype(bag, protos) for bag in bags]
+            zero_shot = [adapters.mizero_predict(bag, classifier, prompt) for bag in bags]
+            assert (tmp / "p.csv").read_text() == prediction_csv(predicted, protos.class_names)
+            assert (tmp / "z.csv").read_text() == prediction_csv(zero_shot, ("a", "b"))
+
+
+def random_bags(rng, dim, per_class=2):
+    """Labeled random unit-norm support bags, `per_class` of each of 2 classes."""
+    return [embedstore.SlideBag(f"r{i}", embedstore.PatchMatrix(random_unit_rows(rng, 3, dim)),
+                                i % 2) for i in range(2 * per_class)]
 
 
 class TestOneWalkPerBag:
@@ -779,6 +874,22 @@ class TestReportCommand:
         with pytest.raises(ReportError) as info:
             EvalReport.from_json(text, str(report_path))
         assert (info.value.path, info.value.key) == (str(report_path), key)
+
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [("fold", -1, "fold"), ("per_class_recalls", [1.0], "per_class_recalls")],
+    )
+    def test_record_that_disagrees_with_config_exits_one(
+        self, dataset, tmp_path, capsys, field, value, key
+    ):
+        report_path = self.make_report(dataset, tmp_path)
+        raw = json.loads(report_path.read_text())
+        raw["records"][1][field] = value
+        report_path.write_text(json.dumps(raw))
+        assert run("report", "--reports", str(report_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {report_path}: records[1]: key {key!r} holds ")
+        assert err.count("\n") == 1
 
     def test_two_reports_merged(self, dataset, tmp_path, capsys):
         first = self.make_report(dataset, tmp_path)

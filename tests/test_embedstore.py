@@ -17,14 +17,16 @@ from protoshot.embedstore import (
     HEADER_SIZE,
     LOAD_NORM_ATOL,
     MAGIC,
-    BagRequest,
+    MEAN,
     DatasetManifest,
     PatchMatrix,
+    PoolRequest,
     SlideBag,
     SlideRecord,
     TextClassifier,
     float64_blocks,
     iter_bags,
+    iter_pooled,
     load_manifest,
     normalize,
     off_unit_row,
@@ -58,10 +60,10 @@ from protoshot.errors import (
     ZeroVectorRow,
 )
 
-from protoshot.simsel import bgap, guided_pools, score_against
+from protoshot.simsel import bgap, guided_pools, score_against, top_k
 from protoshot.synthgen import SynthConfig, generate
 
-from conftest import random_unit_rows, small_blocks
+from conftest import random_unit_rows, small_blocks, write_random_corpus
 
 
 def matrix(rows) -> PatchMatrix:
@@ -435,6 +437,12 @@ class TestBinaryFormat:
         with pytest.raises(MissingFile):
             read_embeddings_file(tmp_path / "nope.pse")
 
+    def test_directory_is_a_missing_file(self, tmp_path):
+        (tmp_path / "dir.pse").mkdir()
+        with pytest.raises(MissingFile) as err:
+            read_embeddings_file(tmp_path / "dir.pse")
+        assert err.value.path == str(tmp_path / "dir.pse")
+
 
 def _pse(n, d, reserved=0, payload=b"", magic=MAGIC) -> bytes:
     return struct.pack("<4sIII", magic, n, d, reserved) + payload
@@ -796,6 +804,27 @@ class TestManifest:
         _, bags = load_manifest(tmp_path / "manifest.jsonl", renormalize=True)
         assert off_unit_row(bags[0].patches.row_norms(), LOAD_NORM_ATOL) is None
 
+    def test_each_record_checked_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(30)
+        manifest, _ = _toy_dataset(tmp_path, rng)
+        calls = []
+        check = embedstore._check_record
+
+        def counted(rec, *args):
+            calls.append(rec.slide_id)
+            return check(rec, *args)
+
+        monkeypatch.setattr(embedstore, "_check_record", counted)
+        assert parse_manifest(tmp_path / "manifest.jsonl") == manifest
+        assert calls == [rec.slide_id for rec in manifest.slides]
+
+    def test_manifest_without_slides_named(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text('{"classes": ["a", "b"]}\n\n')
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(path)
+        assert str(err.value) == f"{path} line 1: no slide lines follow the classes line"
+
     def test_parse_requires_classes_line(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
         path.write_text('{"slide_id": "s0", "class": "a", "path": "x", "num_patches": 1}\n')
@@ -1005,29 +1034,29 @@ class TestOneWalk:
         manifest, bags = _toy_dataset(tmp_path, rng)
         w = random_unit_rows(rng, 1, 6)[0].astype(np.float64)
         seen = counting_pass(monkeypatch)
-        streamed = list(iter_bags(manifest, tmp_path / "manifest.jsonl",
-                                  request=lambda rec, label: BagRequest(w, mean=False)))
-        assert len(seen) == 3
-        for bag, built in zip(streamed, bags):
-            scores = score_against(bag.patches, w)
-            assert not scores.flags.writeable
-            assert scores.tobytes() == score_against(built.patches, w).tobytes()
-            assert (guided_pools(bag, w, (2,))[2].tobytes()
-                    == guided_pools(built, w, (2,))[2].tobytes())
-        assert len(seen) == 3  # scoring and the subset pools walked nothing
-        for bag in streamed:
-            widened = bag.patches.values.astype(np.float64)
-            assert bag.patches.mean.tobytes() == widened.mean(axis=0).tobytes()
-        assert len(seen) == 6  # a mean that was not requested takes a walk of its own
+        streamed = list(iter_pooled(manifest, tmp_path / "manifest.jsonl",
+                                    lambda sid, label: PoolRequest((2,), w, mean=False)))
+        assert len(seen) == 3  # the scores came from the one walk of each bag
+        for (sid, label, rows), built in zip(streamed, bags):
+            assert (sid, label) == (built.slide_id, built.label)
+            assert rows.tobytes() == guided_pools(built, w, (2,))[2].tobytes()
+        means = list(iter_pooled(manifest, tmp_path / "manifest.jsonl", lambda sid, label: MEAN))
+        assert len(seen) == 6
+        for (_, _, rows), built in zip(means, bags):
+            widened = built.patches.values.astype(np.float64)
+            assert rows.tobytes() == widened.mean(axis=0).tobytes()
 
-    def test_vector_of_another_length_is_left_to_the_consumer(self, tmp_path):
+    def test_vector_of_another_length_names_the_slide(self, tmp_path):
+        """A class vector the bag cannot be scored against fails after the
+        bag's load checks, in the reader, as it does for a bag in memory."""
         rng = np.random.default_rng(46)
-        manifest, _ = _toy_dataset(tmp_path, rng)
-        bag = next(iter_bags(manifest, tmp_path / "manifest.jsonl",
-                             request=lambda rec, label: BagRequest(np.ones(4))))
-        with pytest.raises(DimensionMismatch) as err:
-            guided_pools(bag, np.ones(4), (2,))
-        assert (err.value.expected, err.value.actual, err.value.slide_id) == (4, 6, "s0")
+        manifest, bags = _toy_dataset(tmp_path, rng)
+        request = PoolRequest((2,), np.ones(4))
+        stream = iter_pooled(manifest, tmp_path / "manifest.jsonl", lambda sid, label: request)
+        for pool in (lambda: next(stream), lambda: guided_pools(bags[0], np.ones(4), (2,))):
+            with pytest.raises(DimensionMismatch) as err:
+                pool()
+            assert (err.value.expected, err.value.actual, err.value.slide_id) == (4, 6, "s0")
 
     def test_walks_share_one_block_buffer(self):
         values = random_unit_rows(np.random.default_rng(47), 9, 5)
@@ -1082,14 +1111,15 @@ class TestIterBags:
         assert [b.patches.values.tobytes() for b in kept] == fresh[::3]
         assert first.patches.values.tobytes() == fresh[0]
 
-    def test_dropped_bags_alternate_two_buffers(self, tmp_path):
-        """A caller that drops each bag before it asks for the one after next
-        reads every payload into one of two buffers."""
+    def test_stream_reads_every_payload_into_one_buffer(self, tmp_path, monkeypatch):
+        """A pooled stream reads each payload into its one grow-only buffer:
+        twelve bags of one size share one address."""
         rng = np.random.default_rng(29)
         manifest, _ = _equal_bags(tmp_path, rng, count=12)
-        addresses = [bag.patches.values.__array_interface__["data"][0]
-                     for bag in iter_bags(manifest, tmp_path / "manifest.jsonl")]
-        assert len(addresses) == 12 and len(set(addresses)) == 2
+        seen = counting_pass(monkeypatch)
+        rows = list(iter_pooled(manifest, tmp_path / "manifest.jsonl", lambda sid, label: MEAN))
+        addresses = {values.__array_interface__["data"][0] for values in seen}
+        assert len(rows) == len(seen) == 12 and len(addresses) == 1
 
     def test_lazy(self, tmp_path):
         rng = np.random.default_rng(27)
@@ -1099,3 +1129,42 @@ class TestIterBags:
         assert next(stream).slide_id == "s0"
         with pytest.raises(MissingFile):
             next(stream)
+
+
+class TestPooledReader:
+    """The reader pools each slide as it is read; every row it hands over
+    has the bytes of the per-bag kernels on the bag held in memory."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 9),
+        sizes=st.lists(st.integers(1, 14), min_size=1, max_size=6),
+        block_bytes=st.integers(1, 256),
+        renormalize=st.booleans(),
+    )
+    def test_rows_are_the_per_bag_pools(self, seed, dim, sizes, block_bytes, renormalize):
+        rng = np.random.default_rng(seed)
+        vectors = random_unit_rows(rng, 2, dim).astype(np.float64)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_random_corpus(Path(tmp), rng, dim, sizes)
+            with small_blocks(block_bytes):
+                manifest, bags = load_manifest(path, renormalize=renormalize)
+                # a top-K below, equal to and above each bag's size
+                top_ks = {rec.slide_id: tuple(dict.fromkeys((max(1, n // 2), n, n + 3)))
+                          for rec, n in zip(manifest.slides, sizes)}
+                guided = {sid: PoolRequest(ks, vectors[int(sid[1:]) % 2])
+                          for sid, ks in top_ks.items()}
+                streamed = list(iter_pooled(manifest, path, lambda sid, label: guided[sid],
+                                            renormalize=renormalize))
+                means = list(iter_pooled(manifest, path, lambda sid, label: MEAN,
+                                         renormalize=renormalize))
+                for bag, (sid, label, rows), (_, _, mean) in zip(bags, streamed, means):
+                    assert (sid, label) == (bag.slide_id, bag.label)
+                    pools = guided_pools(bag, vectors[label], top_ks[sid])
+                    scores = score_against(bag.patches, vectors[label])
+                    assert rows.shape == (len(top_ks[sid]) + 1, dim)
+                    for row, k in zip(rows, top_ks[sid]):
+                        chained = bgap(bag.patches, top_k(scores, k))
+                        assert row.tobytes() == pools[k].tobytes() == chained.tobytes()
+                    assert rows[-1].tobytes() == mean[0].tobytes() == bgap(bag.patches).tobytes()

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import protoshot.adapters as adapters
+import protoshot.embedstore as embedstore
 import protoshot.evalharness as evalharness
 import protoshot.simsel as simsel
 from protoshot.adapters import (
@@ -590,15 +591,19 @@ class TestPooledGrid:
 
             return wrapped
 
-        # guided pools score and pool in simsel; the table's full-bag means
-        # pool in evalharness
+        pool_bag = simsel.pool_bag
+
+        def pooling(bag, *args, **kwargs):
+            pools[bag.slide_id] += 1
+            return pool_bag(bag, *args, **kwargs)
+
+        # a bag in memory is scored and pooled in simsel, every pool of it at once
         monkeypatch.setattr(simsel, "score_against", counting(scores, simsel.score_against))
-        monkeypatch.setattr(simsel, "bgap", counting(pools, simsel.bgap))
-        monkeypatch.setattr(evalharness, "bgap", counting(pools, evalharness.bgap))
+        monkeypatch.setattr(simsel, "pool_bag", pooling)
         assert not hasattr(evalharness, "score_against")
         run_grid(manifest, bags, clf, self.config)
         assert scores and max(scores.values()) == 1
-        assert pools and max(pools.values()) <= 1 + len(self.config.top_k_grid)
+        assert pools == Counter(dict.fromkeys((bag.slide_id for bag in bags), 1))
 
     @staticmethod
     def with_zero_mean_slide(dataset):
@@ -630,7 +635,7 @@ class TestPooledGrid:
     @pytest.mark.parametrize("method", ["visionshot", "mizero", "tipadapter"])
     def test_classifier_dimension_mismatch_is_typed(self, noisy_dataset, monkeypatch, method):
         manifest, bags, clf = noisy_dataset
-        monkeypatch.setattr(evalharness, "guided_pools", unreachable)
+        forbid_guided_pools(monkeypatch)
         config = GridConfig(
             methods=(method,), num_folds=4, k_grid=(2,), top_k_grid=(3,), seeds=(7,)
         )
@@ -732,7 +737,7 @@ class TestSupportPools:
         )
         report = run_grid(manifest, bags, narrow, config)
         assert report.to_json() == run_grid(manifest, bags, clf, config).to_json()
-        monkeypatch.setattr(evalharness, "guided_pools", unreachable)
+        forbid_guided_pools(monkeypatch)
         both = dataclasses.replace(config, methods=("simpleshot", "visionshot"))
         read = []
         with pytest.raises(DimensionMismatch) as err:
@@ -930,6 +935,12 @@ def unreachable(*args):
     raise AssertionError("a guided pool was taken")
 
 
+def forbid_guided_pools(monkeypatch):
+    """Make scoring a bag, and pooling a top-K subset of it, fail the test."""
+    monkeypatch.setattr(simsel, "score_against", unreachable)
+    monkeypatch.setattr(embedstore, "subset_mean", unreachable)
+
+
 def narrow_classifier(clf):
     """`clf` cut to the first half of its dimensions, rows re-normalized."""
     narrow = clf.weights[:, :, : clf.dim // 2].astype(np.float64)
@@ -1114,6 +1125,29 @@ class TestReportSerialization:
         assert err.value.key == key
         assert message.startswith(f"r.json: {start}") and message.endswith(end)
         assert len(message) < 600  # a long value is shown abridged
+
+    @pytest.mark.parametrize(
+        "index, field, value, reason",
+        [
+            (0, "fold", -1, "key 'fold' holds -1, not a fold from 0 to 2"),
+            (4, "fold", 3, "key 'fold' holds 3, not a fold from 0 to 2"),
+            (1, "per_class_recalls", [1.0, 0.5],
+             "key 'per_class_recalls' holds 2 recalls, not one per class of num_classes 3"),
+            (2, "per_class_recalls", [1.0, 0.5, 0.5, 0.0],
+             "key 'per_class_recalls' holds 4 recalls, not one per class of num_classes 3"),
+        ],
+    )
+    def test_record_rules_name_record_and_key(self, small_dataset, index, field, value, reason):
+        """A record's fold and recall count must fit the report's config."""
+        manifest, bags, clf = small_dataset
+        config = GridConfig(num_folds=3, k_grid=(2,), top_k_grid=(4,), seeds=(1,))
+        raw = json.loads(run_grid(manifest, bags, clf, config).to_json())
+        assert raw["config"]["num_classes"] == 3
+        raw["records"][index][field] = value
+        with pytest.raises(ReportError) as err:
+            EvalReport.from_json(json.dumps(raw), "r.json")
+        assert err.value.key == field
+        assert str(err.value) == f"r.json: records[{index}]: {reason}"
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
