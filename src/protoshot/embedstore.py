@@ -113,8 +113,10 @@ def row_norms(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def off_unit_row(norms: np.ndarray, atol: float) -> int | None:
     """The first row whose norm in `norms` is NaN or more than `atol` from 1,
     or None."""
-    near = np.abs(norms - 1.0) <= atol
-    return None if near.all() else int(np.flatnonzero(~near)[0])
+    off = np.abs(norms - 1.0)
+    if off.max(initial=0.0) <= atol:  # False when some norm is NaN
+        return None
+    return int(np.flatnonzero(~(off <= atol))[0])
 
 
 def float64_blocks(
@@ -222,10 +224,10 @@ class PoolRequest:
         the class vector to score the bag against, None when every k covers
         the bag (or the vector is not `dim` long: :func:`pool_rows` names the
         slide), and whether the full-bag mean is read."""
+        if not self.top_ks:
+            return None, self.mean
         vector = self.vector
-        scored = vector is not None and vector.shape[0] == dim and any(
-            k < rows for k in self.top_ks
-        )
+        scored = vector.shape[0] == dim and any(k < rows for k in self.top_ks)
         return (vector if scored else None), self.mean or any(k >= rows for k in self.top_ks)
 
 
@@ -699,14 +701,14 @@ def _read_file(path: str, buffer: Callable[[int], np.ndarray]) -> np.ndarray:
         if available > expected:
             raise TrailingBytes(expected, available - expected, path)
         payload = buffer(expected)[:expected]
-        filled = 0
+        filled = fh.readinto(payload)
         while filled < expected:
             got = fh.readinto(payload[filled:])
             if not got:
                 raise TruncatedPayload(expected, filled, path)
             filled += got
     values = payload.view("<f4").reshape(n, d)
-    values.flags.writeable = False
+    values.setflags(write=False)
     return values
 
 
@@ -985,7 +987,7 @@ def _pool_slide(
 def _grow_only() -> Callable[[int], np.ndarray]:
     """A `buffer` for :func:`_read_file` that keeps one byte buffer and
     replaces it, freeing it first, only when a payload does not fit."""
-    held = [_new_buffer(0)]
+    held = [np.empty(0, np.uint8)]  # nothing read yet
 
     def buffer(nbytes: int) -> np.ndarray:
         if held[0].nbytes < nbytes:

@@ -65,13 +65,16 @@ def unit_rows():
 
 
 def write_random_corpus(directory: Path, rng, dim: int, sizes, classes=("a", "b")) -> Path:
-    """A corpus of unit-norm bags of the given row counts, classes in turn;
-    a bag repeats some of its rows, so its scores tie. Returns the manifest
-    path."""
+    """A corpus of unit-norm bags of the given row counts, classes in turn.
+    A bag's rows are drawn from fewer distinct rows, some with the sign of
+    their first value flipped, so scores against a class vector whose first
+    value is 0 tie between equal and between different rows. Returns the
+    manifest path."""
     records, bags = [], []
     for i, n in enumerate(sizes):
         distinct = random_unit_rows(rng, max(1, n - 1), dim)
         rows = distinct[rng.integers(0, len(distinct), n)]
+        rows[rng.random(n) < 0.5, 0] *= -1
         records.append(embedstore.SlideRecord(f"s{i}", classes[i % len(classes)], f"s{i}.pse", n))
         matrix = embedstore.PatchMatrix(rows)
         bags.append(embedstore.SlideBag(f"s{i}", matrix, label=i % len(classes)))

@@ -692,7 +692,7 @@ class TestPooledPredictions:
     @given(
         seed=st.integers(0, 2**32 - 1),
         dim=st.integers(2, 9),
-        sizes=st.lists(st.integers(1, 14), min_size=2, max_size=7),
+        sizes=st.lists(st.integers(1, 40), min_size=2, max_size=7),
         prompts=st.integers(1, 3),
         block_bytes=st.integers(1, 256),
     )
