@@ -370,7 +370,7 @@ class PatchMatrix:
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(np.add.reduce(arr, axis=None))
         if not finite:
-            self._stats(mean=True)
+            self._stats()
 
     @property
     def rows(self) -> int:
@@ -380,29 +380,27 @@ class PatchMatrix:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def _stats(self, mean: bool) -> _Walk:
-        walked = self._walked
-        if walked is None or (mean and walked.mean is None):
-            fresh = _walk(self.values)
-            walked = fresh if walked is None else walked._replace(mean=fresh.mean)
-            object.__setattr__(self, "_walked", walked)
-        return walked
+    def _stats(self) -> _Walk:
+        if self._walked is None:
+            object.__setattr__(self, "_walked", _walk(self.values))
+        return self._walked
 
     def row_norms(self) -> np.ndarray:
         """Per-row L2 norms, accumulated in float64; read-only."""
-        return self._stats(mean=False).norms
+        return self._stats().norms
 
     @property
     def mean(self) -> np.ndarray:
         """Element-wise mean of all rows, accumulated in float64 in row
         order; read-only."""
-        return self._stats(mean=True).mean
+        return self._stats().mean
 
 
 
 def _walked_matrix(values: np.ndarray, walked: _Walk) -> PatchMatrix:
     """The PatchMatrix of the read-only float32 (N >= 1, D >= 2) `values`,
-    keeping `walked`, their walk, which was its construction check."""
+    keeping `walked`, their walk with its mean, which was its construction
+    check."""
     matrix = object.__new__(PatchMatrix)
     object.__setattr__(matrix, "values", values)
     object.__setattr__(matrix, "_walked", walked)
