@@ -33,6 +33,7 @@ from .embedstore import (
     TextClassifier,
     frozen,
     off_unit_row,
+    pool_bag,
     read_embeddings_file,
     read_sidecar,
     row_norms,
@@ -49,7 +50,7 @@ from .errors import (
     SidecarError,
     ZeroVectorRow,
 )
-from .simsel import guided_pools, pool_bag, pooled
+from .simsel import guided_pools, pooled
 
 _NORM_ATOL = 1e-6
 MIN_POOLED_NORM = 1e-12

@@ -31,16 +31,16 @@ expression on the whole widened bag.
 
 A slide is pooled in one place, :func:`pool_rows`, into what its
 :class:`PoolRequest` asks: top-K pools against a class vector, the
-full-bag mean, or both. :func:`iter_pooled` streams a corpus through it:
-each slide is read into the stream's one grow-only payload buffer, walked
-once (the walk yields the row norms, which serve both the unit-norm check
-and the finite check, and only the mean and the scores against a class
-vector that the pools read), checked, and pooled, and only its rows leave
-the reader. A stream so keeps two buffers, the payload buffer and the walk's
-float64 block buffer, whatever the corpus size. :func:`iter_bags` yields
-whole bags instead, each read into a buffer of its own and walked once as
-it is read; a bag in memory is pooled by :func:`~protoshot.simsel.pool_bag`,
-which reads the mean its walk kept.
+full-bag mean, or both, from one walk of the bag (:func:`_walk`), which
+yields the row norms and only the mean and the scores that the pools read.
+:func:`iter_pooled` streams a corpus through it: each slide is read into
+the stream's one grow-only payload buffer, walked once (the norms serve both
+the unit-norm check and the finite check), checked, and pooled, and only its
+rows leave the reader. A stream so keeps two buffers, the payload buffer and
+the walk's float64 block buffer, whatever the corpus size. :func:`pool_bag`
+runs the same walk and pooling on a bag held in memory, once per call.
+:func:`iter_bags` yields whole bags instead, each read into a buffer of its
+own and walked once, for its load checks, as it is read.
 
 :func:`frozen` adopts every array a model keeps, and :func:`typed_object`
 checks every JSON object read: manifest lines, sidecars and reports.
@@ -292,23 +292,17 @@ def subset_mean(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def pool_rows(
-    values: np.ndarray,
-    request: PoolRequest,
-    mean: np.ndarray | None,
-    scores: np.ndarray | None,
-    slide_id: str | None = None,
+    values: np.ndarray, request: PoolRequest, walked: _Walk, slide_id: str | None = None
 ) -> np.ndarray:
     """The rows `request` asks of the float32 bag `values`, as one new float64
-    ``(len(top_ks) + mean, D)`` array, from the bag's full-bag `mean` and its
-    `scores` against the request's class vector, each as
-    :meth:`PoolRequest.walk_needs` says (None where it needs none).
+    ``(len(top_ks) + mean, D)`` array, from `walked`, the bag's walk with the
+    mean and scores :meth:`PoolRequest.walk_needs` says.
 
     The one place a slide is pooled, for a stream (:func:`iter_pooled`) and
-    for a bag in memory (:func:`~protoshot.simsel.pool_bag`). A k below the
-    bag size pools the first k rows of the score order (score descending,
-    then row ascending), taken in row order (:func:`subset_mean`); a k that
-    covers the bag pools the full-bag mean; ks that clamp to the same count
-    share one pool.
+    for a bag in memory (:func:`pool_bag`). A k below the bag size pools the
+    first k rows of the score order (score descending, then row ascending),
+    taken in row order (:func:`subset_mean`); a k that covers the bag pools
+    the full-bag mean; ks that clamp to the same count share one pool.
 
     Raises:
         DimensionMismatch: the class vector is not as long as a row; expects
@@ -319,6 +313,7 @@ def pool_rows(
     if vector is not None and vector.shape[0] != d:
         raise DimensionMismatch(vector.shape[0], d, slide_id)
     rows = np.empty((len(request.top_ks) + request.mean, d))
+    scores = walked.scores
     order = None if scores is None else np.argsort(-scores, kind="stable")
     first: dict[int, int] = {}  # the row of each count's pool
     for i, k in enumerate(request.top_ks):
@@ -327,10 +322,26 @@ def pool_rows(
             rows[i] = rows[first[count]]
         else:
             first[count] = i
-            rows[i] = mean if count == n else subset_mean(values, np.sort(order[:count]))
+            rows[i] = walked.mean if count == n else subset_mean(values, np.sort(order[:count]))
     if request.mean:
-        rows[-1] = mean
+        rows[-1] = walked.mean
     return rows
+
+
+def pool_bag(bag: SlideBag, request: PoolRequest) -> np.ndarray:
+    """The rows `request` asks of the bag `bag` held in memory, with the
+    bytes a stream gives for the same slide: the steps of
+    :func:`iter_pooled` after its read and load checks, one :func:`_walk`
+    (scoring the bag only when some top-K is below its size) and
+    :func:`pool_rows`.
+
+    Raises:
+        DimensionMismatch: the request's class vector is not as long as a
+            row; names the slide.
+    """
+    values = bag.patches.values
+    vector, mean = request.walk_needs(*values.shape)
+    return pool_rows(values, request, _walk(values, vector, mean), bag.slide_id)
 
 
 @dataclass(frozen=True)
@@ -343,15 +354,12 @@ class PatchMatrix:
     :func:`frozen` adopts `values`: a file's read-only payload is kept as it
     is, and a caller's writable array is copied, never frozen.
 
-    The row norms and the row mean come from one walk of the values
-    (:func:`float64_blocks`), which holds about :data:`BLOCK_BYTES` of
-    float64, never a copy of the whole matrix, and whose results are kept.
-    A matrix that :func:`iter_bags` reads was walked as it was read. A
-    matrix built directly is walked on the first call to :meth:`row_norms`
-    or the first read of :attr:`mean`; it is checked for non-finite values
-    when built, by the sum of its values, which is finite only if every
-    value is, and by the walk's rule when that sum is not (a value that is
-    not finite, or a float32 overflow).
+    It is checked for non-finite values when built, by the sum of its
+    values, which is finite only if every value is, and by the rule of
+    :func:`_walk` when that sum is not (a value that is not finite, or a
+    float32 overflow). :meth:`row_norms` and :attr:`mean` each make one walk
+    of the values, which holds about :data:`BLOCK_BYTES` of float64, never a
+    copy of the whole matrix.
     """
 
     values: np.ndarray
@@ -366,11 +374,10 @@ class PatchMatrix:
         if d < 2:
             raise ValueError(f"embedding dimension must be >= 2, got {d}")
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_walked", None)
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(np.add.reduce(arr, axis=None))
         if not finite:
-            self._stats()
+            _walk(arr, mean=False)
 
     @property
     def rows(self) -> int:
@@ -380,31 +387,15 @@ class PatchMatrix:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def _stats(self) -> _Walk:
-        if self._walked is None:
-            object.__setattr__(self, "_walked", _walk(self.values))
-        return self._walked
-
     def row_norms(self) -> np.ndarray:
         """Per-row L2 norms, accumulated in float64; read-only."""
-        return self._stats().norms
+        return _walk(self.values, mean=False).norms
 
     @property
     def mean(self) -> np.ndarray:
         """Element-wise mean of all rows, accumulated in float64 in row
         order; read-only."""
-        return self._stats().mean
-
-
-
-def _walked_matrix(values: np.ndarray, walked: _Walk) -> PatchMatrix:
-    """The PatchMatrix of the read-only float32 (N >= 1, D >= 2) `values`,
-    keeping `walked`, their walk with its mean, which was its construction
-    check."""
-    matrix = object.__new__(PatchMatrix)
-    object.__setattr__(matrix, "values", values)
-    object.__setattr__(matrix, "_walked", walked)
-    return matrix
+        return _walk(self.values).mean
 
 
 @dataclass(frozen=True)
@@ -580,8 +571,7 @@ def normalize(matrix: PatchMatrix) -> PatchMatrix:
     leaving row norms within 1e-6 of 1.0. Row order is preserved and the
     operation is idempotent to within float32 rounding. The values are
     widened once, block by block (:func:`float64_blocks`), straight into
-    the float32 result, outside the matrix's cached float64 pass, which is
-    left to the result; the bytes are those of :func:`unit_rows` on one
+    the float32 result; the bytes are those of :func:`unit_rows` on one
     whole float64 copy.
 
     Raises:
@@ -979,7 +969,7 @@ def _pool_slide(
     values = _read_file(path, buffer)
     vector, mean = request.walk_needs(*values.shape)
     values, walked = _checked_walk(values, path, record, renormalize, vector, mean)
-    return pool_rows(values, request, walked.mean, walked.scores, record.slide_id)
+    return pool_rows(values, request, walked, record.slide_id)
 
 
 def _grow_only() -> Callable[[int], np.ndarray]:
@@ -1048,11 +1038,10 @@ def iter_bags(
     Each bag is read into a buffer of its own, like
     :func:`read_embeddings_file`, and walked once as it is read
     (:func:`float64_blocks`): the walk checks that every value is finite
-    and gives the row norms for the unit-norm check and the full-bag mean,
-    which the bag's :class:`PatchMatrix` keeps for pooling. A re-normalized
-    bag is walked after it is re-normalized. A bag that is dropped is
-    freed, and a bag that is held, as by :func:`load_manifest`, stays
-    intact. A caller that needs only pooled rows streams them with
+    and gives the row norms for the unit-norm check, and keeps nothing. A
+    re-normalized bag is walked after it is re-normalized. A bag that is
+    dropped is freed, and a bag that is held, as by :func:`load_manifest`,
+    stays intact. A caller that needs only pooled rows streams them with
     :func:`iter_pooled` instead, which holds no bag.
 
     Args:
@@ -1069,11 +1058,10 @@ def iter_bags(
     base = str(Path(path).parent)
     for rec in manifest.slides:
         where = os.path.join(base, rec.path)
-        values, walked = _checked_walk(
-            _read_file(where, _new_buffer), where, rec, renormalize, None, True
+        values, _ = _checked_walk(
+            _read_file(where, _new_buffer), where, rec, renormalize, None, False
         )
-        label = manifest.class_index(rec.class_name)
-        yield SlideBag(rec.slide_id, _walked_matrix(values, walked), label)
+        yield SlideBag(rec.slide_id, PatchMatrix(values), manifest.class_index(rec.class_name))
 
 
 def load_manifest(

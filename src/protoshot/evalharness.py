@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -43,6 +44,7 @@ from .embedstore import (
     SlideBag,
     TextClassifier,
     is_int,
+    pool_bag,
     row_norms,
     typed_object,
     unit_rows,
@@ -59,7 +61,7 @@ from .errors import (
     SingleCluster,
     TooFewPoints,
 )
-from .simsel import pool_bag, pooled
+from .simsel import pooled
 
 METHODS = ("visionshot", "simpleshot", "mizero", "tipadapter")
 
@@ -371,7 +373,10 @@ class EvalReport:
 
 
 def _is_number(value) -> bool:
-    return is_int(value) or isinstance(value, float)
+    """Whether the decoded JSON `value` is a number a float holds finitely."""
+    if is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
 
 
 # the JSON value each report field annotation admits: (description, test)
@@ -379,9 +384,9 @@ _FIELD_TYPES = {
     "str": ("a string", lambda v: isinstance(v, str)),
     "int": ("an integer", is_int),
     "int | None": ("an integer or null", lambda v: v is None or is_int(v)),
-    "float": ("a number", _is_number),
+    "float": ("a finite number", _is_number),
     "tuple[float, ...]": (
-        "a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))
+        "a list of finite numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))
     ),
 }
 # the keys of a report, each required
@@ -833,15 +838,7 @@ def run_grid(
     return EvalReport(config=config_echo, records=tuple(records), aggregates=aggregates)
 
 
-# --- slide embedding tables and 2-D projection ----------------------------------------
-
-
-@dataclass(frozen=True)
-class EmbeddingTable:
-    slide_ids: tuple[str, ...]
-    labels: tuple[int, ...]
-    embeddings: np.ndarray
-    projection: np.ndarray
+# --- slide embedding tables ---------------------------------------------------------
 
 
 def slide_embedding_table(
@@ -869,50 +866,3 @@ def slide_embedding_table(
         canonical = classifier.canonical_vectors()
         rows = [pool_bag(bag, PoolRequest((k,), canonical[bag.label], mean=False)) for bag in bags]
     return np.concatenate(rows), [bag.label for bag in bags], [bag.slide_id for bag in bags]
-
-
-def pca_2d(points: np.ndarray) -> np.ndarray:
-    """Project onto the top-2 principal components.
-
-    Covariance eigendecomposition on centered data; each component's sign is
-    fixed so its largest-magnitude loading is positive.
-
-    Raises:
-        TooFewPoints: fewer than 2 points.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise TooFewPoints(pts.shape[0] if pts.ndim == 2 else 0)
-    centered = pts - pts.mean(axis=0)
-    cov = (centered.T @ centered) / (pts.shape[0] - 1)
-    _, vectors = np.linalg.eigh(cov)
-    components = vectors[:, ::-1][:, :2].T  # top-2, largest eigenvalue first
-    for i in range(components.shape[0]):
-        j = int(np.argmax(np.abs(components[i])))
-        if components[i, j] < 0:
-            components[i] = -components[i]
-    return centered @ components.T
-
-
-def export_embedding_table(
-    bags: Sequence[SlideBag],
-    mode: str,
-    classifier: TextClassifier | None = None,
-    k: int | None = None,
-) -> EmbeddingTable:
-    """Slide embeddings plus their 2-D projection, ready for plotting."""
-    embeddings, labels, ids = slide_embedding_table(bags, mode, classifier, k)
-    projection = pca_2d(embeddings)
-    return EmbeddingTable(
-        slide_ids=tuple(ids),
-        labels=tuple(labels),
-        embeddings=embeddings,
-        projection=projection,
-    )
-
-
-def projection_csv(table: EmbeddingTable) -> str:
-    lines = ["slide_id,label,pc1,pc2"]
-    for sid, label, (pc1, pc2) in zip(table.slide_ids, table.labels, table.projection):
-        lines.append(f"{sid},{label},{format(pc1, '.6g')},{format(pc2, '.6g')}")
-    return "\n".join(lines) + "\n"

@@ -2,13 +2,14 @@
 
 These are the stateless numerical primitives behind every method in
 ``adapters``: score each patch against a class vector, keep the K best,
-pool a chosen subset into a single slide embedding. :func:`pool_bag` pools
-a bag held in memory through :func:`~protoshot.embedstore.pool_rows`, the
-one place a slide is pooled, which a stream
-(:func:`~protoshot.embedstore.iter_pooled`) also goes through, and
-:func:`pooled` takes either. All reductions run in float64 regardless of
-the float32 storage precision, and within-bag reductions follow row order
-so results never depend on caller-side ordering.
+pool a chosen subset into a single slide embedding. A slide is pooled in
+one place, :func:`~protoshot.embedstore.pool_rows`, whether a stream reads
+it (:func:`~protoshot.embedstore.iter_pooled`) or it is held in memory
+(:func:`~protoshot.embedstore.pool_bag`), and :func:`pooled` takes either;
+the kernels here are the per-bag expressions those pools match bit for bit.
+All reductions run in float64 regardless of the float32 storage precision,
+and within-bag reductions follow row order so results never depend on
+caller-side ordering.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .embedstore import (
     SlideBag,
     float64_blocks,
     frozen,
-    pool_rows,
+    pool_bag,
     subset_mean,
 )
 from .errors import DimensionMismatch, EmptySubset
@@ -54,9 +55,9 @@ def score_against(bag: PatchMatrix, class_vector: np.ndarray) -> np.ndarray:
     neither the block size nor the BLAS thread count: they are those of
     :func:`~protoshot.adapters.row_scores` on the whole widened bag.
 
-    Any bag is widened a block at a time
-    (:func:`~protoshot.embedstore.float64_blocks`); a bag that a stream
-    pools is scored in its one walk instead, by the same einsum.
+    The bag is widened a block at a time
+    (:func:`~protoshot.embedstore.float64_blocks`). Pooling does not call
+    this: a pooled bag is scored in its walk, by the same einsum.
     """
     w = as_class_vector(bag, class_vector)
     scores = np.empty(bag.rows)
@@ -95,9 +96,9 @@ def bgap(bag: PatchMatrix, subset: np.ndarray | None = None) -> np.ndarray:
     re-normalized; normalization is the caller's policy. Subset rows are
     pooled in row order, so the result is independent of the order the
     indices arrive in, and a subset of every row equals the full-bag mean
-    bit for bit. The full-bag mean is a copy of :attr:`PatchMatrix.mean`,
-    so it reuses the walk the load-time norm check already made; a subset
-    is pooled as :func:`~protoshot.embedstore.pool_rows` pools one
+    bit for bit. The full-bag mean is a writable copy of
+    :attr:`PatchMatrix.mean`; a subset is pooled as
+    :func:`~protoshot.embedstore.pool_rows` pools one
     (:func:`~protoshot.embedstore.subset_mean`).
     """
     if subset is None:
@@ -108,25 +109,6 @@ def bgap(bag: PatchMatrix, subset: np.ndarray | None = None) -> np.ndarray:
     if ((idx < 0) | (idx >= bag.rows)).any():
         raise IndexError(f"subset indices out of range for {bag.rows} rows")
     return subset_mean(bag.values, np.sort(idx))
-
-
-def pool_bag(bag: SlideBag, request: PoolRequest) -> np.ndarray:
-    """The rows `request` asks of the bag `bag` held in memory, with the
-    bytes a stream gives for the same slide: both go through
-    :func:`~protoshot.embedstore.pool_rows`. The full-bag mean is the one
-    the bag's walk keeps (:attr:`PatchMatrix.mean`), and the bag is scored
-    (:func:`score_against`) only when some top-K is below its size.
-
-    Raises:
-        DimensionMismatch: the request's class vector is not as long as a
-            row; names the slide.
-    """
-    patches = bag.patches
-    vector, mean = request.walk_needs(patches.rows, patches.dim)
-    scores = None if vector is None else score_against(patches, vector)
-    return pool_rows(
-        patches.values, request, patches.mean if mean else None, scores, bag.slide_id
-    )
 
 
 def pooled(
@@ -159,8 +141,8 @@ def guided_pools(
     :func:`bgap`; the bag is scored against `class_vector` and argsorted
     once, and only when some k is smaller than the bag. The class vector's
     dimension and k >= 1 are checked either way. Ks that clamp to the same
-    count share one pool. This is :func:`pool_bag` with a request of these
-    top-Ks and no full-bag mean.
+    count share one pool. This is :func:`~protoshot.embedstore.pool_bag`
+    with a request of these top-Ks and no full-bag mean.
     """
     ks = tuple(top_ks)
     rows = pool_bag(bag, PoolRequest(ks, class_vector, mean=False))

@@ -1,5 +1,5 @@
-"""No protoshot module computes a product through BLAS, outside two places
-that never reach a report.
+"""No protoshot module computes a product through BLAS, outside one place
+that never reaches a report.
 
 BLAS sums in an order that follows its thread count and the CPU it runs on,
 so a score it computes is not a pure function of the data. Every score goes
@@ -16,9 +16,9 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "protoshot"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
-# (module, function) pairs allowed a BLAS product: the 2-D projection of an
-# embedding table, and the QR that draws synthetic class directions
-ALLOWED = {("evalharness.py", "pca_2d"), ("synthgen.py", "_class_directions")}
+# (module, function) pairs allowed a BLAS product: the QR that draws
+# synthetic class directions
+ALLOWED = {("synthgen.py", "_class_directions")}
 PRODUCTS = {"dot", "vdot", "matmul", "inner", "tensordot"}
 
 

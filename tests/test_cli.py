@@ -891,6 +891,30 @@ class TestReportCommand:
         assert err.startswith(f"error: {report_path}: records[1]: key {key!r} holds ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "key, field, value",
+        [
+            ("aggregates", "mean", float("nan")),
+            ("aggregates", "std", float("nan")),
+            ("records", "per_class_recalls", [float("nan")] * 3),
+            ("aggregates", "std", float("inf")),
+            ("aggregates", "std", 10**400),
+        ],
+    )
+    def test_non_finite_number_exits_one(self, dataset, tmp_path, capsys, key, field, value):
+        """json reads NaN, Infinity and integers no float holds; a report
+        holding one is rejected, with no CSV written, rather than printed as
+        nan or failing with a traceback."""
+        report_path = self.make_report(dataset, tmp_path)
+        raw = json.loads(report_path.read_text())
+        raw[key][1][field] = value
+        report_path.write_text(json.dumps(raw))
+        curves = tmp_path / "curves.csv"
+        assert run("report", "--reports", str(report_path), "--csv-out", str(curves)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {report_path}: {key}[1]: key {field!r} holds ")
+        assert err.count("\n") == 1 and not curves.exists()
+
     def test_two_reports_merged(self, dataset, tmp_path, capsys):
         first = self.make_report(dataset, tmp_path)
         second = tmp_path / "second.json"

@@ -31,6 +31,7 @@ from protoshot.embedstore import (
     normalize,
     off_unit_row,
     parse_manifest,
+    pool_bag,
     read_embeddings,
     read_embeddings_file,
     read_text_classifier,
@@ -171,15 +172,30 @@ class TestFloat64Pass:
         assert m.mean.tolist() == [0.5, 0.5]
 
     def test_runs_once_per_matrix(self, monkeypatch):
-        seen = counting_pass(monkeypatch)
-        m = matrix([[1, 0], [0, 1], [0.6, 0.8]])
-        assert not seen  # lazy: construction widens nothing
-        m.row_norms()
-        m.mean
-        bgap(m)
-        bgap(m)
-        m.row_norms()
-        assert len(seen) == 1
+        """Construction widens nothing, and each pool of a bag in memory is
+        one walk, given the class vector only when some top-K is below the
+        bag size."""
+        walks = []
+        original = embedstore._walk
+
+        def counted(values, vector=None, mean=True):
+            walks.append(vector is not None)
+            return original(values, vector, mean)
+
+        monkeypatch.setattr(embedstore, "_walk", counted)
+        bag = SlideBag("s", matrix([[1, 0], [0, 1], [0.6, 0.8]]), 0)
+        assert not walks
+        w = np.array([0.6, 0.8])
+        for request, scored in [
+            (MEAN, False),
+            (PoolRequest((3,), w), False),
+            (PoolRequest((5, 3), w, mean=False), False),
+            (PoolRequest((2,), w), True),
+            (PoolRequest((3, 1), w, mean=False), True),
+        ]:
+            walks.clear()
+            pool_bag(bag, request)
+            assert walks == [scored]
 
     def test_synth_never_widens(self, monkeypatch):
         seen = counting_pass(monkeypatch)
@@ -187,18 +203,6 @@ class TestFloat64Pass:
                              patches_max=9, informative_fraction=0.3, noise_scale=1.0,
                              seed=3))
         assert not seen
-
-    def test_load_check_serves_every_full_bag_pool(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(29)
-        manifest, _ = _toy_dataset(tmp_path, rng)
-        seen = counting_pass(monkeypatch)
-        class_vector = random_unit_rows(rng, 1, 6)[0]
-        bags = []
-        for bag in iter_bags(manifest, tmp_path / "manifest.jsonl"):
-            bags.append(bag)
-            bgap(bag.patches)
-            guided_pools(bag, class_vector, (2, 100))  # one scored pool, one covering
-        assert [id(values) for values in seen] == [id(bag.patches.values) for bag in bags]
 
 
 # a float32 matrix, a block size that splits it into many blocks of the float64
@@ -329,10 +333,7 @@ class TestNormalize:
                                                  seed=4))
         path = write_dataset(manifest.classes, zip(manifest.slides, bags), tmp_path)
         seen = counting_pass(monkeypatch)
-        streamed = []
-        for bag in iter_bags(manifest, path, renormalize=True):
-            streamed.append(bag)
-            bgap(bag.patches)
+        streamed = list(iter_bags(manifest, path, renormalize=True))
         assert len(streamed) == 120 and len(seen) == 120
         assert [id(values) for values in seen] == [id(bag.patches.values) for bag in streamed]
 
@@ -1037,11 +1038,11 @@ class TestOneWalk:
         streamed = list(iter_pooled(manifest, tmp_path / "manifest.jsonl",
                                     lambda sid, label: PoolRequest((2,), w, mean=False)))
         assert len(seen) == 3  # the scores came from the one walk of each bag
+        means = list(iter_pooled(manifest, tmp_path / "manifest.jsonl", lambda sid, label: MEAN))
+        assert len(seen) == 6
         for (sid, label, rows), built in zip(streamed, bags):
             assert (sid, label) == (built.slide_id, built.label)
             assert rows.tobytes() == guided_pools(built, w, (2,))[2].tobytes()
-        means = list(iter_pooled(manifest, tmp_path / "manifest.jsonl", lambda sid, label: MEAN))
-        assert len(seen) == 6
         for (_, _, rows), built in zip(means, bags):
             widened = built.patches.values.astype(np.float64)
             assert rows.tobytes() == widened.mean(axis=0).tobytes()

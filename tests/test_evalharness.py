@@ -49,9 +49,6 @@ from protoshot.evalharness import (
     canonical_json,
     column_balanced_accuracies,
     derive_seed,
-    export_embedding_table,
-    pca_2d,
-    projection_csv,
     run_grid,
     sample_few_shot,
     silhouette,
@@ -564,6 +561,21 @@ def reference_records(manifest, bags, clf, config):
     return out
 
 
+def counting_walks(monkeypatch, bags) -> Counter:
+    """Count the walks of each bag of `bags`, keyed by (slide_id, whether the
+    walk was given a class vector to score the bag against)."""
+    slide_of = {id(bag.patches.values): bag.slide_id for bag in bags}
+    walks = Counter()
+    original = embedstore._walk
+
+    def counted(values, vector=None, mean=True):
+        walks[slide_of[id(values)], vector is not None] += 1
+        return original(values, vector, mean)
+
+    monkeypatch.setattr(embedstore, "_walk", counted)
+    return walks
+
+
 class TestPooledGrid:
     """The grid reads every pooled vector from one per-slide table; it must
     match the per-bag adapters exactly and compute each pool once."""
@@ -581,29 +593,22 @@ class TestPooledGrid:
 
     def test_each_slide_scored_and_pooled_once(self, noisy_dataset, monkeypatch):
         manifest, bags, clf = noisy_dataset
-        slide_of = {id(bag.patches): bag.slide_id for bag in bags}
-        scores, pools = Counter(), Counter()
-
-        def counting(counter, fn):
-            def wrapped(patches, *args, **kwargs):
-                counter[slide_of[id(patches)]] += 1
-                return fn(patches, *args, **kwargs)
-
-            return wrapped
-
+        walks = counting_walks(monkeypatch, bags)
+        pools = Counter()
         pool_bag = simsel.pool_bag
 
         def pooling(bag, *args, **kwargs):
             pools[bag.slide_id] += 1
             return pool_bag(bag, *args, **kwargs)
 
-        # a bag in memory is scored and pooled in simsel, every pool of it at once
-        monkeypatch.setattr(simsel, "score_against", counting(scores, simsel.score_against))
+        # a bag in memory is pooled in one walk, every pool of it at once
         monkeypatch.setattr(simsel, "pool_bag", pooling)
         assert not hasattr(evalharness, "score_against")
         run_grid(manifest, bags, clf, self.config)
-        assert scores and max(scores.values()) == 1
-        assert pools == Counter(dict.fromkeys((bag.slide_id for bag in bags), 1))
+        every = dict.fromkeys((bag.slide_id for bag in bags), 1)
+        assert pools == Counter(every)
+        assert Counter(sid for sid, _ in walks.elements()) == Counter(every)
+        assert any(scored for _, scored in walks)
 
     @staticmethod
     def with_zero_mean_slide(dataset):
@@ -965,21 +970,13 @@ class TestStreamedGrid:
 
     def test_scores_each_support_slide_once(self, noisy_dataset, monkeypatch):
         manifest, bags, clf = noisy_dataset
-        slide_of = {id(bag.patches): bag.slide_id for bag in bags}
-        scores = Counter()
-        original = simsel.score_against
-
-        def counting(patches, *args, **kwargs):
-            scores[slide_of[id(patches)]] += 1
-            return original(patches, *args, **kwargs)
-
-        monkeypatch.setattr(simsel, "score_against", counting)
+        walks = counting_walks(monkeypatch, bags)
         config = GridConfig(num_folds=4, k_grid=(1,), top_k_grid=(3, 8), seeds=(7,))
         support = support_slides(manifest, config)
         assert 0 < len(support) < len(bags)
         run_grid(manifest, iter(bags), clf, config)
-        assert scores == Counter(dict.fromkeys(support, 1))
-        scores.clear()
+        assert walks == Counter({(bag.slide_id, bag.slide_id in support): 1 for bag in bags})
+        walks.clear()
         unguided = GridConfig(
             methods=("simpleshot", "tipadapter", "mizero"),
             num_folds=4,
@@ -988,7 +985,7 @@ class TestStreamedGrid:
             seeds=(7,),
         )
         run_grid(manifest, iter(bags), clf, unguided)
-        assert not scores
+        assert walks == Counter({(bag.slide_id, False): 1 for bag in bags})
 
     @pytest.mark.parametrize("order", [(2, 1, 0), (0, 2, 1), (0, 1)])
     def test_classifier_of_other_classes_reads_no_bag(self, noisy_dataset, order):
@@ -1254,45 +1251,15 @@ class TestEmbeddingTable:
             seed=77,
         )
         manifest, bags, clf = generate(config)
-        guided = export_embedding_table(bags, "visionshot", clf, k=10)
-        plain = export_embedding_table(bags, "bgap")
-        s_guided = silhouette(guided.embeddings, guided.labels)
-        s_plain = silhouette(plain.embeddings, plain.labels)
-        assert s_guided > s_plain
+        guided, labels, _ = slide_embedding_table(bags, "visionshot", clf, k=10)
+        plain, _, _ = slide_embedding_table(bags, "bgap")
+        assert silhouette(guided, labels) > silhouette(plain, labels)
 
-    def test_single_slide_pca_error(self, small_dataset):
-        _, bags, clf = small_dataset
+    def test_single_slide_table(self, small_dataset):
+        _, bags, _ = small_dataset
         rows, labels, ids = slide_embedding_table(bags[:1], "bgap")
-        assert rows.shape[0] == 1 and labels == [bags[0].label]
+        assert rows.shape == (1, bags[0].patches.dim)
+        assert (labels, ids) == ([bags[0].label], [bags[0].slide_id])
+        assert rows[0].tobytes() == bgap(bags[0].patches).tobytes()
         with pytest.raises(TooFewPoints):
-            pca_2d(rows)
-        with pytest.raises(TooFewPoints):
-            export_embedding_table(bags[:1], "bgap")
-
-    def test_identical_slides_project_to_zero(self, small_dataset):
-        _, bags, _ = small_dataset
-        same = [bags[0], bags[0], bags[0]]
-        rows, _, _ = slide_embedding_table(same, "bgap")
-        projection = pca_2d(rows)
-        np.testing.assert_allclose(projection, 0.0, rtol=0, atol=1e-12)
-
-    def test_pca_sign_convention(self):
-        rng = np.random.default_rng(12)
-        points = rng.standard_normal((40, 6)) * np.array([5, 2, 1, 1, 1, 1])
-        centered = points - points.mean(axis=0)
-        projection = pca_2d(points)
-        # recover the components from the projection and check the dominant
-        # loading of each is positive
-        comps, *_ = np.linalg.lstsq(centered, projection, rcond=None)
-        for i in range(2):
-            j = int(np.argmax(np.abs(comps[:, i])))
-            assert comps[j, i] > 0
-
-    def test_projection_csv(self, small_dataset):
-        _, bags, _ = small_dataset
-        table = export_embedding_table(bags[:5], "bgap")
-        text = projection_csv(table)
-        lines = text.splitlines()
-        assert lines[0] == "slide_id,label,pc1,pc2"
-        assert len(lines) == 6
-        assert lines[1].startswith(f"{bags[0].slide_id},{bags[0].label},")
+            silhouette(rows, labels)
