@@ -10,10 +10,17 @@ prototypes and checks its options first (evaluate also makes every support
 draw), then reads and pools one slide at a time in the reader
 (:func:`~protoshot.embedstore.iter_pooled`), which hands over only the
 slide's pooled rows, and writes its output only after the last slide, so a
-failure leaves no partial file.
+failure leaves no partial file. On a corpus that declares at least
+:data:`~protoshot.embedstore.SPLIT_BYTES` of payload, and a host with two
+CPUs, the reader pools every other run of 16 slides in one forked worker;
+the rows, the output bytes and any error are those of one process.
 `synth` checks its config, and that `--out` is absent or empty, first;
 then it writes each slide's file as the slide is drawn, and the manifest,
 classifier and config after the last one.
+
+:func:`main` builds the arguments of the subcommand its first word names,
+and of no other; every subcommand is still registered, so help and usage
+errors keep the bytes of the full parser.
 """
 
 from __future__ import annotations
@@ -255,14 +262,7 @@ def format_summary(report: evalharness.EvalReport) -> str:
 # --- parser -----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="protoshot",
-        description="Training-free few-shot slide classification over precomputed embeddings",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
+def _synth_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--slides-per-class", type=int, required=True)
@@ -273,10 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser(
-        "evaluate", help="run the cross-validated few-shot grid",
-        argument_default=argparse.SUPPRESS,  # GridConfig holds the grid's defaults
-    )
+
+def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", required=True, help="manifest file or dataset directory")
     p.add_argument("--classifier", default=None,
                    help="text classifier file (default: classifier.pse in dataset dir)")
@@ -296,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("build-prototypes", help="build class prototypes from labeled slides")
+
+def _build_prototypes_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", required=True)
     p.add_argument("--classifier")
     p.add_argument("--method", choices=("visionshot", "simpleshot"), default="visionshot")
@@ -306,14 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_prototypes)
 
-    p = sub.add_parser("predict", help="nearest-prototype predictions for a dataset")
+
+def _predict_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", required=True)
     p.add_argument("--prototypes", required=True)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("zero-shot", help="text-classifier predictions for a dataset")
+
+def _zero_shot_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", required=True)
     p.add_argument("--classifier")
     p.add_argument("--prompt", type=int, default=0)
@@ -321,16 +322,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_zero_shot)
 
-    p = sub.add_parser("report", help="summarize one or more evaluation reports")
+
+def _report_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reports", nargs="+", required=True)
     p.add_argument("--csv-out", help="write plot-ready mean/std curves")
     p.set_defaults(func=cmd_report)
 
+
+# each subcommand: its help, the options of its parser, and what adds its arguments
+_COMMANDS = {
+    "synth": ("generate a synthetic labeled dataset", {}, _synth_arguments),
+    "evaluate": (
+        "run the cross-validated few-shot grid",
+        {"argument_default": argparse.SUPPRESS},  # GridConfig holds the grid's defaults
+        _evaluate_arguments,
+    ),
+    "build-prototypes": (
+        "build class prototypes from labeled slides", {}, _build_prototypes_arguments
+    ),
+    "predict": ("nearest-prototype predictions for a dataset", {}, _predict_arguments),
+    "zero-shot": ("text-classifier predictions for a dataset", {}, _zero_shot_arguments),
+    "report": ("summarize one or more evaluation reports", {}, _report_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser. Every subcommand is registered with its help; given
+    `command`, only that subcommand's arguments are added, which is all a
+    command line whose first word is `command` reaches, so it parses,
+    helps and fails in the bytes of the full parser, built more cheaply."""
+    parser = argparse.ArgumentParser(
+        prog="protoshot",
+        description="Training-free few-shot slide classification over precomputed embeddings",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, options, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text, **options)
+        if command in (None, name):
+            arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (ProtoshotError, OSError, ValueError, KeyError) as exc:

@@ -37,8 +37,18 @@ yields the row norms and only the mean and the scores that the pools read.
 the stream's one grow-only payload buffer, walked once (the norms serve both
 the unit-norm check and the finite check), checked, and pooled, and only its
 rows leave the reader. A stream so keeps two buffers, the payload buffer and
-the walk's float64 block buffer, whatever the corpus size. :func:`pool_bag`
-runs the same walk and pooling on a bag held in memory, once per call.
+the walk's float64 block buffer, whatever the corpus size. A stream whose
+manifest declares at least :data:`SPLIT_BYTES` of float32 payload, on a
+host that gives this process two CPUs and can fork, is pooled in two
+processes: after the first slide it forks one worker, which pools slides
+16-31, 48-63, ... (every other run of :data:`RUN`) with the same per-slide
+step, in buffers of its own, and pipes each run back as one pickle. So the
+slide's request function runs in the worker for those slides and must be a
+pure function of the slide id and label. The stream yields every slide in
+manifest order; a slide that fails in the worker is pooled again by the
+stream, which raises its error after the same slides as one process would.
+:func:`pool_bag` runs the same walk and pooling on a bag held in memory,
+once per call.
 :func:`iter_bags` yields whole bags instead, each read into a buffer of its
 own and walked once, for its load checks, as it is read.
 
@@ -51,7 +61,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 import reprlib
+import signal
 import struct
 import threading
 from dataclasses import dataclass
@@ -89,6 +101,11 @@ LOAD_NORM_ATOL = 1e-4
 _MIN_ROW_NORM = 1e-8
 _READ_CHUNK = 1 << 26
 BLOCK_BYTES = 1 << 20  # the float64 rows a whole-bag reduction widens at a time
+# A stream whose declared float32 payloads reach SPLIT_BYTES is pooled in two
+# processes, in alternating runs of RUN slides (iter_pooled). Forking costs a
+# command about 3 ms, which a corpus of this size repays in its reading.
+SPLIT_BYTES = 64 << 20
+RUN = 16
 _spare: list[np.ndarray] = []  # the float64 buffer the last finished block walk left
 _spare_lock = threading.Lock()
 
@@ -986,6 +1003,100 @@ def _grow_only() -> Callable[[int], np.ndarray]:
     return buffer
 
 
+def _splits(slides: Sequence[SlideRecord], dim: int) -> bool:
+    """Whether a stream of `slides`, whose first bag has `dim` columns, is
+    pooled in two processes: the worker has a run, the payloads the
+    manifest declares reach :data:`SPLIT_BYTES`, this process may run on
+    two CPUs, and it can fork."""
+    return (
+        len(slides) > RUN
+        and 4 * dim * sum(rec.num_patches for rec in slides) >= SPLIT_BYTES
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+    )
+
+
+def _work(pool: Callable, runs: list, out: int, credit: int) -> None:
+    """The worker's loop: pool each run of `runs` with `pool`, and write the
+    list of what it gave to the pipe `out` as one pickle. The stream sends
+    a byte on the pipe `credit` each time it reads a run, and run j waits
+    for the byte of run j - 2: the worker is at most one run ahead of the
+    run the stream reads next, which it has ready, so the stream seldom
+    waits for it. A run that fails at a slide is sent without it and ends
+    the loop: the stream pools that slide itself."""
+    with open(out, "wb") as sink:
+        for j, run in enumerate(runs):
+            if j > 1 and not os.read(credit, 1):
+                return  # the stream is gone
+            done = []
+            for rec in run:
+                try:
+                    done.append(pool(rec))
+                except Exception:  # raised again where the stream pools this slide
+                    break
+            pickle.dump(done, sink, pickle.HIGHEST_PROTOCOL)
+            sink.flush()
+            if len(done) < len(run):
+                return
+
+
+class _Worker:
+    """A forked process that pools a stream's odd runs of :data:`RUN`
+    slides (slides ``RUN`` to ``2 * RUN - 1``, ``3 * RUN`` to
+    ``4 * RUN - 1``, ...) with the stream's own `pool` (:func:`_work`).
+
+    It inherits the stream's state at the fork: its payload and block
+    buffers are copies of the stream's, written copy-on-write, so the two
+    processes never share a buffer. Its stdout and stderr are the null
+    device, and it leaves by ``os._exit``, so it never runs its parent's
+    cleanup or flushes its parent's output.
+    """
+
+    def __init__(self, pool: Callable, slides: Sequence[SlideRecord]):
+        runs = [slides[start : start + RUN] for start in range(RUN, len(slides), 2 * RUN)]
+        data_r, data_w = os.pipe()
+        credit_r, credit_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(data_r)
+                os.close(credit_w)
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, 1)
+                os.dup2(null, 2)
+                _work(pool, runs, data_w, credit_r)
+            finally:
+                os._exit(0)
+        os.close(data_w)
+        os.close(credit_r)
+        self.pid = pid
+        self.data = open(data_r, "rb")
+        self.credit = credit_w
+
+    def take(self) -> list:
+        """The slides of the worker's next run, as ``(slide_id, label,
+        rows)`` in order: fewer than the run holds when the worker stopped
+        at a slide that failed, none when it died before sending the run.
+        The worker may then pool the run after the one it has ready."""
+        try:
+            done = pickle.load(self.data)
+        except (EOFError, pickle.UnpicklingError):
+            return []
+        try:
+            os.write(self.credit, b"\0")
+        except BrokenPipeError:  # it has left: that was its last run, or it died
+            pass
+        return done
+
+    def stop(self) -> None:
+        """Kill and reap the worker and close its pipes."""
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.data.close()
+        os.close(self.credit)
+
+
 def iter_pooled(
     manifest: DatasetManifest,
     path: str | Path,
@@ -1005,20 +1116,60 @@ def iter_pooled(
     :func:`float64_blocks`, so the stream holds about one bag, whatever the
     corpus size. Nothing is read until the first slide is asked for.
 
+    A large corpus is pooled in two processes. After the first slide, when
+    the manifest's declared patch counts times that slide's dimension
+    times 4 bytes reach :data:`SPLIT_BYTES`, ``os.sched_getaffinity``
+    shows at least two CPUs and ``os.fork`` exists, the stream forks one
+    worker. The worker pools every other run of :data:`RUN` slides
+    (slides 16-31, 48-63, ...) with the same per-slide step and checks,
+    into buffers of its own, and sends each run as one pickle through a
+    pipe, at most one run ahead of the stream; this process pools the
+    other runs and yields every slide in manifest order, so the rows are
+    the bytes of the serial loop. `request` runs in the worker for the
+    worker's slides, so it must be a pure function of
+    ``(slide_id, label)``. A slide that fails in the worker ends the
+    worker's run there: this process pools it and every later slide
+    itself, so its error surfaces here, after the same slides, as in one
+    process. Closing the stream, or dropping it when its consumer raises,
+    kills and reaps the worker.
+
     Raises:
         what :func:`iter_bags` raises, and DimensionMismatch naming the
         slide whose rows are not as long as its request's class vector, each
-        when the slide is reached.
+        when the slide is reached; and what `request` raises.
     """
     base = str(Path(path).parent)
     labels = {name: label for label, name in enumerate(manifest.classes)}
     buffer = _grow_only()
-    for rec in manifest.slides:
+
+    def pool(rec: SlideRecord) -> tuple[str, int, np.ndarray]:
         label = labels[rec.class_name]
         wanted = request(rec.slide_id, label)
-        yield rec.slide_id, label, _pool_slide(
-            os.path.join(base, rec.path), rec, wanted, buffer, renormalize
-        )
+        where = os.path.join(base, rec.path)
+        return rec.slide_id, label, _pool_slide(where, rec, wanted, buffer, renormalize)
+
+    slides = manifest.slides
+    if not slides:
+        return
+    first = pool(slides[0])
+    yield first
+    worker = _Worker(pool, slides) if _splits(slides, first[2].shape[1]) else None
+    i = 1
+    try:
+        while i < len(slides):
+            if worker is not None and i // RUN % 2:
+                done = worker.take()
+                if len(done) < min(RUN, len(slides) - i):
+                    worker.stop()  # it stopped at a failing slide: pool that one and the rest here
+                    worker = None
+                i += len(done)
+                yield from done
+            else:
+                yield pool(slides[i])
+                i += 1
+    finally:
+        if worker is not None:
+            worker.stop()
 
 
 def iter_bags(

@@ -1,9 +1,12 @@
 import io
 import json
+import os
 import struct
 import tempfile
+import time
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -1170,3 +1173,189 @@ class TestPooledReader:
                         chained = bgap(bag.patches, top_k(scores, k))
                         assert row.tobytes() == pools[k].tobytes() == chained.tobytes()
                     assert rows[-1].tobytes() == mean[0].tobytes() == bgap(bag.patches).tobytes()
+
+
+@contextmanager
+def split_streams(split_bytes: int = 0):
+    """Streams fork their worker from `split_bytes` declared payload bytes
+    on, any corpus by default, inside the with block; yields the list of
+    the workers' pids."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embedstore, "SPLIT_BYTES", split_bytes)
+        patch.setattr(os, "fork", counted)
+        yield pids
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _pooled_bytes(stream):
+    """Each item of `stream` as comparable bytes, and the type and message
+    of the error that ended it, or None."""
+    got = []
+    try:
+        for sid, label, rows in stream:
+            got.append((sid, label, rows.dtype.str, rows.shape, rows.tobytes()))
+    except (ProtoshotError, ValueError) as exc:
+        return got, (type(exc), str(exc))
+    return got, None
+
+
+class TestSplitStream:
+    """A stream past embedstore.SPLIT_BYTES forks a worker that pools every
+    other run of embedstore.RUN slides; what it yields, and where and how it
+    fails, is the serial loop's."""
+
+    @staticmethod
+    def requests(manifest, dim, rng):
+        """evaluate's kinds of request: top-Ks below, at and above a bag's
+        size against its class vector, then its mean; the mean alone; or
+        nothing (a slide outside the grid)."""
+        vectors = random_unit_rows(rng, 2, dim).astype(np.float64)
+        vectors[0, 0] = 0.0
+        kinds = [PoolRequest((1, 3, 50), vectors[0]), PoolRequest((2, 4), vectors[1]),
+                 MEAN, PoolRequest(mean=False)]
+        chosen = {rec.slide_id: kinds[int(rng.integers(0, 4))] for rec in manifest.slides}
+        return lambda sid, label: chosen[sid]
+
+    @pytest.mark.parametrize("count, renormalize, block_bytes", [
+        (17, False, 1 << 20), (40, True, 24), (70, False, 40), (96, True, 1 << 20),
+    ])
+    def test_rows_are_the_serial_rows(self, tmp_path, count, renormalize, block_bytes):
+        rng = np.random.default_rng(count)
+        path = write_random_corpus(tmp_path, rng, 5, rng.integers(1, 12, count).tolist())
+        manifest = parse_manifest(path)
+        request = self.requests(manifest, 5, rng)
+        with small_blocks(block_bytes):
+            with split_streams(split_bytes=1 << 60) as pids:
+                serial = _pooled_bytes(iter_pooled(manifest, path, request,
+                                                   renormalize=renormalize))
+            assert pids == []
+            with split_streams() as pids:
+                split = _pooled_bytes(iter_pooled(manifest, path, request,
+                                                  renormalize=renormalize))
+        assert len(pids) == 1 and no_child_left()
+        assert split == serial and serial[1] is None and len(serial[0]) == count
+
+    @staticmethod
+    def corrupt(kind, tmp_path, sid):
+        """Make slide `sid` (7 rows of 4 values) fail as `kind` says; returns
+        the request function of the stream."""
+        target = tmp_path / f"{sid}.pse"
+        values = read_embeddings_file(target).values.copy()
+        if kind == "truncated":
+            target.write_bytes(target.read_bytes()[:-4])
+        elif kind in ("nan", "off-unit", "count", "dimension"):
+            if kind == "nan":
+                values[3, 2] = np.nan
+            elif kind == "off-unit":
+                values[5] *= 2
+            elif kind == "count":
+                values = values[:6]
+            else:
+                values = random_unit_rows(np.random.default_rng(3), 7, 5)
+            n, d = values.shape
+            target.write_bytes(struct.pack("<4sIII", MAGIC, n, d, 0) + values.tobytes())
+        vector = np.full(4, 0.5)
+
+        def request(slide_id, label):
+            if kind == "request" and slide_id == sid:
+                raise ValueError(f"no request for {slide_id}")
+            return PoolRequest((2,), vector)
+
+        return request
+
+    @pytest.mark.parametrize("at", [20, 50])
+    @pytest.mark.parametrize("kind, error", [
+        ("truncated", TruncatedPayload), ("nan", NonFiniteValue),
+        ("count", PatchCountMismatch), ("off-unit", UnnormalizedRow),
+        ("dimension", DimensionMismatch), ("request", ValueError),
+    ])
+    def test_worker_failure_raises_the_serial_error(self, tmp_path, kind, error, at):
+        """A slide failing in a worker run (slides 16-31 and 48-63) raises
+        the serial error, with its message, after the same slides."""
+        manifest, _ = _equal_bags(tmp_path, np.random.default_rng(at), count=70, dim=4)
+        request = self.corrupt(kind, tmp_path, f"s{at}")
+        path = tmp_path / "manifest.jsonl"
+        serial = _pooled_bytes(iter_pooled(manifest, path, request))
+        with split_streams() as pids:
+            split = _pooled_bytes(iter_pooled(manifest, path, request))
+        assert len(pids) == 1 and no_child_left()
+        assert split == serial
+        assert len(serial[0]) == at and serial[1][0] is error
+
+    def test_close_and_a_raising_consumer_leave_no_child(self, tmp_path):
+        manifest, _ = _equal_bags(tmp_path, np.random.default_rng(48), count=70)
+        path = tmp_path / "manifest.jsonl"
+
+        def consume():
+            for sid, _, _ in iter_pooled(manifest, path, lambda sid, label: MEAN):
+                if sid == "s40":
+                    raise KeyError(sid)
+
+        with split_streams() as pids:
+            stream = iter_pooled(manifest, path, lambda sid, label: MEAN)
+            assert [next(stream)[0] for _ in range(20)][-1] == "s19"
+            stream.close()
+            assert len(pids) == 1 and no_child_left()
+            with pytest.raises(KeyError):
+                consume()
+            assert len(pids) == 2 and no_child_left()
+            stream = iter_pooled(manifest, path, lambda sid, label: MEAN)
+            assert next(stream)[0] == "s0" and next(stream)[0] == "s1"
+            del stream
+            assert len(pids) == 3 and no_child_left()
+
+    def test_worker_stays_one_run_ahead(self, tmp_path):
+        """While the consumer holds the stream at slide 15, the worker pools
+        the run the stream reads next (16-31) and one more (48-63), and no
+        further, whatever the corpus size."""
+        manifest, _ = _equal_bags(tmp_path, np.random.default_rng(50), count=200)
+        marks = tmp_path / "requested"
+        marks.mkdir()
+
+        def request(sid, label):  # a side effect the worker's requests leave behind
+            (marks / sid).touch()
+            return MEAN
+
+        with split_streams() as pids:
+            stream = iter_pooled(manifest, tmp_path / "manifest.jsonl", request)
+            assert [next(stream)[0] for _ in range(16)][-1] == "s15"
+            expected = {f"s{i}" for i in [*range(16), *range(16, 32), *range(48, 64)]}
+            deadline = time.monotonic() + 30
+            while len(list(marks.iterdir())) < len(expected) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)
+            assert {path.name for path in marks.iterdir()} == expected
+            stream.close()
+        assert len(pids) == 1 and no_child_left()
+
+    def test_no_fork_below_the_threshold_or_on_one_cpu(self, tmp_path, monkeypatch):
+        """The declared payloads, 40 bags of 7 x 6 float32 values, must
+        reach SPLIT_BYTES; a corpus of one run, or one CPU, never forks."""
+        manifest, _ = _equal_bags(tmp_path, np.random.default_rng(49), count=40)
+        path = tmp_path / "manifest.jsonl"
+        declared = 40 * 7 * 6 * 4
+        streams = []
+        for split_bytes, cpus, slides in [(declared + 1, 2, 40), (declared, 2, 40),
+                                          (0, 2, 16), (0, 1, 40)]:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            part = DatasetManifest(manifest.classes, manifest.slides[:slides])
+            with split_streams(split_bytes) as pids:
+                rows = _pooled_bytes(iter_pooled(part, path, lambda sid, label: MEAN))
+            streams.append((len(pids), rows))
+        assert [forks for forks, _ in streams] == [0, 1, 0, 0]
+        assert streams[0][1] == streams[1][1] == streams[3][1]
+        assert streams[2][1][0] == streams[0][1][0][:16]

@@ -5,10 +5,13 @@ only in the benchmark's default-seed gate. The commands the benchmark runs
 on that corpus (`evaluate`, `build-prototypes`, `predict`, `zero-shot`) must
 write the bytes of their golden entries too. The hash functions, the
 workload's flags and the command lines are read from ``perfbench/run.py``;
-``golden.json`` is only read."""
+``golden.json`` is only read. The commands run twice: as grid-ref runs
+them, in one process, and with every corpus stream split between the
+process and a forked worker, as a large corpus's is."""
 
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -62,8 +65,16 @@ def test_grid_ref_synth_matches_golden_and_generate(grid_ref):
     assert stored.weights.tobytes() == classifier.weights.tobytes()
 
 
-def test_grid_ref_outputs_match_golden(grid_ref, tmp_path):
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_grid_ref_outputs_match_golden(grid_ref, tmp_path, monkeypatch, split):
+    """With `split`, each command's stream forks the worker that a corpus
+    past ``embedstore.SPLIT_BYTES`` gets; grid-ref alone never does."""
     runner, workload, data, golden = grid_ref
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    if split:
+        monkeypatch.setattr(embedstore, "SPLIT_BYTES", 0)
     checked = []
     for group in runner.command_groups(workload, data, tmp_path).values():
         for _, args, outputs in group:
@@ -72,3 +83,4 @@ def test_grid_ref_outputs_match_golden(grid_ref, tmp_path):
                 assert runner.file_sha256(tmp_path / name) == golden[name], name
                 checked.append(name)
     assert sorted(checked) == sorted(set(golden) - {"dataset"})
+    assert len(forks) == (4 if split else 0)  # one per command that reads the corpus
