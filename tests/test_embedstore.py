@@ -1176,10 +1176,11 @@ class TestPooledReader:
 
 
 @contextmanager
-def split_streams(split_bytes: int = 0):
+def split_streams(split_bytes: int = 0, cpus: int = 2):
     """Streams fork their worker from `split_bytes` declared payload bytes
-    on, any corpus by default, inside the with block; yields the list of
-    the workers' pids."""
+    on, any corpus by default, inside the with block, where this process
+    may run on `cpus` CPUs whatever the host; yields the list of the
+    workers' pids."""
     pids = []
     fork = os.fork
 
@@ -1191,6 +1192,7 @@ def split_streams(split_bytes: int = 0):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(embedstore, "SPLIT_BYTES", split_bytes)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         patch.setattr(os, "fork", counted)
         yield pids
 
@@ -1342,7 +1344,7 @@ class TestSplitStream:
             stream.close()
         assert len(pids) == 1 and no_child_left()
 
-    def test_no_fork_below_the_threshold_or_on_one_cpu(self, tmp_path, monkeypatch):
+    def test_no_fork_below_the_threshold_or_on_one_cpu(self, tmp_path):
         """The declared payloads, 40 bags of 7 x 6 float32 values, must
         reach SPLIT_BYTES; a corpus of one run, or one CPU, never forks."""
         manifest, _ = _equal_bags(tmp_path, np.random.default_rng(49), count=40)
@@ -1351,9 +1353,8 @@ class TestSplitStream:
         streams = []
         for split_bytes, cpus, slides in [(declared + 1, 2, 40), (declared, 2, 40),
                                           (0, 2, 16), (0, 1, 40)]:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             part = DatasetManifest(manifest.classes, manifest.slides[:slides])
-            with split_streams(split_bytes) as pids:
+            with split_streams(split_bytes, cpus) as pids:
                 rows = _pooled_bytes(iter_pooled(part, path, lambda sid, label: MEAN))
             streams.append((len(pids), rows))
         assert [forks for forks, _ in streams] == [0, 1, 0, 0]
