@@ -17,10 +17,6 @@ the rows, the output bytes and any error are those of one process.
 `synth` checks its config, and that `--out` is absent or empty, first;
 then it writes each slide's file as the slide is drawn, and the manifest,
 classifier and config after the last one.
-
-:func:`main` builds the arguments of the subcommand its first word names,
-and of no other; every subcommand is still registered, so help and usage
-errors keep the bytes of the full parser.
 """
 
 from __future__ import annotations
@@ -262,7 +258,14 @@ def format_summary(report: evalharness.EvalReport) -> str:
 # --- parser -----------------------------------------------------------------------
 
 
-def _synth_arguments(p: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="protoshot",
+        description="Training-free few-shot slide classification over precomputed embeddings",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--slides-per-class", type=int, required=True)
@@ -273,8 +276,10 @@ def _synth_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
-
-def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser(
+        "evaluate", help="run the cross-validated few-shot grid",
+        argument_default=argparse.SUPPRESS,  # GridConfig holds the grid's defaults
+    )
     p.add_argument("--dataset", required=True, help="manifest file or dataset directory")
     p.add_argument("--classifier", default=None,
                    help="text classifier file (default: classifier.pse in dataset dir)")
@@ -294,8 +299,7 @@ def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-
-def _build_prototypes_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("build-prototypes", help="build class prototypes from labeled slides")
     p.add_argument("--dataset", required=True)
     p.add_argument("--classifier")
     p.add_argument("--method", choices=("visionshot", "simpleshot"), default="visionshot")
@@ -305,16 +309,14 @@ def _build_prototypes_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_prototypes)
 
-
-def _predict_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("predict", help="nearest-prototype predictions for a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--prototypes", required=True)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-
-def _zero_shot_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("zero-shot", help="text-classifier predictions for a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--classifier")
     p.add_argument("--prompt", type=int, default=0)
@@ -322,50 +324,16 @@ def _zero_shot_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_zero_shot)
 
-
-def _report_arguments(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("report", help="summarize one or more evaluation reports")
     p.add_argument("--reports", nargs="+", required=True)
     p.add_argument("--csv-out", help="write plot-ready mean/std curves")
     p.set_defaults(func=cmd_report)
 
-
-# each subcommand: its help, the options of its parser, and what adds its arguments
-_COMMANDS = {
-    "synth": ("generate a synthetic labeled dataset", {}, _synth_arguments),
-    "evaluate": (
-        "run the cross-validated few-shot grid",
-        {"argument_default": argparse.SUPPRESS},  # GridConfig holds the grid's defaults
-        _evaluate_arguments,
-    ),
-    "build-prototypes": (
-        "build class prototypes from labeled slides", {}, _build_prototypes_arguments
-    ),
-    "predict": ("nearest-prototype predictions for a dataset", {}, _predict_arguments),
-    "zero-shot": ("text-classifier predictions for a dataset", {}, _zero_shot_arguments),
-    "report": ("summarize one or more evaluation reports", {}, _report_arguments),
-}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser. Every subcommand is registered with its help; given
-    `command`, only that subcommand's arguments are added, which is all a
-    command line whose first word is `command` reaches, so it parses,
-    helps and fails in the bytes of the full parser, built more cheaply."""
-    parser = argparse.ArgumentParser(
-        prog="protoshot",
-        description="Training-free few-shot slide classification over precomputed embeddings",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, options, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text, **options)
-        if command in (None, name):
-            arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ProtoshotError, OSError, ValueError, KeyError) as exc:

@@ -1057,7 +1057,8 @@ class _Worker:
         runs = [slides[start : start + RUN] for start in range(RUN, len(slides), 2 * RUN)]
         data_r, data_w = os.pipe()
         credit_r, credit_w = os.pipe()
-        pid = os.fork()
+        with _spare_lock:  # so that no other thread holds it in the worker
+            pid = os.fork()
         if pid == 0:
             try:
                 os.close(data_r)
@@ -1090,11 +1091,17 @@ class _Worker:
         return done
 
     def stop(self) -> None:
-        """Kill and reap the worker and close its pipes."""
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        self.data.close()
-        os.close(self.credit)
+        """Kill and reap the worker, unless it was reaped already, and close
+        its pipes."""
+        try:
+            if os.waitpid(self.pid, os.WNOHANG)[0] == 0:  # unreaped, so the pid is still its own
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+        except ChildProcessError:  # reaped elsewhere: SIGCHLD ignored, or a waitpid(-1)
+            pass
+        finally:
+            self.data.close()
+            os.close(self.credit)
 
 
 def iter_pooled(
@@ -1131,7 +1138,9 @@ def iter_pooled(
     worker's run there: this process pools it and every later slide
     itself, so its error surfaces here, after the same slides, as in one
     process. Closing the stream, or dropping it when its consumer raises,
-    kills and reaps the worker.
+    kills and reaps the worker. The CPU count is the affinity mask's: a
+    cgroup CPU quota below two CPUs is not seen, and such a process still
+    forks.
 
     Raises:
         what :func:`iter_bags` raises, and DimensionMismatch naming the

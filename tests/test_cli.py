@@ -55,23 +55,6 @@ class TestHelp:
         assert exit_info.value.code == 0
         assert "usage" in capsys.readouterr().out.lower()
 
-    @pytest.mark.parametrize(
-        "command", ["synth", "evaluate", "build-prototypes", "predict", "zero-shot", "report"]
-    )
-    @pytest.mark.parametrize("flag", ["--help", "--no-such-flag"])
-    def test_one_command_parser_prints_the_full_parsers_bytes(self, command, flag, capsys):
-        """`main` builds the arguments of the invoked subcommand alone; its
-        help and its usage errors are the bytes of the full parser."""
-        printed = []
-        for parse in (build_parser().parse_args, build_parser(command).parse_args, main):
-            with pytest.raises(SystemExit) as exit_info:
-                parse([command, flag])
-            printed.append((exit_info.value.code, capsys.readouterr()))
-        assert printed[0] == printed[1] == printed[2]
-        code, (out, err) = printed[0]
-        assert (code, bool(out), "error:" in err) == ((0, True, False) if flag == "--help"
-                                                       else (2, False, True))
-
     def test_missing_required_flag_exits_two(self):
         with pytest.raises(SystemExit) as exit_info:
             run("synth", "--classes", "3")

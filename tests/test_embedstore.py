@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import signal
 import struct
 import tempfile
+import threading
 import time
 import tracemalloc
 import warnings
@@ -1319,6 +1321,83 @@ class TestSplitStream:
             assert next(stream)[0] == "s0" and next(stream)[0] == "s1"
             del stream
             assert len(pids) == 3 and no_child_left()
+
+    def test_a_thread_holding_the_block_lock_does_not_stall_the_worker(self, tmp_path):
+        """A thread that takes float64_blocks' lock just as the stream forks
+        leaves it free in the worker: the stream forks while it holds the
+        lock itself, so the worker pools its runs."""
+        manifest, _ = _equal_bags(tmp_path, np.random.default_rng(51), count=40)
+        path = tmp_path / "manifest.jsonl"
+        serial = _pooled_bytes(iter_pooled(manifest, path, lambda sid, label: MEAN))
+        holding, forked = threading.Event(), threading.Event()
+
+        def hold():
+            with embedstore._spare_lock:
+                holding.set()
+                forked.wait()
+
+        def timeout(signum, frame):
+            raise TimeoutError("the worker never sent its run")
+
+        holders = []
+        with split_streams() as pids:
+            fork = os.fork
+
+            def fork_beside_a_holder():
+                holders.append(threading.Thread(target=hold))
+                holders[0].start()
+                holding.wait(0.2)  # set only if the lock was free to take
+                pid = fork()
+                if pid:
+                    forked.set()
+                return pid
+
+            os.fork = fork_beside_a_holder
+            before = signal.signal(signal.SIGALRM, timeout)
+            signal.alarm(30)
+            try:
+                split = _pooled_bytes(iter_pooled(manifest, path, lambda sid, label: MEAN))
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, before)
+        holders[0].join()
+        assert len(pids) == 1 and no_child_left()
+        assert split == serial and len(split[0]) == 40
+
+    @staticmethod
+    def open_fds():
+        return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+    def test_a_worker_reaped_elsewhere_is_not_waited_for(self, tmp_path):
+        """With SIGCHLD ignored, or the worker reaped by someone else's
+        waitpid, closing the stream and a consumer's error raise nothing
+        else, and the stream's pipes are closed."""
+        manifest, _ = _equal_bags(tmp_path, np.random.default_rng(52), count=70)
+        path = tmp_path / "manifest.jsonl"
+
+        def consume():
+            for sid, _, _ in iter_pooled(manifest, path, lambda sid, label: MEAN):
+                if sid == "s40":
+                    raise KeyError(sid)
+
+        fds = self.open_fds()
+        with split_streams() as pids:
+            before = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+            try:
+                stream = iter_pooled(manifest, path, lambda sid, label: MEAN)
+                assert [next(stream)[0] for _ in range(20)][-1] == "s19"
+                stream.close()
+                with pytest.raises(KeyError):
+                    consume()
+            finally:
+                signal.signal(signal.SIGCHLD, before)
+            stream = iter_pooled(manifest, path, lambda sid, label: MEAN)
+            assert [next(stream)[0] for _ in range(20)][-1] == "s19"
+            os.kill(pids[-1], signal.SIGKILL)
+            os.waitpid(pids[-1], 0)
+            stream.close()
+        assert len(pids) == 3 and no_child_left()
+        assert self.open_fds() == fds
 
     def test_worker_stays_one_run_ahead(self, tmp_path):
         """While the consumer holds the stream at slide 15, the worker pools
