@@ -1134,7 +1134,7 @@ def iter_pooled(
     other runs and yields every slide in manifest order, so the rows are
     the bytes of the serial loop. `request` runs in the worker for the
     worker's slides, so it must be a pure function of
-    ``(slide_id, label)``. A slide that fails in the worker ends the
+    ``(slide_id, label)`` that takes no lock another thread may hold. A slide that fails in the worker ends the
     worker's run there: this process pools it and every later slide
     itself, so its error surfaces here, after the same slides, as in one
     process. Closing the stream, or dropping it when its consumer raises,
