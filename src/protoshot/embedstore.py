@@ -1057,8 +1057,13 @@ class _Worker:
         runs = [slides[start : start + RUN] for start in range(RUN, len(slides), 2 * RUN)]
         data_r, data_w = os.pipe()
         credit_r, credit_w = os.pipe()
-        with _spare_lock:  # so that no other thread holds it in the worker
-            pid = os.fork()
+        try:
+            with _spare_lock:  # so that no other thread holds it in the worker
+                pid = os.fork()
+        except OSError:
+            for fd in (data_r, data_w, credit_r, credit_w):
+                os.close(fd)
+            raise
         if pid == 0:
             try:
                 os.close(data_r)
@@ -1137,8 +1142,9 @@ def iter_pooled(
     ``(slide_id, label)`` that takes no lock another thread may hold. A slide that fails in the worker ends the
     worker's run there: this process pools it and every later slide
     itself, so its error surfaces here, after the same slides, as in one
-    process. Closing the stream, or dropping it when its consumer raises,
-    kills and reaps the worker. The CPU count is the affinity mask's: a
+    process. A fork that fails leaves the stream in one process. Closing
+    the stream, or dropping it when its consumer raises, kills and reaps
+    the worker. The CPU count is the affinity mask's: a
     cgroup CPU quota below two CPUs is not seen, and such a process still
     forks.
 
@@ -1162,7 +1168,12 @@ def iter_pooled(
         return
     first = pool(slides[0])
     yield first
-    worker = _Worker(pool, slides) if _splits(slides, first[2].shape[1]) else None
+    worker = None
+    if _splits(slides, first[2].shape[1]):
+        try:
+            worker = _Worker(pool, slides)
+        except OSError:  # no process to be had: every slide is pooled here
+            pass
     i = 1
     try:
         while i < len(slides):

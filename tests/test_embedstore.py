@@ -1334,7 +1334,7 @@ class TestSplitStream:
         def hold():
             with embedstore._spare_lock:
                 holding.set()
-                forked.wait()
+                forked.wait(30)
 
         def timeout(signum, frame):
             raise TimeoutError("the worker never sent its run")
@@ -1360,7 +1360,8 @@ class TestSplitStream:
             finally:
                 signal.alarm(0)
                 signal.signal(signal.SIGALRM, before)
-        holders[0].join()
+        holders[0].join(30)
+        assert not holders[0].is_alive()
         assert len(pids) == 1 and no_child_left()
         assert split == serial and len(split[0]) == 40
 
@@ -1397,6 +1398,21 @@ class TestSplitStream:
             os.waitpid(pids[-1], 0)
             stream.close()
         assert len(pids) == 3 and no_child_left()
+        assert self.open_fds() == fds
+
+    def test_a_failed_fork_pools_every_slide_here(self, tmp_path):
+        manifest, _ = _equal_bags(tmp_path, np.random.default_rng(53), count=40)
+        path = tmp_path / "manifest.jsonl"
+        serial = _pooled_bytes(iter_pooled(manifest, path, lambda sid, label: MEAN))
+        fds = self.open_fds()
+
+        def no_process():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        with split_streams() as pids:
+            os.fork = no_process
+            split = _pooled_bytes(iter_pooled(manifest, path, lambda sid, label: MEAN))
+        assert split == serial and len(split[0]) == 40
         assert self.open_fds() == fds
 
     def test_worker_stays_one_run_ahead(self, tmp_path):
