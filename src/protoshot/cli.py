@@ -15,8 +15,8 @@ failure leaves no partial file. On a corpus that declares at least
 CPUs, the reader pools every other run of 16 slides in one forked worker;
 the rows, the output bytes and any error are those of one process.
 `synth` checks its config, and that `--out` is absent or empty, first;
-then it writes each slide's file as the slide is drawn, and the manifest,
-classifier and config after the last one.
+then it writes each slide's file while a second thread draws the next
+slide, and the manifest, classifier and config after the last one.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import json
 import sys
 from dataclasses import fields
 from functools import partial
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -203,13 +204,14 @@ def cmd_report(args) -> int:
     for path in args.reports:
         report = evalharness.EvalReport.from_json(Path(path).read_bytes(), path)
         recomputed = evalharness.aggregate_records(report.records)
-        if len(recomputed) != len(report.aggregates) or any(
-            (a.method, a.k, a.top_k, a.num_records) != (b.method, b.k, b.top_k, b.num_records)
-            or abs(a.mean - b.mean) > 1e-12
-            or abs(a.std - b.std) > 1e-12
-            for a, b in zip(recomputed, report.aggregates)
-        ):
-            print(f"error: aggregates in {path} do not match their records", file=sys.stderr)
+        for i, (held, made) in enumerate(zip_longest(report.aggregates, recomputed)):
+            if _same_aggregate(held, made):
+                continue
+            print(
+                f"error: aggregates in {path} do not match their records: aggregates[{i}] "
+                f"is {_describe(held)} in the file, {_describe(made)} from the records",
+                file=sys.stderr,
+            )
             return 1
         reports.append((Path(path).name, report))
     for name, report in reports:
@@ -229,6 +231,26 @@ def cmd_report(args) -> int:
         Path(args.csv_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"curves written to {args.csv_out}")
     return 0
+
+
+def _same_aggregate(a: evalharness.Aggregate | None, b: evalharness.Aggregate | None) -> bool:
+    """Whether both aggregates exist and agree, mean and std to within 1e-12."""
+    return (
+        a is not None
+        and b is not None
+        and (a.method, a.k, a.top_k, a.num_records) == (b.method, b.k, b.top_k, b.num_records)
+        and abs(a.mean - b.mean) <= 1e-12
+        and abs(a.std - b.std) <= 1e-12
+    )
+
+
+def _describe(a: evalharness.Aggregate | None) -> str:
+    if a is None:
+        return "absent"
+    return (
+        f"({a.method}, k={a.k}, top_k={a.top_k}, {a.num_records} records, "
+        f"mean {a.mean:.17g}, std {a.std:.17g})"
+    )
 
 
 def format_summary(report: evalharness.EvalReport) -> str:

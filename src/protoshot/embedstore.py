@@ -308,6 +308,13 @@ def subset_mean(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return total / rows.size
 
 
+def score_order(scores: np.ndarray) -> np.ndarray:
+    """The indices of the 1-D float64 `scores` from the highest score down,
+    equal scores in index order: the one top-K order, a stable argsort of
+    the negated scores."""
+    return np.argsort(-scores, kind="stable")
+
+
 def pool_rows(
     values: np.ndarray, request: PoolRequest, walked: _Walk, slide_id: str | None = None
 ) -> np.ndarray:
@@ -317,9 +324,9 @@ def pool_rows(
 
     The one place a slide is pooled, for a stream (:func:`iter_pooled`) and
     for a bag in memory (:func:`pool_bag`). A k below the bag size pools the
-    first k rows of the score order (score descending, then row ascending),
-    taken in row order (:func:`subset_mean`); a k that covers the bag pools
-    the full-bag mean; ks that clamp to the same count share one pool.
+    first k rows of :func:`score_order`, taken in row order
+    (:func:`subset_mean`); a k that covers the bag pools the full-bag mean;
+    ks that clamp to the same count share one pool.
 
     Raises:
         DimensionMismatch: the class vector is not as long as a row; expects
@@ -331,7 +338,7 @@ def pool_rows(
         raise DimensionMismatch(vector.shape[0], d, slide_id)
     rows = np.empty((len(request.top_ks) + request.mean, d))
     scores = walked.scores
-    order = None if scores is None else np.argsort(-scores, kind="stable")
+    order = None if scores is None else score_order(scores)
     first: dict[int, int] = {}  # the row of each count's pool
     for i, k in enumerate(request.top_ks):
         count = min(k, n)

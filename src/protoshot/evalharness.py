@@ -357,10 +357,12 @@ class EvalReport:
         """Read a report written by :meth:`to_json`. Each record and aggregate
         field must hold the type its dataclass declares, or raise ReportError
         naming `path` and the key; a missing optional field reads as null
-        (reports older than ``prompt`` lack it). Each record's fold must be
-        at least 0 and below the config's ``num_folds``, and it must hold one
-        recall per class of the config's ``num_classes``, where the config
-        gives them, or ReportError names the record and the key."""
+        (reports older than ``prompt`` lack it). Each record must set the
+        axes its method sets in :func:`run_grid` and leave the others null
+        (so a mizero record needs its ``prompt``); its fold must be at least
+        0 and below the config's ``num_folds``, and it must hold one recall
+        per class of the config's ``num_classes``, where the config gives
+        them, or ReportError names the record and the key."""
         raw = typed_object(
             text, _REPORT_TYPES, _REPORT_TYPES, lambda reason, key: ReportError(path, reason, key)
         )
@@ -415,12 +417,34 @@ def _from_fields(cls, raw: dict, path: str, where: str):
         raise ReportError(path, f"{where}: {exc}") from None
 
 
+# the axes a record of each method sets, as run_grid writes them; the rest are null
+_METHOD_AXES = {
+    "visionshot": ("seed", "k", "top_k"),
+    "simpleshot": ("seed", "k"),
+    "mizero": ("prompt",),
+    "tipadapter": ("seed", "k"),
+}
+
+
 def _check_records(records: Sequence[EvalRecord], config: dict, path: str) -> None:
-    """Check each record of the report `path` against its `config`: a fold
-    from 0 to below ``num_folds`` and one recall per class of
-    ``num_classes``, each bound where the config holds it as an integer."""
+    """Check each record of the report `path` against its method and its
+    `config`: a known method, with the axes of :data:`_METHOD_AXES` set and
+    the others null, a fold from 0 to below ``num_folds`` and one recall per
+    class of ``num_classes``, each bound where the config holds it as an
+    integer."""
     num_folds, num_classes = config.get("num_folds"), config.get("num_classes")
     for i, r in enumerate(records):
+        axes = _METHOD_AXES.get(r.method)
+        if axes is None:
+            known = ", ".join(METHODS)
+            reason = f"records[{i}]: key 'method' holds {r.method!r}, not one of {known}"
+            raise ReportError(path, reason, "method")
+        for key in ("seed", "k", "top_k", "prompt"):
+            value = getattr(r, key)
+            if (value is None) == (key in axes):
+                held, wanted = ("null", "an integer") if value is None else (value, "null")
+                reason = f"records[{i}]: key {key!r} holds {held}, not {wanted} for {r.method}"
+                raise ReportError(path, reason, key)
         if r.fold < 0 or (is_int(num_folds) and r.fold >= num_folds):
             bound = f"from 0 to {num_folds - 1}" if is_int(num_folds) else "of 0 or more"
             reason = f"records[{i}]: key 'fold' holds {r.fold}, not a fold {bound}"

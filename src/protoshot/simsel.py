@@ -25,6 +25,7 @@ from .embedstore import (
     float64_blocks,
     frozen,
     pool_bag,
+    score_order,
     subset_mean,
 )
 from .errors import DimensionMismatch, EmptySubset
@@ -82,11 +83,11 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     score count clamps.
 
     Ordering is deterministic: score descending, then original index
-    ascending. The selection keeps :func:`clamp_k` indices.
+    ascending (:func:`~protoshot.embedstore.score_order`, the order every
+    pooled top-K takes). The selection keeps :func:`clamp_k` indices.
     """
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    order = np.argsort(-s, kind="stable")
-    return frozen(order[: clamp_k(k, s.shape[0])], np.int64)
+    return frozen(score_order(s)[: clamp_k(k, s.shape[0])], np.int64)
 
 
 def bgap(bag: PatchMatrix, subset: np.ndarray | None = None) -> np.ndarray:

@@ -9,14 +9,18 @@ One PCG64 stream drives a whole dataset in a fixed draw order (class
 directions, then per slide: patch count, informative block, background
 block), so generation is byte-reproducible per seed.
 
-:func:`stream` yields the slides lazily, each drawn into one float64
-buffer and normalized into its float32 rows, so a writer holds one slide
-at a time; :func:`generate` is its list form.
+:func:`stream` yields the slides lazily. One background thread draws each
+slide into one of two reused float64 buffers while the caller normalizes
+the slide before it into its float32 rows (and writes it), so a writer
+holds two float64 buffers of the largest slide so far plus the slide being
+written; :func:`generate` is its list form.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
@@ -93,39 +97,40 @@ def _class_directions(rng: np.random.Generator, num_classes: int, dim: int) -> n
 
 
 def _draw_slide(
-    rng: np.random.Generator, direction: np.ndarray, n: int, n_info: int, noise_scale: float
-) -> np.ndarray:
-    """One slide's read-only float32 rows: `n_info` informative rows, then
-    background.
+    rng: np.random.Generator, direction: np.ndarray, rows: np.ndarray, n_info: int,
+    noise_scale: float,
+) -> None:
+    """Draw one slide's float64 rows into `rows`: `n_info` informative rows,
+    then background.
 
-    Every row is drawn into one float64 buffer, and the informative ones are
-    scaled and shifted in place: ``z *= s; z += d`` holds the same values as
-    ``d + s * z``, since IEEE multiplication and addition commute exactly.
-    The rows are normalized straight into the float32 result.
+    The informative rows are scaled and shifted in place: ``z *= s; z += d``
+    holds the same values as ``d + s * z``, since IEEE multiplication and
+    addition commute exactly.
     """
-    rows = np.empty((n, direction.shape[0]))
     info = rows[:n_info]
     rng.standard_normal(out=info)
     info *= noise_scale
     info += direction
     rng.standard_normal(out=rows[n_info:])
-    values = unit_rows(rows, out=np.empty(rows.shape, dtype=np.float32))
-    values.flags.writeable = False
-    return values
 
 
 def stream(config: SynthConfig) -> tuple[TextClassifier, Iterator[tuple[SlideRecord, SlideBag]]]:
     """The text classifier and a lazy stream of (record, bag) pairs, one per
     slide.
 
-    The class directions are drawn now; each slide is drawn when the stream
-    reaches it and shares nothing with the next one, so a consumer that
-    writes or reduces each slide before asking for the next holds about one
-    slide, whatever the corpus size. Slides are laid out class-major, with
-    ids ``class_<c>_<j:03d>``; within each slide the informative rows
-    (exactly ceil(informative_fraction * N) of them) come first. The
-    classifier's class vectors are the class directions themselves, as a
-    single-prompt ensemble.
+    The class directions are drawn now. At the first slide asked for, one
+    thread starts that owns the generator from then on: it draws each slide
+    into one of two float64 buffers, reused and grown only for a larger
+    slide, while the caller normalizes the slide before it into fresh
+    float32 rows and hands the buffer back. A consumer that writes or
+    reduces each slide before asking for the next therefore holds the two
+    buffers plus that slide, whatever the corpus size. A draw error is
+    raised at its slide; when the stream ends, fails or is closed or
+    dropped early, the thread is stopped and joined. Slides are laid out
+    class-major, with ids ``class_<c>_<j:03d>``; within each slide the
+    informative rows (exactly ceil(informative_fraction * N) of them) come
+    first. The classifier's class vectors are the class directions
+    themselves, as a single-prompt ensemble.
     """
     rng = np.random.default_rng(config.seed)
     directions = _class_directions(rng, config.num_classes, config.dim)
@@ -137,25 +142,73 @@ def stream(config: SynthConfig) -> tuple[TextClassifier, Iterator[tuple[SlideRec
     return classifier, _slides(rng, directions, class_names, config)
 
 
+def _draw_all(
+    rng: np.random.Generator,
+    directions: np.ndarray,
+    config: SynthConfig,
+    free: queue.SimpleQueue,
+    ready: queue.SimpleQueue,
+    stopped: threading.Event,
+) -> None:
+    """The drawing thread: each slide, in order, into a buffer taken from
+    `free` and put on `ready` as ``(buffer, rows)``; an error is put there
+    instead. Returns when every slide is drawn or `stopped` is set."""
+    try:
+        for c in range(config.num_classes):
+            for _ in range(config.slides_per_class):
+                buf = free.get()
+                if stopped.is_set():
+                    return
+                n = int(rng.integers(config.patches_min, config.patches_max + 1))
+                if len(buf) < n:
+                    buf = np.empty((n, config.dim))
+                n_info = math.ceil(config.informative_fraction * n)
+                _draw_slide(rng, directions[c], buf[:n], n_info, config.noise_scale)
+                ready.put((buf, n))
+    except Exception as exc:  # the consumer raises it at this slide
+        ready.put(exc)
+
+
 def _slides(
     rng: np.random.Generator,
     directions: np.ndarray,
     class_names: tuple[str, ...],
     config: SynthConfig,
 ) -> Iterator[tuple[SlideRecord, SlideBag]]:
-    for c in range(config.num_classes):
-        for j in range(config.slides_per_class):
-            n = int(rng.integers(config.patches_min, config.patches_max + 1))
-            n_info = math.ceil(config.informative_fraction * n)
-            values = _draw_slide(rng, directions[c], n, n_info, config.noise_scale)
-            slide_id = f"{class_names[c]}_{j:03d}"
-            record = SlideRecord(
-                slide_id=slide_id,
-                class_name=class_names[c],
-                path=f"{slide_id}.pse",
-                num_patches=n,
-            )
-            yield record, SlideBag(slide_id=slide_id, patches=PatchMatrix(values), label=c)
+    free: queue.SimpleQueue = queue.SimpleQueue()
+    ready: queue.SimpleQueue = queue.SimpleQueue()
+    stopped = threading.Event()
+    for _ in range(2):
+        free.put(np.empty((0, config.dim)))
+    drawer = threading.Thread(
+        target=_draw_all,
+        args=(rng, directions, config, free, ready, stopped),
+        name="synthgen-draw",
+        daemon=True,  # exit joins other threads before it closes an open stream
+    )
+    drawer.start()
+    try:
+        for c in range(config.num_classes):
+            for j in range(config.slides_per_class):
+                drawn = ready.get()
+                if isinstance(drawn, Exception):
+                    raise drawn
+                buf, n = drawn
+                values = unit_rows(buf[:n], out=np.empty((n, config.dim), dtype=np.float32))
+                free.put(buf)
+                values.flags.writeable = False
+                slide_id = f"{class_names[c]}_{j:03d}"
+                record = SlideRecord(
+                    slide_id=slide_id,
+                    class_name=class_names[c],
+                    path=f"{slide_id}.pse",
+                    num_patches=n,
+                )
+                yield record, SlideBag(slide_id=slide_id, patches=PatchMatrix(values), label=c)
+    finally:
+        stopped.set()
+        free.put(None)  # wakes a drawer waiting for a buffer
+        drawer.join()
 
 
 def generate(config: SynthConfig) -> tuple[DatasetManifest, list[SlideBag], TextClassifier]:

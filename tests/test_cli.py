@@ -892,6 +892,61 @@ class TestReportCommand:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "method, key, value, held",
+        [
+            ("mizero", "seed", -3, "-3, not null"),
+            ("mizero", "prompt", None, "null, not an integer"),
+            ("simpleshot", "k", None, "null, not an integer"),
+            ("simpleshot", "top_k", 4, "4, not null"),
+            ("tipadapter", "prompt", 0, "0, not null"),
+            ("visionshot", "top_k", None, "null, not an integer"),
+            ("visionshot", "method", "protoshot", "'protoshot', not one of "),
+        ],
+    )
+    def test_record_axes_disagree_with_method_exits_one(
+        self, dataset, tmp_path, capsys, method, key, value, held
+    ):
+        """Each method's records set the axes run_grid gives them and leave
+        the others null; a record that does not is named, with the key."""
+        report_path = self.make_report(dataset, tmp_path)
+        raw = json.loads(report_path.read_text())
+        i = next(i for i, r in enumerate(raw["records"]) if r["method"] == method)
+        raw["records"][i][key] = value
+        report_path.write_text(json.dumps(raw))
+        assert run("report", "--reports", str(report_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {report_path}: records[{i}]: key {key!r} holds {held}")
+        assert err.count("\n") == 1
+
+    def test_off_grid_k_names_the_aggregate(self, dataset, tmp_path, capsys):
+        """A record moved to a shot count the grid never ran changes the
+        record count of its aggregate, which the error names on both sides."""
+        report_path = self.make_report(dataset, tmp_path)
+        raw = json.loads(report_path.read_text())
+        i = next(i for i, r in enumerate(raw["records"]) if r["method"] == "simpleshot")
+        raw["records"][i]["k"] = 3
+        report_path.write_text(json.dumps(raw))
+        j = next(j for j, a in enumerate(raw["aggregates"]) if a["method"] == "simpleshot")
+        assert run("report", "--reports", str(report_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: aggregates in {report_path} do not match their records: aggregates[{j}] "
+            "is (simpleshot, k=2, top_k=None, 3 records, mean "
+        )
+        assert ", std 0) in the file, (simpleshot, k=2, top_k=None, 2 records, mean " in err
+        assert err.count("\n") == 1
+
+    def test_missing_aggregate_is_named_absent(self, dataset, tmp_path, capsys):
+        report_path = self.make_report(dataset, tmp_path)
+        raw = json.loads(report_path.read_text())
+        last = len(raw["aggregates"]) - 1
+        del raw["aggregates"][last]
+        report_path.write_text(json.dumps(raw))
+        assert run("report", "--reports", str(report_path)) == 1
+        err = capsys.readouterr().err
+        assert f"aggregates[{last}] is absent in the file, (" in err
+
+    @pytest.mark.parametrize(
         "key, field, value",
         [
             ("aggregates", "mean", float("nan")),

@@ -85,3 +85,4 @@ def test_grid_ref_outputs_match_golden(grid_ref, tmp_path, monkeypatch, split):
                 checked.append(name)
     assert sorted(checked) == sorted(set(golden) - {"dataset"})
     assert len(forks) == (4 if split else 0)  # one per command that reads the corpus
+    assert main(["report", "--reports", str(tmp_path / "report.json")]) == 0

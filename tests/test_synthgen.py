@@ -1,11 +1,15 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protoshot.errors import InvalidConfig
+from protoshot import synthgen
+from protoshot.embedstore import write_dataset
+from protoshot.errors import InvalidConfig, UnknownClass
 from protoshot.synthgen import SynthConfig, _class_directions, generate, stream
 
 
@@ -194,3 +198,96 @@ class TestStream:
         assert record.slide_id == bag.slide_id == "class_0_000"
         assert record.num_patches == bag.patches.rows
         assert not bag.patches.values.flags.writeable
+
+
+@pytest.fixture
+def new_threads():
+    """A function giving the threads started since the test began."""
+    before = set(threading.enumerate())
+    return lambda: set(threading.enumerate()) - before
+
+
+class TestDrawer:
+    """The thread that draws a stream's slides lives only as long as the
+    stream: it starts at the first slide asked for and is joined when the
+    stream ends, fails or is closed or dropped."""
+
+    def test_none_left_after_generate(self, new_threads):
+        generate(config())
+        assert not new_threads()
+
+    def test_starts_at_first_slide_and_ends_with_the_stream(self, new_threads):
+        _, slides = stream(config())
+        assert not new_threads()
+        next(slides)
+        assert len(new_threads()) == 1
+        for _ in slides:
+            pass
+        assert not new_threads()
+
+    def test_close_after_two_slides_joins_it(self, new_threads):
+        _, slides = stream(config())
+        next(slides), next(slides)
+        slides.close()
+        assert not new_threads()
+
+    def test_dropped_stream_joins_it(self, new_threads):
+        _, slides = stream(config())
+        next(slides)
+        del slides
+        assert not new_threads()
+
+    def test_draw_error_reaches_the_consumer_at_its_slide(self, monkeypatch, new_threads):
+        _, expected, _ = generate(config())
+        draw = synthgen._draw_slide
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 4:
+                raise RuntimeError("draw 3 failed")
+            draw(*args)
+
+        monkeypatch.setattr(synthgen, "_draw_slide", failing)
+        _, slides = stream(config())
+        for i in range(3):
+            _, bag = next(slides)
+            assert bag.patches.values.tobytes() == expected[i].patches.values.tobytes()
+        with pytest.raises(RuntimeError, match="^draw 3 failed$"):
+            next(slides)
+        assert not new_threads()
+        assert len(calls) == 4  # the drawer stopped at its error
+
+    def test_failed_write_leaves_no_thread(self, tmp_path, new_threads):
+        # the first class_1 slide fails its record check, five slides in
+        with pytest.raises(UnknownClass):
+            write_dataset(("class_0",), stream(config())[1], tmp_path)
+        assert not new_threads()
+        assert len(list(tmp_path.glob("*.pse"))) == 5
+
+    def test_concurrent_streams_under_fast_switching(self, new_threads):
+        """More streams than cores, switching threads every few microseconds,
+        each still gives the reference bytes: no buffer is handed to the
+        consumer while it is drawn into, or reused while it is read."""
+        cfg = config(dim=16, slides_per_class=8, patches_min=1, patches_max=60)
+        expected = [e.tobytes() for e in reference_slides(cfg)]
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda: results.append([b.patches.values.tobytes()
+                                                   for b in generate(cfg)[1]])
+                )
+                for _ in range(4)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 4
+        assert not new_threads()
