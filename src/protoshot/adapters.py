@@ -204,18 +204,28 @@ def _pool_by_label(
     return per_class, ids
 
 
-def prototype_rows(pooled: np.ndarray | Sequence, normalize_prototypes: bool) -> np.ndarray:
+def prototype_rows(
+    pooled: np.ndarray | Sequence, normalize_prototypes: bool, out: np.ndarray | None = None
+) -> np.ndarray:
     """Class prototypes ``(..., C, d)``: the mean over the support axis of
     `pooled`, ``(..., C, k, d)`` or C lists when class sizes differ, then unit
-    rows if `normalize_prototypes`; ZeroVectorRow names the class row c."""
+    rows if `normalize_prototypes`; ZeroVectorRow names the class row c.
+
+    With `out`, a C-ordered float64 array of the result's shape, the rows
+    are written there, to the same bytes, and normalized in place."""
     dense = isinstance(pooled, np.ndarray)
-    rows = pooled.mean(axis=-2) if dense else np.stack([np.stack(e).mean(axis=-2) for e in pooled])
+    if dense:
+        rows = pooled.mean(axis=-2, out=out)
+    else:
+        rows = np.stack([np.stack(e).mean(axis=-2) for e in pooled], out=out)
     if not normalize_prototypes:
         return rows
+    flat = rows.reshape(-1, rows.shape[-1])  # a view of a C-ordered `out`
     try:
-        return unit_rows(rows.reshape(-1, rows.shape[-1]), MIN_POOLED_NORM).reshape(rows.shape)
+        flat = unit_rows(flat, MIN_POOLED_NORM, out=None if out is None else flat)
     except ZeroVectorRow as exc:
         raise ZeroVectorRow(exc.row % rows.shape[-2]) from None
+    return flat.reshape(rows.shape)
 
 
 def prototypes_from_pooled(

@@ -37,7 +37,8 @@ yields the row norms and only the mean and the scores that the pools read.
 the stream's one grow-only payload buffer, walked once (the norms serve both
 the unit-norm check and the finite check), checked, and pooled, and only its
 rows leave the reader. A stream so keeps two buffers, the payload buffer and
-the walk's float64 block buffer, whatever the corpus size. A stream whose
+the walk's float64 block buffer, whatever the corpus size, and frees the
+block buffer when it ends. A stream whose
 manifest declares at least :data:`SPLIT_BYTES` of float32 payload, on a
 host that gives this process two CPUs and can fork, is pooled in two
 processes: after the first slide it forks one worker, which pools slides
@@ -569,14 +570,9 @@ class DatasetManifest:
         return self.classes.index(name)
 
 
-def unit_rows(
-    rows: np.ndarray, min_norm: float = _MIN_ROW_NORM, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The float64 matrix `rows` scaled to unit L2 norm, row by row.
-
-    The quotients are taken in float64; with `out` they are written there,
-    rounded to its dtype (a float32 `out` holds exactly what
-    ``unit_rows(rows).astype(np.float32)`` would), and `out` is returned.
+def checked_norms(rows: np.ndarray, min_norm: float = _MIN_ROW_NORM) -> np.ndarray:
+    """The L2 norm of every row of the float64 matrix `rows`, each of which
+    :func:`unit_rows` divides by.
 
     Raises:
         ZeroVectorRow: naming the first row whose norm is below `min_norm`.
@@ -585,7 +581,24 @@ def unit_rows(
     small = np.flatnonzero(norms < min_norm)
     if small.size:
         raise ZeroVectorRow(int(small[0]))
-    return np.divide(rows, norms[:, None], out=out)
+    return norms
+
+
+def unit_rows(
+    rows: np.ndarray, min_norm: float = _MIN_ROW_NORM, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The float64 matrix `rows` scaled to unit L2 norm, row by row.
+
+    The quotients are taken in float64; with `out` they are written there,
+    rounded to its dtype (a float32 `out` holds exactly what
+    ``unit_rows(rows).astype(np.float32)`` would), and `out` is returned.
+    `out` may be `rows` itself.
+
+    Raises:
+        ZeroVectorRow: naming the first row whose norm is below `min_norm`
+            (:func:`checked_norms`).
+    """
+    return np.divide(rows, checked_norms(rows, min_norm)[:, None], out=out)
 
 
 def normalize(matrix: PatchMatrix) -> PatchMatrix:
@@ -903,6 +916,19 @@ _MANIFEST_SLIDE_TYPES = {
 def parse_manifest(path: str | Path) -> DatasetManifest:
     """Parse the JSON-lines manifest without touching embedding files.
 
+    Some things are accepted without a message, by design. A manifest is a
+    list of what to read, so none of them changes what is read or how a
+    slide is checked:
+
+    - keys beyond the required ones, on the classes line and on slide
+      lines, which are ignored, so a manifest may carry its own notes;
+    - blank and whitespace-only lines, which still count in line numbers;
+    - a slide path with ``..`` or an absolute one, which is read as given
+      (a relative path is joined to the manifest's directory), so a
+      manifest may list slides stored elsewhere;
+    - a path that another slide's line also names: that file is read for
+      each slide, and its header must match each line's ``num_patches``.
+
     Raises:
         MissingFile: no manifest at `path`.
         ManifestError: a line is not UTF-8 or not a JSON object, lacks a
@@ -1010,17 +1036,57 @@ def _grow_only() -> Callable[[int], np.ndarray]:
     return buffer
 
 
+def _quota_cpus(root: str | Path = "/") -> float:
+    """The CPUs that the cgroup CPU quota of this process allows, inf when
+    no quota is set or none can be read; files are only read.
+
+    The process's cgroups come from ``proc/self/cgroup`` under `root`. The
+    quota of each is read from its directory under ``sys/fs/cgroup`` and
+    from each ancestor's, since a parent's quota binds its children too:
+    cgroup v2's ``cpu.max`` (``max`` for none) in the unified hierarchy,
+    and cgroup v1's ``cpu.cfs_quota_us`` (-1 for none) over
+    ``cpu.cfs_period_us`` in the hierarchy whose controllers include
+    ``cpu``. The least quota over period is returned."""
+    base = Path(root, "sys/fs/cgroup")
+    try:
+        lines = Path(root, "proc/self/cgroup").read_text().splitlines()
+    except OSError:
+        return math.inf
+    cpus = math.inf
+    for line in lines:
+        parts = line.split(":", 2)
+        if len(parts) != 3:
+            continue
+        _, controllers, cgroup = parts
+        if controllers and "cpu" not in controllers.split(","):
+            continue
+        where = base / controllers  # the v2 hierarchy has no controller list
+        files = ("cpu.cfs_quota_us", "cpu.cfs_period_us") if controllers else ("cpu.max",)
+        group = Path("/", cgroup)
+        for folder in (group, *group.parents):
+            try:
+                text = " ".join((where / folder.relative_to("/") / f).read_text() for f in files)
+                quota, period = (int(word) for word in text.split())
+            except (OSError, ValueError):  # no such file, or no quota: "max"
+                continue
+            if quota > 0 and period > 0:
+                cpus = min(cpus, quota / period)
+    return cpus
+
+
 def _splits(slides: Sequence[SlideRecord], dim: int) -> bool:
     """Whether a stream of `slides`, whose first bag has `dim` columns, is
     pooled in two processes: the worker has a run, the payloads the
     manifest declares reach :data:`SPLIT_BYTES`, this process may run on
-    two CPUs, and it can fork."""
+    two CPUs by its affinity mask and its cgroup CPU quota
+    (:func:`_quota_cpus`), and it can fork."""
     return (
         len(slides) > RUN
         and 4 * dim * sum(rec.num_patches for rec in slides) >= SPLIT_BYTES
         and hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
+        and _quota_cpus() >= 2
     )
 
 
@@ -1151,9 +1217,13 @@ def iter_pooled(
     itself, so its error surfaces here, after the same slides, as in one
     process. A fork that fails leaves the stream in one process. Closing
     the stream, or dropping it when its consumer raises, kills and reaps
-    the worker. The CPU count is the affinity mask's: a
-    cgroup CPU quota below two CPUs is not seen, and such a process still
-    forks.
+    the worker. The stream forks only when both the affinity mask and the
+    cgroup CPU quota give this process two CPUs (:func:`_splits`).
+
+    When the stream ends, is closed or fails, it frees the block buffer
+    that its walks left for the next walk, so a command holds nothing of
+    the stream while it scores; a walk after it, such as
+    :func:`pool_bag`'s, makes a new one.
 
     Raises:
         what :func:`iter_bags` raises, and DimensionMismatch naming the
@@ -1173,16 +1243,16 @@ def iter_pooled(
     slides = manifest.slides
     if not slides:
         return
-    first = pool(slides[0])
-    yield first
     worker = None
-    if _splits(slides, first[2].shape[1]):
-        try:
-            worker = _Worker(pool, slides)
-        except OSError:  # no process to be had: every slide is pooled here
-            pass
-    i = 1
     try:
+        first = pool(slides[0])
+        yield first
+        if _splits(slides, first[2].shape[1]):
+            try:
+                worker = _Worker(pool, slides)
+            except OSError:  # no process to be had: every slide is pooled here
+                pass
+        i = 1
         while i < len(slides):
             if worker is not None and i // RUN % 2:
                 done = worker.take()
@@ -1195,6 +1265,8 @@ def iter_pooled(
                 yield pool(slides[i])
                 i += 1
     finally:
+        with _spare_lock:  # the walks' block buffer, kept only for a next walk
+            _spare.clear()
         if worker is not None:
             worker.stop()
 

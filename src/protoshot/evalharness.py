@@ -9,10 +9,10 @@ fold-ordered table (and a drawn slide's pools to one support array), so
 each slide is read, scored and pooled at most once per run. The text
 classifier is checked once: its canonical vectors before the first bag is
 read, its dimension at the first bag. Each cell builds its prototypes and
-cache keys; each fold then scores its slice of that table against the
-classifier's prompts and all of them at once and counts every record's
-hits with one bincount. Results are sorted by a canonical key before
-serialization.
+cache keys into buffers allocated once per run; each fold then scores its
+slice of that table against the classifier's prompts and all of them at
+once and counts every record's hits with one bincount. Results are sorted
+by a canonical key before serialization.
 Reports echo the generator identity, the mixing rule, and every seed so a
 run can be reproduced from the report alone.
 """
@@ -43,6 +43,7 @@ from .embedstore import (
     PoolRequest,
     SlideBag,
     TextClassifier,
+    checked_norms,
     is_int,
     pool_bag,
     row_norms,
@@ -636,31 +637,34 @@ def _cell(name: str) -> Iterator[None]:
 
 def _fold_scores(
     queries: np.ndarray,
-    rows: Sequence[np.ndarray],
-    keys: Sequence[np.ndarray],
+    rows: np.ndarray,
+    keys: np.ndarray,
     values: Sequence[np.ndarray],
-    unit: np.ndarray | None,
-    text: np.ndarray | None,
+    norms: np.ndarray | None,
+    canonical: np.ndarray | None,
     config: GridConfig,
 ) -> np.ndarray:
     """The ``n x R x C`` scores of one fold's records, from the parts its cells
-    built: first every ``(sets, C, d)`` array of `rows` (the classifier's
+    built: first the ``(sets, C, d)`` array `rows` (the classifier's
     prompts for mizero, then every cell's prototype rows), scored by one
-    row_scores call on all of them stacked; then, if `keys` is
-    not empty, each cell's Tip-Adapter scores, from one cache_affinity call
-    of the `unit` queries on every cell's keys stacked, and the cell's
-    `values` product on a C-ordered copy of its block, plus the `text`
-    scores. Each block holds the bytes of its cell scored alone (see
+    row_scores call; then, if `values` is not empty, each cell's Tip-Adapter
+    scores. For those the `queries` are divided in place by their `norms`,
+    so they are unit rows once the raw scores are taken; one
+    cache_affinity call scores them on the stacked unit `keys` of every
+    cell, and each cell's `values` product on a C-ordered copy of its
+    block is added to their `canonical` text scores. Each block holds the
+    bytes of its cell scored alone (see
     :func:`~protoshot.adapters.row_scores`)."""
     n, dim = queries.shape
-    num_classes = rows[0].shape[-2]
-    stacked = np.concatenate(rows).reshape(-1, dim)
-    scores = [row_scores(queries, stacked).reshape(n, -1, num_classes)]
-    if keys:
-        affinity = cache_affinity(unit, np.concatenate(keys), config.tip_beta)
+    num_classes = rows.shape[-2]
+    scores = [row_scores(queries, rows.reshape(-1, dim)).reshape(n, -1, num_classes)]
+    if values:
+        unit = np.divide(queries, norms[:, None], out=queries)  # unit_rows' bytes, in place
+        text = row_scores(unit, canonical)
+        affinity = cache_affinity(unit, keys, config.tip_beta)
         end = 0
-        for block, value in zip(keys, values):
-            start, end = end, end + len(block)
+        for value in values:
+            start, end = end, end + len(value)
             cell = np.ascontiguousarray(affinity[:, start:end])
             scores.append(cache_blend(cell, value, config.tip_alpha, text)[:, None])
     return np.concatenate(scores, axis=1)
@@ -693,16 +697,21 @@ def run_grid(
     guided pool per top-K and its full-bag mean, which fill its column of
     ``pools``; every slide's full-bag mean fills its row of ``table``, fold
     by fold. A cell takes its draw's columns of ``pools`` once and builds
-    its prototype rows and unit cache keys from them. The fold then
-    scores its slice of ``table`` against the classifier's prompts (mizero)
-    and every cell's rows with one ``row_scores`` call, and against every
-    cell's keys with one ``cache_affinity`` call (:func:`_fold_scores`);
-    each block holds the bytes the per-bag functions in ``adapters`` give.
-    Predictions are the argmax over classes, and
-    :func:`column_balanced_accuracies` counts every record of the fold with
-    one bincount. No array grows with folds times seeds. Records are sorted
-    canonically, so the report is a pure function of the data and the
-    config.
+    its prototype rows and unit cache keys from them. The fold phase
+    allocates its arrays once per run, each sized by the largest fold: one
+    array of rows, holding the classifier's prompts (mizero) and then every
+    cell's prototype rows; one of every cell's unit keys; and one gather
+    buffer for a cell's columns. Each cell writes into them, and each fold
+    overwrites the last. The fold then scores its slice of ``table``
+    against those rows with one ``row_scores`` call and, after dividing
+    the slice by its norms in place, against every cell's keys with one
+    ``cache_affinity`` call (:func:`_fold_scores`); each block holds the
+    bytes the per-bag functions in ``adapters`` give. Predictions are the
+    argmax over classes, and :func:`column_balanced_accuracies` counts
+    every record of the fold with one bincount. No array grows with folds
+    times seeds: the fold arrays grow with seeds times shots. Records are
+    sorted canonically, so the report is a pure function of the data and
+    the config.
 
     Raises:
         ClassNamesMismatch: the classifier's class names are not the
@@ -802,39 +811,49 @@ def run_grid(
     records: list[EvalRecord] = []
     dim = table.shape[1]
     sets = len(proto_sets)
-    prompts = classifier.weights.astype(np.float64)
+    prompts = classifier.num_prompts if "mizero" in config.methods else 0
+    drawn = [list(map(len, fold.values())) for fold in draws]  # each cell's slides, by fold
+    # the fold phase's buffers, each sized by the largest fold and reused by every
+    # fold: the prototype rows, after mizero's prompts; the unit cache keys of
+    # every cell; and the pools of one cell
+    stack = np.empty((prompts + max(map(len, drawn)) * sets, num_classes, dim))
+    if prompts:
+        stack[:prompts] = classifier.weights
+    keys = np.empty((max(map(sum, drawn)) if tipadapter else 0, dim))
+    gather = np.empty(pools.shape[0] * max((n for fold in drawn for n in fold), default=0) * dim)
     for f in range(config.num_folds):
         queries, truth = table[bounds[f] : bounds[f + 1]], y[bounds[f] : bounds[f + 1]]
         # axes[r] = (method, seed, k, top_k, prompt) of record r, which is column r of
         # the fold's n x R predictions: mizero's prompts, then every cell's prototype
         # sets, then every cell's Tip-Adapter scores
-        axes: list[tuple] = []
-        rows, keys, values = [], [], []
-        if "mizero" in config.methods:
-            rows.append(prompts)
-            axes.extend(("mizero", None, None, None, p) for p in range(classifier.num_prompts))
+        axes: list[tuple] = [("mizero", None, None, None, p) for p in range(prompts)]
+        values = []
         # every cell fails here or not at all, in fold-major order; _fold_scores then
         # scores the whole fold at once
-        unit = text = None
+        norms = None
+        end, stop = prompts, 0  # where the fold's next rows go in stack, and its next keys
         for (seed, k), columns in draws[f].items():
             with _cell(f"fold={f} seed={seed} k={k}"):
-                # take, not pools[:, columns], so the gather is C-ordered; the draw
-                # is class-major, so each plane's k slides per class reshape to (C, k)
-                cell = pools.take(columns, axis=1)
+                # take, not pools[:, columns], so the gather is C-ordered; "clip", as
+                # "raise" buffers `out` and the columns are in range by construction
+                cell = gather[: pools.shape[0] * len(columns) * dim].reshape(-1, len(columns), dim)
+                pools.take(columns, axis=1, out=cell, mode="clip")
+                # the draw is class-major, so each plane's k slides per class reshape to (C, k)
                 planes = cell[:sets].reshape(sets, num_classes, k, dim)
-                rows.append(prototype_rows(planes, config.normalize_prototypes))
+                prototype_rows(planes, config.normalize_prototypes, out=stack[end : end + sets])
+                end += sets
                 axes.extend((method, seed, k, kt, None) for method, kt in proto_sets)
                 if tipadapter:
-                    # the keys and the queries take unit vectors inside this cell, so
-                    # a zero-mean slide fails only in the cells that need its direction
-                    keys.append(unit_rows(cell[-1], MIN_POOLED_NORM))
+                    # the keys and the queries are checked for a unit direction inside
+                    # this cell, so a zero-mean slide fails only in the cells that need it
+                    unit_rows(cell[-1], MIN_POOLED_NORM, out=keys[stop : stop + len(columns)])
+                    stop += len(columns)
                     values.append(np.eye(num_classes).repeat(k, axis=0))  # one-hot, class-major
-                    if unit is None:
-                        unit = unit_rows(queries, MIN_POOLED_NORM)
-                        text = row_scores(unit, canonical)
-        if keys:
+                    if norms is None:
+                        norms = checked_norms(queries, MIN_POOLED_NORM)
+        if values:
             axes.extend(("tipadapter", seed, k, None, None) for seed, k in draws[f])
-        scores = _fold_scores(queries, rows, keys, values, unit, text, config)
+        scores = _fold_scores(queries, stack[:end], keys[:stop], values, norms, canonical, config)
         accuracies, recalls = column_balanced_accuracies(scores.argmax(axis=2), truth, num_classes)
         for (method, seed, k, kt, prompt), accuracy, recall in zip(
             axes, accuracies.tolist(), recalls.tolist()

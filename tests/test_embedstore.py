@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import signal
 import struct
@@ -942,6 +943,42 @@ class TestManifest:
         assert err.value.line == 2
         assert str(err.value) == f"{path} line 2: not UTF-8: byte 0xff at column 15"
 
+    def test_leniencies_are_accepted_with_output_unchanged(self, tmp_path):
+        """What parse_manifest accepts without a message, by design: extra keys
+        on the classes line and on slide lines, blank lines, a path with
+        ``..`` or an absolute path, and a path to another slide's file with
+        the same patch count, whose rows that slide then gets."""
+        data = tmp_path / "data"
+        data.mkdir()
+        manifest, _ = _equal_bags(data, np.random.default_rng(31), count=3)
+        lines = (data / "manifest.jsonl").read_text().splitlines()
+        head, slides = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+        reference = _pooled_bytes(
+            iter_pooled(manifest, data / "manifest.jsonl", lambda sid, label: MEAN))
+
+        def streamed(name, head, slides, blank=""):
+            path = data / f"{name}.jsonl"
+            text = blank.join(json.dumps(obj) + "\n" for obj in [head, *slides])
+            path.write_text(text + blank)
+            parsed = parse_manifest(path)
+            assert parsed.classes == manifest.classes
+            assert [rec.slide_id for rec in parsed.slides] == ["s0", "s1", "s2"]
+            return parsed, _pooled_bytes(iter_pooled(parsed, path, lambda sid, label: MEAN))
+
+        extra, rows = streamed("extra", {**head, "note": "x"},
+                               [{**obj, "scanner": [1, 2]} for obj in slides])
+        assert extra == manifest and rows == reference
+        blank, rows = streamed("blank", head, slides, blank="\n  \n")
+        assert blank == manifest and rows == reference
+        outside = [{**slides[0], "path": "../data/s0.pse"},
+                   {**slides[1], "path": str(data / "s1.pse")}, slides[2]]
+        parsed, rows = streamed("outside", head, outside)
+        assert [rec.path for rec in parsed.slides][:2] == ["../data/s0.pse", str(data / "s1.pse")]
+        assert rows == reference
+        _, rows = streamed("shared", head, [*slides[:2], {**slides[2], "path": "s0.pse"}])
+        assert rows[0][:2] == reference[0][:2] and rows[1] is None
+        assert rows[0][2] == ("s2",) + reference[0][0][1:]
+
     def test_non_integer_patch_count_names_line(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
         path.write_text(
@@ -1127,6 +1164,45 @@ class TestIterBags:
         addresses = {values.__array_interface__["data"][0] for values in seen}
         assert len(rows) == len(seen) == 12 and len(addresses) == 1
 
+    def test_stream_frees_the_block_buffer(self, tmp_path):
+        """A pooled stream frees the walks' block buffer once it is exhausted,
+        closed after its first or third slide, or failed at its fourth; walks
+        of bags held in memory still keep it for the next walk, and pool to
+        their reference bytes after any stream."""
+        manifest, bags = _equal_bags(tmp_path, np.random.default_rng(30), count=6)
+        path = tmp_path / "manifest.jsonl"
+
+        def kept() -> int:
+            with embedstore._spare_lock:
+                return len(embedstore._spare)
+
+        def pools_in_memory():
+            for bag in bags:
+                reference = bag.patches.values.astype(np.float64).mean(axis=0)
+                assert pool_bag(bag, MEAN)[-1].tobytes() == reference.tobytes()
+            assert kept() == 1
+
+        def stream():
+            return iter_pooled(manifest, path, lambda sid, label: MEAN)
+
+        pools_in_memory()
+        assert len(list(stream())) == 6 and kept() == 0
+        pools_in_memory()
+        for taken in (1, 3):
+            open_stream = stream()
+            assert [next(open_stream)[0] for _ in range(taken)][-1] == f"s{taken - 1}"
+            assert kept() == 1  # held between the stream's walks
+            open_stream.close()
+            assert kept() == 0
+            pools_in_memory()
+        (tmp_path / "s3.pse").unlink()
+        failing = stream()
+        assert [next(failing)[0] for _ in range(3)] == ["s0", "s1", "s2"]
+        with pytest.raises(MissingFile):
+            next(failing)
+        assert kept() == 0
+        pools_in_memory()
+
     def test_lazy(self, tmp_path):
         rng = np.random.default_rng(27)
         manifest, _ = _toy_dataset(tmp_path, rng)
@@ -1178,11 +1254,11 @@ class TestPooledReader:
 
 
 @contextmanager
-def split_streams(split_bytes: int = 0, cpus: int = 2):
+def split_streams(split_bytes: int = 0, cpus: int = 2, quota: float = math.inf):
     """Streams fork their worker from `split_bytes` declared payload bytes
     on, any corpus by default, inside the with block, where this process
-    may run on `cpus` CPUs whatever the host; yields the list of the
-    workers' pids."""
+    may run on `cpus` CPUs and its cgroup CPU quota allows `quota` CPUs,
+    whatever the host; yields the list of the workers' pids."""
     pids = []
     fork = os.fork
 
@@ -1195,6 +1271,7 @@ def split_streams(split_bytes: int = 0, cpus: int = 2):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(embedstore, "SPLIT_BYTES", split_bytes)
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        patch.setattr(embedstore, "_quota_cpus", lambda: quota)
         patch.setattr(os, "fork", counted)
         yield pids
 
@@ -1441,17 +1518,70 @@ class TestSplitStream:
 
     def test_no_fork_below_the_threshold_or_on_one_cpu(self, tmp_path):
         """The declared payloads, 40 bags of 7 x 6 float32 values, must
-        reach SPLIT_BYTES; a corpus of one run, or one CPU, never forks."""
+        reach SPLIT_BYTES; a corpus of one run, one CPU, or a cgroup quota
+        below two CPUs never forks."""
         manifest, _ = _equal_bags(tmp_path, np.random.default_rng(49), count=40)
         path = tmp_path / "manifest.jsonl"
         declared = 40 * 7 * 6 * 4
         streams = []
-        for split_bytes, cpus, slides in [(declared + 1, 2, 40), (declared, 2, 40),
-                                          (0, 2, 16), (0, 1, 40)]:
+        for split_bytes, cpus, quota, slides in [
+            (declared + 1, 2, math.inf, 40), (declared, 2, math.inf, 40),
+            (0, 2, math.inf, 16), (0, 1, math.inf, 40), (0, 2, 1.5, 40), (0, 2, 2.0, 40),
+        ]:
             part = DatasetManifest(manifest.classes, manifest.slides[:slides])
-            with split_streams(split_bytes, cpus) as pids:
+            with split_streams(split_bytes, cpus, quota) as pids:
                 rows = _pooled_bytes(iter_pooled(part, path, lambda sid, label: MEAN))
             streams.append((len(pids), rows))
-        assert [forks for forks, _ in streams] == [0, 1, 0, 0]
-        assert streams[0][1] == streams[1][1] == streams[3][1]
+        assert [forks for forks, _ in streams] == [0, 1, 0, 0, 0, 1]
+        assert streams[0][1] == streams[1][1] == streams[3][1] == streams[4][1] == streams[5][1]
         assert streams[2][1][0] == streams[0][1][0][:16]
+
+
+def _cfs(folder: str, quota: str, period: str = "100000\n") -> dict:
+    """A cgroup v1 quota and period, as files of `folder`."""
+    return {f"{folder}/cpu.cfs_quota_us": quota, f"{folder}/cpu.cfs_period_us": period}
+
+
+class TestCpuQuota:
+    """The cgroup CPU quota, read from fake ``proc`` and ``sys`` trees."""
+
+    @staticmethod
+    def tree(root: Path, cgroup: str, files: dict) -> Path:
+        (root / "proc/self").mkdir(parents=True)
+        (root / "proc/self/cgroup").write_text(cgroup)
+        for name, text in files.items():
+            target = root / "sys/fs/cgroup" / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(text)
+        return root
+
+    @pytest.mark.parametrize("cgroup, files, cpus", [
+        # cgroup v2: cpu.max holds "quota period", or "max" for none
+        ("0::/app\n", {"app/cpu.max": "150000 100000\n"}, 1.5),
+        ("0::/app\n", {"app/cpu.max": "max 100000\n"}, math.inf),
+        # a parent's quota binds its children, down to the mount's root, which is
+        # all a container may see of its own cgroup
+        ("0::/a/b\n", {"a/b/cpu.max": "max 100000\n", "a/cpu.max": "100000 100000\n"}, 1.0),
+        ("0::/a/b\n", {"cpu.max": "50000 100000\n"}, 0.5),
+        ("0::/a/b\n", {"a/b/cpu.max": "400000 100000\n", "cpu.max": "300000 100000\n"}, 3.0),
+        # cgroup v1: the hierarchy whose controllers include cpu; -1 for none
+        ("4:memory:/x\n1:cpu:/x\n0::/\n", _cfs("cpu/x", "-1\n"), math.inf),
+        ("4:memory:/x\n1:cpu:/x\n0::/\n", _cfs("cpu/x", "120000\n"), 1.2),
+        ("2:cpu,cpuacct:/x\n", _cfs("cpu,cpuacct/x", "300000\n"), 3.0),
+        ("1:cpu:/x\n", _cfs("cpu", "100000\n"), 1.0),
+        ("3:cpuacct:/x\n", _cfs("cpuacct/x", "100000\n"), math.inf),
+        # what cannot be read is no quota
+        ("0::/app\n", {"app/cpu.max": "150000\n"}, math.inf),
+        ("1:cpu:/x\n", {"cpu/x/cpu.cfs_quota_us": "100000\n"}, math.inf),
+        ("1:cpu:/x\n", _cfs("cpu/x", "100000\n", "0\n"), math.inf),
+        ("1:cpu:/x\n", _cfs("cpu/x", "lots\n"), math.inf),
+        ("not a cgroup line\n", {"cpu.max": "100000 100000\n"}, math.inf),
+    ])
+    def test_least_quota_over_period(self, tmp_path, cgroup, files, cpus):
+        assert embedstore._quota_cpus(self.tree(tmp_path, cgroup, files)) == cpus
+
+    def test_no_cgroup_file_is_no_quota(self, tmp_path):
+        assert embedstore._quota_cpus(tmp_path) == math.inf
+
+    def test_reads_this_host(self):
+        assert embedstore._quota_cpus() > 0

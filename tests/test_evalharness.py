@@ -2,7 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
-import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -635,7 +635,13 @@ class TestPooledGrid:
         with pytest.raises(GridCellError) as err:
             run_grid(manifest, bags, clf, config)
         assert isinstance(err.value.cause, ZeroVectorRow)
-        assert re.search(r"\[fold=\d+ seed=7 k=2\]", str(err.value))
+        # the slide is fold 0's first query, so the query check of the fold's first
+        # Tip-Adapter cell names it, before any fold is scored
+        assert err.value.cell == "fold=0 seed=7 k=2"
+        assert str(err.value) == (
+            "grid cell [fold=0 seed=7 k=2] failed: "
+            "row 0 has near-zero L2 norm and cannot be normalized"
+        )
 
     @pytest.mark.parametrize("method", ["visionshot", "mizero", "tipadapter"])
     def test_classifier_dimension_mismatch_is_typed(self, noisy_dataset, monkeypatch, method):
@@ -684,9 +690,9 @@ class TestBatchedCell:
         calls = Counter()
         rows = adapters.prototype_rows
 
-        def counting(pooled, normalize):
+        def counting(pooled, normalize, out=None):
             calls["dense" if isinstance(pooled, np.ndarray) else "lists"] += 1
-            return rows(pooled, normalize)
+            return rows(pooled, normalize, out)
 
         assert evalharness.prototype_rows is rows
         monkeypatch.setattr(adapters, "prototype_rows", counting)
@@ -751,20 +757,21 @@ class TestSupportPools:
 
     def test_cells_pass_c_ordered_pools(self, noisy_dataset, monkeypatch):
         manifest, bags, clf = noisy_dataset
-        rows, units = adapters.prototype_rows, evalharness.unit_rows
         layouts = Counter()
 
-        def checking(fn):
-            def wrapped(pooled, *args):
+        def checking(name):
+            fn = getattr(evalharness, name)
+
+            def wrapped(pooled, *args, **kwargs):
                 layouts[pooled.flags.c_contiguous] += 1
-                return fn(pooled, *args)
+                return fn(pooled, *args, **kwargs)
 
-            return wrapped
+            monkeypatch.setattr(evalharness, name, wrapped)
 
-        monkeypatch.setattr(evalharness, "prototype_rows", checking(rows))
-        monkeypatch.setattr(evalharness, "unit_rows", checking(units))
+        for name in ("prototype_rows", "unit_rows", "checked_norms"):
+            checking(name)
         run_grid(manifest, bags, clf, TestPooledGrid.config)
-        # prototype rows and cache keys of 16 cells, and the unit queries of 4 folds
+        # prototype rows and cache keys of 16 cells, and the query norms of 4 folds
         assert layouts == {True: 2 * 4 * 2 * 2 + 4}
 
 
@@ -872,6 +879,35 @@ class TestFoldScoring:
             assert got.shape == (blocks[0].shape[0], len(blocks), num_classes)
             for r, block in enumerate(blocks):
                 assert got[:, r].tobytes() == block.tobytes()
+
+    def test_fold_phase_holds_each_buffer_once(self):
+        """run_grid's traced peak stays below its table, its pools and one copy each
+        of a fold's prototype rows, its cache keys and its largest cell's
+        gather, plus 1 MiB of slack for records, scores, affinities and
+        Python objects: it peaks about 0.33 MiB above those arrays. Holding
+        a fold's rows and keys twice, in a list and again stacked, and the
+        last cell's own gather, peaks about 2.7 MiB above them."""
+        manifest, bags, clf = generate(SynthConfig(
+            num_classes=3, dim=512, slides_per_class=20, patches_min=4, patches_max=8,
+            informative_fraction=0.3, noise_scale=1.0, seed=3,
+        ))
+        config = GridConfig(num_seeds=4)  # 5 folds, shots 2 to 16, 4 top-Ks
+        run_grid(manifest, bags, clf, config)  # the walks' block buffer is made here
+        tracemalloc.start()
+        try:
+            run_grid(manifest, bags, clf, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row = 512 * 8
+        # every top-K and simpleshot: the planes of the pools and the sets of a cell
+        classes, seeds, sets = 3, 4, len(config.top_k_grid) + 1
+        table = len(manifest.slides) * row
+        pools = sets * len(support_slides(manifest, config)) * row
+        rows = (clf.num_prompts + seeds * len(config.k_grid) * sets) * classes * row
+        keys = seeds * classes * sum(config.k_grid) * row
+        gather = sets * classes * max(config.k_grid) * row
+        assert peak < table + pools + rows + keys + gather + (1 << 20)
 
 
 class TestGuidedPools:

@@ -76,6 +76,7 @@ def test_grid_ref_outputs_match_golden(grid_ref, tmp_path, monkeypatch, split):
     if split:
         monkeypatch.setattr(embedstore, "SPLIT_BYTES", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(embedstore, "_quota_cpus", lambda: 2.0)
     checked = []
     for group in runner.command_groups(workload, data, tmp_path).values():
         for _, args, outputs in group:
