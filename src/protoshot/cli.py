@@ -7,7 +7,8 @@ runs, the failing cell) on stderr.
 
 Every command that reads a corpus streams it: each loads its classifier or
 prototypes and checks its options first (evaluate also makes every support
-draw), then reads and pools one slide at a time in the reader
+draw, and that its output paths can be written), then reads and pools one
+slide at a time in the reader
 (:func:`~protoshot.embedstore.iter_pooled`), which hands over only the
 slide's pooled rows, and writes its output only after the last slide, so a
 failure leaves no partial file. On a corpus that declares at least
@@ -33,7 +34,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import adapters, embedstore, evalharness, synthgen
-from .errors import OutputNotEmpty, PromptIndexOutOfRange, ProtoshotError
+from .errors import IoFailure, OutputNotEmpty, PromptIndexOutOfRange, ProtoshotError
 
 
 def _str_list(text: str) -> tuple[str, ...]:
@@ -63,6 +64,25 @@ def _dataset_paths(dataset: str) -> tuple[Path, Path]:
     path = Path(dataset)
     manifest = path / embedstore.MANIFEST_NAME if path.is_dir() else path
     return manifest, manifest.parent
+
+
+def _check_outputs(*paths: str | None) -> None:
+    """Check, before any slide is read, that each output path given can be
+    written: its parent is an existing directory and it is not a directory
+    itself. An IoFailure names the path."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise IoFailure(f"cannot write {path}: it is a directory")
+        if not Path(path).parent.is_dir():
+            raise IoFailure(f"cannot write {path}: no directory {Path(path).parent}")
+
+
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field: quoted, its quotes doubled, only when it holds
+    a comma, a quote or a line break (RFC 4180)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _stream_dataset(args) -> tuple[embedstore.DatasetManifest, Callable[..., Iterator], Path]:
@@ -134,6 +154,7 @@ def cmd_evaluate(args) -> int:
     # only the grid flags given, by field name: GridConfig holds every default and check
     given = {f.name: vars(args)[f.name] for f in fields(evalharness.GridConfig) if f.name in args}
     config = evalharness.GridConfig(**given)
+    _check_outputs(args.out)
     manifest, read, root = _stream_dataset(args)
     classifier = _load_classifier(args, root, manifest.classes)
     report = evalharness.run_grid(manifest, read, classifier, config)
@@ -146,6 +167,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_build_prototypes(args) -> int:
+    _check_outputs(args.out)
     manifest, read, root = _stream_dataset(args)
     if args.method == "visionshot":
         classifier = _load_classifier(args, root, manifest.classes)
@@ -166,18 +188,20 @@ def cmd_build_prototypes(args) -> int:
 
 def _write_predictions(path: str, ids, scores, class_names) -> None:
     """One CSV row per slide: its id, the argmax class of its row of the
-    ``n x C`` `scores` (the lowest index among ties) and every score."""
+    ``n x C`` `scores` (the lowest index among ties) and every score; ids
+    and class names are quoted as :func:`_csv_field` says."""
     header = "slide_id,predicted_class," + ",".join(
         f"score_{c}" for c in range(len(class_names))
     )
     lines = [header]
     for slide_id, predicted, row in zip(ids, scores.argmax(axis=1).tolist(), scores.tolist()):
         scores_text = ",".join(format(s, ".6g") for s in row)
-        lines.append(f"{slide_id},{class_names[predicted]},{scores_text}")
+        lines.append(f"{_csv_field(slide_id)},{_csv_field(class_names[predicted])},{scores_text}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_predict(args) -> int:
+    _check_outputs(args.out)
     protos = adapters.read_prototypes(args.prototypes)
     manifest, read, _ = _stream_dataset(args)
     ids, scores = adapters.score_means(read(_full_means), protos.prototypes, len(manifest.slides))
@@ -187,6 +211,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_zero_shot(args) -> int:
+    _check_outputs(args.out)
     _, root = _dataset_paths(args.dataset)
     classifier = _load_classifier(args, root)
     if not 0 <= args.prompt < classifier.num_prompts:
@@ -200,6 +225,7 @@ def cmd_zero_shot(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_outputs(args.csv_out)
     reports = []
     for path in args.reports:
         report = evalharness.EvalReport.from_json(Path(path).read_bytes(), path)
@@ -223,7 +249,7 @@ def cmd_report(args) -> int:
         for name, report in reports:
             for a in report.aggregates:
                 lines.append(
-                    f"{name},{a.method},"
+                    f"{_csv_field(name)},{_csv_field(a.method)},"
                     f"{'' if a.k is None else a.k},"
                     f"{'' if a.top_k is None else a.top_k},"
                     f"{format(a.mean, '.6g')},{format(a.std, '.6g')}"

@@ -24,32 +24,32 @@ Text classifiers reuse the embedding binary with N = prompts * classes rows
 Values are stored at 32-bit precision; all reductions over them (norms,
 means, dot products) accumulate in 64-bit. Every whole-bag reduction reads
 the bag through :func:`float64_blocks`, which widens about
-:data:`BLOCK_BYTES` of rows at a time into a buffer that one walk hands to
-the next, so widening a bag never copies all of it and, once the buffer
-has grown, allocates nothing: a reduction's bytes are those of the same
-expression on the whole widened bag.
+:data:`BLOCK_BYTES` of rows at a time into one scratch buffer, so widening
+a bag never copies all of it: a reduction's bytes are those of the same
+expression on the whole widened bag. A stream passes its walks the
+scratch it holds; any other walk allocates its own and keeps nothing.
 
 A slide is pooled in one place, :func:`pool_rows`, into what its
 :class:`PoolRequest` asks: top-K pools against a class vector, the
 full-bag mean, or both, from one walk of the bag (:func:`_walk`), which
 yields the row norms and only the mean and the scores that the pools read.
 :func:`iter_pooled` streams a corpus through it: each slide is read into
-the stream's one grow-only payload buffer, walked once (the norms serve both
+the stream's grow-only payload buffer, walked once (the norms serve both
 the unit-norm check and the finite check), checked, and pooled, and only its
-rows leave the reader. A stream so keeps two buffers, the payload buffer and
-the walk's float64 block buffer, whatever the corpus size, and frees the
-block buffer when it ends. A stream whose
+rows leave the reader. A stream so keeps two grow-only buffers, one for
+payloads and one for its walks' float64 blocks, whatever the corpus size;
+both are its own, and go when the stream does. A stream whose
 manifest declares at least :data:`SPLIT_BYTES` of float32 payload, on a
 host that gives this process two CPUs and can fork, is pooled in two
 processes: after the first slide it forks one worker, which pools slides
 16-31, 48-63, ... (every other run of :data:`RUN`) with the same per-slide
-step, in buffers of its own, and pipes each run back as one pickle. So the
-slide's request function runs in the worker for those slides and must be a
-pure function of the slide id and label. The stream yields every slide in
+step, in its copies of the stream's buffers, and pipes each run back as
+one pickle. So the slide's request function runs in the worker for those
+slides and must be a pure function of the slide id and label. The stream yields every slide in
 manifest order; a slide that fails in the worker is pooled again by the
 stream, which raises its error after the same slides as one process would.
 :func:`pool_bag` runs the same walk and pooling on a bag held in memory,
-once per call.
+once per call, in scratch of its own.
 :func:`iter_bags` yields whole bags instead, each read into a buffer of its
 own and walked once, for its load checks, as it is read.
 
@@ -66,7 +66,6 @@ import pickle
 import reprlib
 import signal
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -107,8 +106,7 @@ BLOCK_BYTES = 1 << 20  # the float64 rows a whole-bag reduction widens at a time
 # command about 3 ms, which a corpus of this size repays in its reading.
 SPLIT_BYTES = 64 << 20
 RUN = 16
-_spare: list[np.ndarray] = []  # the float64 buffer the last finished block walk left
-_spare_lock = threading.Lock()
+_Buffer = Callable[[int], np.ndarray]  # given n, a uint8 buffer of at least n bytes
 
 
 def frozen(values, dtype) -> np.ndarray:
@@ -138,19 +136,19 @@ def off_unit_row(norms: np.ndarray, atol: float) -> int | None:
 
 
 def float64_blocks(
-    values: np.ndarray, rows: np.ndarray | None = None
+    values: np.ndarray, rows: np.ndarray | None = None, buffer: _Buffer | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The float32 matrix `values`, widened to float64 one block at a time.
 
     Walks every row of `values`, or its rows `rows` (an int array of row
-    indices from 0, else IndexError) in that order, in blocks of :data:`BLOCK_BYTES` of float64 (at least two
-    rows), and yields ``(start, block)`` for each: ``block[1:]`` holds the
-    walk's rows from `start` on, widened, and ``block[0]`` is a spare row
-    for :func:`carried_sum`. Every block is a view of one buffer, valid
-    until the next step. The buffer is the one the last finished walk left,
-    or a new one when that is too small, so walks allocate nothing once it
-    has grown; rows are gathered into a float32 part of it, not into a new
-    array.
+    indices from 0, else IndexError) in that order, in blocks of
+    :data:`BLOCK_BYTES` of float64 (at least two rows), and yields
+    ``(start, block)`` for each: ``block[1:]`` holds the walk's rows from
+    `start` on, widened, and ``block[0]`` is a spare row for
+    :func:`carried_sum`. Every block is a view of one scratch buffer, valid
+    until the next step: ``buffer(nbytes)``, which the caller holds (a
+    stream's :func:`_grow_only`), else an array of the walk's own. Rows are
+    gathered into a float32 part of it, not into a new array.
 
     A block holds one row only when the whole walk does: a lone last row
     joins the block before it, since einsum reduces the row of a one-row
@@ -166,31 +164,23 @@ def float64_blocks(
     wide = (height + 1) * d
     # a gather of `rows` lands after the blocks, two float32 values per float64
     size = wide + (0 if rows is None else (height * d + 1) // 2)
-    with _spare_lock:
-        scratch = _spare.pop() if _spare else None
-    if scratch is None or scratch.size < size:
-        scratch = np.empty(size)
-    buffer = scratch[:wide].reshape(height + 1, d)
+    scratch = np.empty(size) if buffer is None else buffer(8 * size)[: 8 * size].view(np.float64)
+    blocks = scratch[:wide].reshape(height + 1, d)
     gathered = None if rows is None else scratch[wide:size].view(np.float32)
-    try:
-        start = 0
-        while start < n:
-            stop = start + step
-            if stop >= n - 1:  # the last block, which a lone last row joins
-                stop = n
-            block = buffer[: stop - start + 1]
-            if rows is None:
-                block[1:] = values[start:stop]
-            else:
-                picked = gathered[: (stop - start) * d].reshape(stop - start, d)
-                np.take(values, rows[start:stop], axis=0, out=picked, mode="clip")
-                block[1:] = picked
-            yield start, block
-            start = stop
-    finally:
-        with _spare_lock:
-            if not _spare or _spare[0].size < scratch.size:
-                _spare[:] = [scratch]
+    start = 0
+    while start < n:
+        stop = start + step
+        if stop >= n - 1:  # the last block, which a lone last row joins
+            stop = n
+        block = blocks[: stop - start + 1]
+        if rows is None:
+            block[1:] = values[start:stop]
+        else:
+            picked = gathered[: (stop - start) * d].reshape(stop - start, d)
+            np.take(values, rows[start:stop], axis=0, out=picked, mode="clip")
+            block[1:] = picked
+        yield start, block
+        start = stop
 
 
 def carried_sum(block: np.ndarray, total: np.ndarray | None) -> np.ndarray:
@@ -260,8 +250,12 @@ class _Walk(NamedTuple):
     scores: np.ndarray | None
 
 
-def _walk(values: np.ndarray, vector: np.ndarray | None = None, mean: bool = True) -> _Walk:
-    """The one walk of :func:`float64_blocks` over the float32 bag `values`.
+def _walk(
+    values: np.ndarray, vector: np.ndarray | None = None, mean: bool = True,
+    buffer: _Buffer | None = None,
+) -> _Walk:
+    """The one walk of :func:`float64_blocks` over the float32 bag `values`,
+    in the scratch of `buffer`.
 
     Yields its row norms, its row mean when `mean`, and its scores against
     the flat float64 `vector` when one is given. Each has the bytes of its
@@ -281,7 +275,7 @@ def _walk(values: np.ndarray, vector: np.ndarray | None = None, mean: bool = Tru
     norms = np.empty(n)
     scores = None if vector is None else np.empty(n)
     total = None
-    for start, block in float64_blocks(values):
+    for start, block in float64_blocks(values, buffer=buffer):
         stop = start + len(block) - 1
         part = row_norms(block[1:], out=norms[start:stop])
         # norms are at least 0 and far below overflow, so their sum is finite iff each is
@@ -299,12 +293,13 @@ def _walk(values: np.ndarray, vector: np.ndarray | None = None, mean: bool = Tru
     return _Walk(norms, total, scores)
 
 
-def subset_mean(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def subset_mean(values: np.ndarray, rows: np.ndarray, buffer: _Buffer | None = None) -> np.ndarray:
     """The float64 mean of the rows `rows` (ascending int64 indices) of the
-    float32 matrix `values`, gathered and widened a block at a time
-    (:func:`float64_blocks`) and summed in row order (:func:`carried_sum`)."""
+    float32 matrix `values`, gathered and widened a block at a time in the
+    scratch of `buffer` (:func:`float64_blocks`) and summed in row order
+    (:func:`carried_sum`)."""
     total = None
-    for _, block in float64_blocks(values, rows):
+    for _, block in float64_blocks(values, rows, buffer):
         total = carried_sum(block, total)
     return total / rows.size
 
@@ -317,7 +312,8 @@ def score_order(scores: np.ndarray) -> np.ndarray:
 
 
 def pool_rows(
-    values: np.ndarray, request: PoolRequest, walked: _Walk, slide_id: str | None = None
+    values: np.ndarray, request: PoolRequest, walked: _Walk, slide_id: str | None = None,
+    buffer: _Buffer | None = None,
 ) -> np.ndarray:
     """The rows `request` asks of the float32 bag `values`, as one new float64
     ``(len(top_ks) + mean, D)`` array, from `walked`, the bag's walk with the
@@ -326,7 +322,7 @@ def pool_rows(
     The one place a slide is pooled, for a stream (:func:`iter_pooled`) and
     for a bag in memory (:func:`pool_bag`). A k below the bag size pools the
     first k rows of :func:`score_order`, taken in row order
-    (:func:`subset_mean`); a k that covers the bag pools the full-bag mean;
+    (:func:`subset_mean`, in `buffer`); a k that covers the bag pools the full-bag mean;
     ks that clamp to the same count share one pool.
 
     Raises:
@@ -347,7 +343,8 @@ def pool_rows(
             rows[i] = rows[first[count]]
         else:
             first[count] = i
-            rows[i] = walked.mean if count == n else subset_mean(values, np.sort(order[:count]))
+            rows[i] = (walked.mean if count == n
+                       else subset_mean(values, np.sort(order[:count]), buffer))
     if request.mean:
         rows[-1] = walked.mean
     return rows
@@ -358,7 +355,8 @@ def pool_bag(bag: SlideBag, request: PoolRequest) -> np.ndarray:
     bytes a stream gives for the same slide: the steps of
     :func:`iter_pooled` after its read and load checks, one :func:`_walk`
     (scoring the bag only when some top-K is below its size) and
-    :func:`pool_rows`.
+    :func:`pool_rows`. Each walk widens into scratch of its own, so a call
+    keeps nothing but its rows and shares no buffer with another thread.
 
     Raises:
         DimensionMismatch: the request's class vector is not as long as a
@@ -702,7 +700,7 @@ def _new_buffer(nbytes: int) -> np.ndarray:
     return np.empty(nbytes, np.uint8)
 
 
-def _read_file(path: str, buffer: Callable[[int], np.ndarray]) -> np.ndarray:
+def _read_file(path: str, buffer: _Buffer) -> np.ndarray:
     """The read-only float32 (N, D) payload of the embedding file at `path`,
     read with ``readinto`` into the first bytes of ``buffer(nbytes)``.
 
@@ -986,23 +984,23 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
 
 def _checked_walk(
     values: np.ndarray, path: str, record: SlideRecord, renormalize: bool,
-    vector: np.ndarray | None, mean: bool,
+    vector: np.ndarray | None, mean: bool, blocks: _Buffer | None = None,
 ) -> tuple[np.ndarray, _Walk]:
     """The payload `values` of `record`, read from `path`, and its one walk
-    (:func:`_walk` with `vector` and `mean`), after every load check: the
-    walk's finite check (NonFiniteValue names `path`), the patch count, and
-    the unit norm of every row, or, with `renormalize`, the construction
-    check of a :class:`PatchMatrix` before the count and the walk of the
-    re-normalized rows, which are returned instead, after it."""
+    (:func:`_walk` with `vector`, `mean` and `blocks`), after every load
+    check: the walk's finite check (NonFiniteValue names `path`), the patch
+    count, and the unit norm of every row, or, with `renormalize`, the
+    construction check of a :class:`PatchMatrix` before the count and the
+    walk of the re-normalized rows, which are returned instead, after it."""
     try:
-        checked = PatchMatrix(values) if renormalize else _walk(values, vector, mean)
+        checked = PatchMatrix(values) if renormalize else _walk(values, vector, mean, blocks)
     except NonFiniteValue as exc:
         raise NonFiniteValue(exc.row, path) from None
     if values.shape[0] != record.num_patches:
         raise PatchCountMismatch(record.slide_id, record.num_patches, values.shape[0])
     if renormalize:
         values = normalize(checked).values
-        return values, _walk(values, vector, mean)
+        return values, _walk(values, vector, mean, blocks)
     row = off_unit_row(checked.norms, LOAD_NORM_ATOL)
     if row is not None:
         raise UnnormalizedRow(record.slide_id, row, float(checked.norms[row]))
@@ -1011,20 +1009,21 @@ def _checked_walk(
 
 def _pool_slide(
     path: str, record: SlideRecord, request: PoolRequest,
-    buffer: Callable[[int], np.ndarray], renormalize: bool,
+    payloads: _Buffer, blocks: _Buffer, renormalize: bool,
 ) -> np.ndarray:
     """The one per-slide step of a stream: read the bag of `record` from
-    `path` into `buffer`, walk it once with every load check, and return
-    only the rows `request` asks of it (:func:`pool_rows`)."""
-    values = _read_file(path, buffer)
+    `path` into `payloads`, walk it once with every load check, and return
+    only the rows `request` asks of it (:func:`pool_rows`), widening in
+    `blocks`."""
+    values = _read_file(path, payloads)
     vector, mean = request.walk_needs(*values.shape)
-    values, walked = _checked_walk(values, path, record, renormalize, vector, mean)
-    return pool_rows(values, request, walked, record.slide_id)
+    values, walked = _checked_walk(values, path, record, renormalize, vector, mean, blocks)
+    return pool_rows(values, request, walked, record.slide_id, blocks)
 
 
-def _grow_only() -> Callable[[int], np.ndarray]:
-    """A `buffer` for :func:`_read_file` that keeps one byte buffer and
-    replaces it, freeing it first, only when a payload does not fit."""
+def _grow_only() -> _Buffer:
+    """A `buffer` for :func:`_read_file` or :func:`float64_blocks` that keeps
+    one byte buffer and replaces it, freeing it first, only when too small."""
     held = [np.empty(0, np.uint8)]  # nothing read yet
 
     def buffer(nbytes: int) -> np.ndarray:
@@ -1119,11 +1118,11 @@ class _Worker:
     slides (slides ``RUN`` to ``2 * RUN - 1``, ``3 * RUN`` to
     ``4 * RUN - 1``, ...) with the stream's own `pool` (:func:`_work`).
 
-    It inherits the stream's state at the fork: its payload and block
-    buffers are copies of the stream's, written copy-on-write, so the two
-    processes never share a buffer. Its stdout and stderr are the null
-    device, and it leaves by ``os._exit``, so it never runs its parent's
-    cleanup or flushes its parent's output.
+    It inherits the stream's state at the fork, the stream's two buffers
+    included, and writes its copies of them copy-on-write, so the two
+    processes never share a buffer and the fork needs no lock. Its stdout
+    and stderr are the null device, and it leaves by ``os._exit``, so it
+    never runs its parent's cleanup or flushes its parent's output.
     """
 
     def __init__(self, pool: Callable, slides: Sequence[SlideRecord]):
@@ -1131,8 +1130,7 @@ class _Worker:
         data_r, data_w = os.pipe()
         credit_r, credit_w = os.pipe()
         try:
-            with _spare_lock:  # so that no other thread holds it in the worker
-                pid = os.fork()
+            pid = os.fork()
         except OSError:
             for fd in (data_r, data_w, credit_r, credit_w):
                 os.close(fd)
@@ -1197,9 +1195,10 @@ def iter_pooled(
     slide is read and walked once, with the checks of :func:`iter_bags`
     (re-normalized first with `renormalize`), and no array of it outlives
     its step: every payload is read into one byte buffer that grows only
-    when a payload does not fit, and every walk into the block buffer of
-    :func:`float64_blocks`, so the stream holds about one bag, whatever the
-    corpus size. Nothing is read until the first slide is asked for.
+    when a payload does not fit, and every walk widens into a second such
+    buffer (:func:`float64_blocks`), so the stream holds about one bag,
+    whatever the corpus size. Nothing is read until the first slide is
+    asked for.
 
     A large corpus is pooled in two processes. After the first slide, when
     the manifest's declared patch counts times that slide's dimension
@@ -1211,19 +1210,19 @@ def iter_pooled(
     pipe, at most one run ahead of the stream; this process pools the
     other runs and yields every slide in manifest order, so the rows are
     the bytes of the serial loop. `request` runs in the worker for the
-    worker's slides, so it must be a pure function of
-    ``(slide_id, label)`` that takes no lock another thread may hold. A slide that fails in the worker ends the
-    worker's run there: this process pools it and every later slide
-    itself, so its error surfaces here, after the same slides, as in one
-    process. A fork that fails leaves the stream in one process. Closing
+    worker's slides, so it must be a pure function of ``(slide_id, label)``
+    that takes no lock another thread may hold. A slide that fails in the
+    worker ends the worker's run there: this process pools it and every
+    later slide itself, so its error surfaces here, after the same slides,
+    as in one process. A fork that fails leaves the stream in one process. Closing
     the stream, or dropping it when its consumer raises, kills and reaps
     the worker. The stream forks only when both the affinity mask and the
     cgroup CPU quota give this process two CPUs (:func:`_splits`).
 
-    When the stream ends, is closed or fails, it frees the block buffer
-    that its walks left for the next walk, so a command holds nothing of
-    the stream while it scores; a walk after it, such as
-    :func:`pool_bag`'s, makes a new one.
+    Both buffers are the stream's own and go with it: when the stream ends,
+    is closed, or fails and its error is dropped, so a command holds
+    nothing of the stream while it scores. Streams in several threads
+    share no buffer.
 
     Raises:
         what :func:`iter_bags` raises, and DimensionMismatch naming the
@@ -1232,13 +1231,13 @@ def iter_pooled(
     """
     base = str(Path(path).parent)
     labels = {name: label for label, name in enumerate(manifest.classes)}
-    buffer = _grow_only()
+    payloads, blocks = _grow_only(), _grow_only()
 
     def pool(rec: SlideRecord) -> tuple[str, int, np.ndarray]:
         label = labels[rec.class_name]
         wanted = request(rec.slide_id, label)
         where = os.path.join(base, rec.path)
-        return rec.slide_id, label, _pool_slide(where, rec, wanted, buffer, renormalize)
+        return rec.slide_id, label, _pool_slide(where, rec, wanted, payloads, blocks, renormalize)
 
     slides = manifest.slides
     if not slides:
@@ -1265,8 +1264,6 @@ def iter_pooled(
                 yield pool(slides[i])
                 i += 1
     finally:
-        with _spare_lock:  # the walks' block buffer, kept only for a next walk
-            _spare.clear()
         if worker is not None:
             worker.stop()
 

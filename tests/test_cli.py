@@ -1,3 +1,4 @@
+import csv
 import json
 import sys
 import tempfile
@@ -765,10 +766,10 @@ class TestOneWalkPerBag:
             walked.append(values[0].tobytes())  # a slide's first row names it
             return walk(values, *args, **kwargs)
 
-        def counted_blocks(values, rows=None):
+        def counted_blocks(values, rows=None, buffer=None):
             if rows is None:
                 widened.append(values.shape)
-            return blocks(values, rows)
+            return blocks(values, rows, buffer)
 
         monkeypatch.setattr(embedstore, "_walk", counted_walk)
         monkeypatch.setattr(embedstore, "float64_blocks", counted_blocks)
@@ -980,3 +981,105 @@ class TestReportCommand:
         ) == 0
         names = {line.split(",")[0] for line in curves.read_text().splitlines()[1:]}
         assert names == {"report.json", "second.json"}
+
+
+class TestCsvQuoting:
+    """A slide id, class name or report name that holds a comma, a quote or
+    a line break is quoted in every CSV a command writes, so csv.reader
+    reads it back exactly; other fields are written bare."""
+
+    IDS = ('a,b "c"\nd', "plain", "cr\rlf", '"quoted"')
+    CLASSES = ("x,y", 'q"r', "line\nbreak")
+
+    def test_names_read_back_exactly(self, dataset, tmp_path):
+        rng = np.random.default_rng(61)
+        records, bags = [], []
+        for i, slide_id in enumerate(self.IDS * 3):
+            slide_id = f"{slide_id}{i}"
+            name = self.CLASSES[i % 3]
+            records.append(embedstore.SlideRecord(slide_id, name, f"s{i}.pse", 5))
+            bags.append(embedstore.SlideBag(slide_id, embedstore.PatchMatrix(
+                random_unit_rows(rng, 5, 8)), i % 3))
+        data = tmp_path / "odd"
+        embedstore.write_dataset(self.CLASSES, zip(records, bags), data)
+        weights = random_unit_rows(rng, 3, 8).reshape(1, 3, 8)
+        embedstore.write_text_classifier(
+            embedstore.TextClassifier(self.CLASSES, weights), data / "classifier.pse"
+        )
+        proto = tmp_path / "proto.pse"
+        assert run("build-prototypes", "--dataset", str(data), "--top-k", "2",
+                   "--out", str(proto)) == 0
+        for argv in (("predict", "--prototypes", str(proto)), ("zero-shot",)):
+            out = tmp_path / f"{argv[0]}.csv"
+            assert run(*argv, "--dataset", str(data), "--out", str(out)) == 0
+            with out.open(newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["slide_id", "predicted_class", "score_0", "score_1", "score_2"]
+            assert [row[0] for row in rows[1:]] == [rec.slide_id for rec in records]
+            for row in rows[1:]:
+                scores = [float(value) for value in row[2:]]
+                assert len(scores) == 3 and row[1] == self.CLASSES[int(np.argmax(scores))]
+        lines = (tmp_path / "zero-shot.csv").read_text(encoding="utf-8").split("\n")
+        assert sum(line.startswith(("plain1,", "plain5,", "plain9,")) for line in lines) == 3
+
+        report = tmp_path / "report.json"
+        assert run("evaluate", "--dataset", str(dataset), "--out", str(report), "--folds", "3",
+                   "--k-grid", "2", "--topk-grid", "4", "--seeds", "11") == 0
+        odd = tmp_path / 'r,"1".json'
+        odd.write_bytes(report.read_bytes())
+        curves = tmp_path / "curves.csv"
+        assert run("report", "--reports", str(odd), "--csv-out", str(curves)) == 0
+        with curves.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["report", "method", "k", "top_k", "mean", "std"]
+        assert len(rows) > 1 and {row[0] for row in rows[1:]} == {odd.name}
+        assert all(len(row) == 6 for row in rows)
+
+
+class TestOutputPaths:
+    """An output path whose directory does not exist, or that is a
+    directory, fails a command before any slide is read or anything is
+    written, naming the path."""
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    @pytest.mark.parametrize(
+        "command", ["evaluate", "build-prototypes", "predict", "zero-shot", "report"]
+    )
+    def test_unwritable_output_fails_first(
+        self, dataset, tmp_path, monkeypatch, capsys, command, where
+    ):
+        proto = tmp_path / "proto.pse"
+        assert run("build-prototypes", "--dataset", str(dataset), "--out", str(proto)) == 0
+        report = tmp_path / "report.json"
+        assert run("evaluate", "--dataset", str(dataset), "--out", str(report), "--folds", "3",
+                   "--k-grid", "2", "--topk-grid", "4", "--seeds", "11") == 0
+        if where == "directory":
+            out = tmp_path / "taken"
+            out.mkdir()
+            reason = "it is a directory"
+        else:
+            out = tmp_path / "nodir" / "out"
+            reason = f"no directory {tmp_path / 'nodir'}"
+        corpus = ("--dataset", str(dataset))
+        argv = {
+            "evaluate": ("evaluate", *corpus, "--out", str(out)),
+            "build-prototypes": ("build-prototypes", *corpus, "--out", str(out)),
+            "predict": ("predict", *corpus, "--prototypes", str(proto), "--out", str(out)),
+            "zero-shot": ("zero-shot", *corpus, "--out", str(out)),
+            "report": ("report", "--reports", str(report), "--csv-out", str(out)),
+        }[command]
+        opened = []
+        read = embedstore._read_file
+
+        def counted_read(path, buffer):
+            opened.append(path)
+            return read(path, buffer)
+
+        monkeypatch.setattr(embedstore, "_read_file", counted_read)
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: {reason}\n"
+        assert captured.out == "" and opened == []
+        assert sorted(tmp_path.rglob("*")) == before

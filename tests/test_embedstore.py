@@ -4,12 +4,14 @@ import math
 import os
 import signal
 import struct
+import sys
 import tempfile
 import threading
 import time
 import tracemalloc
 import warnings
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -1101,12 +1103,6 @@ class TestOneWalk:
                 pool()
             assert (err.value.expected, err.value.actual, err.value.slide_id) == (4, 6, "s0")
 
-    def test_walks_share_one_block_buffer(self):
-        values = random_unit_rows(np.random.default_rng(47), 9, 5)
-        first = [block for _, block in float64_blocks(values)][0]
-        second = [block for _, block in float64_blocks(values, np.arange(3))][0]
-        assert np.shares_memory(first, second)
-
 
 class TestIterBags:
     def test_load_manifest_is_the_stream(self, tmp_path):
@@ -1165,43 +1161,98 @@ class TestIterBags:
         assert len(rows) == len(seen) == 12 and len(addresses) == 1
 
     def test_stream_frees_the_block_buffer(self, tmp_path):
-        """A pooled stream frees the walks' block buffer once it is exhausted,
-        closed after its first or third slide, or failed at its fourth; walks
-        of bags held in memory still keep it for the next walk, and pool to
-        their reference bytes after any stream."""
-        manifest, bags = _equal_bags(tmp_path, np.random.default_rng(30), count=6)
+        """A pooled stream holds its walks' block buffer between its slides
+        and frees it with itself, once it is exhausted, closed after its
+        first or third slide, or failed at its fourth; pool_bag keeps
+        nothing after its call and gives its reference bytes after any
+        stream."""
+        rows, dim = 40, 64
+        manifest, bags = _equal_bags(tmp_path, np.random.default_rng(30), 6, rows, dim)
         path = tmp_path / "manifest.jsonl"
+        block = 8 * (rows + 1) * dim  # a walk's widened rows and its spare row
+        references = [bag.patches.values.astype(np.float64).mean(axis=0) for bag in bags]
 
-        def kept() -> int:
-            with embedstore._spare_lock:
-                return len(embedstore._spare)
+        def numpy_traces() -> list[int]:
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            )
+            return [trace.size for trace in snapshot.traces]
+
+        def held() -> int:
+            return numpy_traces().count(block)
 
         def pools_in_memory():
-            for bag in bags:
-                reference = bag.patches.values.astype(np.float64).mean(axis=0)
-                assert pool_bag(bag, MEAN)[-1].tobytes() == reference.tobytes()
-            assert kept() == 1
+            for bag, reference in zip(bags, references):
+                before = sum(numpy_traces())
+                pooled = pool_bag(bag, MEAN)
+                assert sum(numpy_traces()) - before == pooled.nbytes
+                assert pooled[-1].tobytes() == reference.tobytes()
+                del pooled
 
         def stream():
             return iter_pooled(manifest, path, lambda sid, label: MEAN)
 
-        pools_in_memory()
-        assert len(list(stream())) == 6 and kept() == 0
-        pools_in_memory()
-        for taken in (1, 3):
-            open_stream = stream()
-            assert [next(open_stream)[0] for _ in range(taken)][-1] == f"s{taken - 1}"
-            assert kept() == 1  # held between the stream's walks
-            open_stream.close()
-            assert kept() == 0
+        tracemalloc.start()
+        try:
             pools_in_memory()
-        (tmp_path / "s3.pse").unlink()
-        failing = stream()
-        assert [next(failing)[0] for _ in range(3)] == ["s0", "s1", "s2"]
-        with pytest.raises(MissingFile):
-            next(failing)
-        assert kept() == 0
-        pools_in_memory()
+            assert held() == 0
+            assert len(list(stream())) == 6 and held() == 0
+            for taken in (1, 3):
+                open_stream = stream()
+                assert [next(open_stream)[0] for _ in range(taken)][-1] == f"s{taken - 1}"
+                assert held() == 1  # held between the stream's walks
+                open_stream.close()
+                assert held() == 0
+                pools_in_memory()
+            (tmp_path / "s3.pse").unlink()
+            failing = stream()
+            assert [next(failing)[0] for _ in range(3)] == ["s0", "s1", "s2"]
+            try:
+                next(failing)
+            except MissingFile:
+                pass
+            else:
+                pytest.fail("the stream read a missing file")
+            assert held() == 0
+            pools_in_memory()
+        finally:
+            tracemalloc.stop()
+
+    def test_threads_share_no_buffer(self, tmp_path):
+        """Two streams and two loops of pool_bag, each in its own thread and
+        switched as often as the interpreter can, give the bytes they give
+        in one thread."""
+        rng = np.random.default_rng(31)
+        manifest, bags = _equal_bags(tmp_path, rng, 12, 30, 48)
+        path = tmp_path / "manifest.jsonl"
+        vector = random_unit_rows(rng, 1, 48)[0].astype(np.float64)
+        requests = [PoolRequest((3, 10), vector), MEAN]
+
+        def streamed(request):
+            return _pooled_bytes(iter_pooled(manifest, path, lambda sid, label: request))
+
+        def in_memory(request):
+            return [pool_bag(bag, request).tobytes() for bag in bags]
+
+        jobs = [partial(read, request) for read in (streamed, in_memory) for request in requests]
+        alone = [job() for job in jobs]
+        results = [None] * len(jobs)
+
+        def run(i):
+            results[i] = [jobs[i]() for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[expected] * 5 for expected in alone]
 
     def test_lazy(self, tmp_path):
         rng = np.random.default_rng(27)
@@ -1398,49 +1449,6 @@ class TestSplitStream:
             assert next(stream)[0] == "s0" and next(stream)[0] == "s1"
             del stream
             assert len(pids) == 3 and no_child_left()
-
-    def test_a_thread_holding_the_block_lock_does_not_stall_the_worker(self, tmp_path):
-        """A thread that takes float64_blocks' lock just as the stream forks
-        leaves it free in the worker: the stream forks while it holds the
-        lock itself, so the worker pools its runs."""
-        manifest, _ = _equal_bags(tmp_path, np.random.default_rng(51), count=40)
-        path = tmp_path / "manifest.jsonl"
-        serial = _pooled_bytes(iter_pooled(manifest, path, lambda sid, label: MEAN))
-        holding, forked = threading.Event(), threading.Event()
-
-        def hold():
-            with embedstore._spare_lock:
-                holding.set()
-                forked.wait(30)
-
-        def timeout(signum, frame):
-            raise TimeoutError("the worker never sent its run")
-
-        holders = []
-        with split_streams() as pids:
-            fork = os.fork
-
-            def fork_beside_a_holder():
-                holders.append(threading.Thread(target=hold))
-                holders[0].start()
-                holding.wait(0.2)  # set only if the lock was free to take
-                pid = fork()
-                if pid:
-                    forked.set()
-                return pid
-
-            os.fork = fork_beside_a_holder
-            before = signal.signal(signal.SIGALRM, timeout)
-            signal.alarm(30)
-            try:
-                split = _pooled_bytes(iter_pooled(manifest, path, lambda sid, label: MEAN))
-            finally:
-                signal.alarm(0)
-                signal.signal(signal.SIGALRM, before)
-        holders[0].join(30)
-        assert not holders[0].is_alive()
-        assert len(pids) == 1 and no_child_left()
-        assert split == serial and len(split[0]) == 40
 
     @staticmethod
     def open_fds():
