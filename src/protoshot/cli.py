@@ -5,10 +5,10 @@ Exit status 0 means every requested output was written; argparse reports
 bad flags with status 2; runtime failures exit 1 with the cause (for grid
 runs, the failing cell) on stderr.
 
-Every command that reads a corpus streams it: each loads its classifier or
-prototypes and checks its options first (evaluate also makes every support
-draw, and that its output paths can be written), then reads and pools one
-slide at a time in the reader
+Every command that reads a corpus streams it: each checks that its output
+path can be written, loads its classifier or prototypes and checks its
+options first (evaluate also makes every support draw), then reads and
+pools one slide at a time in the reader
 (:func:`~protoshot.embedstore.iter_pooled`), which hands over only the
 slide's pooled rows, and writes its output only after the last slide, so a
 failure leaves no partial file. On a corpus that declares at least
@@ -70,11 +70,11 @@ def _check_outputs(*paths: str | None) -> None:
     """Check, before any slide is read, that each output path given can be
     written: its parent is an existing directory and it is not a directory
     itself. An IoFailure names the path."""
-    for path in filter(None, paths):
-        if Path(path).is_dir():
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir():
             raise IoFailure(f"cannot write {path}: it is a directory")
-        if not Path(path).parent.is_dir():
-            raise IoFailure(f"cannot write {path}: no directory {Path(path).parent}")
+        if not path.parent.is_dir():
+            raise IoFailure(f"cannot write {path}: no directory {path.parent}")
 
 
 def _csv_field(text: str) -> str:

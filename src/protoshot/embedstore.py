@@ -1023,13 +1023,15 @@ def _pool_slide(
 
 def _grow_only() -> _Buffer:
     """A `buffer` for :func:`_read_file` or :func:`float64_blocks` that keeps
-    one byte buffer and replaces it, freeing it first, only when too small."""
+    one byte buffer and replaces it, freeing it first, only when too small.
+    Sizes round up to 4 KiB pages: glibc's malloc maps fresh pages only for a
+    request above every mapping freed so far, and heap pages outlive a stream."""
     held = [np.empty(0, np.uint8)]  # nothing read yet
 
     def buffer(nbytes: int) -> np.ndarray:
         if held[0].nbytes < nbytes:
             held[0] = None
-            held[0] = _new_buffer(nbytes)
+            held[0] = _new_buffer(-(-nbytes // 4096) * 4096)
         return held[0]
 
     return buffer

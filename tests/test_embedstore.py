@@ -1178,8 +1178,8 @@ class TestIterBags:
             )
             return [trace.size for trace in snapshot.traces]
 
-        def held() -> int:
-            return numpy_traces().count(block)
+        def held() -> int:  # the payload buffer is smaller
+            return sum(size >= block for size in numpy_traces())
 
         def pools_in_memory():
             for bag, reference in zip(bags, references):
