@@ -35,19 +35,20 @@ full-bag mean, or both, from one walk of the bag (:func:`_walk`), which
 yields the row norms and only the mean and the scores that the pools read.
 :func:`iter_pooled` streams a corpus through it: each slide is read into
 the stream's grow-only payload buffer, walked once (the norms serve both
-the unit-norm check and the finite check), checked, and pooled, and only its
-rows leave the reader. A stream so keeps two grow-only buffers, one for
+the unit-norm check and the finite check), checked, and pooled, and only
+its rows leave the reader. A stream so keeps two grow-only buffers, one for
 payloads and one for its walks' float64 blocks, whatever the corpus size;
-both are its own, and go when the stream does. A stream whose
-manifest declares at least :data:`SPLIT_BYTES` of float32 payload, on a
-host that gives this process two CPUs and can fork, is pooled in two
-processes: after the first slide it forks one worker, which pools slides
-16-31, 48-63, ... (every other run of :data:`RUN`) with the same per-slide
-step, in its copies of the stream's buffers, and pipes each run back as
-one pickle. So the slide's request function runs in the worker for those
-slides and must be a pure function of the slide id and label. The stream yields every slide in
-manifest order; a slide that fails in the worker is pooled again by the
-stream, which raises its error after the same slides as one process would.
+both are its own, and go when the stream does. A stream whose manifest
+declares at least :data:`SPLIT_BYTES` of float32 payload, on a host that
+gives this process two CPUs and can fork, is pooled in two processes:
+after the first slide it forks one worker, which pools slides 16-31,
+48-63, ... (every other run of :data:`RUN`) with the same per-slide step,
+in its copies of the stream's buffers, and pipes each run back as one
+pickle. So the slide's request function runs in the worker for those
+slides and must be a pure function of the slide id and label. The stream
+yields every slide in manifest order; a slide that fails in the worker is
+pooled again by the stream, which raises its error after the same slides
+as one process would.
 :func:`pool_bag` runs the same walk and pooling on a bag held in memory,
 once per call, in scratch of its own.
 :func:`iter_bags` yields whole bags instead, each read into a buffer of its
@@ -1012,9 +1013,8 @@ def _pool_slide(
     payloads: _Buffer, blocks: _Buffer, renormalize: bool,
 ) -> np.ndarray:
     """The one per-slide step of a stream: read the bag of `record` from
-    `path` into `payloads`, walk it once with every load check, and return
-    only the rows `request` asks of it (:func:`pool_rows`), widening in
-    `blocks`."""
+    `path` into `payloads`, walk it once in `blocks` with every load check,
+    and return only the rows `request` asks of it (:func:`pool_rows`)."""
     values = _read_file(path, payloads)
     vector, mean = request.walk_needs(*values.shape)
     values, walked = _checked_walk(values, path, record, renormalize, vector, mean, blocks)

@@ -1210,7 +1210,7 @@ class TestIterBags:
             try:
                 next(failing)
             except MissingFile:
-                pass
+                pass  # dropped here, with the stream's frames that its traceback holds
             else:
                 pytest.fail("the stream read a missing file")
             assert held() == 0

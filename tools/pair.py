@@ -46,7 +46,7 @@ def parse_seeds(text: str) -> list[int]:
     first, _, last = text.partition("-")
     seeds = list(range(int(first), int(last) + 1))
     if len(seeds) < 2:
-        raise argparse.ArgumentTypeError(f"expected a range A-B of at least two seeds, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a range A-B of two seeds or more, got {text!r}")
     return seeds
 
 
