@@ -136,8 +136,13 @@ def off_unit_row(norms: np.ndarray, atol: float) -> int | None:
     return int(np.flatnonzero(~(off <= atol))[0])
 
 
+def _step(d: int) -> int:
+    """The rows of a block of :func:`float64_blocks` over rows of `d` values."""
+    return max(2, BLOCK_BYTES // (8 * d))
+
+
 def float64_blocks(
-    values: np.ndarray, rows: np.ndarray | None = None, buffer: _Buffer | None = None
+    values: np.ndarray | _Payload, rows: np.ndarray | None = None, buffer: _Buffer | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The float32 matrix `values`, widened to float64 one block at a time.
 
@@ -148,8 +153,10 @@ def float64_blocks(
     `start` on, widened, and ``block[0]`` is a spare row for
     :func:`carried_sum`. Every block is a view of one scratch buffer, valid
     until the next step: ``buffer(nbytes)``, which the caller holds (a
-    stream's :func:`_grow_only`), else an array of the walk's own. Rows are
-    gathered into a float32 part of it, not into a new array.
+    stream's :class:`_GrowOnly`), else an array of the walk's own. Rows are
+    gathered, or read from an open file's :class:`_Payload` in order (with
+    no `rows`), into a float32 part of it after the blocks, not into a new
+    array.
 
     A block holds one row only when the whole walk does: a lone last row
     joins the block before it, since einsum reduces the row of a one-row
@@ -160,25 +167,29 @@ def float64_blocks(
     d = values.shape[1]
     if rows is not None and n and not 0 <= rows.min() <= rows.max() < values.shape[0]:
         raise IndexError(f"rows out of range for {values.shape[0]} rows")
-    step = max(2, BLOCK_BYTES // (8 * d))
+    step = _step(d)
     height = min(n, step + 1)
     wide = (height + 1) * d
-    # a gather of `rows` lands after the blocks, two float32 values per float64
-    size = wide + (0 if rows is None else (height * d + 1) // 2)
+    read = isinstance(values, _Payload)
+    # gathered or read rows land after the blocks, two float32 values per float64
+    size = wide + (0 if rows is None and not read else (max(height, 4) * d + 1) // 2)
     scratch = np.empty(size) if buffer is None else buffer(8 * size)[: 8 * size].view(np.float64)
     blocks = scratch[:wide].reshape(height + 1, d)
-    gathered = None if rows is None else scratch[wide:size].view(np.float32)
+    gathered = scratch[wide:size].view(np.float32)
     start = 0
     while start < n:
         stop = start + step
         if stop >= n - 1:  # the last block, which a lone last row joins
             stop = n
         block = blocks[: stop - start + 1]
-        if rows is None:
+        if rows is None and not read:
             block[1:] = values[start:stop]
         else:
             picked = gathered[: (stop - start) * d].reshape(stop - start, d)
-            np.take(values, rows[start:stop], axis=0, out=picked, mode="clip")
+            if read:
+                _fill(values, picked)
+            else:
+                np.take(values, rows[start:stop], axis=0, out=picked, mode="clip")
             block[1:] = picked
         yield start, block
         start = stop
@@ -312,40 +323,93 @@ def score_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
+def _gathered_mean(widened: np.ndarray, rows: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """The bytes of :func:`subset_mean` for the rows `rows` of a bag whose
+    float64 rows `widened` a walk left behind: as many rows as fit in the
+    flat float64 `spare` (at least two rows long) behind a spare row are
+    gathered at a time, with no second widening, and summed in row order
+    (:func:`carried_sum`)."""
+    d = widened.shape[1]
+    step = spare.size // d - 1
+    total = None
+    for start in range(0, rows.size, step):
+        part = rows[start : start + step]
+        block = spare[: (part.size + 1) * d].reshape(-1, d)
+        np.take(widened, part, axis=0, out=block[1:], mode="clip")
+        total = carried_sum(block, total)
+    return total / rows.size
+
+
+def _subsets(
+    values: np.ndarray | _Payload, top: np.ndarray, slide_id: str | None, buffer: _Buffer | None
+) -> Callable:
+    """The subset mean of :func:`pool_rows` for the bag `values`, whose
+    largest pool below its size takes the rows `top` (ascending), each
+    subset taken from `top`: from `values` held in memory; from the rows
+    of a one-block file payload its walk left widened in `buffer`; or from
+    the rows `top` of a longer payload, read back once and checked as the
+    walk checks them, so a file that changed under the stream fails here
+    naming it."""
+    if not isinstance(values, _Payload):
+        return lambda rows: subset_mean(values, rows, buffer)
+    n, d = values.shape
+    if n <= _step(d) + 1:  # the walk's one block, and the float32 area after it
+        scratch = buffer(0).view(np.float64)
+        widened = scratch[d : (n + 1) * d].reshape(n, d)
+        return lambda rows: _gathered_mean(widened, rows, scratch[(n + 1) * d :])
+    kept = np.empty((top.size, d), np.float32)
+    cuts = (np.flatnonzero(np.diff(top) != 1) + 1).tolist()
+    for start, stop in zip([0, *cuts], [*cuts, top.size]):  # each run of adjacent rows
+        values.file.seek(HEADER_SIZE + 4 * d * int(top[start]))
+        _fill(values, kept[start:stop])
+    try:
+        norms = _walk(kept, mean=False, buffer=buffer).norms
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(int(top[exc.row]), values.path) from None
+    row = off_unit_row(norms, LOAD_NORM_ATOL)
+    if row is not None:
+        raise UnnormalizedRow(slide_id, int(top[row]), float(norms[row]), values.path)
+    return lambda rows: subset_mean(kept, np.searchsorted(top, rows), buffer)
+
+
 def pool_rows(
-    values: np.ndarray, request: PoolRequest, walked: _Walk, slide_id: str | None = None,
-    buffer: _Buffer | None = None,
+    values: np.ndarray | _Payload, request: PoolRequest, walked: _Walk,
+    slide_id: str | None = None, buffer: _Buffer | None = None,
 ) -> np.ndarray:
     """The rows `request` asks of the float32 bag `values`, as one new float64
-    ``(len(top_ks) + mean, D)`` array, from `walked`, the bag's walk with the
-    mean and scores :meth:`PoolRequest.walk_needs` says.
+    ``(len(top_ks) + mean, D)`` array, from `walked`, the bag's walk (in
+    `buffer`) with the mean and scores :meth:`PoolRequest.walk_needs` says.
 
-    The one place a slide is pooled, for a stream (:func:`iter_pooled`) and
-    for a bag in memory (:func:`pool_bag`). A k below the bag size pools the
-    first k rows of :func:`score_order`, taken in row order
-    (:func:`subset_mean`, in `buffer`); a k that covers the bag pools the full-bag mean;
-    ks that clamp to the same count share one pool.
+    The one place a slide is pooled, for a stream (:func:`iter_pooled`),
+    which passes the open file's :class:`_Payload`, and for a bag in memory
+    (:func:`pool_bag`). A k below the bag size pools the first k rows of
+    :func:`score_order`, taken in row order (:func:`_subsets`); a k that
+    covers the bag pools the full-bag mean; ks that clamp to the same count
+    share one pool.
 
     Raises:
         DimensionMismatch: the class vector is not as long as a row; expects
             the vector's length and names `slide_id`.
+        NonFiniteValue, UnnormalizedRow, TruncatedPayload: a payload's rows
+            read back for a top-K fail the walk's checks; name the file.
     """
     n, d = values.shape
     vector = request.vector
     if vector is not None and vector.shape[0] != d:
         raise DimensionMismatch(vector.shape[0], d, slide_id)
     rows = np.empty((len(request.top_ks) + request.mean, d))
-    scores = walked.scores
-    order = None if scores is None else score_order(scores)
+    counts = [min(k, n) for k in request.top_ks]
+    if walked.scores is not None:  # some count is below n
+        order = score_order(walked.scores)
+        top = np.sort(order[: max(count for count in counts if count < n)])
+        subset = _subsets(values, top, slide_id, buffer)
     first: dict[int, int] = {}  # the row of each count's pool
-    for i, k in enumerate(request.top_ks):
-        count = min(k, n)
+    for i, count in enumerate(counts):
         if count in first:
             rows[i] = rows[first[count]]
         else:
             first[count] = i
-            rows[i] = (walked.mean if count == n
-                       else subset_mean(values, np.sort(order[:count]), buffer))
+            rows[i] = walked.mean if count == n else subset(np.sort(order[:count]))
     if request.mean:
         rows[-1] = walked.mean
     return rows
@@ -697,17 +761,22 @@ def write_embeddings_file(matrix: PatchMatrix, path: str | Path) -> int:
         raise IoFailure(f"could not write {path}: {exc}") from exc
 
 
-def _new_buffer(nbytes: int) -> np.ndarray:
-    return np.empty(nbytes, np.uint8)
+class _Payload(NamedTuple):
+    """The (N, D) float32 payload of the embedding file `path`, open as
+    `file`, read a block of rows at a time (:func:`float64_blocks`)."""
+
+    file: BinaryIO
+    path: str
+    shape: tuple[int, int]
 
 
-def _read_file(path: str, buffer: _Buffer) -> np.ndarray:
-    """The read-only float32 (N, D) payload of the embedding file at `path`,
-    read with ``readinto`` into the first bytes of ``buffer(nbytes)``.
+def _open_payload(path: str) -> _Payload:
+    """The payload of the embedding file at `path`, open and positioned at
+    its first byte; the caller closes its file.
 
     The size the header declares is checked against the file's size before
-    `buffer` is asked for, so a hostile header allocates nothing. Raises
-    what :func:`read_embeddings_file` raises, except NonFiniteValue.
+    anything is read, so a hostile header allocates nothing. Raises what
+    :func:`read_embeddings_file` raises, except NonFiniteValue.
     """
     try:
         fh = open(path, "rb", buffering=0)
@@ -716,7 +785,7 @@ def _read_file(path: str, buffer: _Buffer) -> np.ndarray:
         if not os.path.isfile(path):
             raise MissingFile(path) from None
         raise
-    with fh:
+    try:
         n, d = _parse_header(fh.read(HEADER_SIZE), path)
         expected = 4 * n * d
         available = os.fstat(fh.fileno()).st_size - HEADER_SIZE
@@ -724,16 +793,42 @@ def _read_file(path: str, buffer: _Buffer) -> np.ndarray:
             raise TruncatedPayload(expected, available, path)
         if available > expected:
             raise TrailingBytes(expected, available - expected, path)
-        payload = buffer(expected)[:expected]
-        filled = fh.readinto(payload)
-        while filled < expected:
-            got = fh.readinto(payload[filled:])
-            if not got:
-                raise TruncatedPayload(expected, filled, path)
-            filled += got
-    values = payload.view("<f4").reshape(n, d)
+    except BaseException:
+        fh.close()
+        raise
+    return _Payload(fh, path, (n, d))
+
+
+def _fill(payload: _Payload, out: np.ndarray) -> None:
+    """Read the C-ordered array `out` from the next bytes of `payload`'s file.
+
+    Raises:
+        TruncatedPayload: the file ends first, as when it shrank once open.
+    """
+    raw = out.reshape(-1).view(np.uint8)
+    filled = 0
+    while filled < raw.size:
+        got = payload.file.readinto(raw[filled:])
+        if not got:
+            at = payload.file.tell() - HEADER_SIZE
+            raise TruncatedPayload(4 * math.prod(payload.shape), at, payload.path)
+        filled += got
+
+
+def _whole(payload: _Payload) -> np.ndarray:
+    """All of `payload`, read into a read-only float32 array of its own."""
+    values = np.empty(payload.shape, "<f4")
+    _fill(payload, values)
     values.setflags(write=False)
     return values
+
+
+def _read_file(path: str) -> np.ndarray:
+    """The payload of the embedding file at `path`, read whole after the
+    checks of :func:`_open_payload`."""
+    payload = _open_payload(path)
+    with payload.file:
+        return _whole(payload)
 
 
 def read_embeddings_file(path: str | Path) -> PatchMatrix:
@@ -748,7 +843,7 @@ def read_embeddings_file(path: str | Path) -> PatchMatrix:
         TrailingBytes: the file is longer than its header declares.
     """
     where = str(Path(path))
-    return _checked(_read_file(where, _new_buffer), where)
+    return _checked(_read_file(where), where)
 
 
 # --- typed JSON objects --------------------------------------------------------
@@ -1009,32 +1104,33 @@ def _checked_walk(
 
 
 def _pool_slide(
-    path: str, record: SlideRecord, request: PoolRequest,
-    payloads: _Buffer, blocks: _Buffer, renormalize: bool,
+    path: str, record: SlideRecord, request: PoolRequest, blocks: _Buffer, renormalize: bool
 ) -> np.ndarray:
-    """The one per-slide step of a stream: read the bag of `record` from
-    `path` into `payloads`, walk it once in `blocks` with every load check,
-    and return only the rows `request` asks of it (:func:`pool_rows`)."""
-    values = _read_file(path, payloads)
-    vector, mean = request.walk_needs(*values.shape)
-    values, walked = _checked_walk(values, path, record, renormalize, vector, mean, blocks)
-    return pool_rows(values, request, walked, record.slide_id, blocks)
+    """The one per-slide step of a stream: walk the bag of `record`, read
+    from `path` a block at a time into `blocks`, once with every load check,
+    and return only the rows `request` asks of it (:func:`pool_rows`). With
+    `renormalize` the bag is read whole, to be re-normalized first."""
+    payload = _open_payload(path)
+    with payload.file:
+        values = _whole(payload) if renormalize else payload
+        vector, mean = request.walk_needs(*payload.shape)
+        values, walked = _checked_walk(values, path, record, renormalize, vector, mean, blocks)
+        return pool_rows(values, request, walked, record.slide_id, blocks)
 
 
-def _grow_only() -> _Buffer:
-    """A `buffer` for :func:`_read_file` or :func:`float64_blocks` that keeps
-    one byte buffer and replaces it, freeing it first, only when too small.
-    Sizes round up to 4 KiB pages: glibc's malloc maps fresh pages only for a
-    request above every mapping freed so far, and heap pages outlive a stream."""
-    held = [np.empty(0, np.uint8)]  # nothing read yet
+class _GrowOnly:
+    """A stream's `buffer` for :func:`float64_blocks`: one byte buffer,
+    `held`, replaced, and freed first, only when too small. Sizes round up
+    to 4 KiB pages: glibc's malloc maps fresh pages only for a request above
+    every mapping freed so far, and heap pages outlive a stream."""
 
-    def buffer(nbytes: int) -> np.ndarray:
-        if held[0].nbytes < nbytes:
-            held[0] = None
-            held[0] = _new_buffer(-(-nbytes // 4096) * 4096)
-        return held[0]
+    held = np.empty(0, np.uint8)  # nothing read yet
 
-    return buffer
+    def __call__(self, nbytes: int) -> np.ndarray:
+        if self.held.nbytes < nbytes:
+            self.held = None
+            self.held = np.empty(-(-nbytes // 4096) * 4096, np.uint8)
+        return self.held
 
 
 def _quota_cpus(root: str | Path = "/") -> float:
@@ -1194,13 +1290,16 @@ def iter_pooled(
 
     ``request(slide_id, label)`` says what each slide is pooled into, and
     `rows` holds those rows (:class:`PoolRequest`, :func:`pool_rows`). A
-    slide is read and walked once, with the checks of :func:`iter_bags`
-    (re-normalized first with `renormalize`), and no array of it outlives
-    its step: every payload is read into one byte buffer that grows only
-    when a payload does not fit, and every walk widens into a second such
-    buffer (:func:`float64_blocks`), so the stream holds about one bag,
-    whatever the corpus size. Nothing is read until the first slide is
-    asked for.
+    slide is walked once, with the checks of :func:`iter_bags`
+    (re-normalized first with `renormalize`, which reads it whole), and no
+    array of it outlives its step: each bag is read a block of rows at a
+    time into the float32 part of the stream's one block buffer and widened
+    there (:func:`float64_blocks`), and a top-K below the bag size gathers
+    its rows from the one block the walk left widened, or reads the largest
+    K's rows back once. So the stream holds about two blocks, plus ``n x
+    16`` bytes of norms and scores and the largest K's rows of a bag of
+    ``n`` rows, whatever the bag and corpus size. Nothing is read until the
+    first slide is asked for.
 
     A large corpus is pooled in two processes. After the first slide, when
     the manifest's declared patch counts times that slide's dimension
@@ -1208,7 +1307,7 @@ def iter_pooled(
     shows at least two CPUs and ``os.fork`` exists, the stream forks one
     worker. The worker pools every other run of :data:`RUN` slides
     (slides 16-31, 48-63, ...) with the same per-slide step and checks,
-    into buffers of its own, and sends each run as one pickle through a
+    into a buffer of its own, and sends each run as one pickle through a
     pipe, at most one run ahead of the stream; this process pools the
     other runs and yields every slide in manifest order, so the rows are
     the bytes of the serial loop. `request` runs in the worker for the
@@ -1221,25 +1320,26 @@ def iter_pooled(
     the worker. The stream forks only when both the affinity mask and the
     cgroup CPU quota give this process two CPUs (:func:`_splits`).
 
-    Both buffers are the stream's own and go with it: when the stream ends,
-    is closed, or fails and its error is dropped, so a command holds
-    nothing of the stream while it scores. Streams in several threads
-    share no buffer.
+    The block buffer is the stream's own and goes when the stream ends or
+    is closed. A stream that fails empties it, and clears the frames below
+    its own in the error's traceback, so an error that is kept holds no
+    buffer. Streams in several threads share no buffer.
 
     Raises:
         what :func:`iter_bags` raises, and DimensionMismatch naming the
         slide whose rows are not as long as its request's class vector, each
-        when the slide is reached; and what `request` raises.
+        when the slide is reached; what :func:`pool_rows` raises; and what
+        `request` raises.
     """
     base = str(Path(path).parent)
     labels = {name: label for label, name in enumerate(manifest.classes)}
-    payloads, blocks = _grow_only(), _grow_only()
+    blocks = _GrowOnly()
 
     def pool(rec: SlideRecord) -> tuple[str, int, np.ndarray]:
         label = labels[rec.class_name]
         wanted = request(rec.slide_id, label)
         where = os.path.join(base, rec.path)
-        return rec.slide_id, label, _pool_slide(where, rec, wanted, payloads, blocks, renormalize)
+        return rec.slide_id, label, _pool_slide(where, rec, wanted, blocks, renormalize)
 
     slides = manifest.slides
     if not slides:
@@ -1265,7 +1365,19 @@ def iter_pooled(
             else:
                 yield pool(slides[i])
                 i += 1
+    except Exception as exc:
+        # the frames below this one, in the error's traceback and in that of any error
+        # it was raised from, hold views of the block buffer
+        error, below = exc, exc.__traceback__.tb_next
+        while error is not None:
+            while below is not None:
+                below.tb_frame.clear()
+                below = below.tb_next
+            error = error.__context__
+            below = error and error.__traceback__
+        raise
     finally:
+        blocks.held = _GrowOnly.held
         if worker is not None:
             worker.stop()
 
@@ -1308,7 +1420,7 @@ def iter_bags(
     for rec in manifest.slides:
         where = os.path.join(base, rec.path)
         values, _ = _checked_walk(
-            _read_file(where, _new_buffer), where, rec, renormalize, None, False
+            _read_file(where), where, rec, renormalize, None, False
         )
         yield SlideBag(rec.slide_id, PatchMatrix(values), manifest.class_index(rec.class_name))
 

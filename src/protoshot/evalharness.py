@@ -48,7 +48,6 @@ from .embedstore import (
     pool_bag,
     row_norms,
     typed_object,
-    unit_rows,
 )
 from .errors import (
     ClassAbsent,
@@ -61,6 +60,7 @@ from .errors import (
     ReportError,
     SingleCluster,
     TooFewPoints,
+    ZeroVectorRow,
 )
 from .simsel import pooled
 
@@ -639,7 +639,7 @@ def _fold_scores(
     queries: np.ndarray,
     rows: np.ndarray,
     keys: np.ndarray,
-    values: Sequence[np.ndarray],
+    cells: Sequence[list[int]],
     norms: np.ndarray | None,
     canonical: np.ndarray | None,
     config: GridConfig,
@@ -647,25 +647,25 @@ def _fold_scores(
     """The ``n x R x C`` scores of one fold's records, from the parts its cells
     built: first the ``(sets, C, d)`` array `rows` (the classifier's
     prompts for mizero, then every cell's prototype rows), scored by one
-    row_scores call; then, if `values` is not empty, each cell's Tip-Adapter
+    row_scores call; then, if `cells` is not empty, each cell's Tip-Adapter
     scores. For those the `queries` are divided in place by their `norms`,
     so they are unit rows once the raw scores are taken; one
-    cache_affinity call scores them on the stacked unit `keys` of every
-    cell, and each cell's `values` product on a C-ordered copy of its
-    block is added to their `canonical` text scores. Each block holds the
-    bytes of its cell scored alone (see
+    cache_affinity call scores them on the unit `keys` that the fold's
+    cells draw, each once, and each cell's one-hot values product on its
+    columns of that, taken C-ordered, is added to their `canonical` text
+    scores. Each block holds the bytes of its cell scored alone (see
     :func:`~protoshot.adapters.row_scores`)."""
     n, dim = queries.shape
     num_classes = rows.shape[-2]
     scores = [row_scores(queries, rows.reshape(-1, dim)).reshape(n, -1, num_classes)]
-    if values:
+    if cells:
         unit = np.divide(queries, norms[:, None], out=queries)  # unit_rows' bytes, in place
         text = row_scores(unit, canonical)
-        affinity = cache_affinity(unit, keys, config.tip_beta)
-        end = 0
-        for value in values:
-            start, end = end, end + len(value)
-            cell = np.ascontiguousarray(affinity[:, start:end])
+        drawn = np.flatnonzero(np.bincount(np.concatenate(cells)))  # np.unique imports numpy.ma
+        affinity = cache_affinity(unit, keys[drawn], config.tip_beta)
+        for columns in cells:
+            cell = affinity.take(np.searchsorted(drawn, columns), axis=1)
+            value = np.eye(num_classes).repeat(len(columns) // num_classes, axis=0)  # class-major
             scores.append(cache_blend(cell, value, config.tip_alpha, text)[:, None])
     return np.concatenate(scores, axis=1)
 
@@ -814,46 +814,49 @@ def run_grid(
     prompts = classifier.num_prompts if "mizero" in config.methods else 0
     drawn = [list(map(len, fold.values())) for fold in draws]  # each cell's slides, by fold
     # the fold phase's buffers, each sized by the largest fold and reused by every
-    # fold: the prototype rows, after mizero's prompts; the unit cache keys of
-    # every cell; and the pools of one cell
+    # fold: the prototype rows, after mizero's prompts, and the pools of one cell
     stack = np.empty((prompts + max(map(len, drawn)) * sets, num_classes, dim))
     if prompts:
         stack[:prompts] = classifier.weights
-    keys = np.empty((max(map(sum, drawn)) if tipadapter else 0, dim))
-    gather = np.empty(pools.shape[0] * max((n for fold in drawn for n in fold), default=0) * dim)
+    keys = None
+    if tipadapter:  # one unit cache key per support slide; a zero one is never scored
+        key_norms = row_norms(pools[-1])
+        keys = np.divide(pools[-1], np.maximum(key_norms, MIN_POOLED_NORM)[:, None])
+    gather = np.empty(sets * max((n for fold in drawn for n in fold), default=0) * dim)
     for f in range(config.num_folds):
         queries, truth = table[bounds[f] : bounds[f + 1]], y[bounds[f] : bounds[f + 1]]
         # axes[r] = (method, seed, k, top_k, prompt) of record r, which is column r of
         # the fold's n x R predictions: mizero's prompts, then every cell's prototype
         # sets, then every cell's Tip-Adapter scores
         axes: list[tuple] = [("mizero", None, None, None, p) for p in range(prompts)]
-        values = []
+        cells = []  # each cell's columns of keys
         # every cell fails here or not at all, in fold-major order; _fold_scores then
         # scores the whole fold at once
         norms = None
-        end, stop = prompts, 0  # where the fold's next rows go in stack, and its next keys
+        end = prompts  # where the fold's next rows go in stack
         for (seed, k), columns in draws[f].items():
             with _cell(f"fold={f} seed={seed} k={k}"):
                 # take, not pools[:, columns], so the gather is C-ordered; "clip", as
                 # "raise" buffers `out` and the columns are in range by construction
-                cell = gather[: pools.shape[0] * len(columns) * dim].reshape(-1, len(columns), dim)
-                pools.take(columns, axis=1, out=cell, mode="clip")
+                cell = gather[: sets * len(columns) * dim].reshape(sets, len(columns), dim)
+                pools[:sets].take(columns, axis=1, out=cell, mode="clip")
                 # the draw is class-major, so each plane's k slides per class reshape to (C, k)
-                planes = cell[:sets].reshape(sets, num_classes, k, dim)
+                planes = cell.reshape(sets, num_classes, k, dim)
                 prototype_rows(planes, config.normalize_prototypes, out=stack[end : end + sets])
                 end += sets
                 axes.extend((method, seed, k, kt, None) for method, kt in proto_sets)
                 if tipadapter:
                     # the keys and the queries are checked for a unit direction inside
                     # this cell, so a zero-mean slide fails only in the cells that need it
-                    unit_rows(cell[-1], MIN_POOLED_NORM, out=keys[stop : stop + len(columns)])
-                    stop += len(columns)
-                    values.append(np.eye(num_classes).repeat(k, axis=0))  # one-hot, class-major
+                    small = np.flatnonzero(key_norms[columns] < MIN_POOLED_NORM)
+                    if small.size:
+                        raise ZeroVectorRow(int(small[0]))
+                    cells.append(columns)
                     if norms is None:
                         norms = checked_norms(queries, MIN_POOLED_NORM)
-        if values:
+        if cells:
             axes.extend(("tipadapter", seed, k, None, None) for seed, k in draws[f])
-        scores = _fold_scores(queries, stack[:end], keys[:stop], values, norms, canonical, config)
+        scores = _fold_scores(queries, stack[:end], keys, cells, norms, canonical, config)
         accuracies, recalls = column_balanced_accuracies(scores.argmax(axis=2), truth, num_classes)
         for (method, seed, k, kt, prompt), accuracy, recall in zip(
             axes, accuracies.tolist(), recalls.tolist()

@@ -730,9 +730,10 @@ def random_bags(rng, dim, per_class=2):
 
 
 class TestOneWalkPerBag:
-    """Every command that reads a corpus walks each bag exactly once,
-    re-normalized or not, and widens no whole bag outside that walk except
-    to re-normalize it."""
+    """Every command that reads a corpus walks each bag exactly once, in one
+    block buffer per stream, re-normalized or not, and widens no whole bag
+    outside that walk except to re-normalize it: a top-K pool of a bag read
+    from its file gathers from the block its walk left widened."""
 
     @pytest.fixture
     def noisy(self, tmp_path):
@@ -759,25 +760,36 @@ class TestOneWalkPerBag:
                         "--out", str(tmp_path / "p.csv")),
             "zero-shot": ("zero-shot", *dataset, "--out", str(tmp_path / "z.csv")),
         }[command]
-        walked, widened = [], []
-        walk, blocks = embedstore._walk, embedstore.float64_blocks
+        walked, widened, gathered, holders = [], [], [], []
+        walk, blocks, holder = embedstore._walk, embedstore.float64_blocks, embedstore._GrowOnly
 
         def counted_walk(values, *args, **kwargs):
-            walked.append(values[0].tobytes())  # a slide's first row names it
+            # a bag read from its file is named by its path, a re-normalized one by its first row
+            payload = isinstance(values, embedstore._Payload)
+            walked.append(values.path if payload else values[0].tobytes())
             return walk(values, *args, **kwargs)
 
         def counted_blocks(values, rows=None, buffer=None):
-            if rows is None:
-                widened.append(values.shape)
+            (widened if rows is None else gathered).append(values.shape)
             return blocks(values, rows, buffer)
+
+        class CountedHolder(holder):
+            def __init__(self):
+                holders.append(self)
 
         monkeypatch.setattr(embedstore, "_walk", counted_walk)
         monkeypatch.setattr(embedstore, "float64_blocks", counted_blocks)
         monkeypatch.setattr(simsel, "float64_blocks", counted_blocks)
+        monkeypatch.setattr(embedstore, "_GrowOnly", CountedHolder)
         assert run(*argv, *(["--normalize"] if normalize else [])) == 0
         slides = len(embedstore.parse_manifest(noisy / "manifest.jsonl").slides)
         assert len(walked) == len(set(walked)) == slides
         assert len(widened) == slides * (2 if normalize else 1)
+        assert len(holders) == 1
+        if not normalize:  # every bag is one block: its top-K pools gather no rows again
+            assert gathered == []
+        elif command in ("evaluate", "visionshot"):
+            assert gathered
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
@@ -1069,13 +1081,13 @@ class TestOutputPaths:
             "report": ("report", "--reports", str(report), "--csv-out", str(out)),
         }[command]
         opened = []
-        read = embedstore._read_file
+        open_payload = embedstore._open_payload
 
-        def counted_read(path, buffer):
+        def counted_open(path):
             opened.append(path)
-            return read(path, buffer)
+            return open_payload(path)
 
-        monkeypatch.setattr(embedstore, "_read_file", counted_read)
+        monkeypatch.setattr(embedstore, "_open_payload", counted_open)
         before = sorted(tmp_path.rglob("*"))
         capsys.readouterr()
         assert run(*argv) == 1

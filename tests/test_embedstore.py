@@ -1150,16 +1150,42 @@ class TestIterBags:
         assert [b.patches.values.tobytes() for b in kept] == fresh[::3]
         assert first.patches.values.tobytes() == fresh[0]
 
-    def test_stream_reads_every_payload_into_one_buffer(self, tmp_path, monkeypatch):
-        """A pooled stream reads each payload into its one grow-only buffer:
-        twelve bags of one size share one address."""
+    @pytest.mark.parametrize("block_bytes", [1 << 20, 160])
+    def test_stream_reads_every_bag_into_its_one_block_buffer(
+        self, tmp_path, monkeypatch, block_bytes
+    ):
+        """A pooled stream walks each bag once, read a block of rows at a time
+        from its open file into the stream's one block buffer: twelve bags of
+        one size, in one block each or in several, make one buffer, and a
+        top-K below the bag size widens nothing more for a one-block bag and
+        only the rows it reads back for a longer one."""
         rng = np.random.default_rng(29)
         manifest, _ = _equal_bags(tmp_path, rng, count=12)
+        vector = random_unit_rows(rng, 1, 6)[0].astype(np.float64)
         seen = counting_pass(monkeypatch)
-        rows = list(iter_pooled(manifest, tmp_path / "manifest.jsonl", lambda sid, label: MEAN))
-        addresses = {values.__array_interface__["data"][0] for values in seen}
-        assert len(rows) == len(seen) == 12 and len(addresses) == 1
+        holders, buffers, widened = [], set(), []
+        call, blocks = embedstore._GrowOnly.__call__, embedstore.float64_blocks
 
+        def held(holder, nbytes):
+            holders.append(id(holder))
+            buffers.add(call(holder, nbytes).__array_interface__["data"][0])
+            return holder.held
+
+        def counted(values, rows=None, buffer=None):
+            widened.append(values.shape[0] if rows is None else len(rows))
+            return blocks(values, rows, buffer)
+
+        monkeypatch.setattr(embedstore._GrowOnly, "__call__", held)
+        monkeypatch.setattr(embedstore, "float64_blocks", counted)
+        with small_blocks(block_bytes):
+            rows = list(iter_pooled(manifest, tmp_path / "manifest.jsonl",
+                                    lambda sid, label: PoolRequest((3,), vector)))
+        walks = [values for values in seen if isinstance(values, embedstore._Payload)]
+        assert len(rows) == len(walks) == 12 and len({w.path for w in walks}) == 12
+        assert len(set(holders)) == 1 and len(buffers) == 1
+        # each bag's one walk; then, for a bag of several blocks (160 bytes hold 3
+        # float64 rows of 6), the walk checking the 3 rows read back and their gather
+        assert widened == ([7] * 12 if block_bytes == 1 << 20 else [7, 3, 3] * 12)
     def test_stream_frees_the_block_buffer(self, tmp_path):
         """A pooled stream holds its walks' block buffer between its slides
         and frees it with itself, once it is exhausted, closed after its
@@ -1217,6 +1243,66 @@ class TestIterBags:
             pools_in_memory()
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("failure", ["missing", "nan"])
+    def test_a_kept_error_holds_no_buffer(self, tmp_path, failure):
+        """A stream that fails at its fourth slide, missing or holding NaN,
+        and whose error is kept, holds no numpy allocation of a block's size
+        or more: the stream empties its buffer, and no frame of its
+        traceback keeps a view of it."""
+        rows, dim = 40, 64
+        manifest, bags = _equal_bags(tmp_path, np.random.default_rng(32), 6, rows, dim)
+        if failure == "missing":
+            (tmp_path / "s3.pse").unlink()
+        else:
+            values = bags[3].patches.values.copy()
+            values[30, 5] = np.nan
+            _write_bag(tmp_path, values)
+            os.replace(tmp_path / "bag.pse", tmp_path / "s3.pse")
+        block = 8 * (rows + 1) * dim  # a walk's widened rows and its spare row
+        tracemalloc.start()
+        try:
+            stream = iter_pooled(manifest, tmp_path / "manifest.jsonl", lambda sid, label: MEAN)
+            assert [next(stream)[0] for _ in range(3)] == ["s0", "s1", "s2"]
+            with pytest.raises((MissingFile, NonFiniteValue)) as kept:
+                next(stream)
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            )
+        finally:
+            tracemalloc.stop()
+        assert "s3.pse" in str(kept.value)
+        assert max((trace.size for trace in snapshot.traces), default=0) < block
+
+    def test_memory_does_not_follow_bag_size(self, tmp_path):
+        """A stream of a corpus holding one bag of 64 MiB keeps no allocation
+        of the bag's size alive at any slide, and its traced peak stays below
+        four blocks plus 16 bytes a row, pooling the mean or a top-K."""
+        n, dim = 1 << 16, 256
+        rng = np.random.default_rng(33)
+        records = (SlideRecord("small", "a", "small.pse", 9), SlideRecord("big", "a", "big.pse", n),
+                   SlideRecord("after", "a", "small.pse", 9))
+        write_embeddings_file(PatchMatrix(random_unit_rows(rng, 9, dim)), tmp_path / "small.pse")
+        with (tmp_path / "big.pse").open("wb") as fh:
+            fh.write(struct.pack("<4sIII", MAGIC, n, dim, 0))
+            for _ in range(n // 4096):
+                fh.write(random_unit_rows(rng, 4096, dim).tobytes())
+        manifest = DatasetManifest(("a",), records)
+        write_manifest(manifest, tmp_path / "manifest.jsonl")
+        bag_bytes = 4 * n * dim
+        assert bag_bytes >= 64 << 20
+        vector = random_unit_rows(rng, 1, dim)[0].astype(np.float64)
+        for request in (MEAN, PoolRequest((100, 10), vector)):
+            tracemalloc.start()
+            try:
+                for sid, _, _ in iter_pooled(manifest, tmp_path / "manifest.jsonl",
+                                             lambda sid, label: request):
+                    largest = max(trace.size for trace in tracemalloc.take_snapshot().traces)
+                    assert largest < bag_bytes // 16, sid
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * embedstore.BLOCK_BYTES + 16 * n, peak
 
     def test_threads_share_no_buffer(self, tmp_path):
         """Two streams and two loops of pool_bag, each in its own thread and
@@ -1302,6 +1388,31 @@ class TestPooledReader:
                         chained = bgap(bag.patches, top_k(scores, k))
                         assert row.tobytes() == pools[k].tobytes() == chained.tobytes()
                     assert rows[-1].tobytes() == mean[0].tobytes() == bgap(bag.patches).tobytes()
+
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 9),
+        sizes=st.lists(st.integers(2, 60), min_size=2, max_size=5),
+        block_bytes=st.integers(1, 600),
+    )
+    def test_file_pools_are_pool_bag_pools(self, seed, dim, sizes, block_bytes):
+        """A stream's pools of bags in one block and in several, gathered
+        from the widened block or from rows read back, hold the bytes
+        pool_bag gives for the bag in memory, with tied scores."""
+        rng = np.random.default_rng(seed)
+        vector = random_unit_rows(rng, 1, dim)[0].astype(np.float64)
+        vector[0] = 0.0  # rows that differ only in their first value tie
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_random_corpus(Path(tmp), rng, dim, sizes)
+            with small_blocks(block_bytes):
+                manifest, bags = load_manifest(path)
+                requests = {bag.slide_id: PoolRequest((1, bag.patches.rows // 2, bag.patches.rows - 1,
+                                                       bag.patches.rows), vector) for bag in bags}
+                streamed = list(iter_pooled(manifest, path, lambda sid, label: requests[sid]))
+                for bag, (sid, _, rows) in zip(bags, streamed):
+                    assert rows.tobytes() == pool_bag(bag, requests[sid]).tobytes()
 
 
 @contextmanager

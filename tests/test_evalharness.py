@@ -755,24 +755,75 @@ class TestSupportPools:
             run_grid(manifest, counted(bags, read), narrow, both)
         assert read == [bags[0].slide_id] == [err.value.slide_id]
 
-    def test_cells_pass_c_ordered_pools(self, noisy_dataset, monkeypatch):
+    def test_cells_pass_c_ordered_pools_and_share_one_key_per_slide(
+        self, noisy_dataset, monkeypatch
+    ):
+        """Every cell builds its prototype rows from C-ordered pools, the query
+        norms are checked once per fold, and each support slide's unit cache
+        key is made once: one cache_affinity call per fold scores the fold's
+        queries on the distinct keys its cells draw."""
         manifest, bags, clf = noisy_dataset
-        layouts = Counter()
+        layouts, keys = Counter(), []
 
         def checking(name):
             fn = getattr(evalharness, name)
 
             def wrapped(pooled, *args, **kwargs):
-                layouts[pooled.flags.c_contiguous] += 1
+                layouts[name, pooled.flags.c_contiguous] += 1
                 return fn(pooled, *args, **kwargs)
 
             monkeypatch.setattr(evalharness, name, wrapped)
 
-        for name in ("prototype_rows", "unit_rows", "checked_norms"):
+        for name in ("prototype_rows", "checked_norms", "row_norms"):
             checking(name)
-        run_grid(manifest, bags, clf, TestPooledGrid.config)
-        # prototype rows and cache keys of 16 cells, and the query norms of 4 folds
-        assert layouts == {True: 2 * 4 * 2 * 2 + 4}
+        affinity = evalharness.cache_affinity
+
+        def recorded(unit, cache_keys, beta):
+            keys.append(cache_keys)
+            return affinity(unit, cache_keys, beta)
+
+        monkeypatch.setattr(evalharness, "cache_affinity", recorded)
+        config = TestPooledGrid.config
+        run_grid(manifest, bags, clf, config)
+        # prototype rows of 16 cells, the query norms of 4 folds, and the key norms
+        assert layouts == {("prototype_rows", True): 4 * 2 * 2, ("checked_norms", True): 4,
+                           ("row_norms", True): 1}
+        drawn = [set(ids) for ids in support_slides_by_fold(manifest, config)]
+        assert [len(k) for k in keys] == [len(ids) for ids in drawn]
+        assert all(len({row.tobytes() for row in k}) == len(k) for k in keys)
+        assert all(k.flags.c_contiguous for k in keys)
+
+    def test_zero_mean_key_fails_in_the_first_cell_that_draws_it(self, noisy_dataset):
+        """A support slide whose full-bag mean is zero still fails inside the
+        first cell that draws it, fold-major, naming its row in that cell's
+        draw, or before that its row among a fold's queries."""
+        manifest, bags, clf = noisy_dataset
+        config = GridConfig(methods=("tipadapter",), num_folds=4, k_grid=(2, 4), seeds=(7, 8))
+        labels = {rec.slide_id: manifest.class_index(rec.class_name) for rec in manifest.slides}
+        folds = stratified_kfold(labels, 4, derive_seed(config.base_seed, "folds"))
+        by_class = [[sid for sid in labels if labels[sid] == c] for c in range(len(clf.class_names))]
+
+        def first_failure(zero_id):
+            for f in range(config.num_folds):
+                train = [[sid for sid in ids if folds.fold_of[sid] != f] for ids in by_class]
+                for i, (seed, k) in enumerate(itertools.product(config.seeds, config.k_grid)):
+                    ids = list(sample_few_shot(train, k, derive_seed(seed, "support", f, k))
+                               .support_ids)
+                    queries = folds.fold_ids(f)
+                    if zero_id in ids:
+                        return f"fold={f} seed={seed} k={k}", ids.index(zero_id)
+                    if i == 0 and zero_id in queries:
+                        return f"fold={f} seed={seed} k={k}", queries.index(zero_id)
+
+        expected = {bag.slide_id: first_failure(bag.slide_id) for bag in bags}
+        assert len({cell for cell, _ in expected.values()}) > 1
+        for bag in bags[::5]:
+            v = bag.patches.values[0]
+            zero = SlideBag(bag.slide_id, PatchMatrix(np.stack([v, -v])), bag.label)
+            with pytest.raises(GridCellError) as err:
+                run_grid(manifest, [zero if b is bag else b for b in bags], clf, config)
+            assert isinstance(err.value.cause, ZeroVectorRow)
+            assert (err.value.cell, err.value.cause.row) == expected[bag.slide_id]
 
 
 def per_cell_scores(manifest, bags, clf, config):
@@ -943,11 +994,11 @@ class TestGuidedPools:
             guided_pools(bag, w, (50, 0))
 
 
-def support_slides(manifest, config):
-    """Every slide that some support draw of the grid picks."""
+def support_slides_by_fold(manifest, config):
+    """The slides that some support draw of each fold of the grid picks."""
     labels = {rec.slide_id: manifest.class_index(rec.class_name) for rec in manifest.slides}
     folds = stratified_kfold(labels, config.num_folds, derive_seed(config.base_seed, "folds"))
-    picked = set()
+    picked = [set() for _ in range(config.num_folds)]
     for f in range(config.num_folds):
         groups = [[] for _ in manifest.classes]
         for rec in manifest.slides:
@@ -956,8 +1007,13 @@ def support_slides(manifest, config):
         for seed in config.resolved_seeds():
             for k in config.k_grid:
                 draw = sample_few_shot(groups, k, derive_seed(seed, "support", f, k))
-                picked.update(draw.support_ids)
+                picked[f].update(draw.support_ids)
     return picked
+
+
+def support_slides(manifest, config):
+    """Every slide that some support draw of the grid picks."""
+    return set().union(*support_slides_by_fold(manifest, config))
 
 
 def unreadable_bags():

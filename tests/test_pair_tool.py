@@ -56,3 +56,29 @@ def test_seed_ranges():
     assert pair.parse_seeds("411-420") == list(range(411, 421))
     with pytest.raises(argparse.ArgumentTypeError):
         pair.parse_seeds("5-5")
+
+
+def test_claim_rule():
+    """A claim is met only with the gain, 90% of the wins and a median gap
+    above the parent's interquartile range, each checked on its own."""
+    parent = {s: 10.0 + 0.1 * (s % 3) for s in range(1, 11)}  # IQR 0.2
+    change = {s: v - 1.0 for s, v in parent.items()}  # a 10% drop, won in every pair
+    got = pair.claim_met(pair.summarize(parent, change, "lower", 0.1), "lower", 5)
+    assert got == {"pct": 5, "gain_at_least_pct": True, "wins_in_90_percent": True,
+                   "gap_above_parent_iqr": True, "met": True}
+    assert not pair.claim_met(pair.summarize(parent, change, "lower", 0.1), "lower", 12)["met"]
+    two_losses = {**change, 1: 20.0, 2: 20.0}  # 8/10 wins, the median still -10%
+    got = pair.claim_met(pair.summarize(parent, two_losses, "lower", 0.1), "lower", 5)
+    assert (got["gain_at_least_pct"], got["wins_in_90_percent"], got["met"]) == (True, False, False)
+    wide = {s: 10.0 + 3.0 * (s % 3) for s in range(1, 11)}  # IQR 6, median 13
+    closer = {s: v - 2.0 for s, v in wide.items()}  # -15%, every pair, but a gap of 2
+    got = pair.claim_met(pair.summarize(wide, closer, "lower", 0.1), "lower", 10)
+    assert (got["gain_at_least_pct"], got["gap_above_parent_iqr"], got["met"]) == (True, False, False)
+    rise = {s: v + 1.0 for s, v in parent.items()}
+    assert pair.claim_met(pair.summarize(parent, rise, "higher", 0.1), "higher", 5)["met"]
+
+
+def test_claim_argument():
+    assert pair.parse_claim("grid-large:peak_rss_mb:3") == ("grid-large", "peak_rss_mb", 3.0)
+    with pytest.raises(argparse.ArgumentTypeError):
+        pair.parse_claim("grid-large:peak_rss_mb")

@@ -2,7 +2,7 @@
 
 usage: python3 tools/pair.py --parent REV --change REV --seeds A-B
                              [--workloads NAME ...] [--control] [--work DIR]
-                             --out BENCH_<n>.json
+                             [--claim WORKLOAD:METRIC:PCT] --out BENCH_<n>.json
 
 Run from the root of a git checkout. For each workload, both revisions are
 exported with ``git archive`` into two fresh sibling directories, x and y:
@@ -23,6 +23,11 @@ of BENCHMARK.json's ``end_to_end`` list: both medians, both quartiles
 (``statistics.quantiles(n=4)``), the relative change of the median, the
 pairs in which the change is better, and whether its median is worse than
 the parent's by more than the metric's bound.
+
+``--claim WORKLOAD:METRIC:PCT`` adds whether the change meets a claimed gain
+on that metric (:func:`claim_met`): its median better than the parent's by at
+least PCT percent, in at least 90% of the pairs, and by more than the
+parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -86,6 +91,33 @@ def summarize(parent: dict, change: dict, better: str, bound: float) -> dict:
     }
 
 
+def parse_claim(text: str) -> tuple[str, str, float]:
+    """The workload, metric and percentage of ``WORKLOAD:METRIC:PCT``."""
+    parts = text.rsplit(":", 2)
+    try:
+        workload, metric, pct = parts
+        return workload, metric, float(pct)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:METRIC:PCT, got {text!r}") from None
+
+
+def claim_met(summary: dict, better: str, pct: float) -> dict:
+    """Whether one metric's `summary` (:func:`summarize`) meets a claimed
+    gain of `pct` percent: the change's median is better than the parent's
+    by at least `pct` percent, the change wins at least 90% of the pairs,
+    and the gap between the medians is larger than the parent's
+    interquartile range."""
+    sign = 1 if better == "lower" else -1
+    gap = sign * (summary["parent_median"] - summary["change_median"])
+    q1, q3 = summary["parent_q1_q3"]
+    checks = {
+        "gain_at_least_pct": -sign * summary["delta"] >= pct / 100,
+        "wins_in_90_percent": summary["change_wins"] >= 0.9 * summary["pairs"],
+        "gap_above_parent_iqr": gap > q3 - q1,
+    }
+    return {"pct": pct, **checks, "met": all(checks.values())}
+
+
 def export(rev: str, target: Path) -> None:
     """The tracked files of `rev`, from ``git archive``, in the fresh
     directory `target`."""
@@ -126,6 +158,8 @@ def main(argv=None) -> int:
     parser.add_argument("--control", action="store_true",
                         help="run the parent against a second checkout of itself")
     parser.add_argument("--work", type=Path, help="where x and y are made (default: a temp dir)")
+    parser.add_argument("--claim", type=parse_claim, metavar="WORKLOAD:METRIC:PCT",
+                        help="check a claimed gain of PCT percent on one metric")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.control == (args.change is not None):
@@ -133,6 +167,8 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     metrics = {m["name"]: m for m in bench["end_to_end"]}
+    if args.claim and (args.claim[0] not in workloads or args.claim[1] not in metrics):
+        parser.error(f"--claim names no run workload and end-to-end metric: {args.claim}")
 
     def resolve(rev: str) -> str:
         return subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
@@ -200,6 +236,11 @@ def main(argv=None) -> int:
             }
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    if args.claim:
+        workload, metric, pct = args.claim
+        out["claim"] = {"workload": workload, "metric": metric,
+                        **claim_met(out["summary"][workload][metric], metrics[metric]["better"], pct)}
+        print(f"claim {'met' if out['claim']['met'] else 'not met'}: {out['claim']}", file=sys.stderr)
     args.out.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     return 0
 
