@@ -8,7 +8,7 @@ runs, the failing cell) on stderr.
 Every command that reads a corpus streams it: each checks that its output
 path can be written, loads its classifier or prototypes and checks its
 options first (evaluate also makes every support draw), then reads and
-pools one slide at a time in the reader
+pools one slide at a time, a block of its rows at a time, in the reader
 (:func:`~protoshot.embedstore.iter_pooled`), which hands over only the
 slide's pooled rows, and writes its output only after the last slide, so a
 failure leaves no partial file. On a corpus that declares at least

@@ -33,17 +33,20 @@ A slide is pooled in one place, :func:`pool_rows`, into what its
 :class:`PoolRequest` asks: top-K pools against a class vector, the
 full-bag mean, or both, from one walk of the bag (:func:`_walk`), which
 yields the row norms and only the mean and the scores that the pools read.
-:func:`iter_pooled` streams a corpus through it: each slide is read into
-the stream's grow-only payload buffer, walked once (the norms serve both
-the unit-norm check and the finite check), checked, and pooled, and only
-its rows leave the reader. A stream so keeps two grow-only buffers, one for
-payloads and one for its walks' float64 blocks, whatever the corpus size;
-both are its own, and go when the stream does. A stream whose manifest
+:func:`iter_pooled` streams a corpus through it: each slide's file is
+read a block of rows at a time into the float32 part of the stream's one
+block buffer and widened there, walked once (the norms serve both the
+unit-norm check and the finite check), checked, and pooled, and only its
+rows leave the reader. A top-K pool gathers its rows from the block the
+walk left widened, or, for a bag of several blocks, from the largest
+top-K's rows read back once. So a stream holds about two blocks plus 16
+bytes a row of its bag, whatever the bag and corpus size; the buffer is
+its own, and goes when the stream does. A stream whose manifest
 declares at least :data:`SPLIT_BYTES` of float32 payload, on a host that
 gives this process two CPUs and can fork, is pooled in two processes:
 after the first slide it forks one worker, which pools slides 16-31,
 48-63, ... (every other run of :data:`RUN`) with the same per-slide step,
-in its copies of the stream's buffers, and pipes each run back as one
+in its copy of the stream's buffer, and pipes each run back as one
 pickle. So the slide's request function runs in the worker for those
 slides and must be a pure function of the slide id and label. The stream
 yields every slide in manifest order; a slide that fails in the worker is
@@ -1216,8 +1219,8 @@ class _Worker:
     slides (slides ``RUN`` to ``2 * RUN - 1``, ``3 * RUN`` to
     ``4 * RUN - 1``, ...) with the stream's own `pool` (:func:`_work`).
 
-    It inherits the stream's state at the fork, the stream's two buffers
-    included, and writes its copies of them copy-on-write, so the two
+    It inherits the stream's state at the fork, the stream's buffer
+    included, and writes its copy of it copy-on-write, so the two
     processes never share a buffer and the fork needs no lock. Its stdout
     and stderr are the null device, and it leaves by ``os._exit``, so it
     never runs its parent's cleanup or flushes its parent's output.

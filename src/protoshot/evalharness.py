@@ -696,22 +696,25 @@ def run_grid(
     reads it and hands over only its rows. A drawn slide is pooled into its
     guided pool per top-K and its full-bag mean, which fill its column of
     ``pools``; every slide's full-bag mean fills its row of ``table``, fold
-    by fold. A cell takes its draw's columns of ``pools`` once and builds
-    its prototype rows and unit cache keys from them. The fold phase
-    allocates its arrays once per run, each sized by the largest fold: one
-    array of rows, holding the classifier's prompts (mizero) and then every
-    cell's prototype rows; one of every cell's unit keys; and one gather
-    buffer for a cell's columns. Each cell writes into them, and each fold
-    overwrites the last. The fold then scores its slice of ``table``
-    against those rows with one ``row_scores`` call and, after dividing
-    the slice by its norms in place, against every cell's keys with one
-    ``cache_affinity`` call (:func:`_fold_scores`); each block holds the
-    bytes the per-bag functions in ``adapters`` give. Predictions are the
-    argmax over classes, and :func:`column_balanced_accuracies` counts
-    every record of the fold with one bincount. No array grows with folds
-    times seeds: the fold arrays grow with seeds times shots. Records are
-    sorted canonically, so the report is a pure function of the data and
-    the config.
+    by fold. For Tip-Adapter, each drawn slide's unit cache key is made
+    once, from its full-bag mean. A cell takes its draw's prototype planes
+    of ``pools`` once and builds its prototype rows from them, and checks
+    that its slides' keys have a direction, so a zero-mean slide fails in
+    the first cell that draws it. The fold phase allocates its arrays once
+    per run, each sized by the largest fold: one array of rows, holding the
+    classifier's prompts (mizero) and then every cell's prototype rows, and
+    one gather buffer for a cell's columns. Each cell writes into them, and
+    each fold overwrites the last. The fold then scores its slice of
+    ``table`` against those rows with one ``row_scores`` call and, after
+    dividing the slice by its norms in place, against the distinct keys
+    its cells draw with one ``cache_affinity`` call, from which each cell
+    takes its columns (:func:`_fold_scores`); each block holds the bytes
+    the per-bag functions in ``adapters`` give. Predictions are the argmax
+    over classes, and :func:`column_balanced_accuracies` counts every
+    record of the fold with one bincount. No array grows with folds times
+    seeds: the fold arrays grow with seeds times shots, and the keys with
+    the drawn slides. Records are sorted canonically, so the report is a
+    pure function of the data and the config.
 
     Raises:
         ClassNamesMismatch: the classifier's class names are not the
@@ -814,7 +817,8 @@ def run_grid(
     prompts = classifier.num_prompts if "mizero" in config.methods else 0
     drawn = [list(map(len, fold.values())) for fold in draws]  # each cell's slides, by fold
     # the fold phase's buffers, each sized by the largest fold and reused by every
-    # fold: the prototype rows, after mizero's prompts, and the pools of one cell
+    # fold: the prototype rows, after mizero's prompts, and the prototype pools of
+    # one cell
     stack = np.empty((prompts + max(map(len, drawn)) * sets, num_classes, dim))
     if prompts:
         stack[:prompts] = classifier.weights
