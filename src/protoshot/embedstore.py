@@ -174,8 +174,9 @@ def float64_blocks(
     height = min(n, step + 1)
     wide = (height + 1) * d
     read = isinstance(values, _Payload)
-    # gathered or read rows land after the blocks, two float32 values per float64
-    size = wide + (0 if rows is None and not read else (max(height, 4) * d + 1) // 2)
+    # gathered or read rows land after the blocks, two float32 values per float64; a
+    # read bag's in a block's float64 rows, which pool_rows gathers a one-block bag into
+    size = wide + (height * d if read else 0 if rows is None else (height * d + 1) // 2)
     scratch = np.empty(size) if buffer is None else buffer(8 * size)[: 8 * size].view(np.float64)
     blocks = scratch[:wide].reshape(height + 1, d)
     gathered = scratch[wide:size].view(np.float32)
@@ -326,23 +327,6 @@ def score_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def _gathered_mean(widened: np.ndarray, rows: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """The bytes of :func:`subset_mean` for the rows `rows` of a bag whose
-    float64 rows `widened` a walk left behind: as many rows as fit in the
-    flat float64 `spare` (at least two rows long) behind a spare row are
-    gathered at a time, with no second widening, and summed in row order
-    (:func:`carried_sum`)."""
-    d = widened.shape[1]
-    step = spare.size // d - 1
-    total = None
-    for start in range(0, rows.size, step):
-        part = rows[start : start + step]
-        block = spare[: (part.size + 1) * d].reshape(-1, d)
-        np.take(widened, part, axis=0, out=block[1:], mode="clip")
-        total = carried_sum(block, total)
-    return total / rows.size
-
-
 def _subsets(
     values: np.ndarray | _Payload, top: np.ndarray, slide_id: str | None, buffer: _Buffer | None
 ) -> Callable:
@@ -356,10 +340,12 @@ def _subsets(
     if not isinstance(values, _Payload):
         return lambda rows: subset_mean(values, rows, buffer)
     n, d = values.shape
-    if n <= _step(d) + 1:  # the walk's one block, and the float32 area after it
+    if n <= _step(d) + 1:  # the walk's one widened block, and the rows after it
         scratch = buffer(0).view(np.float64)
-        widened = scratch[d : (n + 1) * d].reshape(n, d)
-        return lambda rows: _gathered_mean(widened, rows, scratch[(n + 1) * d :])
+        widened, spare = scratch[d : (n + 1) * d].reshape(n, d), scratch[(n + 1) * d :]
+        # subset_mean's one block, without a second widening
+        return lambda rows: np.add.reduce(widened.take(
+            rows, axis=0, out=spare[: rows.size * d].reshape(-1, d), mode="clip"), axis=0) / rows.size
     kept = np.empty((top.size, d), np.float32)
     cuts = (np.flatnonzero(np.diff(top) != 1) + 1).tolist()
     for start, stop in zip([0, *cuts], [*cuts, top.size]):  # each run of adjacent rows
@@ -813,8 +799,8 @@ def _fill(payload: _Payload, out: np.ndarray) -> None:
     while filled < raw.size:
         got = payload.file.readinto(raw[filled:])
         if not got:
-            at = payload.file.tell() - HEADER_SIZE
-            raise TruncatedPayload(4 * math.prod(payload.shape), at, payload.path)
+            n, d = payload.shape
+            raise TruncatedPayload(4 * n * d, payload.file.tell() - HEADER_SIZE, payload.path)
         filled += got
 
 
@@ -1371,13 +1357,13 @@ def iter_pooled(
     except Exception as exc:
         # the frames below this one, in the error's traceback and in that of any error
         # it was raised from, hold views of the block buffer
-        error, below = exc, exc.__traceback__.tb_next
-        while error is not None:
+        below = exc.__traceback__.tb_next
+        while exc is not None:
             while below is not None:
                 below.tb_frame.clear()
                 below = below.tb_next
-            error = error.__context__
-            below = error and error.__traceback__
+            exc = exc.__context__
+            below = exc and exc.__traceback__
         raise
     finally:
         blocks.held = _GrowOnly.held
