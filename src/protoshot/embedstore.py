@@ -159,7 +159,8 @@ def float64_blocks(
     stream's :class:`_GrowOnly`), else an array of the walk's own. Rows are
     gathered, or read from an open file's :class:`_Payload` in order (with
     no `rows`), into a float32 part of it after the blocks, not into a new
-    array.
+    array. For a read bag that part is as long as a block's float64 rows,
+    where :func:`pool_rows` gathers a one-block bag's top-K rows.
 
     A block holds one row only when the whole walk does: a lone last row
     joins the block before it, since einsum reduces the row of a one-row
@@ -174,8 +175,7 @@ def float64_blocks(
     height = min(n, step + 1)
     wide = (height + 1) * d
     read = isinstance(values, _Payload)
-    # gathered or read rows land after the blocks, two float32 values per float64; a
-    # read bag's in a block's float64 rows, which pool_rows gathers a one-block bag into
+    # gathered or read rows land after the blocks, two float32 values per float64
     size = wide + (height * d if read else 0 if rows is None else (height * d + 1) // 2)
     scratch = np.empty(size) if buffer is None else buffer(8 * size)[: 8 * size].view(np.float64)
     blocks = scratch[:wide].reshape(height + 1, d)

@@ -1186,6 +1186,7 @@ class TestIterBags:
         # each bag's one walk; then, for a bag of several blocks (160 bytes hold 3
         # float64 rows of 6), the walk checking the 3 rows read back and their gather
         assert widened == ([7] * 12 if block_bytes == 1 << 20 else [7, 3, 3] * 12)
+
     def test_stream_frees_the_block_buffer(self, tmp_path):
         """A pooled stream holds its walks' block buffer between its slides
         and frees it with itself, once it is exhausted, closed after its
@@ -1204,7 +1205,7 @@ class TestIterBags:
             )
             return [trace.size for trace in snapshot.traces]
 
-        def held() -> int:  # the payload buffer is smaller
+        def held() -> int:  # numpy allocations as large as the block buffer
             return sum(size >= block for size in numpy_traces())
 
         def pools_in_memory():
@@ -1388,7 +1389,6 @@ class TestPooledReader:
                         chained = bgap(bag.patches, top_k(scores, k))
                         assert row.tobytes() == pools[k].tobytes() == chained.tobytes()
                     assert rows[-1].tobytes() == mean[0].tobytes() == bgap(bag.patches).tobytes()
-
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
