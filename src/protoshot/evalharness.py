@@ -638,7 +638,7 @@ def _cell(name: str) -> Iterator[None]:
 def _fold_scores(
     queries: np.ndarray,
     rows: np.ndarray,
-    keys: np.ndarray,
+    keys: np.ndarray | None,
     cells: Sequence[list[int]],
     norms: np.ndarray | None,
     canonical: np.ndarray | None,
