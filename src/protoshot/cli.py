@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 from functools import partial
@@ -226,8 +227,11 @@ def cmd_zero_shot(args) -> int:
 
 def cmd_report(args) -> int:
     _check_outputs(args.csv_out)
+    # each report is named by its path below the one directory that holds them all
+    paths = [os.path.abspath(path) for path in args.reports]
+    common = os.path.commonpath([os.path.dirname(path) for path in paths])
     reports = []
-    for path in args.reports:
+    for path, full in zip(args.reports, paths):
         report = evalharness.EvalReport.from_json(Path(path).read_bytes(), path)
         recomputed = evalharness.aggregate_records(report.records)
         for i, (held, made) in enumerate(zip_longest(report.aggregates, recomputed)):
@@ -239,7 +243,7 @@ def cmd_report(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        reports.append((Path(path).name, report))
+        reports.append((os.path.relpath(full, common), report))
     for name, report in reports:
         if len(reports) > 1:
             print(f"== {name} ==")

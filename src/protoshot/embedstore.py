@@ -46,12 +46,13 @@ declares at least :data:`SPLIT_BYTES` of float32 payload, on a host that
 gives this process two CPUs and can fork, is pooled in two processes:
 after the first slide it forks one worker, which pools slides 16-31,
 48-63, ... (every other run of :data:`RUN`) with the same per-slide step,
-in its copy of the stream's buffer, and pipes each run back as one
+in its copy of the stream's buffer, and pipes each whole run back as one
 pickle. So the slide's request function runs in the worker for those
 slides and must be a pure function of the slide id and label. The stream
-yields every slide in manifest order; a slide that fails in the worker is
-pooled again by the stream, which raises its error after the same slides
-as one process would.
+yields every slide in manifest order; a run that fails in the worker is
+never sent, and the stream pools that whole run again, and every later
+slide, itself, so it raises the error after the same slides as one
+process would.
 :func:`pool_bag` runs the same walk and pooling on a bag held in memory,
 once per call, in scratch of its own.
 :func:`iter_bags` yields whole bags instead, each read into a buffer of its
@@ -1176,34 +1177,16 @@ def _splits(slides: Sequence[SlideRecord], dim: int) -> bool:
     )
 
 
-def _work(pool: Callable, runs: list, out: int, credit: int) -> None:
-    """The worker's loop: pool each run of `runs` with `pool`, and write the
-    list of what it gave to the pipe `out` as one pickle. The stream sends
-    a byte on the pipe `credit` each time it reads a run, and run j waits
-    for the byte of run j - 2: the worker is at most one run ahead of the
-    run the stream reads next, which it has ready, so the stream seldom
-    waits for it. A run that fails at a slide is sent without it and ends
-    the loop: the stream pools that slide itself."""
-    with open(out, "wb") as sink:
-        for j, run in enumerate(runs):
-            if j > 1 and not os.read(credit, 1):
-                return  # the stream is gone
-            done = []
-            for rec in run:
-                try:
-                    done.append(pool(rec))
-                except Exception:  # raised again where the stream pools this slide
-                    break
-            pickle.dump(done, sink, pickle.HIGHEST_PROTOCOL)
-            sink.flush()
-            if len(done) < len(run):
-                return
-
-
 class _Worker:
     """A forked process that pools a stream's odd runs of :data:`RUN`
     slides (slides ``RUN`` to ``2 * RUN - 1``, ``3 * RUN`` to
-    ``4 * RUN - 1``, ...) with the stream's own `pool` (:func:`_work`).
+    ``4 * RUN - 1``, ...) with the stream's own `pool`, and pipes each whole
+    run back as one pickle. The stream sends a byte on the credit pipe each
+    time it reads a run, and run j waits for the byte of run j - 2: the
+    worker is at most one run ahead of the run the stream reads next, which
+    it has ready, so the stream seldom waits for it. A run that raises at
+    any slide is never sent: the worker leaves, and the stream pools that
+    whole run, and every later slide, itself.
 
     It inherits the stream's state at the fork, the stream's buffer
     included, and writes its copy of it copy-on-write, so the two
@@ -1229,7 +1212,12 @@ class _Worker:
                 null = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(null, 1)
                 os.dup2(null, 2)
-                _work(pool, runs, data_w, credit_r)
+                with open(data_w, "wb") as sink:
+                    for j, run in enumerate(runs):
+                        if j > 1 and not os.read(credit_r, 1):
+                            break  # the stream is gone
+                        pickle.dump([pool(rec) for rec in run], sink, pickle.HIGHEST_PROTOCOL)
+                        sink.flush()
             finally:
                 os._exit(0)
         os.close(data_w)
@@ -1240,9 +1228,9 @@ class _Worker:
 
     def take(self) -> list:
         """The slides of the worker's next run, as ``(slide_id, label,
-        rows)`` in order: fewer than the run holds when the worker stopped
-        at a slide that failed, none when it died before sending the run.
-        The worker may then pool the run after the one it has ready."""
+        rows)`` in order, or none when the run failed in the worker or the
+        worker died before sending it. The worker may then pool the run
+        after the one it has ready."""
         try:
             done = pickle.load(self.data)
         except (EOFError, pickle.UnpicklingError):
@@ -1296,18 +1284,18 @@ def iter_pooled(
     shows at least two CPUs and ``os.fork`` exists, the stream forks one
     worker. The worker pools every other run of :data:`RUN` slides
     (slides 16-31, 48-63, ...) with the same per-slide step and checks,
-    into a buffer of its own, and sends each run as one pickle through a
-    pipe, at most one run ahead of the stream; this process pools the
-    other runs and yields every slide in manifest order, so the rows are
-    the bytes of the serial loop. `request` runs in the worker for the
+    into a buffer of its own, and sends each whole run as one pickle
+    through a pipe, at most one run ahead of the stream; this process
+    pools the other runs and yields every slide in manifest order, so the
+    rows are the bytes of the serial loop. `request` runs in the worker for the
     worker's slides, so it must be a pure function of ``(slide_id, label)``
-    that takes no lock another thread may hold. A slide that fails in the
-    worker ends the worker's run there: this process pools it and every
-    later slide itself, so its error surfaces here, after the same slides,
-    as in one process. A fork that fails leaves the stream in one process. Closing
-    the stream, or dropping it when its consumer raises, kills and reaps
-    the worker. The stream forks only when both the affinity mask and the
-    cgroup CPU quota give this process two CPUs (:func:`_splits`).
+    that takes no lock another thread may hold. A run that fails in the
+    worker is never sent: this process pools that whole run, and every
+    later slide, itself, so the error surfaces here, after the same slides,
+    as in one process. A fork that fails leaves the stream in one process.
+    Closing the stream, or dropping it when its consumer raises, kills and
+    reaps the worker. The stream forks only when both the affinity mask and
+    the cgroup CPU quota give this process two CPUs (:func:`_splits`).
 
     The block buffer is the stream's own and goes when the stream ends or
     is closed. A stream that fails empties it, and clears the frames below
@@ -1346,8 +1334,8 @@ def iter_pooled(
         while i < len(slides):
             if worker is not None and i // RUN % 2:
                 done = worker.take()
-                if len(done) < min(RUN, len(slides) - i):
-                    worker.stop()  # it stopped at a failing slide: pool that one and the rest here
+                if not done:
+                    worker.stop()  # its run failed, or it died: pool that run and the rest here
                     worker = None
                 i += len(done)
                 yield from done

@@ -19,10 +19,9 @@ written; :func:`generate` is its list form.
 from __future__ import annotations
 
 import math
-import queue
 import threading
 from dataclasses import asdict, dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -35,6 +34,9 @@ from .embedstore import (
     unit_rows,
 )
 from .errors import InvalidConfig
+
+if TYPE_CHECKING:
+    import queue  # imported by _slides, so that only synth loads it
 
 
 @dataclass(frozen=True)
@@ -175,6 +177,8 @@ def _slides(
     class_names: tuple[str, ...],
     config: SynthConfig,
 ) -> Iterator[tuple[SlideRecord, SlideBag]]:
+    import queue
+
     free: queue.SimpleQueue = queue.SimpleQueue()
     ready: queue.SimpleQueue = queue.SimpleQueue()
     stopped = threading.Event()

@@ -994,6 +994,27 @@ class TestReportCommand:
         names = {line.split(",")[0] for line in curves.read_text().splitlines()[1:]}
         assert names == {"report.json", "second.json"}
 
+    def test_reports_of_one_name_in_two_directories_keep_apart(
+        self, dataset, tmp_path, capsys, monkeypatch
+    ):
+        """Reports are named by their path below the directory that holds
+        them all, so two report.json files get two labels."""
+        made = self.make_report(dataset, tmp_path)
+        for name in ("rA", "rB"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "report.json").write_text(made.read_text())
+        curves = tmp_path / "curves.csv"
+        monkeypatch.chdir(tmp_path)  # one path absolute, one relative
+        assert run(
+            "report", "--reports", str(tmp_path / "rA" / "report.json"),
+            "rB/report.json", "--csv-out", str(curves),
+        ) == 0
+        out = capsys.readouterr().out
+        assert "== rA/report.json ==" in out and "== rB/report.json ==" in out
+        rows = curves.read_text().splitlines()[1:]
+        names = [row.split(",")[0] for row in rows]
+        assert names == ["rA/report.json"] * (len(rows) // 2) + ["rB/report.json"] * (len(rows) // 2)
+
 
 class TestCsvQuoting:
     """A slide id, class name or report name that holds a comma, a quote or

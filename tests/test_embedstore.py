@@ -1520,16 +1520,21 @@ class TestSplitStream:
 
         return request
 
-    @pytest.mark.parametrize("at", [20, 50])
+    @pytest.mark.parametrize("count, at", [
+        pytest.param(70, 20, id="20"), pytest.param(70, 50, id="50"),
+        pytest.param(70, 16, id="16"), pytest.param(70, 31, id="31"),
+        pytest.param(70, 63, id="63"), pytest.param(60, 59, id="60-59"),
+    ])
     @pytest.mark.parametrize("kind, error", [
         ("truncated", TruncatedPayload), ("nan", NonFiniteValue),
         ("count", PatchCountMismatch), ("off-unit", UnnormalizedRow),
         ("dimension", DimensionMismatch), ("request", ValueError),
     ])
-    def test_worker_failure_raises_the_serial_error(self, tmp_path, kind, error, at):
-        """A slide failing in a worker run (slides 16-31 and 48-63) raises
-        the serial error, with its message, after the same slides."""
-        manifest, _ = _equal_bags(tmp_path, np.random.default_rng(at), count=70, dim=4)
+    def test_worker_failure_raises_the_serial_error(self, tmp_path, kind, error, count, at):
+        """A slide failing in a worker run (slides 16-31 and 48-63 of 70, the
+        short last run 48-59 of 60), at its first, last or a middle slide,
+        raises the serial error, with its message, after the same slides."""
+        manifest, _ = _equal_bags(tmp_path, np.random.default_rng(at), count=count, dim=4)
         request = self.corrupt(kind, tmp_path, f"s{at}")
         path = tmp_path / "manifest.jsonl"
         serial = _pooled_bytes(iter_pooled(manifest, path, request))

@@ -4,6 +4,9 @@ or a refactor breaks the traced run without any other test failing."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +31,15 @@ def test_traced_target_resolves(name, module, attr):
 
 def test_traced_list_is_not_empty():
     assert TRACED
+
+
+def test_traced_pass_installs_from_the_cli_import():
+    """``tracer.install`` imports ``protoshot.cli`` and looks each TRACED
+    module up in ``sys.modules``; it must find every one in a fresh process,
+    where nothing but that import has loaded protoshot."""
+    root = TRACER_PATH.parent.parent
+    code = "import tracer; tracer.install(tracer.Tracer())"
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
