@@ -1013,7 +1013,8 @@ class TestReportCommand:
         assert "== rA/report.json ==" in out and "== rB/report.json ==" in out
         rows = curves.read_text().splitlines()[1:]
         names = [row.split(",")[0] for row in rows]
-        assert names == ["rA/report.json"] * (len(rows) // 2) + ["rB/report.json"] * (len(rows) // 2)
+        half = len(rows) // 2
+        assert half and names == ["rA/report.json"] * half + ["rB/report.json"] * half
 
 
 class TestCsvQuoting:

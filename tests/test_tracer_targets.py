@@ -41,5 +41,7 @@ def test_traced_pass_installs_from_the_cli_import():
     code = "import tracer; tracer.install(tracer.Tracer())"
     path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
     env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
     assert done.returncode == 0, done.stderr
