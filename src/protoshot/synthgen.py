@@ -13,7 +13,8 @@ block), so generation is byte-reproducible per seed.
 slide into one of two reused float64 buffers while the caller normalizes
 the slide before it into its float32 rows (and writes it), so a writer
 holds two float64 buffers of the largest slide so far plus the slide being
-written; :func:`generate` is its list form.
+written. The thread stops when it reads None on its buffer queue, after
+finishing any slide whose buffer it holds; :func:`generate` is the list form.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -34,10 +35,6 @@ from .embedstore import (
     unit_rows,
 )
 from .errors import InvalidConfig
-
-if TYPE_CHECKING:
-    import queue  # imported by _slides, so that only synth loads it
-
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -127,12 +124,14 @@ def stream(config: SynthConfig) -> tuple[TextClassifier, Iterator[tuple[SlideRec
     float32 rows and hands the buffer back. A consumer that writes or
     reduces each slide before asking for the next therefore holds the two
     buffers plus that slide, whatever the corpus size. A draw error is
-    raised at its slide; when the stream ends, fails or is closed or
-    dropped early, the thread is stopped and joined. Slides are laid out
-    class-major, with ids ``class_<c>_<j:03d>``; within each slide the
-    informative rows (exactly ceil(informative_fraction * N) of them) come
-    first. The classifier's class vectors are the class directions
-    themselves, as a single-prompt ensemble.
+    raised at its slide. When the stream ends, fails or is closed or
+    dropped early, it puts None on the thread's buffer queue and joins the
+    thread, which returns on reading it; after an early close the thread
+    first finishes the slides whose buffers it took (at most two). Slides
+    are laid out class-major, with ids ``class_<c>_<j:03d>``; within each
+    slide the informative rows (exactly ceil(informative_fraction * N) of
+    them) come first. The classifier's class vectors are the class
+    directions themselves, as a single-prompt ensemble.
     """
     rng = np.random.default_rng(config.seed)
     directions = _class_directions(rng, config.num_classes, config.dim)
@@ -144,33 +143,6 @@ def stream(config: SynthConfig) -> tuple[TextClassifier, Iterator[tuple[SlideRec
     return classifier, _slides(rng, directions, class_names, config)
 
 
-def _draw_all(
-    rng: np.random.Generator,
-    directions: np.ndarray,
-    config: SynthConfig,
-    free: queue.SimpleQueue,
-    ready: queue.SimpleQueue,
-    stopped: threading.Event,
-) -> None:
-    """The drawing thread: each slide, in order, into a buffer taken from
-    `free` and put on `ready` as ``(buffer, rows)``; an error is put there
-    instead. Returns when every slide is drawn or `stopped` is set."""
-    try:
-        for c in range(config.num_classes):
-            for _ in range(config.slides_per_class):
-                buf = free.get()
-                if stopped.is_set():
-                    return
-                n = int(rng.integers(config.patches_min, config.patches_max + 1))
-                if len(buf) < n:
-                    buf = np.empty((n, config.dim))
-                n_info = math.ceil(config.informative_fraction * n)
-                _draw_slide(rng, directions[c], buf[:n], n_info, config.noise_scale)
-                ready.put((buf, n))
-    except Exception as exc:  # the consumer raises it at this slide
-        ready.put(exc)
-
-
 def _slides(
     rng: np.random.Generator,
     directions: np.ndarray,
@@ -179,39 +151,51 @@ def _slides(
 ) -> Iterator[tuple[SlideRecord, SlideBag]]:
     import queue
 
+    order = [(c, j) for c in range(config.num_classes) for j in range(config.slides_per_class)]
     free: queue.SimpleQueue = queue.SimpleQueue()
     ready: queue.SimpleQueue = queue.SimpleQueue()
-    stopped = threading.Event()
     for _ in range(2):
         free.put(np.empty((0, config.dim)))
-    drawer = threading.Thread(
-        target=_draw_all,
-        args=(rng, directions, config, free, ready, stopped),
-        name="synthgen-draw",
-        daemon=True,  # exit joins other threads before it closes an open stream
-    )
+
+    def draw() -> None:
+        """Each slide in order into a buffer from `free`, put on `ready` as
+        ``(buffer, rows)`` or the error; ends early if `free` gives None."""
+        try:
+            for c, _ in order:
+                buf = free.get()
+                if buf is None:
+                    return
+                n = int(rng.integers(config.patches_min, config.patches_max + 1))
+                if len(buf) < n:
+                    buf = np.empty((n, config.dim))
+                n_info = math.ceil(config.informative_fraction * n)
+                _draw_slide(rng, directions[c], buf[:n], n_info, config.noise_scale)
+                ready.put((buf, n))
+        except Exception as exc:  # the consumer raises it at this slide
+            ready.put(exc)
+
+    # a daemon, since exit joins other threads before it closes an open stream
+    drawer = threading.Thread(target=draw, name="synthgen-draw", daemon=True)
     drawer.start()
     try:
-        for c in range(config.num_classes):
-            for j in range(config.slides_per_class):
-                drawn = ready.get()
-                if isinstance(drawn, Exception):
-                    raise drawn
-                buf, n = drawn
-                values = unit_rows(buf[:n], out=np.empty((n, config.dim), dtype=np.float32))
-                free.put(buf)
-                values.flags.writeable = False
-                slide_id = f"{class_names[c]}_{j:03d}"
-                record = SlideRecord(
-                    slide_id=slide_id,
-                    class_name=class_names[c],
-                    path=f"{slide_id}.pse",
-                    num_patches=n,
-                )
-                yield record, SlideBag(slide_id=slide_id, patches=PatchMatrix(values), label=c)
+        for c, j in order:
+            drawn = ready.get()
+            if isinstance(drawn, Exception):
+                raise drawn
+            buf, n = drawn
+            values = unit_rows(buf[:n], out=np.empty((n, config.dim), dtype=np.float32))
+            free.put(buf)
+            values.flags.writeable = False
+            slide_id = f"{class_names[c]}_{j:03d}"
+            record = SlideRecord(
+                slide_id=slide_id,
+                class_name=class_names[c],
+                path=f"{slide_id}.pse",
+                num_patches=n,
+            )
+            yield record, SlideBag(slide_id=slide_id, patches=PatchMatrix(values), label=c)
     finally:
-        stopped.set()
-        free.put(None)  # wakes a drawer waiting for a buffer
+        free.put(None)  # the drawer returns when it takes it
         drawer.join()
 
 
