@@ -388,7 +388,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ProtoshotError, OSError, ValueError, KeyError) as exc:
+    except (ProtoshotError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

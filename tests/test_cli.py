@@ -210,11 +210,20 @@ class TestEvaluate:
         args = build_parser().parse_args(["evaluate", "--dataset", "d", "--out", "o"])
         assert not any(f.name in args for f in fields(GridConfig))
         given = build_parser().parse_args(
-            ["evaluate", "--dataset", "d", "--out", "o", "--folds", "3", "--topk-grid", "4,8",
-             "--no-normalize-prototypes"]
+            ["evaluate", "--dataset", "d", "--out", "o", "--methods", "mizero,simpleshot",
+             "--k-grid", "1,3", "--topk-grid", "4,8", "--folds", "3", "--seeds", "7,9",
+             "--num-seeds", "2", "--base-seed", "11", "--tip-alpha", "0.5",
+             "--tip-beta", "2.5", "--no-normalize-prototypes"]
         )
+        # every flag lands in its field: one whose dest is not a field is dropped
         grid = {f.name: getattr(given, f.name) for f in fields(GridConfig) if f.name in given}
-        assert grid == {"num_folds": 3, "top_k_grid": (4, 8), "normalize_prototypes": False}
+        assert grid == {
+            "methods": ("mizero", "simpleshot"), "num_folds": 3, "k_grid": (1, 3),
+            "top_k_grid": (4, 8), "seeds": (7, 9), "num_seeds": 2, "base_seed": 11,
+            "tip_alpha": 0.5, "tip_beta": 2.5, "normalize_prototypes": False,
+        }
+        assert len(grid) == len(fields(GridConfig))
+        GridConfig(**grid)  # a valid config
 
 
 class TestPrototypeCommands:

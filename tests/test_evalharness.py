@@ -610,6 +610,16 @@ class TestPooledGrid:
         assert Counter(sid for sid, _ in walks.elements()) == Counter(every)
         assert any(scored for _, scored in walks)
 
+    def test_bag_outside_the_manifest_is_ignored(self, noisy_dataset):
+        manifest, bags, clf = noisy_dataset
+        rng = np.random.default_rng(3)
+        # the first of another dimension than every manifest bag and the classifier
+        strays = [SlideBag(f"stray_{d}", PatchMatrix(random_unit_rows(rng, 6, d)), 0)
+                  for d in (5, clf.dim)]
+        with_strays = [strays[0], *bags[:4], strays[1], *bags[4:]]
+        report = run_grid(manifest, with_strays, clf, self.config)
+        assert report.to_json() == run_grid(manifest, bags, clf, self.config).to_json()
+
     @staticmethod
     def with_zero_mean_slide(dataset):
         manifest, bags, clf = dataset
