@@ -82,3 +82,11 @@ def test_claim_argument():
     assert pair.parse_claim("grid-large:peak_rss_mb:3") == ("grid-large", "peak_rss_mb", 3.0)
     with pytest.raises(argparse.ArgumentTypeError):
         pair.parse_claim("grid-large:peak_rss_mb")
+
+
+def test_differing_outputs_name_each_output_whose_bytes_differ():
+    parent = {"dataset": "aa", "report.json": "bb", "zero_shot.csv": "cc"}
+    assert pair.differing_outputs(parent, dict(parent)) == []
+    change = {"dataset": "aa", "report.json": "b2", "proto.pse": "dd"}
+    # a differing hash, and an output on one side only
+    assert pair.differing_outputs(parent, change) == ["proto.pse", "report.json", "zero_shot.csv"]

@@ -18,7 +18,9 @@ and the tool exits 1.
 set): its spread is the floor a change's move must clear on this host.
 
 The file holds every sample, the sha256 of every output at each seed (and
-whether the two sides wrote the same bytes), and per workload and metric
+the names of the outputs whose bytes differ between the two sides, also
+printed to stderr; none at every seed when a change keeps every byte), and
+per workload and metric
 of BENCHMARK.json's ``end_to_end`` list: both medians, both quartiles
 (``statistics.quantiles(n=4)``), the relative change of the median, the
 pairs in which the change is better, and whether its median is worse than
@@ -89,6 +91,14 @@ def summarize(parent: dict, change: dict, better: str, bound: float) -> dict:
         "bound": bound,
         "worse_than_bound": sign * delta > bound,
     }
+
+
+def differing_outputs(parent: dict, change: dict) -> list[str]:
+    """The names of the outputs whose sha256 differs between `parent` and
+    `change`, each a map of output name to sha256, or that only one side
+    wrote; sorted, and empty when every byte matches."""
+    return sorted(name for name in parent.keys() | change.keys()
+                  if parent.get(name) != change.get(name))
 
 
 def parse_claim(text: str) -> tuple[str, str, float]:
@@ -194,7 +204,7 @@ def main(argv=None) -> int:
                          "the seeds, in y for the rest",
         },
         "failed_or_incorrect_runs": [],
-        "same_output_bytes_at_each_seed": {},
+        "outputs_differing_at_each_seed": {},
         "summary": {},
         "results": {},
     }
@@ -225,10 +235,14 @@ def main(argv=None) -> int:
                     results["sha256"][side][seed] = result["sha256"]
                     for name in metrics:
                         results[name][side][seed] = result["metrics"][name]["value"]
-            out["same_output_bytes_at_each_seed"][workload] = {
-                seed: results["sha256"]["parent"][seed] == results["sha256"]["change"][seed]
+            differing = out["outputs_differing_at_each_seed"][workload] = {
+                seed: differing_outputs(results["sha256"]["parent"][seed],
+                                        results["sha256"]["change"][seed])
                 for seed in args.seeds
             }
+            for seed, names in differing.items():
+                if names:
+                    print(f"{workload} seed {seed}: outputs differ: {names}", file=sys.stderr)
             out["summary"][workload] = {
                 name: summarize(results[name]["parent"], results[name]["change"],
                                 m["better"], m["bound"])
