@@ -36,6 +36,7 @@ from .embedstore import (
 )
 from .errors import InvalidConfig
 
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Shape and difficulty knobs for one generated dataset.

@@ -223,7 +223,6 @@ class TestEvaluate:
             "tip_alpha": 0.5, "tip_beta": 2.5, "normalize_prototypes": False,
         }
         assert len(grid) == len(fields(GridConfig))
-        GridConfig(**grid)  # a valid config
 
 
 class TestPrototypeCommands:

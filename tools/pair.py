@@ -20,11 +20,10 @@ set): its spread is the floor a change's move must clear on this host.
 The file holds every sample, the sha256 of every output at each seed (and
 the names of the outputs whose bytes differ between the two sides, also
 printed to stderr; none at every seed when a change keeps every byte), and
-per workload and metric
-of BENCHMARK.json's ``end_to_end`` list: both medians, both quartiles
-(``statistics.quantiles(n=4)``), the relative change of the median, the
-pairs in which the change is better, and whether its median is worse than
-the parent's by more than the metric's bound.
+per workload and metric of BENCHMARK.json's ``end_to_end`` list: both
+medians, both quartiles (``statistics.quantiles(n=4)``), the relative
+change of the median, the pairs in which the change is better, and whether
+its median is worse than the parent's by more than the metric's bound.
 
 ``--claim WORKLOAD:METRIC:PCT`` adds whether the change meets a claimed gain
 on that metric (:func:`claim_met`): its median better than the parent's by at
