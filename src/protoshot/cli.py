@@ -28,7 +28,6 @@ import os
 import sys
 from dataclasses import fields
 from functools import partial
-from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -233,16 +232,6 @@ def cmd_report(args) -> int:
     reports = []
     for path, full in zip(args.reports, paths):
         report = evalharness.EvalReport.from_json(Path(path).read_bytes(), path)
-        recomputed = evalharness.aggregate_records(report.records)
-        for i, (held, made) in enumerate(zip_longest(report.aggregates, recomputed)):
-            if _same_aggregate(held, made):
-                continue
-            print(
-                f"error: aggregates in {path} do not match their records: aggregates[{i}] "
-                f"is {_describe(held)} in the file, {_describe(made)} from the records",
-                file=sys.stderr,
-            )
-            return 1
         reports.append((os.path.relpath(full, common), report))
     for name, report in reports:
         if len(reports) > 1:
@@ -261,26 +250,6 @@ def cmd_report(args) -> int:
         Path(args.csv_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"curves written to {args.csv_out}")
     return 0
-
-
-def _same_aggregate(a: evalharness.Aggregate | None, b: evalharness.Aggregate | None) -> bool:
-    """Whether both aggregates exist and agree, mean and std to within 1e-12."""
-    return (
-        a is not None
-        and b is not None
-        and (a.method, a.k, a.top_k, a.num_records) == (b.method, b.k, b.top_k, b.num_records)
-        and abs(a.mean - b.mean) <= 1e-12
-        and abs(a.std - b.std) <= 1e-12
-    )
-
-
-def _describe(a: evalharness.Aggregate | None) -> str:
-    if a is None:
-        return "absent"
-    return (
-        f"({a.method}, k={a.k}, top_k={a.top_k}, {a.num_records} records, "
-        f"mean {a.mean:.17g}, std {a.std:.17g})"
-    )
 
 
 def format_summary(report: evalharness.EvalReport) -> str:

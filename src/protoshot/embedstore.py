@@ -374,8 +374,7 @@ def pool_rows(
     which passes the open file's :class:`_Payload`, and for a bag in memory
     (:func:`pool_bag`). A k below the bag size pools the first k rows of
     :func:`score_order`, taken in row order (:func:`_subsets`); a k that
-    covers the bag pools the full-bag mean; ks that clamp to the same count
-    share one pool.
+    covers the bag pools the full-bag mean.
 
     Raises:
         DimensionMismatch: the class vector is not as long as a row; expects
@@ -393,13 +392,8 @@ def pool_rows(
         order = score_order(walked.scores)
         top = np.sort(order[: max(count for count in counts if count < n)])
         subset = _subsets(values, top, slide_id, buffer)
-    first: dict[int, int] = {}  # the row of each count's pool
     for i, count in enumerate(counts):
-        if count in first:
-            rows[i] = rows[first[count]]
-        else:
-            first[count] = i
-            rows[i] = walked.mean if count == n else subset(np.sort(order[:count]))
+        rows[i] = walked.mean if count == n else subset(np.sort(order[:count]))
     if request.mean:
         rows[-1] = walked.mean
     return rows
@@ -1019,9 +1013,9 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
             required key or holds it with the wrong type (see the module
             docstring), declares no classes or one twice, or holds an empty
             or repeated slide_id or an undeclared class, or no slide line
-            follows the classes line; names the file and the 1-based line
-            number (blank lines count). Each rule runs once per line.
-        ValueError: the manifest is empty.
+            follows the classes line, or the manifest is empty (line 1);
+            names the file and the 1-based line number (blank lines count).
+            Each rule runs once per line.
     """
     path = Path(path)
     if not path.is_file():
@@ -1036,7 +1030,7 @@ def parse_manifest(path: str | Path) -> DatasetManifest:
         if text.strip():
             lines.append((number, text))
     if not lines:
-        raise ValueError(f"manifest {path} is empty")
+        raise ManifestError(str(path), 1, "the manifest is empty: no classes line")
 
     def failing(number: int) -> Callable:
         return lambda reason, key: ManifestError(str(path), number, reason, key)
@@ -1077,7 +1071,8 @@ def _checked_walk(
     check: the walk's finite check (NonFiniteValue names `path`), the patch
     count, and the unit norm of every row, or, with `renormalize`, the
     construction check of a :class:`PatchMatrix` before the count and the
-    walk of the re-normalized rows, which are returned instead, after it."""
+    walk of the re-normalized rows, which are returned instead, after it
+    (ZeroVectorRow names `path`)."""
     try:
         checked = PatchMatrix(values) if renormalize else _walk(values, vector, mean, blocks)
     except NonFiniteValue as exc:
@@ -1085,7 +1080,10 @@ def _checked_walk(
     if values.shape[0] != record.num_patches:
         raise PatchCountMismatch(record.slide_id, record.num_patches, values.shape[0])
     if renormalize:
-        values = normalize(checked).values
+        try:
+            values = normalize(checked).values
+        except ZeroVectorRow as exc:
+            raise ZeroVectorRow(exc.row, path) from None
         return values, _walk(values, vector, mean, blocks)
     row = off_unit_row(checked.norms, LOAD_NORM_ATOL)
     if row is not None:

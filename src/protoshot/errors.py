@@ -34,12 +34,14 @@ class NonFiniteValue(ProtoshotError):
 
 class UnnormalizedRow(ProtoshotError):
     """A row whose L2 norm is off 1: of the slide `slide_id`, or of a text
-    classifier when `slide_id` is None, which no load option re-normalizes."""
+    classifier when `slide_id` is None, which no load option re-normalizes.
+    The message offers re-normalizing only for a slide row that it can fix,
+    one whose norm is not below normalize's 1e-8."""
 
     def __init__(self, slide_id: str | None, row: int, norm: float, path: str | None = None):
-        what, fix = ("classifier", "") if slide_id is None else (
-            f"slide {slide_id!r}", "; pass renormalize=True to fix at load"
-        )
+        what = "classifier" if slide_id is None else f"slide {slide_id!r}"
+        fixable = slide_id is not None and norm >= 1e-8
+        fix = "; pass renormalize=True (--normalize) to fix at load" if fixable else ""
         message = f"{what} row {row} has L2 norm {norm:.6g}, expected 1.0{fix}"
         super().__init__(_in_file(path, message))
         self.slide_id, self.row, self.norm, self.path = slide_id, row, norm, path

@@ -24,7 +24,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -331,9 +331,16 @@ class Aggregate:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """A grid's config echo and records. Its aggregates are not given: they
+    are :func:`aggregate_records` of its records, so no report holds
+    aggregates its records do not give."""
+
     config: dict
     records: tuple[EvalRecord, ...]
-    aggregates: tuple[Aggregate, ...]
+    aggregates: tuple[Aggregate, ...] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "aggregates", aggregate_records(self.records))
 
     def to_json(self) -> str:
         """The bytes of :func:`canonical_json` over each dataclass's fields by
@@ -363,16 +370,40 @@ class EvalReport:
         (so a mizero record needs its ``prompt``); its fold must be at least
         0 and below the config's ``num_folds``, and it must hold one recall
         per class of the config's ``num_classes``, where the config gives
-        them, or ReportError names the record and the key."""
+        them, or ReportError names the record and the key. The file's
+        aggregates must equal, exactly, those :func:`aggregate_records`
+        gives its records (floats round-trip at 17 digits), or ReportError
+        names the first index that differs, with key ``"aggregates"``."""
         raw = typed_object(
             text, _REPORT_TYPES, _REPORT_TYPES, lambda reason, key: ReportError(path, reason, key)
         )
-        records, aggregates = (
+        records, held = (
             tuple(_from_fields(cls, item, path, f"{key}[{i}]") for i, item in enumerate(raw[key]))
             for key, cls in (("records", EvalRecord), ("aggregates", Aggregate))
         )
         _check_records(records, raw["config"], path)
-        return EvalReport(raw["config"], records, aggregates)
+        report = EvalReport(raw["config"], records)
+        made = report.aggregates
+        if held != made:
+            first = (i for i, (a, b) in enumerate(zip(held, made)) if a != b)
+            i = next(first, min(len(held), len(made)))  # else the shorter one ends
+            reason = (
+                f"aggregates do not match their records: aggregates[{i}] is "
+                f"{_describe(held, i)} in the file, {_describe(made, i)} from the records"
+            )
+            raise ReportError(path, reason, "aggregates")
+        return report
+
+
+def _describe(aggregates: Sequence[Aggregate], i: int) -> str:
+    """Aggregate `i` of `aggregates`, or "absent" past their end."""
+    if i >= len(aggregates):
+        return "absent"
+    a = aggregates[i]
+    return (
+        f"({a.method}, k={a.k}, top_k={a.top_k}, {a.num_records} records, "
+        f"mean {a.mean:.17g}, std {a.std:.17g})"
+    )
 
 
 def _is_number(value) -> bool:
@@ -868,7 +899,6 @@ def run_grid(
             records.append(EvalRecord(method, f, seed, k, kt, prompt, accuracy, recall))
 
     records.sort(key=_record_key)
-    aggregates = aggregate_records(records)
     config_echo = {
         "methods": list(config.methods),
         "num_folds": config.num_folds,
@@ -885,7 +915,7 @@ def run_grid(
         "num_prompts": classifier.num_prompts,
         "prng": dict(PRNG_SPEC),
     }
-    return EvalReport(config=config_echo, records=tuple(records), aggregates=aggregates)
+    return EvalReport(config=config_echo, records=tuple(records))
 
 
 # --- slide embedding tables ---------------------------------------------------------

@@ -141,9 +141,9 @@ def guided_pools(
     A k that covers the bag pools every row, which is the full-bag
     :func:`bgap`; the bag is scored against `class_vector` and argsorted
     once, and only when some k is smaller than the bag. The class vector's
-    dimension and k >= 1 are checked either way. Ks that clamp to the same
-    count share one pool. This is :func:`~protoshot.embedstore.pool_bag`
-    with a request of these top-Ks and no full-bag mean.
+    dimension and k >= 1 are checked either way. This is
+    :func:`~protoshot.embedstore.pool_bag` with a request of these top-Ks
+    and no full-bag mean.
     """
     ks = tuple(top_ks)
     rows = pool_bag(bag, PoolRequest(ks, class_vector, mean=False))

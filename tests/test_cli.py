@@ -110,6 +110,12 @@ class TestSynth:
         assert run(*synth_args(blocker, classes=2, slides=2)) == 1
         assert blocker.read_text() == "keep"
 
+    def test_single_patch_count(self, tmp_path):
+        out = tmp_path / "ds"
+        assert run(*synth_args(out, classes=2, slides=2, patches="16")) == 0
+        manifest = embedstore.parse_manifest(out / "manifest.jsonl")
+        assert [rec.num_patches for rec in manifest.slides] == [16] * 4
+
     def test_synth_holds_one_slide(self, tmp_path):
         data = tmp_path / "ds"
         tracemalloc.start()
@@ -173,6 +179,23 @@ class TestEvaluate:
         out = tmp_path / "r.json"
         assert run("evaluate", "--dataset", str(tmp_path / "nope"), "--out", str(out)) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_malformed_int_list_exits_two(self, dataset, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exit_info:
+            run("evaluate", "--dataset", str(dataset), "--out", str(out), "--k-grid", "2,x")
+        assert exit_info.value.code == 2
+        assert "expected comma-separated integers, got '2,x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_classifier_found_exits_one(self, dataset, tmp_path, capsys):
+        (dataset / "classifier.pse").unlink()
+        out = tmp_path / "r.json"
+        assert run("evaluate", "--dataset", str(dataset), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: no --classifier given and no classifier.pse next to the manifest\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "extra, field",
@@ -634,6 +657,26 @@ class TestStreamingCommands:
             assert err == f"error: {path} line 1: no slide lines follow the classes line\n", argv
             assert not any(out.exists() for out in outputs), argv
 
+    def test_zero_row_names_the_file_with_normalize(self, dataset, tmp_path, capsys):
+        """--normalize cannot fix an all-zero row: the error names the file,
+        and without --normalize it does not offer that flag as the fix."""
+        first = embedstore.parse_manifest(dataset / "manifest.jsonl").slides[0]
+        bag = dataset / first.path
+        raw = bytearray(bag.read_bytes())
+        row = embedstore.HEADER_SIZE + 4 * 8 * 3
+        raw[row : row + 4 * 8] = bytes(4 * 8)
+        bag.write_bytes(bytes(raw))
+        out = tmp_path / "z.csv"
+        assert run("zero-shot", "--dataset", str(dataset), "--normalize", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bag}: row 3 has near-zero L2 norm and cannot be normalized\n"
+        )
+        assert run("zero-shot", "--dataset", str(dataset), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: slide {first.slide_id!r} row 3 has L2 norm 0, expected 1.0\n"
+        )
+        assert not out.exists()
+
     def test_zero_shot_keeps_no_slide_by_dim_table(self, tmp_path):
         """zero-shot keeps n x C scores, not the n x d pooled means: over 2N
         slides it peaks less than half an N x d float64 table above its
@@ -861,6 +904,21 @@ class TestReportCommand:
         assert run("report", "--reports", str(report_path)) == 1
         assert "do not match their records" in capsys.readouterr().err
 
+    def test_tampered_aggregate_is_one_error_line_and_no_csv(self, dataset, tmp_path, capsys):
+        """The aggregate check is EvalReport.from_json's, so its error names
+        the report first, as every other report error does."""
+        report_path = self.make_report(dataset, tmp_path)
+        raw = json.loads(report_path.read_text())
+        raw["aggregates"][1]["std"] += 2**-40
+        report_path.write_text(json.dumps(raw))
+        curves = tmp_path / "curves.csv"
+        assert run("report", "--reports", str(report_path), "--csv-out", str(curves)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {report_path}: aggregates do not match their records: aggregates[1] is ("
+        )
+        assert err.count("\n") == 1 and not curves.exists()
+
     def test_malformed_report_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json at all")
@@ -951,7 +1009,7 @@ class TestReportCommand:
         assert run("report", "--reports", str(report_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith(
-            f"error: aggregates in {report_path} do not match their records: aggregates[{j}] "
+            f"error: {report_path}: aggregates do not match their records: aggregates[{j}] "
             "is (simpleshot, k=2, top_k=None, 3 records, mean "
         )
         assert ", std 0) in the file, (simpleshot, k=2, top_k=None, 2 records, mean " in err

@@ -653,6 +653,17 @@ class TestTextClassifier:
             for c in range(2):
                 assert np.array_equal(flat.values[p * 2 + c], w[p, c])
 
+    def test_one_class_sidecar_named(self, tmp_path):
+        path = tmp_path / "clf.pse"
+        write_embeddings_file(matrix([[1, 0]]), path)
+        (tmp_path / "clf.pse.json").write_text(
+            '{"num_classes": 1, "num_prompts": 1, "class_names": ["a"]}'
+        )
+        with pytest.raises(SidecarError) as err:
+            read_text_classifier(path)
+        assert err.value.key == "num_classes"
+        assert str(err.value).startswith(f"{tmp_path / 'clf.pse.json'}: invalid classifier shape")
+
     def test_missing_sidecar(self, tmp_path):
         write_embeddings_file(matrix([[1, 0], [0, 1]]), tmp_path / "clf.pse")
         with pytest.raises(MissingFile):
@@ -910,6 +921,15 @@ class TestManifest:
         reason = f"key {key!r} holds {value!r}, not {expected}"
         assert str(err.value) == f"{path} line {line}: {reason}"
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_manifest_names_the_file(self, tmp_path, text):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(text)
+        with pytest.raises(ManifestError) as err:
+            parse_manifest(path)
+        assert isinstance(err.value, ValueError)
+        assert str(err.value) == f"{path} line 1: the manifest is empty: no classes line"
+
     @pytest.mark.parametrize(
         "lines, line, key, reason",
         [
@@ -1090,6 +1110,72 @@ class TestOneWalk:
         for (_, _, rows), built in zip(means, bags):
             widened = built.patches.values.astype(np.float64)
             assert rows.tobytes() == widened.mean(axis=0).tobytes()
+
+    def test_zero_row_names_the_file_and_offers_no_fix(self, tmp_path):
+        """Re-normalizing cannot fix an all-zero row: it fails naming the
+        file, and without it the error does not offer it as the fix."""
+        values = random_unit_rows(np.random.default_rng(47), 6, 4)
+        values[3] = 0.0
+        manifest = _write_bag(tmp_path, values)
+        path, bag = tmp_path / "manifest.jsonl", str(tmp_path / "bag.pse")
+        with pytest.raises(ZeroVectorRow) as err:
+            next(iter_bags(manifest, path, renormalize=True))
+        assert (err.value.row, err.value.path) == (3, bag)
+        assert str(err.value) == f"{bag}: row 3 has near-zero L2 norm and cannot be normalized"
+        with pytest.raises(UnnormalizedRow) as err:
+            next(iter_bags(manifest, path))
+        assert str(err.value) == "slide 's0' row 3 has L2 norm 0, expected 1.0"
+
+    def test_off_unit_row_offers_the_fix(self, tmp_path):
+        values = random_unit_rows(np.random.default_rng(48), 6, 4)
+        values[2] *= 5
+        manifest = _write_bag(tmp_path, values)
+        with pytest.raises(UnnormalizedRow) as err:
+            next(iter_bags(manifest, tmp_path / "manifest.jsonl"))
+        assert str(err.value).endswith(
+            ", expected 1.0; pass renormalize=True (--normalize) to fix at load"
+        )
+
+    @pytest.mark.parametrize("edit, error", [
+        ("nan", NonFiniteValue), ("double", UnnormalizedRow), ("truncate", TruncatedPayload),
+    ])
+    def test_read_back_of_a_longer_bag_checks_its_rows(self, tmp_path, monkeypatch, edit, error):
+        """The top-K rows of a bag of several blocks are read back after its
+        walk and checked as the walk checks them, so a file that changes
+        between the two fails naming it."""
+        rng = np.random.default_rng(49)
+        values = random_unit_rows(rng, 40, 8)
+        vector = random_unit_rows(rng, 1, 8)[0].astype(np.float64)
+        manifest = _write_bag(tmp_path, values)
+        bag = tmp_path / "bag.pse"
+        top = np.sort(embedstore.score_order(values.astype(np.float64) @ vector)[:5])
+        row, offset = int(top[-1]), HEADER_SIZE + 4 * 8 * int(top[-1])
+        walk = embedstore._walk
+
+        def walk_then_edit(values, *args, **kwargs):
+            walked = walk(values, *args, **kwargs)
+            if isinstance(values, embedstore._Payload):  # the walk, not the read-back
+                with open(bag, "r+b") as fh:
+                    if edit == "truncate":
+                        fh.truncate(offset)
+                    else:
+                        fh.seek(offset)
+                        kept = np.frombuffer(fh.read(32), "<f4")
+                        fh.seek(offset)
+                        fh.write((kept * 2 if edit == "double" else kept * np.nan).tobytes())
+            return walked
+
+        monkeypatch.setattr(embedstore, "_walk", walk_then_edit)
+        request = PoolRequest((5,), vector, mean=False)
+        with small_blocks(4 * 8 * 8), pytest.raises(error) as err:
+            next(iter_pooled(manifest, tmp_path / "manifest.jsonl", lambda sid, label: request))
+        assert err.value.path == str(bag)
+        if edit == "truncate":
+            assert (err.value.expected, err.value.actual) == (40 * 8 * 4, offset - HEADER_SIZE)
+        else:
+            assert err.value.row == row
+        if edit == "double":
+            assert err.value.slide_id == "s0" and err.value.norm == pytest.approx(2.0)
 
     def test_vector_of_another_length_names_the_slide(self, tmp_path):
         """A class vector the bag cannot be scored against fails after the

@@ -1176,6 +1176,36 @@ class TestFoldMatrix:
         assert read == [bag.slide_id for bag in bags[:6]]
 
 
+    def test_later_bag_of_another_dimension_names_the_slide(self, noisy_dataset):
+        """With no method that reads the classifier, the first bag fixes the
+        table's dimension, and a later bag of another one fails naming it."""
+        manifest, bags, clf = noisy_dataset
+        narrow = SlideBag(
+            bags[5].slide_id,
+            PatchMatrix(random_unit_rows(np.random.default_rng(4), 10, clf.dim // 2)),
+            bags[5].label,
+        )
+        config = GridConfig(
+            methods=("simpleshot",), num_folds=4, k_grid=(2,), top_k_grid=(3,), seeds=(7,)
+        )
+        with pytest.raises(DimensionMismatch) as err:
+            run_grid(manifest, bags[:5] + [narrow] + bags[6:], clf, config)
+        assert (err.value.expected, err.value.actual) == (clf.dim, clf.dim // 2)
+        assert err.value.slide_id == narrow.slide_id
+
+    def test_bag_label_that_disagrees_with_the_manifest_names_the_slide(self, noisy_dataset):
+        manifest, bags, clf = noisy_dataset
+        bags = list(bags)
+        relabeled = SlideBag(bags[3].slide_id, bags[3].patches, (bags[3].label + 1) % 3)
+        bags[3] = relabeled
+        with pytest.raises(ValueError) as err:
+            run_grid(manifest, bags, clf, TestPooledGrid.config)
+        assert str(err.value) == (
+            f"slide {relabeled.slide_id!r} label {relabeled.label} disagrees with manifest "
+            f"({(relabeled.label + 2) % 3})"
+        )
+
+
 class TestReportSerialization:
     def test_json_round_trip(self, small_dataset):
         manifest, bags, clf = small_dataset
@@ -1250,6 +1280,48 @@ class TestReportSerialization:
         assert err.value.key == field
         assert str(err.value) == f"r.json: records[{index}]: {reason}"
 
+    @pytest.mark.parametrize(
+        "edit, index, held",
+        [
+            pytest.param(lambda a: a[1].update(mean=a[1]["mean"] + 2**-40), 1, "(", id="mean"),
+            pytest.param(lambda a: a[2].update(num_records=a[2]["num_records"] + 1), 2, "(",
+                         id="num_records"),
+            pytest.param(lambda a: a.pop(), -1, "absent", id="missing"),
+        ],
+    )
+    def test_aggregates_that_differ_from_records_name_the_index(
+        self, small_dataset, edit, index, held
+    ):
+        """The file's aggregates must equal those of its records exactly;
+        the first that differs is named, with key 'aggregates'."""
+        manifest, bags, clf = small_dataset
+        config = GridConfig(num_folds=3, k_grid=(2,), top_k_grid=(4,), seeds=(1, 2))
+        raw = json.loads(run_grid(manifest, bags, clf, config).to_json())
+        index %= len(raw["aggregates"])
+        edit(raw["aggregates"])
+        with pytest.raises(ReportError) as err:
+            EvalReport.from_json(json.dumps(raw), "r.json")
+        assert err.value.key == "aggregates"
+        assert str(err.value).startswith(
+            f"r.json: aggregates do not match their records: aggregates[{index}] is {held}"
+        )
+        assert " in the file, (" in str(err.value) and str(err.value).endswith(") from the records")
+
+    def test_record_accuracy_outside_unit_interval_is_named(self, small_dataset):
+        manifest, bags, clf = small_dataset
+        config = GridConfig(num_folds=3, k_grid=(2,), top_k_grid=(4,), seeds=(1,))
+        raw = json.loads(run_grid(manifest, bags, clf, config).to_json())
+        raw["records"][3]["balanced_accuracy"] = 1.5
+        with pytest.raises(ReportError) as err:
+            EvalReport.from_json(json.dumps(raw), "r.json")
+        assert str(err.value) == "r.json: records[3]: balanced accuracy 1.5 outside [0, 1]"
+
+    def test_report_aggregates_are_those_of_its_records(self, small_dataset):
+        manifest, bags, clf = small_dataset
+        config = GridConfig(num_folds=3, k_grid=(2,), top_k_grid=(4,), seeds=(1, 2))
+        records = run_grid(manifest, bags, clf, config).records[::2]
+        assert EvalReport({}, records).aggregates == aggregate_records(records)
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_to_json_equals_canonical_json_of_the_fields(self, data):
@@ -1273,9 +1345,7 @@ class TestReportSerialization:
                     st.lists(value, min_size=num_classes, max_size=num_classes)
                 ),
             ))
-        report = EvalReport(
-            {"seeds": [1, 2], "tip_alpha": 1 / 3}, tuple(records), aggregate_records(records)
-        )
+        report = EvalReport({"seeds": [1, 2], "tip_alpha": 1 / 3}, tuple(records))
         payload = {
             "config": report.config,
             "records": [dataclasses.asdict(r) for r in report.records],
@@ -1292,7 +1362,7 @@ class TestReportSerialization:
     def test_non_finite_recall_rejected(self, bad):
         record = EvalRecord("simpleshot", 0, 7, 2, None, None, 0.5, (1.0, bad, 0.0))
         with pytest.raises(ValueError, match="non-finite float"):
-            EvalReport({}, (record,), ()).to_json()
+            EvalReport({}, (record,)).to_json()
 
     def test_csv_rows_have_unique_axes_with_two_prompts(self, small_dataset):
         manifest, bags, clf = small_dataset
