@@ -1069,10 +1069,10 @@ def _checked_walk(
     """The payload `values` of `record`, read from `path`, and its one walk
     (:func:`_walk` with `vector`, `mean` and `blocks`), after every load
     check: the walk's finite check (NonFiniteValue names `path`), the patch
-    count, and the unit norm of every row, or, with `renormalize`, the
-    construction check of a :class:`PatchMatrix` before the count and the
-    walk of the re-normalized rows, which are returned instead, after it
-    (ZeroVectorRow names `path`)."""
+    count, and the unit norm of every row (UnnormalizedRow names `path`),
+    or, with `renormalize`, the construction check of a :class:`PatchMatrix`
+    before the count and the walk of the re-normalized rows, which are
+    returned instead, after it (ZeroVectorRow names `path`)."""
     try:
         checked = PatchMatrix(values) if renormalize else _walk(values, vector, mean, blocks)
     except NonFiniteValue as exc:
@@ -1087,7 +1087,7 @@ def _checked_walk(
         return values, _walk(values, vector, mean, blocks)
     row = off_unit_row(checked.norms, LOAD_NORM_ATOL)
     if row is not None:
-        raise UnnormalizedRow(record.slide_id, row, float(checked.norms[row]))
+        raise UnnormalizedRow(record.slide_id, row, float(checked.norms[row]), path)
     return values, checked
 
 

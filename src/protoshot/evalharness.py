@@ -25,6 +25,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -365,13 +366,11 @@ class EvalReport:
         """Read a report written by :meth:`to_json`. Each record and aggregate
         field must hold the type its dataclass declares, or raise ReportError
         naming `path` and the key; a missing optional field reads as null
-        (reports older than ``prompt`` lack it). Each record must set the
-        axes its method sets in :func:`run_grid` and leave the others null
-        (so a mizero record needs its ``prompt``); its fold must be at least
-        0 and below the config's ``num_folds``, and it must hold one recall
-        per class of the config's ``num_classes``, where the config gives
-        them, or ReportError names the record and the key. The file's
-        aggregates must equal, exactly, those :func:`aggregate_records`
+        (reports older than ``prompt`` lack it). The records must be exactly
+        the cells of the grid the config echoes, in report order, each with
+        an accuracy that is the mean of its recalls (:func:`_check_records`),
+        or ReportError names the config key, or the record and its key. The
+        file's aggregates must equal, exactly, those :func:`aggregate_records`
         gives its records (floats round-trip at 17 digits), or ReportError
         names the first index that differs, with key ``"aggregates"``."""
         raw = typed_object(
@@ -449,44 +448,52 @@ def _from_fields(cls, raw: dict, path: str, where: str):
         raise ReportError(path, f"{where}: {exc}") from None
 
 
-# the axes a record of each method sets, as run_grid writes them; the rest are null
-_METHOD_AXES = {
-    "visionshot": ("seed", "k", "top_k"),
-    "simpleshot": ("seed", "k"),
-    "mizero": ("prompt",),
-    "tipadapter": ("seed", "k"),
+# the config keys that fix a report's records, each required: (description, test)
+_INTS = ("a list of integers", lambda v: isinstance(v, list) and all(map(is_int, v)))
+_GRID_TYPES = {
+    "methods": (f"a list drawn from {', '.join(METHODS)}",
+                lambda v: isinstance(v, list) and all(m in METHODS for m in v)),
+    **dict.fromkeys(("num_folds", "num_prompts"), ("an integer", is_int)),
+    **dict.fromkeys(("seeds", "k_grid", "top_k_grid"), _INTS),
 }
 
 
 def _check_records(records: Sequence[EvalRecord], config: dict, path: str) -> None:
-    """Check each record of the report `path` against its method and its
-    `config`: a known method, with the axes of :data:`_METHOD_AXES` set and
-    the others null, a fold from 0 to below ``num_folds`` and one recall per
-    class of ``num_classes``, each bound where the config holds it as an
-    integer."""
-    num_folds, num_classes = config.get("num_folds"), config.get("num_classes")
-    for i, r in enumerate(records):
-        axes = _METHOD_AXES.get(r.method)
-        if axes is None:
-            known = ", ".join(METHODS)
-            reason = f"records[{i}]: key 'method' holds {r.method!r}, not one of {known}"
-            raise ReportError(path, reason, "method")
-        for key in ("seed", "k", "top_k", "prompt"):
-            value = getattr(r, key)
-            if (value is None) == (key in axes):
-                held, wanted = ("null", "an integer") if value is None else (value, "null")
-                reason = f"records[{i}]: key {key!r} holds {held}, not {wanted} for {r.method}"
-                raise ReportError(path, reason, key)
-        if r.fold < 0 or (is_int(num_folds) and r.fold >= num_folds):
-            bound = f"from 0 to {num_folds - 1}" if is_int(num_folds) else "of 0 or more"
-            reason = f"records[{i}]: key 'fold' holds {r.fold}, not a fold {bound}"
-            raise ReportError(path, reason, "fold")
-        if is_int(num_classes) and len(r.per_class_recalls) != num_classes:
-            reason = (
-                f"records[{i}]: key 'per_class_recalls' holds {len(r.per_class_recalls)} "
-                f"recalls, not one per class of num_classes {num_classes}"
-            )
-            raise ReportError(path, reason, "per_class_recalls")
+    """Check the records of the report `path` against its `config`, which
+    must hold each key of :data:`_GRID_TYPES`, typed: they must be the cells
+    of :func:`grid_cells` for each fold, once each and in report order, each
+    with one recall per class of an integer ``num_classes`` and a
+    balanced_accuracy that is ``np.mean`` of its recalls, exactly."""
+    typed_object(config, _GRID_TYPES, _GRID_TYPES,
+                 lambda why, key: ReportError(path, f"config: {why}", key))
+    # the fold is the last key of the report order, so each cell's folds run together
+    columns = sorted(grid_cells(config), key=lambda c: _record_key((c[0], 0, *c[1:])))
+    folds = range(config["num_folds"])
+    cells = ((method, fold, *rest) for method, *rest in columns for fold in folds)
+    num_classes = config.get("num_classes")
+
+    def fail(i: int, key: str, held: str, wanted: str):
+        raise ReportError(path, f"records[{i}]: key {key!r} holds {held}, not {wanted}", key)
+
+    for i, (r, cell) in enumerate(zip(records, cells)):
+        for key, held, wanted in zip(_AXES, _axes(r), cell):
+            if held != wanted:
+                fail(i, key, json.dumps(held), json.dumps(wanted))
+        count = len(r.per_class_recalls)
+        if is_int(num_classes) and count != num_classes:
+            fail(i, "per_class_recalls", f"{count} recalls",
+                 f"one per class of num_classes {num_classes}")
+        mean = float(np.mean(r.per_class_recalls))  # column_balanced_accuracies' bytes
+        if r.balanced_accuracy != mean:
+            fail(i, "balanced_accuracy", repr(r.balanced_accuracy),
+                 f"{mean!r}, the mean of its per_class_recalls")
+    n = len(columns) * len(folds)
+    if len(records) != n:  # the zip stopped at the shorter one
+        i = min(len(records), n)
+        extra = i < len(records)
+        axes = json.dumps(dict(zip(_AXES, _axes(records[i]) if extra else next(cells))))
+        what = "extra in" if extra else "missing from"
+        raise ReportError(path, f"records[{i}] is {what} a grid of {n} records: {axes}", "records")
 
 
 def canonical_json(obj) -> str:
@@ -557,8 +564,32 @@ def _opt(v):
     return -1 if v is None else v
 
 
-def _record_key(r: EvalRecord):
-    return (r.method, _opt(r.k), _opt(r.top_k), _opt(r.prompt), _opt(r.seed), r.fold)
+_AXES = ("method", "fold", "seed", "k", "top_k", "prompt")
+_axes = attrgetter(*_AXES)  # a record's axes, as a tuple
+
+
+def _record_key(axes: tuple) -> tuple:  # the report order of a record's _AXES
+    method, fold, seed, k, top_k, prompt = axes
+    return (method, _opt(k), _opt(top_k), _opt(prompt), _opt(seed), fold)
+
+
+def grid_cells(config: Mapping) -> list[tuple]:
+    """The ``(method, seed, k, top_k, prompt)`` of each score column of one
+    fold of the grid that the config echo `config` describes, in the order
+    :func:`run_grid` stacks them: mizero's prompts; then, for each (seed,
+    k), one visionshot column per top-K and a simpleshot column; then one
+    tipadapter column per (seed, k). The grid's records are these cells
+    for each fold."""
+    methods = config["methods"]
+    prompts = range(config["num_prompts"] if "mizero" in methods else 0)
+    draws = [(seed, k) for seed in config["seeds"] for k in config["k_grid"]]
+    sets = [("visionshot", kt) for kt in config["top_k_grid"] if "visionshot" in methods]
+    sets += [("simpleshot", None)] * ("simpleshot" in methods)
+    return [
+        *(("mizero", None, None, None, p) for p in prompts),
+        *((method, seed, k, kt, None) for seed, k in draws for method, kt in sets),
+        *(("tipadapter", seed, k, None, None) for seed, k in draws if "tipadapter" in methods),
+    ]
 
 
 def aggregate_records(records: Sequence[EvalRecord]) -> tuple[Aggregate, ...]:
@@ -584,16 +615,7 @@ def aggregate_records(records: Sequence[EvalRecord]) -> tuple[Aggregate, ...]:
             [np.mean(v) for _, v in sorted(by_axis.items(), key=lambda kv: _opt(kv[0]))]
         )
         std = float(np.std(means, ddof=1)) if means.size > 1 else 0.0
-        out.append(
-            Aggregate(
-                method=method,
-                k=k,
-                top_k=top_k,
-                mean=float(means.mean()),
-                std=std,
-                num_records=len(recs),
-            )
-        )
+        out.append(Aggregate(method, k, top_k, float(means.mean()), std, len(recs)))
     return tuple(out)
 
 
@@ -716,36 +738,33 @@ def run_grid(
     consumes no support and is scored once per (fold, prompt).
 
     The fold assignment comes from derive_seed(base_seed, "folds"); each
-    support draw from derive_seed(seed, "support", fold, k). Folds and draws
-    depend only on the manifest and the config, so all of them are made
-    before any bag is read: the manifest is grouped by class once, and each
-    fold's training lists are that grouping without the fold. `bags` is then
+    support draw from derive_seed(seed, "support", fold, k). Folds, draws
+    and the report's config echo depend only on the manifest, the
+    classifier's shape and the config, so all of them are made before any
+    bag is read, and :func:`grid_cells` of the echo gives the axes of each
+    column of a fold's scores, and so of its records. `bags` is then
     consumed in one pass (:func:`~protoshot.simsel.pooled`): it may be any
     one-shot iterable of bags, such as
     :func:`~protoshot.embedstore.iter_bags`, or a reader such as
     :func:`~protoshot.embedstore.iter_pooled`, which pools each slide as it
-    reads it and hands over only its rows. A drawn slide is pooled into its
-    guided pool per top-K and its full-bag mean, which fill its column of
-    ``pools``; every slide's full-bag mean fills its row of ``table``, fold
-    by fold. For Tip-Adapter, each drawn slide's unit cache key is made
-    once, from its full-bag mean. A cell takes its draw's prototype planes
-    of ``pools`` once and builds its prototype rows from them, and checks
-    that its slides' keys have a direction, so a zero-mean slide fails in
-    the first cell that draws it. The fold phase allocates its arrays once
-    per run, each sized by the largest fold: one array of rows, holding the
-    classifier's prompts (mizero) and then every cell's prototype rows, and
-    one gather buffer for a cell's columns. Each cell writes into them, and
-    each fold overwrites the last. The fold then scores its slice of
-    ``table`` against those rows with one ``row_scores`` call and, after
-    dividing the slice by its norms in place, against the distinct keys
-    its cells draw with one ``cache_affinity`` call, from which each cell
-    takes its columns (:func:`_fold_scores`); each block holds the bytes
-    the per-bag functions in ``adapters`` give. Predictions are the argmax
-    over classes, and :func:`column_balanced_accuracies` counts every
-    record of the fold with one bincount. No array grows with folds times
-    seeds: the fold arrays grow with seeds times shots, and the keys with
-    the drawn slides. Records are sorted canonically, so the report is a
-    pure function of the data and the config.
+    reads it and hands over only its rows. A drawn slide's guided pool per
+    top-K and full-bag mean fill its column of ``pools``; every slide's
+    full-bag mean fills its row of ``table``, fold by fold. For
+    Tip-Adapter, each drawn slide's unit cache key is made once, from its
+    full-bag mean. The fold phase allocates two buffers once per run: the
+    rows of every column but tipadapter's (the classifier's prompts, then
+    each cell's prototype rows), and one cell's gather of ``pools``, sized
+    by the largest shot count. Each cell writes into them, and each fold
+    overwrites the last. A cell checks that its slides' keys have a
+    direction, so a zero-mean slide fails in the first cell that draws it.
+    Each fold then scores its slice of ``table`` at once
+    (:func:`_fold_scores`), each block holding the bytes the per-bag
+    functions in ``adapters`` give; predictions are the argmax over
+    classes, and :func:`column_balanced_accuracies` counts every record of
+    the fold with one bincount. No array grows with folds times seeds: the
+    fold arrays grow with seeds times shots, and the keys with the drawn
+    slides. Records are sorted canonically, so the report is a pure
+    function of the data and the config.
 
     Raises:
         ClassNamesMismatch: the classifier's class names are not the
@@ -772,6 +791,16 @@ def run_grid(
     fold_seed = derive_seed(config.base_seed, "folds")
     assignment = stratified_kfold(labels, config.num_folds, fold_seed)
     seeds = config.resolved_seeds()
+    config_echo = {
+        "methods": list(config.methods), "num_folds": config.num_folds,
+        "k_grid": list(config.k_grid), "top_k_grid": list(config.top_k_grid),
+        "seeds": list(seeds), "base_seed": config.base_seed, "fold_seed": fold_seed,
+        "tip_alpha": config.tip_alpha, "tip_beta": config.tip_beta,
+        "normalize_prototypes": config.normalize_prototypes,
+        "num_classes": num_classes, "class_names": list(manifest.classes),
+        "num_prompts": classifier.num_prompts, "prng": dict(PRNG_SPEC),
+    }
+    axes = grid_cells(config_echo)  # the axes of each column of a fold's scores
     fewshot_methods = [m for m in config.methods if m != "mizero"]
     test_ids = [assignment.fold_ids(f) for f in range(config.num_folds)]
 
@@ -789,11 +818,8 @@ def run_grid(
                     draws[f][seed, k] = [
                         support.setdefault(s, len(support)) for s in draw.support_ids
                     ]
-    # the prototype sets of every few-shot cell, in stacking order: (method, top_k)
     top_ks = config.top_k_grid if "visionshot" in fewshot_methods else ()
-    proto_sets = [("visionshot", kt) for kt in top_ks]
-    if "simpleshot" in fewshot_methods:
-        proto_sets.append(("simpleshot", None))
+    sets = len(top_ks) + ("simpleshot" in fewshot_methods)  # each cell's prototype sets
     tipadapter = "tipadapter" in fewshot_methods
     # the classifier fails here, before any bag is read, or at the first bag; only
     # visionshot and tipadapter need its canonical vectors, and simpleshot reads
@@ -844,26 +870,20 @@ def run_grid(
 
     records: list[EvalRecord] = []
     dim = table.shape[1]
-    sets = len(proto_sets)
     prompts = classifier.num_prompts if "mizero" in config.methods else 0
-    drawn = [list(map(len, fold.values())) for fold in draws]  # each cell's slides, by fold
-    # the fold phase's buffers, each sized by the largest fold and reused by every
-    # fold: the prototype rows, after mizero's prompts, and the prototype pools of
-    # one cell
-    stack = np.empty((prompts + max(map(len, drawn)) * sets, num_classes, dim))
+    # the fold phase's buffers, reused by every fold: the prototype rows of every
+    # column but tipadapter's, after mizero's prompts, and the prototype pools of one
+    # cell, sized by its largest draw
+    stack = np.empty((sum(method != "tipadapter" for method, *_ in axes), num_classes, dim))
     if prompts:
         stack[:prompts] = classifier.weights
     keys = None
     if tipadapter:  # one unit cache key per support slide; a zero one is never scored
         key_norms = row_norms(pools[-1])
         keys = np.divide(pools[-1], np.maximum(key_norms, MIN_POOLED_NORM)[:, None])
-    gather = np.empty(sets * max((n for fold in drawn for n in fold), default=0) * dim)
+    gather = np.empty(sets * num_classes * max(config.k_grid) * dim)
     for f in range(config.num_folds):
         queries, truth = table[bounds[f] : bounds[f + 1]], y[bounds[f] : bounds[f + 1]]
-        # axes[r] = (method, seed, k, top_k, prompt) of record r, which is column r of
-        # the fold's n x R predictions: mizero's prompts, then every cell's prototype
-        # sets, then every cell's Tip-Adapter scores
-        axes: list[tuple] = [("mizero", None, None, None, p) for p in range(prompts)]
         cells = []  # each cell's columns of keys
         # every cell fails here or not at all, in fold-major order; _fold_scores then
         # scores the whole fold at once
@@ -879,7 +899,6 @@ def run_grid(
                 planes = cell.reshape(sets, num_classes, k, dim)
                 prototype_rows(planes, config.normalize_prototypes, out=stack[end : end + sets])
                 end += sets
-                axes.extend((method, seed, k, kt, None) for method, kt in proto_sets)
                 if tipadapter:
                     # the keys and the queries are checked for a unit direction inside
                     # this cell, so a zero-mean slide fails only in the cells that need it
@@ -889,32 +908,13 @@ def run_grid(
                     cells.append(columns)
                     if norms is None:
                         norms = checked_norms(queries, MIN_POOLED_NORM)
-        if cells:
-            axes.extend(("tipadapter", seed, k, None, None) for seed, k in draws[f])
         scores = _fold_scores(queries, stack[:end], keys, cells, norms, canonical, config)
         accuracies, recalls = column_balanced_accuracies(scores.argmax(axis=2), truth, num_classes)
-        for (method, seed, k, kt, prompt), accuracy, recall in zip(
-            axes, accuracies.tolist(), recalls.tolist()
-        ):
-            records.append(EvalRecord(method, f, seed, k, kt, prompt, accuracy, recall))
+        records += (EvalRecord(method, f, seed, k, kt, prompt, accuracy, recall)
+                    for (method, seed, k, kt, prompt), accuracy, recall
+                    in zip(axes, accuracies.tolist(), recalls.tolist(), strict=True))
 
-    records.sort(key=_record_key)
-    config_echo = {
-        "methods": list(config.methods),
-        "num_folds": config.num_folds,
-        "k_grid": list(config.k_grid),
-        "top_k_grid": list(config.top_k_grid),
-        "seeds": list(seeds),
-        "base_seed": config.base_seed,
-        "fold_seed": fold_seed,
-        "tip_alpha": config.tip_alpha,
-        "tip_beta": config.tip_beta,
-        "normalize_prototypes": config.normalize_prototypes,
-        "num_classes": num_classes,
-        "class_names": list(manifest.classes),
-        "num_prompts": classifier.num_prompts,
-        "prng": dict(PRNG_SPEC),
-    }
+    records.sort(key=lambda r: _record_key(_axes(r)))
     return EvalReport(config=config_echo, records=tuple(records))
 
 

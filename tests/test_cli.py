@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from protoshot import adapters, embedstore, simsel
 from protoshot.cli import build_parser, main
 from protoshot.errors import ReportError, SidecarError
-from protoshot.evalharness import EvalReport, GridConfig
+from protoshot.evalharness import EvalRecord, EvalReport, GridConfig
 
 from conftest import random_unit_rows, small_blocks, write_random_corpus
 
@@ -92,6 +92,30 @@ class TestSynth:
         assert run(*synth_args(out, rho=rho, kappa=kappa)) == 1
         assert "noise_scale" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (dict(classes=1), "need >= 2 classes, got 1"),
+            (dict(classes=2, dim=1), "need dim >= 2, got 1"),
+            (dict(classes=3, dim=2), "3 classes cannot be orthogonal in dim 2"),
+            (dict(slides=0), "need at least one slide per class"),
+            (dict(patches="5:3"), "bad patch range [5, 3]"),
+            (dict(patches="0"), "bad patch range [0, 0]"),
+            (dict(rho=1.5), "informative_fraction must be in [0, 1], got 1.5"),
+        ],
+    )
+    def test_bad_config_is_one_error_line(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "ds"
+        assert run(*synth_args(out, **flags)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_bad_patch_range_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(*synth_args(tmp_path / "ds", patches="x"))
+        assert exit_info.value.code == 2
+        assert "expected MIN:MAX or a count, got 'x'" in capsys.readouterr().err
 
     def test_non_empty_out_refused(self, tmp_path, capsys):
         out = tmp_path / "ds"
@@ -673,7 +697,23 @@ class TestStreamingCommands:
         )
         assert run("zero-shot", "--dataset", str(dataset), "--out", str(out)) == 1
         assert capsys.readouterr().err == (
-            f"error: slide {first.slide_id!r} row 3 has L2 norm 0, expected 1.0\n"
+            f"error: {bag}: slide {first.slide_id!r} row 3 has L2 norm 0, expected 1.0\n"
+        )
+        assert not out.exists()
+
+    def test_off_unit_row_names_the_file_and_offers_the_fix(self, dataset, tmp_path, capsys):
+        """A row of norm 2.0 fails zero-shot without --normalize, naming the
+        file as the read-back does, and offers --normalize as the fix."""
+        first = embedstore.parse_manifest(dataset / "manifest.jsonl").slides[0]
+        bag = dataset / first.path
+        values = embedstore.read_embeddings_file(bag).values.copy()
+        values[3] *= 2
+        embedstore.write_embeddings_file(embedstore.PatchMatrix(values), bag)
+        out = tmp_path / "z.csv"
+        assert run("zero-shot", "--dataset", str(dataset), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bag}: slide {first.slide_id!r} row 3 has L2 norm 2, expected 1.0; "
+            "pass renormalize=True (--normalize) to fix at load\n"
         )
         assert not out.exists()
 
@@ -864,6 +904,10 @@ def test_streaming_makes_few_page_faults(tmp_path):
     assert faults < pages / 8, (faults, pages)
 
 
+# the axes of the last record of a 2-fold, 2-seed report of k 1 and top-K 2 and 5
+LAST_CELL = '{"method": "visionshot", "fold": 1, "seed": 2, "k": 1, "top_k": 5, "prompt": null}\n'
+
+
 class TestReportCommand:
     def make_report(self, dataset, tmp_path) -> Path:
         out = tmp_path / "report.json"
@@ -974,12 +1018,12 @@ class TestReportCommand:
         "method, key, value, held",
         [
             ("mizero", "seed", -3, "-3, not null"),
-            ("mizero", "prompt", None, "null, not an integer"),
-            ("simpleshot", "k", None, "null, not an integer"),
+            ("mizero", "prompt", None, "null, not 0"),
+            ("simpleshot", "k", None, "null, not 2"),
             ("simpleshot", "top_k", 4, "4, not null"),
             ("tipadapter", "prompt", 0, "0, not null"),
-            ("visionshot", "top_k", None, "null, not an integer"),
-            ("visionshot", "method", "protoshot", "'protoshot', not one of "),
+            ("visionshot", "top_k", None, "null, not 4"),
+            ("visionshot", "method", "protoshot", '"protoshot", not "visionshot"'),
         ],
     )
     def test_record_axes_disagree_with_method_exits_one(
@@ -998,22 +1042,73 @@ class TestReportCommand:
         assert err.count("\n") == 1
 
     def test_off_grid_k_names_the_aggregate(self, dataset, tmp_path, capsys):
-        """A record moved to a shot count the grid never ran changes the
-        record count of its aggregate, which the error names on both sides."""
+        """A record moved to a shot count the grid never ran is not the
+        grid's cell at its index: the error names the record and its key
+        'k', before the aggregates are compared (their naming is covered by
+        test_aggregates_that_differ_from_records_name_the_index)."""
         report_path = self.make_report(dataset, tmp_path)
         raw = json.loads(report_path.read_text())
         i = next(i for i, r in enumerate(raw["records"]) if r["method"] == "simpleshot")
         raw["records"][i]["k"] = 3
         report_path.write_text(json.dumps(raw))
-        j = next(j for j, a in enumerate(raw["aggregates"]) if a["method"] == "simpleshot")
         assert run("report", "--reports", str(report_path)) == 1
         err = capsys.readouterr().err
-        assert err.startswith(
-            f"error: {report_path}: aggregates do not match their records: aggregates[{j}] "
-            "is (simpleshot, k=2, top_k=None, 3 records, mean "
-        )
-        assert ", std 0) in the file, (simpleshot, k=2, top_k=None, 2 records, mean " in err
-        assert err.count("\n") == 1
+        assert err == f"error: {report_path}: records[{i}]: key 'k' holds 3, not 2\n"
+
+    @staticmethod
+    def rederive(raw):
+        """Set the aggregates of `raw` to those of its records."""
+        records = tuple(EvalRecord(**r) for r in raw["records"])
+        raw["aggregates"] = json.loads(EvalReport({}, records).to_json())["aggregates"]
+
+    @staticmethod
+    def off_by_two_ulps(r):
+        r["balanced_accuracy"] += -2**-52 if r["balanced_accuracy"] > 0.5 else 2**-52
+
+    @pytest.mark.parametrize(
+        "edit, key, reason",
+        [
+            pytest.param(lambda raw: raw.update(config={}), "methods",
+                         "config: missing key 'methods'", id="empty-config"),
+            pytest.param(lambda raw: raw["config"].update(k_grid="x"), "k_grid",
+                         "config: key 'k_grid' holds 'x', not a list of integers",
+                         id="string-k-grid"),
+            pytest.param(lambda raw: raw["records"].pop(3), "fold",
+                         "records[3]: key 'fold' holds 0, not 1\n", id="missing-record"),
+            pytest.param(lambda raw: raw["records"].insert(4, raw["records"][3]), "fold",
+                         "records[4]: key 'fold' holds 1, not 0\n", id="duplicated-record"),
+            pytest.param(lambda raw: [r.update(k=99) for r in raw["records"] if r["k"] == 1],
+                         "k", "records[2]: key 'k' holds 99, not 1\n", id="k-off-the-grid"),
+            pytest.param(lambda raw: raw["records"].pop(), "records",
+                         "records[17] is missing from a grid of 18 records: " + LAST_CELL,
+                         id="missing-last-record"),
+            pytest.param(lambda raw: raw["records"].append(raw["records"][-1]), "records",
+                         "records[18] is extra in a grid of 18 records: " + LAST_CELL,
+                         id="extra-record"),
+            pytest.param(lambda raw: TestReportCommand.off_by_two_ulps(raw["records"][3]),
+                         "balanced_accuracy", "records[3]: key 'balanced_accuracy' holds ",
+                         id="accuracy-not-the-mean"),
+        ],
+    )
+    def test_report_off_its_grid_exits_one(self, dataset, tmp_path, capsys, edit, key, reason):
+        """A report whose records are not exactly the cells its config
+        implies, each once and in report order, or whose accuracy is not
+        the mean of its recalls, fails with one line naming the record or
+        the key, even with its aggregates re-derived from its records."""
+        report_path = tmp_path / "report.json"
+        assert run("evaluate", "--dataset", str(dataset), "--out", str(report_path),
+                   "--folds", "2", "--k-grid", "1", "--topk-grid", "2,5", "--seeds", "1,2") == 0
+        raw = json.loads(report_path.read_text())
+        assert len(raw["records"]) == 18
+        edit(raw)
+        self.rederive(raw)
+        report_path.write_text(json.dumps(raw))
+        assert run("report", "--reports", str(report_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {report_path}: {reason}") and err.count("\n") == 1
+        with pytest.raises(ReportError) as info:
+            EvalReport.from_json(report_path.read_text(), str(report_path))
+        assert info.value.key == key
 
     def test_missing_aggregate_is_named_absent(self, dataset, tmp_path, capsys):
         report_path = self.make_report(dataset, tmp_path)

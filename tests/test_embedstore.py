@@ -1124,7 +1124,7 @@ class TestOneWalk:
         assert str(err.value) == f"{bag}: row 3 has near-zero L2 norm and cannot be normalized"
         with pytest.raises(UnnormalizedRow) as err:
             next(iter_bags(manifest, path))
-        assert str(err.value) == "slide 's0' row 3 has L2 norm 0, expected 1.0"
+        assert str(err.value) == f"{bag}: slide 's0' row 3 has L2 norm 0, expected 1.0"
 
     def test_off_unit_row_offers_the_fix(self, tmp_path):
         values = random_unit_rows(np.random.default_rng(48), 6, 4)

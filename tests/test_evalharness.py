@@ -49,6 +49,7 @@ from protoshot.evalharness import (
     canonical_json,
     column_balanced_accuracies,
     derive_seed,
+    grid_cells,
     run_grid,
     sample_few_shot,
     silhouette,
@@ -169,6 +170,10 @@ class TestStratifiedKfold:
             stratified_kfold(labels, 5, seed=0)
         assert err.value.class_index == 0 and err.value.count == 3
 
+    def test_fewer_than_two_folds_rejected(self):
+        with pytest.raises(ValueError, match="num_folds must be >= 2, got 1"):
+            stratified_kfold({"a": 0, "b": 1}, 1, seed=0)
+
 
 class TestSampleFewShot:
     def test_k_equals_class_size(self):
@@ -197,6 +202,10 @@ class TestSampleFewShot:
     def test_insufficient_support(self):
         with pytest.raises(InsufficientSupport):
             sample_few_shot([["a", "b"]], 3, seed=0)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            sample_few_shot([["a", "b"]], 0, seed=0)
 
 
 class TestBalancedAccuracy:
@@ -1206,6 +1215,34 @@ class TestFoldMatrix:
         )
 
 
+class TestGridCells:
+    """grid_cells is the one list of a grid's cells: run_grid's records are
+    its cells for each fold, each once, in report order."""
+
+    @pytest.mark.parametrize("prompts", [1, 2])
+    @pytest.mark.parametrize(
+        "grid",
+        [dict(seeds=(7,), k_grid=(2,), top_k_grid=(4,)),
+         dict(seeds=(5, 1, 3), k_grid=(3, 1), top_k_grid=(200, 2))],
+        ids=["one-draw", "unsorted"],
+    )
+    @pytest.mark.parametrize(
+        "methods",
+        [combo for n in range(1, 5) for combo in itertools.combinations(METHODS, n)],
+        ids="+".join,
+    )
+    def test_records_are_the_cells_of_each_fold(self, noisy_dataset, methods, grid, prompts):
+        manifest, bags, clf = noisy_dataset
+        clf = TextClassifier(clf.class_names, np.concatenate([clf.weights] * prompts))
+        report = run_grid(manifest, bags, clf, GridConfig(methods=methods, num_folds=2, **grid))
+        cells = [(m, f, *rest) for f in range(2) for m, *rest in grid_cells(report.config)]
+        # report order: method, then k, top_k, prompt and seed with null first, then fold
+        order = lambda c: (c[0], *(-1 if v is None else v for v in (c[3], c[4], c[5], c[2])), c[1])
+        held = [(r.method, r.fold, r.seed, r.k, r.top_k, r.prompt) for r in report.records]
+        assert held == sorted(cells, key=order) and len(set(held)) == len(held)
+        assert EvalReport.from_json(report.to_json()).to_json() == report.to_json()
+
+
 class TestReportSerialization:
     def test_json_round_trip(self, small_dataset):
         manifest, bags, clf = small_dataset
@@ -1260,8 +1297,8 @@ class TestReportSerialization:
     @pytest.mark.parametrize(
         "index, field, value, reason",
         [
-            (0, "fold", -1, "key 'fold' holds -1, not a fold from 0 to 2"),
-            (4, "fold", 3, "key 'fold' holds 3, not a fold from 0 to 2"),
+            (0, "fold", -1, "key 'fold' holds -1, not 0"),
+            (4, "fold", 3, "key 'fold' holds 3, not 1"),
             (1, "per_class_recalls", [1.0, 0.5],
              "key 'per_class_recalls' holds 2 recalls, not one per class of num_classes 3"),
             (2, "per_class_recalls", [1.0, 0.5, 0.5, 0.0],
@@ -1269,7 +1306,8 @@ class TestReportSerialization:
         ],
     )
     def test_record_rules_name_record_and_key(self, small_dataset, index, field, value, reason):
-        """A record's fold and recall count must fit the report's config."""
+        """A record's fold must be that of the grid's cell at its index, and
+        its recall count must fit the report's config."""
         manifest, bags, clf = small_dataset
         config = GridConfig(num_folds=3, k_grid=(2,), top_k_grid=(4,), seeds=(1,))
         raw = json.loads(run_grid(manifest, bags, clf, config).to_json())
