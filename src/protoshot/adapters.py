@@ -34,6 +34,7 @@ from .embedstore import (
     frozen,
     off_unit_row,
     pool_bag,
+    pooled,
     read_embeddings_file,
     read_sidecar,
     row_norms,
@@ -50,7 +51,6 @@ from .errors import (
     SidecarError,
     ZeroVectorRow,
 )
-from .simsel import guided_pools, pooled
 
 _NORM_ATOL = 1e-6
 MIN_POOLED_NORM = 1e-12
@@ -160,10 +160,11 @@ def visionshot_slide_embedding(bag: SlideBag, class_vector: np.ndarray, k: int) 
     """Pool the k patches most similar to `class_vector` into one embedding.
 
     Meant for support slides, with `class_vector` the text embedding of the
-    slide's own class: the one-k form of :func:`~protoshot.simsel.guided_pools`,
-    so a k of at least the bag size pools the full bag without scoring it.
+    slide's own class: :func:`~protoshot.embedstore.pool_bag` with a request
+    of this one top-K and no full-bag mean, so a k of at least the bag size
+    pools the full bag without scoring it.
     """
-    return guided_pools(bag, class_vector, (k,))[k]
+    return pool_bag(bag, PoolRequest((k,), class_vector, mean=False))[0]
 
 
 def _support_label(slide_id: str, label: int | None, num_classes: int) -> int:
@@ -184,7 +185,7 @@ def _pool_by_label(
     class_names: Sequence[str],
     requests: Sequence[PoolRequest],
 ) -> tuple[list[list[np.ndarray]], list[list[str]]]:
-    """Pool each support slide as it arrives (:func:`~protoshot.simsel.pooled`),
+    """Pool each support slide as it arrives (:func:`~protoshot.embedstore.pooled`),
     into the first row of ``requests[label]``, once its label is checked, and
     group the pools by label in arrival order; returns the per-class pooled
     embeddings and slide ids."""
@@ -264,7 +265,7 @@ def build_prototypes(
     its slides' pooled embeddings (re-normalized by default). `support` is
     iterated once and each slide is pooled as it arrives, so it may be a
     stream such as :func:`~protoshot.embedstore.iter_bags`. It may also be
-    a reader (see :func:`~protoshot.simsel.pooled`), which pools each slide
+    a reader (see :func:`~protoshot.embedstore.pooled`), which pools each slide
     as it reads it: one walk scores the bag against its class vector when k
     is below its patch count, and takes its mean only when k covers it.
 
@@ -295,7 +296,7 @@ def simpleshot_prototypes(
     names; pass both when the corpus knows better. `support` is iterated
     once, pooling each slide as it arrives, unless `num_classes` must be
     inferred from the labels first; it may be a reader (see
-    :func:`~protoshot.simsel.pooled`) when `num_classes` is given.
+    :func:`~protoshot.embedstore.pooled`) when `num_classes` is given.
     """
     if num_classes is None:
         support = list(support)

@@ -54,7 +54,9 @@ never sent, and the stream pools that whole run again, and every later
 slide, itself, so it raises the error after the same slides as one
 process would.
 :func:`pool_bag` runs the same walk and pooling on a bag held in memory,
-once per call, in scratch of its own.
+once per call, in scratch of its own. :func:`pooled` takes bags or a reader,
+so every slide is pooled here; ``simsel`` keeps only the per-bag reference
+kernels these pools match bit for bit.
 :func:`iter_bags` yields whole bags instead, each read into a buffer of its
 own and walked once, for its load checks, as it is read.
 
@@ -151,7 +153,7 @@ def float64_blocks(
     """The float32 matrix `values`, widened to float64 one block at a time.
 
     Walks every row of `values`, or its rows `rows` (an int array of row
-    indices from 0, else IndexError) in that order, in blocks of
+    indices in range, which the caller checks) in that order, in blocks of
     :data:`BLOCK_BYTES` of float64 (at least two rows), and yields
     ``(start, block)`` for each: ``block[1:]`` holds the walk's rows from
     `start` on, widened, and ``block[0]`` is a spare row for
@@ -170,8 +172,6 @@ def float64_blocks(
     """
     n = values.shape[0] if rows is None else len(rows)
     d = values.shape[1]
-    if rows is not None and n and not 0 <= rows.min() <= rows.max() < values.shape[0]:
-        raise IndexError(f"rows out of range for {values.shape[0]} rows")
     step = _step(d)
     height = min(n, step + 1)
     wide = (height + 1) * d
@@ -1355,6 +1355,22 @@ def iter_pooled(
         blocks.held = _GrowOnly.held
         if worker is not None:
             worker.stop()
+
+
+def pooled(
+    bags: Iterable[SlideBag] | Callable[..., Iterable[tuple[str, int, np.ndarray]]],
+    request: Callable[[str, int | None], PoolRequest],
+) -> Iterator[tuple[str, int | None, np.ndarray]]:
+    """``(slide_id, label, rows)`` for each slide of `bags`, with the rows
+    ``request(slide_id, label)`` asks of it: `bags` is an iterable of bags
+    held in memory, each pooled here (:func:`pool_bag`) after its request
+    is made, or a reader such as :func:`iter_pooled` with its manifest and
+    path bound (``functools.partial``), called with `request`, which pools
+    each slide as it is read."""
+    if callable(bags):
+        return iter(bags(request))
+    return ((bag.slide_id, bag.label, pool_bag(bag, request(bag.slide_id, bag.label)))
+            for bag in bags)
 
 
 def iter_bags(

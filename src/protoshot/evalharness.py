@@ -25,6 +25,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -47,6 +48,7 @@ from .embedstore import (
     checked_norms,
     is_int,
     pool_bag,
+    pooled,
     row_norms,
     typed_object,
 )
@@ -58,12 +60,12 @@ from .errors import (
     InsufficientSupport,
     InvalidConfig,
     LengthMismatch,
+    ProtoshotError,
     ReportError,
     SingleCluster,
     TooFewPoints,
     ZeroVectorRow,
 )
-from .simsel import pooled
 
 METHODS = ("visionshot", "simpleshot", "mizero", "tipadapter")
 
@@ -463,12 +465,18 @@ def _check_records(records: Sequence[EvalRecord], config: dict, path: str) -> No
     must hold each key of :data:`_GRID_TYPES`, typed: they must be the cells
     of :func:`grid_cells` for each fold, once each and in report order, each
     with one recall per class of an integer ``num_classes`` and a
-    balanced_accuracy that is ``np.mean`` of its recalls, exactly."""
+    balanced_accuracy that is ``np.mean`` of its recalls, exactly. It makes
+    at most one cell more than the file has records."""
     typed_object(config, _GRID_TYPES, _GRID_TYPES,
                  lambda why, key: ReportError(path, f"config: {why}", key))
-    # the fold is the last key of the report order, so each cell's folds run together
-    columns = sorted(grid_cells(config), key=lambda c: _record_key((c[0], 0, *c[1:])))
     folds = range(config["num_folds"])
+    # no more cells than the file holds records, however large the config's grid
+    columns = list(islice(grid_cells(config), len(records) + 1))
+    if folds and len(columns) > len(records):
+        raise ReportError(path, f"records: the file holds {len(records)}, fewer than one "
+                          "fold of the grid its config describes", "records")
+    # the fold is the last key of the report order, so each cell's folds run together
+    columns.sort(key=lambda c: _record_key((c[0], 0, *c[1:])))
     cells = ((method, fold, *rest) for method, *rest in columns for fold in folds)
     num_classes = config.get("num_classes")
 
@@ -487,7 +495,7 @@ def _check_records(records: Sequence[EvalRecord], config: dict, path: str) -> No
         if r.balanced_accuracy != mean:
             fail(i, "balanced_accuracy", repr(r.balanced_accuracy),
                  f"{mean!r}, the mean of its per_class_recalls")
-    n = len(columns) * len(folds)
+    n = len(columns) * max(config["num_folds"], 0)  # len(folds) overflows past 2**63
     if len(records) != n:  # the zip stopped at the shorter one
         i = min(len(records), n)
         extra = i < len(records)
@@ -573,23 +581,23 @@ def _record_key(axes: tuple) -> tuple:  # the report order of a record's _AXES
     return (method, _opt(k), _opt(top_k), _opt(prompt), _opt(seed), fold)
 
 
-def grid_cells(config: Mapping) -> list[tuple]:
+def grid_cells(config: Mapping) -> Iterator[tuple]:
     """The ``(method, seed, k, top_k, prompt)`` of each score column of one
     fold of the grid that the config echo `config` describes, in the order
     :func:`run_grid` stacks them: mizero's prompts; then, for each (seed,
     k), one visionshot column per top-K and a simpleshot column; then one
     tipadapter column per (seed, k). The grid's records are these cells
-    for each fold."""
-    methods = config["methods"]
-    prompts = range(config["num_prompts"] if "mizero" in methods else 0)
-    draws = [(seed, k) for seed in config["seeds"] for k in config["k_grid"]]
+    for each fold. Each cell is made as it is asked for, so a reader can
+    stop after as many as it needs."""
+    methods, seeds, k_grid = config["methods"], config["seeds"], config["k_grid"]
     sets = [("visionshot", kt) for kt in config["top_k_grid"] if "visionshot" in methods]
     sets += [("simpleshot", None)] * ("simpleshot" in methods)
-    return [
-        *(("mizero", None, None, None, p) for p in prompts),
-        *((method, seed, k, kt, None) for seed, k in draws for method, kt in sets),
-        *(("tipadapter", seed, k, None, None) for seed, k in draws if "tipadapter" in methods),
-    ]
+    yield from (("mizero", None, None, None, p)
+                for p in range(config["num_prompts"] if "mizero" in methods else 0))
+    yield from ((method, seed, k, kt, None)
+                for seed in seeds for k in k_grid for method, kt in sets)
+    if "tipadapter" in methods:
+        yield from (("tipadapter", seed, k, None, None) for seed in seeds for k in k_grid)
 
 
 def aggregate_records(records: Sequence[EvalRecord]) -> tuple[Aggregate, ...]:
@@ -743,7 +751,7 @@ def run_grid(
     classifier's shape and the config, so all of them are made before any
     bag is read, and :func:`grid_cells` of the echo gives the axes of each
     column of a fold's scores, and so of its records. `bags` is then
-    consumed in one pass (:func:`~protoshot.simsel.pooled`): it may be any
+    consumed in one pass (:func:`~protoshot.embedstore.pooled`): it may be any
     one-shot iterable of bags, such as
     :func:`~protoshot.embedstore.iter_bags`, or a reader such as
     :func:`~protoshot.embedstore.iter_pooled`, which pools each slide as it
@@ -769,6 +777,7 @@ def run_grid(
     Raises:
         ClassNamesMismatch: the classifier's class names are not the
             manifest's, in order; checked before anything else.
+        ProtoshotError: the manifest has no slides; checked next.
         GridCellError: a cell failed; the message names it. A draw fails
             before the first bag is read; every other cell that can fail is
             built before its fold is scored, so the cell named is the first
@@ -784,6 +793,8 @@ def run_grid(
             slide has no bag.
     """
     classifier.check_classes(manifest.classes)
+    if not manifest.slides:
+        raise ProtoshotError("the manifest has no slides")
     num_classes = len(manifest.classes)
     # the one grouping of the manifest by class, each class in manifest order
     labels = {rec.slide_id: manifest.class_index(rec.class_name) for rec in manifest.slides}
@@ -800,7 +811,7 @@ def run_grid(
         "num_classes": num_classes, "class_names": list(manifest.classes),
         "num_prompts": classifier.num_prompts, "prng": dict(PRNG_SPEC),
     }
-    axes = grid_cells(config_echo)  # the axes of each column of a fold's scores
+    axes = list(grid_cells(config_echo))  # the axes of each column of a fold's scores
     fewshot_methods = [m for m in config.methods if m != "mizero"]
     test_ids = [assignment.fold_ids(f) for f in range(config.num_folds)]
 

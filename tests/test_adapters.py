@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,16 +27,18 @@ from protoshot.adapters import (
     visionshot_slide_embedding,
     write_prototypes,
 )
-from protoshot.embedstore import PatchMatrix, SlideBag, TextClassifier
+from protoshot.embedstore import PatchMatrix, PoolRequest, SlideBag, TextClassifier, pool_bag
 from protoshot.errors import (
     DimensionMismatch,
     EmptyCache,
     EmptyClassSupport,
+    LengthMismatch,
     PromptIndexOutOfRange,
     SidecarError,
     ZeroVectorRow,
 )
-from protoshot.simsel import bgap, guided_pools, score_against, top_k
+from protoshot.evalharness import silhouette, slide_embedding_table
+from protoshot.simsel import bgap, score_against, top_k
 
 from conftest import random_unit_rows
 
@@ -77,6 +80,59 @@ class TestAdoptedArrays:
         rows.flags.writeable = False
         assert PrototypeSet(("a", "b"), rows, True).prototypes is rows
 
+
+EYE = np.eye(2, 3, dtype=np.float32)
+NAN_ROW = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+
+class TestArgumentChecks:
+    """Each model and library function refuses an argument it cannot use with
+    the error and message below."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(lambda: PrototypeSet(("a", "b"), np.eye(3, 2), False), ValueError,
+                         "expected one prototype per class (2), got shape (3, 2)",
+                         id="PrototypeSet-shape"),
+            pytest.param(lambda: PrototypeSet(("a", "b"), NAN_ROW, False), ValueError,
+                         "prototypes contain NaN or infinity", id="PrototypeSet-finite"),
+            pytest.param(lambda: PrototypeSet(("a", "b"), 2 * np.eye(2), True), ValueError,
+                         "normalized flag set but rows are not unit norm",
+                         id="PrototypeSet-normalized"),
+            pytest.param(lambda: CacheModel(np.empty((0, 3)), np.empty((0, 2))), EmptyCache,
+                         "cache model holds no support entries", id="CacheModel-empty"),
+            pytest.param(lambda: CacheModel(np.eye(2, 3), np.eye(3)), ValueError,
+                         "values must be an M x C matrix", id="CacheModel-values"),
+            pytest.param(lambda: CacheModel(np.eye(2, 3), np.eye(2), alpha=-1.0), ValueError,
+                         "alpha must be >= 0, got -1.0", id="CacheModel-alpha"),
+            pytest.param(lambda: CacheModel(np.eye(2, 3), np.eye(2), beta=0.0), ValueError,
+                         "beta must be > 0, got 0.0", id="CacheModel-beta"),
+            pytest.param(lambda: SlideBag("", PatchMatrix(EYE)), ValueError,
+                         "slide_id must be nonempty", id="SlideBag-id"),
+            pytest.param(lambda: SlideBag("s", PatchMatrix(EYE), -1), ValueError,
+                         "label must be a class index >= 0, got -1", id="SlideBag-label"),
+            pytest.param(lambda: TextClassifier(("a", "b"), EYE), ValueError,
+                         "expected weights of shape (P, C, D), got (2, 3)",
+                         id="TextClassifier-shape"),
+            pytest.param(lambda: TextClassifier(("a",), EYE[None]), ValueError,
+                         "1 class names for 2 classes", id="TextClassifier-names"),
+            pytest.param(lambda: PoolRequest((2,)), ValueError,
+                         "a top-K pool needs a class vector", id="PoolRequest-vector"),
+            pytest.param(lambda: silhouette(np.eye(3), [0, 1]), LengthMismatch,
+                         "3 predictions vs 2 labels", id="silhouette-lengths"),
+            pytest.param(lambda: slide_embedding_table([bag_of(EYE, label=0)], "max"), ValueError,
+                         "unknown mode 'max'", id="slide_embedding_table-mode"),
+            pytest.param(lambda: slide_embedding_table([bag_of(EYE, label=0)], "visionshot"),
+                         ValueError, "visionshot mode needs a classifier and k",
+                         id="slide_embedding_table-classifier"),
+            pytest.param(lambda: slide_embedding_table([bag_of(EYE)], "bgap"), ValueError,
+                         "slide 's' has no label", id="slide_embedding_table-label"),
+        ],
+    )
+    def test_refused_with_its_message(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 def bag_of(rows, slide_id="s", label=None) -> SlideBag:
     return SlideBag(slide_id, PatchMatrix(np.asarray(rows, dtype=np.float32)), label)
@@ -673,7 +729,7 @@ class TestRowScores:
             lambda: predict_prototype(narrow, protos),
             lambda: mizero_predict(narrow, clf),
             lambda: tip_adapter_predict(narrow, cache, clf),
-            lambda: guided_pools(narrow, clf.canonical_vectors()[0], (2,)),
+            lambda: pool_bag(narrow, PoolRequest((2,), clf.canonical_vectors()[0], mean=False)),
         ):
             with pytest.raises(DimensionMismatch) as err:
                 predict()
@@ -721,9 +777,10 @@ class TestPrototypeRows:
         # guided pools per top-K (64 covers every bag), then the full-bag means:
         # the sets of a grid cell, in the order it stacks them
         top_ks = [*top_ks, 64]
-        by_k = [guided_pools(bag, vector, top_ks) for bag in bags]
+        by_k = [pool_bag(bag, PoolRequest(top_ks, vector, mean=False)) for bag in bags]
         pools = np.stack(
-            [[p[kt] for p in by_k] for kt in top_ks] + [[bgap(bag.patches) for bag in bags]]
+            [[p[i] for p in by_k] for i in range(len(top_ks))]
+            + [[bgap(bag.patches) for bag in bags]]
         )
         cols = rng.permutation(len(bags))
         sets = len(top_ks) + 1

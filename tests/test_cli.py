@@ -495,6 +495,44 @@ class TestInputFileErrors:
         sidecar.write_text(json.dumps(fields))
         return sidecar
 
+    @pytest.mark.parametrize("which", ["report", "classifier sidecar"])
+    def test_bytes_that_are_not_utf8_are_malformed_json(self, dataset, tmp_path, capsys, which):
+        """A report or a sidecar holding bytes that are not UTF-8 fails with
+        one line naming the file, as malformed JSON, and writes nothing."""
+        out = tmp_path / "z.csv"
+        if which == "report":
+            path = tmp_path / "report.json"
+            argv = ("report", "--reports", str(path), "--csv-out", str(out))
+        else:
+            path = dataset / "classifier.pse.json"
+            argv = self.zero_shot(dataset, tmp_path)
+        path.write_bytes(b'{"config": "\xff"}')
+        reason = self.fails_naming(capsys, path, *argv)
+        assert reason.startswith(
+            "malformed JSON: 'utf-8' codec can't decode byte 0xff in position 12")
+        assert reason.count("\n") == 1 and not out.exists()
+
+    def test_slide_file_that_cannot_be_opened_is_one_error_line(
+        self, dataset, tmp_path, capsys, monkeypatch
+    ):
+        """A slide file that exists but cannot be opened raises the OS error
+        itself, not MissingFile, and the command fails with one line."""
+        manifest = embedstore.parse_manifest(dataset / "manifest.jsonl")
+        denied = str(dataset / manifest.slides[0].path)
+
+        def guarded(path, *args, **kwargs):
+            if str(path) == denied:
+                raise PermissionError(13, "Permission denied", str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(embedstore, "open", guarded, raising=False)
+        with pytest.raises(PermissionError):
+            embedstore.read_embeddings_file(denied)
+        capsys.readouterr()
+        assert run(*self.zero_shot(dataset, tmp_path)) == 1
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: {denied!r}\n"
+        assert not (tmp_path / "z.csv").exists()
+
     def test_prototype_class_names_and_rows_disagree(self, dataset, tmp_path, capsys):
         proto = tmp_path / "proto.pse"
         assert run("build-prototypes", "--dataset", str(dataset), "--top-k", "4",
@@ -1109,6 +1147,49 @@ class TestReportCommand:
         with pytest.raises(ReportError) as info:
             EvalReport.from_json(report_path.read_text(), str(report_path))
         assert info.value.key == key
+
+    @pytest.mark.parametrize(
+        "config, reason",
+        [
+            pytest.param({"num_prompts": 10**6}, "records: the file holds 8, fewer than one fold",
+                         id="prompts"),
+            pytest.param({"methods": ["visionshot", "simpleshot", "mizero", "tipadapter"],
+                          **dict.fromkeys(("seeds", "k_grid", "top_k_grid"), list(range(1, 101)))},
+                         "records: the file holds 8, fewer than one fold", id="grids"),
+            pytest.param({"methods": ["mizero"], "num_folds": 10**30},
+                         "records[2] is missing from a grid of 1000000000000000000000000000000 "
+                         "records", id="folds"),
+        ],
+    )
+    def test_report_config_allocates_by_its_records(self, dataset, tmp_path, capsys, config,
+                                                    reason):
+        """A hand-made config whose grid is far larger than its 8 records
+        fails with one line, having built about as many cells as the file
+        holds records: well under a MB, whatever the config says."""
+        report_path = tmp_path / "report.json"
+        assert run("evaluate", "--dataset", str(dataset), "--out", str(report_path),
+                   "--methods", "mizero,simpleshot", "--folds", "2", "--k-grid", "1",
+                   "--seeds", "1,2,3") == 0
+        raw = json.loads(report_path.read_text())
+        assert len(raw["records"]) == 8
+        raw["config"].update(config)
+        if config.get("methods") == ["mizero"]:  # the two mizero records, a grid of 10**30 folds
+            raw["records"] = [r for r in raw["records"] if r["method"] == "mizero"]
+        self.rederive(raw)
+        report_path.write_text(json.dumps(raw))
+        assert report_path.stat().st_size < 4096
+        tracemalloc.start()
+        try:
+            assert run("report", "--reports", str(report_path)) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {report_path}: {reason}") and err.count("\n") == 1
+        assert peak < 1 << 20  # about 80 KB; 239 MB for the grids case before the bound
+        with pytest.raises(ReportError) as info:
+            EvalReport.from_json(report_path.read_text(), str(report_path))
+        assert info.value.key == "records"
 
     def test_missing_aggregate_is_named_absent(self, dataset, tmp_path, capsys):
         report_path = self.make_report(dataset, tmp_path)

@@ -55,6 +55,7 @@ from protoshot.errors import (
     ClassNamesMismatch,
     DimensionMismatch,
     DimensionZero,
+    IoFailure,
     ManifestError,
     MissingFile,
     NonFiniteValue,
@@ -69,7 +70,7 @@ from protoshot.errors import (
     ZeroVectorRow,
 )
 
-from protoshot.simsel import bgap, guided_pools, score_against, top_k
+from protoshot.simsel import bgap, score_against, top_k
 from protoshot.synthgen import SynthConfig, generate
 
 from conftest import random_unit_rows, small_blocks, write_random_corpus
@@ -452,6 +453,16 @@ class TestBinaryFormat:
             read_embeddings_file(tmp_path / "dir.pse")
         assert err.value.path == str(tmp_path / "dir.pse")
 
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_full_device_is_an_io_failure(self):
+        """A write that fails is an IoFailure: on an unbuffered sink from the
+        write itself, and from the file's close when the bytes were buffered."""
+        with open("/dev/full", "wb", buffering=0) as sink:
+            with pytest.raises(IoFailure, match="^could not write embeddings: .*No space left"):
+                write_embeddings(matrix([[1, 0]]), sink)
+        with pytest.raises(IoFailure, match="^could not write /dev/full: .*No space left"):
+            write_embeddings_file(matrix([[1, 0]]), "/dev/full")
 
 def _pse(n, d, reserved=0, payload=b"", magic=MAGIC) -> bytes:
     return struct.pack("<4sIII", magic, n, d, reserved) + payload
@@ -1106,7 +1117,7 @@ class TestOneWalk:
         assert len(seen) == 6
         for (sid, label, rows), built in zip(streamed, bags):
             assert (sid, label) == (built.slide_id, built.label)
-            assert rows.tobytes() == guided_pools(built, w, (2,))[2].tobytes()
+            assert rows.tobytes() == pool_bag(built, PoolRequest((2,), w, mean=False))[0].tobytes()
         for (_, _, rows), built in zip(means, bags):
             widened = built.patches.values.astype(np.float64)
             assert rows.tobytes() == widened.mean(axis=0).tobytes()
@@ -1184,7 +1195,8 @@ class TestOneWalk:
         manifest, bags = _toy_dataset(tmp_path, rng)
         request = PoolRequest((2,), np.ones(4))
         stream = iter_pooled(manifest, tmp_path / "manifest.jsonl", lambda sid, label: request)
-        for pool in (lambda: next(stream), lambda: guided_pools(bags[0], np.ones(4), (2,))):
+        for pool in (lambda: next(stream),
+                     lambda: pool_bag(bags[0], PoolRequest((2,), np.ones(4), mean=False))):
             with pytest.raises(DimensionMismatch) as err:
                 pool()
             assert (err.value.expected, err.value.actual, err.value.slide_id) == (4, 6, "s0")
@@ -1468,12 +1480,12 @@ class TestPooledReader:
                                          renormalize=renormalize))
                 for bag, (sid, label, rows), (_, _, mean) in zip(bags, streamed, means):
                     assert (sid, label) == (bag.slide_id, bag.label)
-                    pools = guided_pools(bag, vectors[label], top_ks[sid])
+                    pools = pool_bag(bag, PoolRequest(top_ks[sid], vectors[label], mean=False))
                     scores = score_against(bag.patches, vectors[label])
                     assert rows.shape == (len(top_ks[sid]) + 1, dim)
-                    for row, k in zip(rows, top_ks[sid]):
+                    for row, pool, k in zip(rows, pools, top_ks[sid]):
                         chained = bgap(bag.patches, top_k(scores, k))
-                        assert row.tobytes() == pools[k].tobytes() == chained.tobytes()
+                        assert row.tobytes() == pool.tobytes() == chained.tobytes()
                     assert rows[-1].tobytes() == mean[0].tobytes() == bgap(bag.patches).tobytes()
 
     @settings(max_examples=40, deadline=None, derandomize=True)

@@ -34,6 +34,7 @@ from protoshot.errors import (
     InsufficientSupport,
     InvalidConfig,
     LengthMismatch,
+    ProtoshotError,
     ReportError,
     SingleCluster,
     TooFewPoints,
@@ -57,14 +58,18 @@ from protoshot.evalharness import (
     stratified_kfold,
 )
 from protoshot.embedstore import (
+    DatasetManifest,
     PatchMatrix,
+    PoolRequest,
     SlideBag,
     TextClassifier,
     iter_bags,
+    iter_pooled,
     load_manifest,
+    pool_bag,
     write_dataset,
 )
-from protoshot.simsel import bgap, guided_pools, score_against, top_k
+from protoshot.simsel import bgap, score_against, top_k
 from protoshot.synthgen import SynthConfig, generate
 
 from conftest import random_unit_rows
@@ -437,6 +442,20 @@ class TestRunGrid:
             "mizero": 5,
         }
 
+    @pytest.mark.parametrize("methods", [("mizero",), METHODS])
+    def test_manifest_without_slides_is_refused_first(
+        self, small_dataset, monkeypatch, tmp_path, methods
+    ):
+        """A manifest of classes and no slides raises one typed error before
+        any draw is made or any bag is read; a stream over it yields nothing."""
+        _, _, clf = small_dataset
+        empty = DatasetManifest(clf.class_names, ())
+        monkeypatch.setattr(evalharness, "sample_few_shot", unreachable)
+        config = GridConfig(methods=methods, seeds=(1,))
+        with pytest.raises(ProtoshotError, match="^the manifest has no slides$"):
+            run_grid(empty, unreadable_bags(), clf, config)
+        assert list(iter_pooled(empty, tmp_path / "manifest.jsonl", unreachable)) == []
+
     def test_separable_dataset_perfect(self, small_dataset):
         manifest, bags, clf = small_dataset
         config = GridConfig(
@@ -604,14 +623,14 @@ class TestPooledGrid:
         manifest, bags, clf = noisy_dataset
         walks = counting_walks(monkeypatch, bags)
         pools = Counter()
-        pool_bag = simsel.pool_bag
+        pool_bag = embedstore.pool_bag
 
         def pooling(bag, *args, **kwargs):
             pools[bag.slide_id] += 1
             return pool_bag(bag, *args, **kwargs)
 
         # a bag in memory is pooled in one walk, every pool of it at once
-        monkeypatch.setattr(simsel, "pool_bag", pooling)
+        monkeypatch.setattr(embedstore, "pool_bag", pooling)
         assert not hasattr(evalharness, "score_against")
         run_grid(manifest, bags, clf, self.config)
         every = dict.fromkeys((bag.slide_id for bag in bags), 1)
@@ -993,10 +1012,10 @@ class TestGuidedPools:
         bag, w = self.bag_and_vector()
         p = bag.patches
         scored = bgap(p, top_k(score_against(p, w), p.rows))
-        pools = guided_pools(bag, w, (3, 12, 40))
-        assert pools[12].tobytes() == pools[40].tobytes() == scored.tobytes()
-        assert pools[40].tobytes() == bgap(p).tobytes()
-        assert pools[3].tobytes() == bgap(p, top_k(score_against(p, w), 3)).tobytes()
+        pools = pool_bag(bag, PoolRequest((3, 12, 40), w, mean=False))
+        assert pools[1].tobytes() == pools[2].tobytes() == scored.tobytes()
+        assert pools[2].tobytes() == bgap(p).tobytes()
+        assert pools[0].tobytes() == bgap(p, top_k(score_against(p, w), 3)).tobytes()
 
     def test_covering_ks_never_score(self, monkeypatch):
         bag, w = self.bag_and_vector()
@@ -1005,12 +1024,12 @@ class TestGuidedPools:
             raise AssertionError("a covering top-K scored the bag")
 
         monkeypatch.setattr(simsel, "score_against", no_scoring)
-        pools = guided_pools(bag, w, (12, 50))
-        assert pools[12].tobytes() == pools[50].tobytes() == bgap(bag.patches).tobytes()
+        pools = pool_bag(bag, PoolRequest((12, 50), w, mean=False))
+        assert pools[0].tobytes() == pools[1].tobytes() == bgap(bag.patches).tobytes()
         with pytest.raises(DimensionMismatch):
-            guided_pools(bag, np.ones(4), (12, 50))
+            pool_bag(bag, PoolRequest((12, 50), np.ones(4), mean=False))
         with pytest.raises(ValueError, match="k must be >= 1"):
-            guided_pools(bag, w, (50, 0))
+            pool_bag(bag, PoolRequest((50, 0), w, mean=False))
 
 
 def support_slides_by_fold(manifest, config):

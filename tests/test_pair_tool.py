@@ -90,3 +90,21 @@ def test_differing_outputs_name_each_output_whose_bytes_differ():
     change = {"dataset": "aa", "report.json": "b2", "proto.pse": "dd"}
     # a differing hash, and an output on one side only
     assert pair.differing_outputs(parent, change) == ["proto.pse", "report.json", "zero_shot.csv"]
+
+
+def test_missing_work_directory_is_one_error_line(tmp_path, monkeypatch, capsys):
+    """A --work directory that does not exist exits 2 naming it, before any
+    git call or run."""
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(pair.subprocess, "run", no_process)
+    missing = tmp_path / "not-made"
+    with pytest.raises(SystemExit) as exit_:
+        pair.main(["--parent", "HEAD", "--change", "HEAD", "--seeds", "1-2",
+                   "--work", str(missing), "--out", str(tmp_path / "out.json")])
+    assert exit_.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and str(missing) in errors[0]
+    assert not missing.exists() and not (tmp_path / "out.json").exists()

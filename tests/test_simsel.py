@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from protoshot.adapters import row_scores, visionshot_slide_embedding
-from protoshot.embedstore import PatchMatrix, SlideBag
+from protoshot.embedstore import PatchMatrix, PoolRequest, SlideBag, pool_bag
 from protoshot.errors import DimensionMismatch, EmptySubset
-from protoshot.simsel import as_class_vector, bgap, clamp_k, guided_pools, score_against, top_k
+from protoshot.simsel import bgap, score_against, top_k
 
 from conftest import random_unit_rows, small_blocks
 
@@ -299,23 +299,28 @@ class TestGuidedPools:
         values = random_unit_rows(rng, distinct, dim)[rng.integers(0, distinct, rows)]
         bag = SlideBag("s", PatchMatrix(values), 0)
         w = random_unit_rows(rng, 1, dim)[0]
-        pools = guided_pools(bag, w, ks)
-        assert sorted(pools) == sorted(set(ks))
+        pools = pool_bag(bag, PoolRequest(ks, w, mean=False))
+        assert pools.shape == (len(ks), dim)
         p = bag.patches
-        for k in ks:
+        for pool, k in zip(pools, ks):
             reference = bgap(p, top_k(score_against(p, w), k)).tobytes()
-            assert pools[k].tobytes() == reference
+            assert pool.tobytes() == reference
             assert visionshot_slide_embedding(bag, w, k).tobytes() == reference
 
 
 class TestChecks:
     def test_clamp_k(self):
-        assert clamp_k(3, 10) == 3 and clamp_k(10, 10) == 10 and clamp_k(11, 10) == 10
+        """top_k keeps min(k, count) indices, and no k below 1."""
+        scores = np.arange(10.0)
+        counts = [len(top_k(scores, k)) for k in (3, 10, 11)]
+        assert counts[0] == 3 and counts[1] == 10 and counts[2] == 10
         with pytest.raises(ValueError):
-            clamp_k(0, 10)
+            top_k(scores, 0)
 
     def test_as_class_vector(self):
-        w = as_class_vector(matrix([[1, 0]]), np.array([[0.5], [0.5]], dtype=np.float32))
+        """score_against flattens and widens the class vector, and checks its
+        length against the bag's dimension."""
+        w = score_against(matrix([[1, 0], [0, 1]]), np.array([[0.5], [0.5]], dtype=np.float32))
         assert w.dtype == np.float64 and w.tolist() == [0.5, 0.5]
         with pytest.raises(DimensionMismatch):
-            as_class_vector(matrix([[1, 0]]), np.array([1.0, 0.0, 0.0]))
+            score_against(matrix([[1, 0]]), np.array([1.0, 0.0, 0.0]))

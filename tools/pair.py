@@ -166,13 +166,16 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", help="default: every BENCHMARK.json workload")
     parser.add_argument("--control", action="store_true",
                         help="run the parent against a second checkout of itself")
-    parser.add_argument("--work", type=Path, help="where x and y are made (default: a temp dir)")
+    parser.add_argument("--work", type=Path,
+                        help="an existing directory to make x and y in (default: a temp dir)")
     parser.add_argument("--claim", type=parse_claim, metavar="WORKLOAD:METRIC:PCT",
                         help="check a claimed gain of PCT percent on one metric")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.control == (args.change is not None):
         parser.error("give --change, or --control without it")
+    if args.work is not None and not args.work.is_dir():
+        parser.error(f"--work {args.work}: no such directory")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     metrics = {m["name"]: m for m in bench["end_to_end"]}
