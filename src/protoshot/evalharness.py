@@ -3,6 +3,10 @@ and the full (method x fold x seed x shots x top-K) grid with aggregation.
 
 Determinism rules. All randomness flows through numpy's PCG64, seeded by
 :func:`derive_seed`, a splitmix64 chain over a base seed and purpose tags.
+The folds and draws are computed in :mod:`protoshot.pcg64` to the values
+of numpy 2.4.6's ``permutation`` and ``choice`` on that stream; numpy fixes
+its bit-generator streams, not its ``Generator`` methods, so the draws do
+not follow the installed numpy version.
 The grid streams the corpus: every support draw is made before any bag is
 read, then one pass pools each slide once and writes its full-bag mean to a
 fold-ordered table (and a drawn slide's pools to one support array), so
@@ -19,7 +23,6 @@ run can be reproduced from the report alone.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
@@ -66,6 +69,7 @@ from .errors import (
     TooFewPoints,
     ZeroVectorRow,
 )
+from .pcg64 import PCG64
 
 METHODS = ("visionshot", "simpleshot", "mizero", "tipadapter")
 
@@ -88,14 +92,25 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+# the blake2b values of the grid's fixed tags, so that no run loads OpenSSL
+_TAG_HASHES = {
+    "folds": 0xE05B2D31386F14AB,
+    "support": 0xC43986D15489037E,
+    "fewshot-seed": 0x598E204456D7D2A8,
+}
+
+
 def derive_seed(base: int, *tags: int | str) -> int:
     """Derive an independent 64-bit seed from `base` and purpose tags."""
     state = _splitmix64(base & _MASK64)
     for tag in tags:
-        if isinstance(tag, str):
-            tag = int.from_bytes(
-                hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest(), "little"
-            )
+        if isinstance(tag, str) and tag in _TAG_HASHES:
+            tag = _TAG_HASHES[tag]
+        elif isinstance(tag, str):
+            import hashlib  # only for a tag outside the table
+
+            digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest()
+            tag = int.from_bytes(digest, "little")
         state = _splitmix64(state ^ (tag & _MASK64))
     return state
 
@@ -147,7 +162,7 @@ def stratified_kfold(
     for label in sorted(by_class):
         if len(by_class[label]) < num_folds:
             raise ClassTooSmall(label, len(by_class[label]), num_folds)
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     fold_of: dict[str, int] = {}
     for label in sorted(by_class):
         ids = by_class[label]
@@ -176,13 +191,12 @@ def sample_few_shot(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     picked: list[str] = []
     for c, ids in enumerate(ids_by_class):
         if len(ids) < k:
             raise InsufficientSupport(c, len(ids), k)
-        chosen = rng.choice(len(ids), size=k, replace=False)
-        picked.extend(ids[int(i)] for i in chosen)
+        picked.extend(ids[i] for i in rng.choice(len(ids), k))
     return FewShotDraw(k=k, seed=seed, support_ids=tuple(picked))
 
 
@@ -778,6 +792,8 @@ def run_grid(
         ClassNamesMismatch: the classifier's class names are not the
             manifest's, in order; checked before anything else.
         ProtoshotError: the manifest has no slides; checked next.
+        ClassTooSmall: a class the manifest declares has fewer slides than
+            folds (perhaps none); the lowest such class, checked next.
         GridCellError: a cell failed; the message names it. A draw fails
             before the first bag is read; every other cell that can fail is
             built before its fold is scored, so the cell named is the first
@@ -799,6 +815,9 @@ def run_grid(
     # the one grouping of the manifest by class, each class in manifest order
     labels = {rec.slide_id: manifest.class_index(rec.class_name) for rec in manifest.slides}
     by_class = [[sid for sid in labels if labels[sid] == c] for c in range(num_classes)]
+    for c, ids in enumerate(by_class):
+        if len(ids) < config.num_folds:
+            raise ClassTooSmall(c, len(ids), config.num_folds)
     fold_seed = derive_seed(config.base_seed, "folds")
     assignment = stratified_kfold(labels, config.num_folds, fold_seed)
     seeds = config.resolved_seeds()

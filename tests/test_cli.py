@@ -212,6 +212,21 @@ class TestEvaluate:
         assert "expected comma-separated integers, got '2,x'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_class_without_slides_exits_one_before_any_bag_is_read(
+        self, dataset, tmp_path, capsys
+    ):
+        manifest = dataset / "manifest.jsonl"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(line for line in lines if '"class": "class_2"' not in line))
+        assert '"class_2"' in manifest.read_text()  # still declared on the classes line
+        for bag in dataset.glob("class_*.pse"):
+            bag.unlink()
+        out = tmp_path / "r.json"
+        assert run("evaluate", "--dataset", str(dataset), "--out", str(out),
+                   "--methods", "mizero") == 1
+        assert capsys.readouterr().err == "error: class 2 has 0 slides, fewer than 5 folds\n"
+        assert not out.exists()
+
     def test_no_classifier_found_exits_one(self, dataset, tmp_path, capsys):
         (dataset / "classifier.pse").unlink()
         out = tmp_path / "r.json"

@@ -126,6 +126,26 @@ class TestSeedDerivation:
         for base in (0, 1, 2**63, 2**64 - 1):
             assert 0 <= derive_seed(base, "x") < 2**64
 
+    def test_string_tags_hash_with_blake2b(self):
+        """The fixed tags' table holds their blake2b values, and any other tag
+        still hashes to its own, so every derived seed is unchanged."""
+        import hashlib
+
+        def blake2b(tag):
+            return int.from_bytes(hashlib.blake2b(tag.encode(), digest_size=8).digest(), "little")
+
+        assert evalharness._TAG_HASHES == {tag: blake2b(tag) for tag in evalharness._TAG_HASHES}
+        assert set(evalharness._TAG_HASHES) == {"folds", "support", "fewshot-seed"}
+        for tag in ("x", "fold", "support ", "élan"):
+            assert derive_seed(7, tag) == derive_seed(7, blake2b(tag))
+        assert GridConfig().resolved_seeds() == tuple(
+            derive_seed(0, blake2b("fewshot-seed"), i) for i in range(5)
+        )
+        assert GridConfig().resolved_seeds() == (  # the default seeds before the table
+            9145479144489171719, 1203540840423525180, 3861940509773123158,
+            3337133270599022780, 8411522751158374431,
+        )
+
 
 class TestStratifiedKfold:
     def test_perfectly_balanced(self):
@@ -455,6 +475,20 @@ class TestRunGrid:
         with pytest.raises(ProtoshotError, match="^the manifest has no slides$"):
             run_grid(empty, unreadable_bags(), clf, config)
         assert list(iter_pooled(empty, tmp_path / "manifest.jsonl", unreachable)) == []
+
+    @pytest.mark.parametrize("methods", [("mizero",), METHODS])
+    def test_class_without_slides_is_refused_before_the_folds(
+        self, small_dataset, monkeypatch, methods
+    ):
+        """A class the manifest declares and no slide names raises
+        ClassTooSmall naming it before the folds are dealt or a bag is read."""
+        manifest, _, clf = small_dataset
+        slides = tuple(rec for rec in manifest.slides if rec.class_name != manifest.classes[2])
+        monkeypatch.setattr(evalharness, "stratified_kfold", unreachable)
+        config = GridConfig(methods=methods, seeds=(1,))
+        with pytest.raises(ClassTooSmall) as err:
+            run_grid(DatasetManifest(manifest.classes, slides), unreadable_bags(), clf, config)
+        assert (err.value.class_index, err.value.count, err.value.num_folds) == (2, 0, 5)
 
     def test_separable_dataset_perfect(self, small_dataset):
         manifest, bags, clf = small_dataset
