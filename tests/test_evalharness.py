@@ -138,9 +138,6 @@ class TestSeedDerivation:
         assert set(evalharness._TAG_HASHES) == {"folds", "support", "fewshot-seed"}
         for tag in ("x", "fold", "support ", "élan"):
             assert derive_seed(7, tag) == derive_seed(7, blake2b(tag))
-        assert GridConfig().resolved_seeds() == tuple(
-            derive_seed(0, blake2b("fewshot-seed"), i) for i in range(5)
-        )
         assert GridConfig().resolved_seeds() == (  # the default seeds before the table
             9145479144489171719, 1203540840423525180, 3861940509773123158,
             3337133270599022780, 8411522751158374431,
